@@ -97,14 +97,24 @@ class Pipeline:
             n_max=c.time.n_max, dt=c.time.dt, slack=c.control.slack,
             pinv_rtol=c.tolerances.pinv_rtol, N_cap=c.control.N_max))
 
+    def control_dim(self, lam):
+        """(M, M_fallback): the selected M1 at lam, or the fallback
+        max(M_list[0], 8) when no M1 was selected."""
+        M1 = self.choice(lam).M1
+        if M1:
+            return M1, False
+        return max(self.cfg.control.M_list[0], 8), True
+
+    @property
+    def lam_hat(self):
+        return self.cfg.control.lam * self.cfg.control.lambda_hat_factor
+
     @property
     def law(self):
         c = self.cfg
-        lam_hat = c.control.lam * c.control.lambda_hat_factor
 
         def build():
-            choice = self.choice(lam_hat)
-            M = choice.M1 if choice.M1 else max(c.control.M_list[0], 8)
+            M, _ = self.control_dim(self.lam_hat)
             act = build_actuator(self.space, self.chi, M)
             return riccati_solve(self.space, self.reference, c.control.lam, act,
                                  c.time.T_h, c.time.dt,
@@ -162,7 +172,7 @@ def cmd_null_control(p: Pipeline, out):
     c = p.cfg
     choice = p.choice(c.control.lam)
     N = min(max(choice.N, 2), p.space.K)
-    M = choice.M1 if choice.M1 else max(c.control.M_list[0], 8)
+    M, M_fallback = p.control_dim(c.control.lam)
     act = build_actuator(p.space, p.chi, M)
     bundle = build_reachability(p.space, p.reference, 0.0, act, N, c.time.dt,
                                 pinv_rtol=c.tolerances.pinv_rtol)
@@ -173,7 +183,8 @@ def cmd_null_control(p: Pipeline, out):
     study = epsilon_limit_study(bundle, w0, np.logspace(-2, -8, 7),
                                 c.tolerances.pinv_rtol)
     write_json(os.path.join(out, "null_control.json"),
-               {"N": N, "M": M, "kkt_checks": kkt, "epsilon_study": study,
+               {"N": N, "M": M, "M_fallback": M_fallback, "kkt_checks": kkt,
+                "epsilon_study": study,
                 "min_norm_l2": control.l2_norm()})
     csv_path = os.path.join(out, "min_norm_control.csv")
     write_csv(csv_path, ["t"] + [f"eta_{i}" for i in range(M)], control.table())
@@ -217,7 +228,8 @@ def cmd_feedback(p: Pipeline, out):
     sim, cl_rep = closed_loop_linear(p.space, p.reference, law, 0.0, v0,
                                      min(c.time.n_max, law.T_h - 1.0))
     report = {
-        "lambda": law.lam, "M": law.M, "T_h": law.T_h,
+        "lambda": law.lam, "M": law.M, "M_fallback": p.control_dim(p.lam_hat)[1],
+        "T_h": law.T_h,
         "horizon_gate": law.horizon_gate,
         "max_gain_norm": law.max_gain_norm(),
         "dp": dp_check(law, v0, 0.0, splits=[law.T_h / 4, law.T_h / 2]),

@@ -171,25 +171,46 @@ def taylor_green_reference(space: SpectralSpace, a0: float, a1: float = 0.0,
     return make_reference(space, [(taylor_green_coefficients(space), sched)], horizon)
 
 
+def cn_steps(F_at, n_steps: int, dt: float, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Crank-Nicolson step stacks for the per-step system matrices F_at(m).
+
+    Fills plus_inv[m] = (I + h/2 F_m)^{-1} and phi[m] = plus_inv[m] (I - h/2 F_m)
+    one step at a time.  Every step model of the package (free, shifted and
+    closed-loop flow) is built here, so they all share one discretisation.
+    """
+    eye = np.eye(K)
+    plus_inv = np.empty((n_steps, K, K))
+    phi = np.empty((n_steps, K, K))
+    for m in range(n_steps):
+        half = 0.5 * dt * F_at(m)
+        try:
+            plus_inv[m] = np.linalg.inv(eye + half)
+        except np.linalg.LinAlgError as exc:
+            raise StepSolveError(f"implicit step {m} is singular") from exc
+        phi[m] = plus_inv[m] @ (eye - half)
+    return plus_inv, phi
+
+
 @dataclass
 class Propagator:
-    """Per-step dense transition machinery for one unit interval.
+    """Per-step dense transition machinery on a uniform grid from tau.
 
     Crank-Nicolson with the stiff Stokes part and the frozen midpoint
     linearization both inside the implicit solve:
 
-        (I + h/2 F_m) v_{m+1} = (I - h/2 F_m) v_m + h (I + h/2 F_m)^{-1}-free input,
+        v_{m+1} = phi_m v_m + h (I + h/2 F_m)^{-1} f_m,
+        phi_m = (I + h/2 F_m)^{-1} (I - h/2 F_m),
 
-    F_m = diag(alpha) + B(u(t_m + h/2)).  The adjoint sweep uses the exact
-    transposes, so <v(tau+1), q1> - <w0, q(tau)> telescopes exactly against
-    the stage-sampled control duality term.
+    F_m = diag(alpha) + B(u(t_m + h/2)) for the free flow.  The adjoint sweep
+    applies the transposes of exactly the two matrices that forward applies,
+    so <v(tau+1), q1> - <w0, q(tau)> telescopes exactly against the
+    stage-sampled control duality term.
     """
 
     tau: float
     dt: float
     plus_inv: np.ndarray    # (n_steps, K, K) = (I + h/2 F)^{-1}
-    minus: np.ndarray       # (n_steps, K, K) = (I - h/2 F)
-    phi: np.ndarray         # (n_steps, K, K) = plus_inv @ minus
+    phi: np.ndarray         # (n_steps, K, K) = plus_inv @ (I - h/2 F)
 
     @property
     def n_steps(self) -> int:
@@ -218,30 +239,20 @@ class Propagator:
             states[m + 1] = v
         return states
 
-    def adjoint(self, q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backward sweep: node samples (n_steps+1, K) and stage duals (n_steps, K).
-
-        The stage dual at step m is (I + h/2 F_m)^{-T} q_{m+1}; it is the
-        sample against which piecewise-constant controls pair exactly.
-        """
-        K = self.phi.shape[1]
-        nodes = np.empty((self.n_steps + 1, K))
-        stages = np.empty((self.n_steps, K))
-        nodes[-1] = q1
-        for m in range(self.n_steps - 1, -1, -1):
-            stages[m] = self.plus_inv[m].T @ nodes[m + 1]
-            nodes[m] = self.minus[m].T @ stages[m]
-        return nodes, stages
-
     def adjoint_block(self, Q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorised adjoint sweep for a block of terminal data (K, r)."""
-        r = Q1.shape[1]
-        nodes = np.empty((self.n_steps + 1, Q1.shape[0], r))
-        stages = np.empty((self.n_steps, Q1.shape[0], r))
+        """Backward sweep for terminal data Q1 (K,) or (K, r).
+
+        Returns node samples (n_steps+1, K[, r]) and stage duals
+        (n_steps, K[, r]).  The stage dual at step m is
+        (I + h/2 F_m)^{-T} q_{m+1}; it is the sample against which
+        piecewise-constant controls pair exactly.
+        """
+        nodes = np.empty((self.n_steps + 1,) + Q1.shape)
+        stages = np.empty((self.n_steps,) + Q1.shape)
         nodes[-1] = Q1
         for m in range(self.n_steps - 1, -1, -1):
             stages[m] = self.plus_inv[m].T @ nodes[m + 1]
-            nodes[m] = self.minus[m].T @ stages[m]
+            nodes[m] = self.phi[m].T @ nodes[m + 1]
         return nodes, stages
 
 
@@ -252,21 +263,10 @@ def build_propagator(space: SpectralSpace, traj: ReferenceTrajectory,
         raise ValueError("dt must divide the unit interval")
     if tau + 1.0 > traj.horizon + 1e-9:
         raise ValueError(f"interval [{tau}, {tau + 1}] exceeds the reference horizon")
-    K = space.K
-    eye = np.eye(K)
-    plus_inv = np.empty((n_steps, K, K))
-    minus = np.empty((n_steps, K, K))
-    phi = np.empty((n_steps, K, K))
     diag_alpha = np.diag(space.alphas)
-    for m in range(n_steps):
-        F = diag_alpha + traj.bmat_at(tau + (m + 0.5) * dt)
-        try:
-            plus_inv[m] = np.linalg.inv(eye + 0.5 * dt * F)
-        except np.linalg.LinAlgError as exc:
-            raise StepSolveError(f"implicit step singular at t={tau + m * dt}") from exc
-        minus[m] = eye - 0.5 * dt * F
-        phi[m] = plus_inv[m] @ minus[m]
-    return Propagator(tau=tau, dt=dt, plus_inv=plus_inv, minus=minus, phi=phi)
+    plus_inv, phi = cn_steps(lambda m: diag_alpha + traj.bmat_at(tau + (m + 0.5) * dt),
+                             n_steps, dt, space.K)
+    return Propagator(tau=tau, dt=dt, plus_inv=plus_inv, phi=phi)
 
 
 def propagate_linear(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,
@@ -296,7 +296,7 @@ def propagate_linear(space: SpectralSpace, traj: ReferenceTrajectory, tau: float
 
 def propagate_adjoint(prop: Propagator, q1: np.ndarray) -> Trajectory:
     """Backward dual flow; node samples of q on the same grid."""
-    nodes, _ = prop.adjoint(np.asarray(q1, float))
+    nodes, _ = prop.adjoint_block(np.asarray(q1, float))
     return Trajectory(times=prop.times, states=nodes)
 
 

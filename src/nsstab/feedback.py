@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReferenceTrajectory, Trajectory
+from .dynamics import Propagator, ReferenceTrajectory, Trajectory, cn_steps
 from .errors import RiccatiBlowupError
 from .spectral import Actuator, SpectralSpace
 
@@ -71,18 +71,6 @@ class FeedbackLaw:
         return float(max(np.linalg.norm(G @ self.Qt[m], 2)
                          for m in range(0, self.n_steps + 1, stride)))
 
-    def stage_cost_matrices(self, m: int):
-        """Quadratic stage cost h*(zbar' C zbar + |eta|^2) in (z, eta) blocks."""
-        h, C = self.dt, self.alphas
-        Mz = 0.5 * (np.eye(self.phi.shape[1]) + self.phi[m])
-        Me = 0.5 * self.gamma[m]
-        CMz = C[:, None] * Mz
-        CMe = C[:, None] * Me
-        Qs = h * (Mz.T @ CMz)
-        Ss = h * (Mz.T @ CMe)
-        Rs = h * (np.eye(self.M) + Me.T @ CMe)
-        return Qs, Ss, Rs
-
 
 def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
                   actuator: Actuator, T_h: float, dt: float = 1.0 / 128,
@@ -92,35 +80,67 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
 
     State weight diag(alpha) (the V-form), control weight identity on the
     control basis.  Divergence past the cap reports the system as not
-    stabilizable through this actuator.  With verify_horizon, re-runs at
-    2*T_h and records the relative change of Qt(0).
+    stabilizable through this actuator.  With verify_horizon, also sweeps
+    the doubled horizon 2*T_h, reusing the law's steps on [0, T_h], and
+    records the relative change of Qt(0).
     """
     if lam < 0 or T_h <= 0:
         raise ValueError("lam must be nonnegative and T_h positive")
-    if T_h > traj.horizon + 1e-9:
+    if (2.0 if verify_horizon else 1.0) * T_h > traj.horizon + 1e-9:
         raise ValueError("synthesis horizon exceeds the reference horizon")
     n_T = int(round(T_h / dt))
     K, M = space.K, actuator.M
-    eye = np.eye(K)
-    diag_alpha = space.alphas
+    args = (dt, space.alphas, lam, cap)
+    if verify_horizon:
+        # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps only;
+        # swept before the law's stacks exist so peak memory stays at their size
+        P_tail = _sweep(np.zeros((K, K)),
+                        *_shifted_steps(space, traj, lam, actuator, n_T, n_T, dt),
+                        *args, start=n_T)
 
-    phi = np.empty((n_T, K, K))
-    gamma = np.empty((n_T, K, M))
-    for m in range(n_T):
-        A_shift = 0.5 * lam * eye - np.diag(diag_alpha) - traj.bmat_at((m + 0.5) * dt)
-        inv = np.linalg.inv(eye - 0.5 * dt * A_shift)
-        phi[m] = inv @ (eye + 0.5 * dt * A_shift)
-        gamma[m] = dt * (inv @ actuator.mat)
-
+    phi, gamma = _shifted_steps(space, traj, lam, actuator, 0, n_T, dt)
     Qt = np.empty((n_T + 1, K, K))
     gains = np.empty((n_T, M, K))
     Qt[n_T] = 0.0
-    P = np.zeros((K, K))
-    for m in range(n_T - 1, -1, -1):
+    _sweep(np.zeros((K, K)), phi, gamma, *args, Qt=Qt, gains=gains)
+    law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
+                      Qt=Qt, gains=gains, phi=phi, gamma=gamma,
+                      actuator=actuator, alphas=space.alphas.copy())
+    if verify_horizon:
+        # the doubled horizon continues over the law's own [0, T_h] steps
+        double_Q0 = _sweep(P_tail, phi, gamma, *args)
+        num = np.linalg.norm(double_Q0 - law.Qt[0])
+        den = max(np.linalg.norm(double_Q0), 1e-300)
+        law.horizon_gate = {"T_h": T_h, "rel_change": float(num / den)}
+    return law
+
+
+def _shifted_steps(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
+                   actuator: Actuator, start: int, n_steps: int,
+                   dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Transition phi and input map gamma of the steps start .. start+n_steps-1
+    of the shifted system matrix F - (lam/2) I."""
+    shift = np.diag(space.alphas) - 0.5 * lam * np.eye(space.K)
+    plus_inv, phi = cn_steps(lambda m: shift + traj.bmat_at((start + m + 0.5) * dt),
+                             n_steps, dt, space.K)
+    gamma = plus_inv @ actuator.mat
+    gamma *= dt
+    return phi, gamma
+
+
+def _sweep(P, phi, gamma, dt, alphas, lam, cap, start=0, Qt=None, gains=None):
+    """Backward dynamic program from the terminal cost operator P.
+
+    Returns the cost operator at the first step; fills Qt[m] and gains[m]
+    when given.  start offsets the step index in the blow-up message.
+    """
+    K, M = gamma.shape[1:]
+    eye = np.eye(K)
+    for m in range(phi.shape[0] - 1, -1, -1):
         Mz = 0.5 * (eye + phi[m])
         Me = 0.5 * gamma[m]
-        CMz = diag_alpha[:, None] * Mz
-        CMe = diag_alpha[:, None] * Me
+        CMz = alphas[:, None] * Mz
+        CMe = alphas[:, None] * Me
         PPhi = P @ phi[m]
         PGam = P @ gamma[m]
         Hzz = dt * (Mz.T @ CMz) + phi[m].T @ PPhi
@@ -131,21 +151,12 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
         P = 0.5 * (P + P.T)
         if not np.isfinite(P).all() or np.linalg.norm(P, np.inf) > cap:
             raise RiccatiBlowupError(
-                f"cost operator exceeded cap {cap:.1e} at t={m * dt:.3f}; "
+                f"cost operator exceeded cap {cap:.1e} at t={(start + m) * dt:.3f}; "
                 f"system not stabilizable through M={M} at lambda={lam}")
-        Qt[m] = P
-        gains[m] = G
-
-    law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
-                      Qt=Qt, gains=gains, phi=phi, gamma=gamma,
-                      actuator=actuator, alphas=diag_alpha.copy())
-    if verify_horizon:
-        double = riccati_solve(space, traj, lam, actuator, 2.0 * T_h, dt, cap,
-                               verify_horizon=False)
-        num = np.linalg.norm(double.Qt[0] - law.Qt[0])
-        den = max(np.linalg.norm(double.Qt[0]), 1e-300)
-        law.horizon_gate = {"T_h": T_h, "rel_change": float(num / den)}
-    return law
+        if Qt is not None:
+            Qt[m] = P
+            gains[m] = G
+    return P
 
 
 def gain_apply(law: FeedbackLaw, t: float, v: np.ndarray) -> np.ndarray:
@@ -154,19 +165,25 @@ def gain_apply(law: FeedbackLaw, t: float, v: np.ndarray) -> np.ndarray:
     return -act.apply(act.adjoint(law.value_matrix(t) @ np.asarray(v, float)))
 
 
-def _closed_loop_step_matrices(space, traj, law, s_index, n_steps):
-    """Transition matrices of the continuous-form closed loop from node s."""
-    K = space.K
-    eye = np.eye(K)
+def closed_loop_steps(space: SpectralSpace, traj: ReferenceTrajectory,
+                      law: FeedbackLaw, s: float, n_units: float) -> Propagator:
+    """Step matrices of the continuous-form closed loop on [s, s + n_units].
+
+    The system matrix adds the midpoint feedback gram Q_mid to the free flow.
+    """
+    dt = law.dt
+    s_index = int(round(s / dt))
+    n_steps = int(round(n_units / dt))
+    if s_index + n_steps > law.n_steps:
+        raise ValueError("simulation window exceeds the synthesized horizon")
+    diag_alpha = np.diag(space.alphas)
     gram = law.actuator.gram
-    out = np.empty((n_steps, K, K))
-    for m in range(n_steps):
-        idx = min(s_index + m, law.n_steps - 1)
+
+    def F_at(m):
+        idx = s_index + m
         Q_mid = 0.5 * (law.Qt[idx] + law.Qt[idx + 1])
-        F = np.diag(space.alphas) + traj.bmat_at((s_index + m + 0.5) * law.dt) \
-            + gram @ Q_mid
-        out[m] = np.linalg.solve(eye + 0.5 * law.dt * F, eye - 0.5 * law.dt * F)
-    return out
+        return diag_alpha + traj.bmat_at((idx + 0.5) * dt) + gram @ Q_mid
+    return Propagator(s, dt, *cn_steps(F_at, n_steps, dt, space.K))
 
 
 def closed_loop_linear(space: SpectralSpace, traj: ReferenceTrajectory,
@@ -179,18 +196,10 @@ def closed_loop_linear(space: SpectralSpace, traj: ReferenceTrajectory,
     time-derivative integrals, over |v0|_H^2; and the V-version for smooth
     data.
     """
+    steps = closed_loop_steps(space, traj, law, s, n_units)
+    states = steps.forward(v0)
+    times = steps.times
     dt = law.dt
-    s_index = int(round(s / dt))
-    n_steps = int(round(n_units / dt))
-    if s_index + n_steps > law.n_steps:
-        raise ValueError("simulation window exceeds the synthesized horizon")
-    steps = _closed_loop_step_matrices(space, traj, law, s_index, n_steps)
-    K = space.K
-    states = np.empty((n_steps + 1, K))
-    states[0] = v0
-    for m in range(n_steps):
-        states[m + 1] = steps[m] @ states[m]
-    times = s + dt * np.arange(n_steps + 1)
     trajectory = Trajectory(times=times, states=states)
 
     lam = law.lam

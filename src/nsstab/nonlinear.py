@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReferenceTrajectory, Trajectory, bilinear_b
-from .feedback import FeedbackLaw
+from .dynamics import Propagator, ReferenceTrajectory, Trajectory, bilinear_b
+from .errors import StepSolveError
+from .feedback import FeedbackLaw, closed_loop_steps
 from .spectral import SpectralSpace
 
 INNER_TOL = 1e-13
@@ -49,7 +50,7 @@ def zlambda_norm(space: SpectralSpace, trajectory: Trajectory, lam: float) -> fl
 
 
 @dataclass
-class ClosedLoopStepper:
+class ClosedLoopStepper(Propagator):
     """Cached per-step matrices of the feedback loop on [s, s + n_units].
 
     Built once and shared by nonlinear runs, Picard iterates, and forced
@@ -58,31 +59,15 @@ class ClosedLoopStepper:
 
     space: SpectralSpace
     lam: float
-    s: float
-    dt: float
-    plus_inv: np.ndarray    # (n, K, K)
-    phi: np.ndarray         # (n, K, K)
 
     @property
-    def n_steps(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.s + self.dt * np.arange(self.n_steps + 1)
+    def s(self) -> float:
+        return self.tau
 
     def run_linear(self, v0: np.ndarray,
                    forcing_mid: np.ndarray | None = None) -> Trajectory:
         """Closed-loop solve with optional per-step midpoint forcing."""
-        K = self.phi.shape[1]
-        states = np.empty((self.n_steps + 1, K))
-        states[0] = v0
-        for m in range(self.n_steps):
-            v = self.phi[m] @ states[m]
-            if forcing_mid is not None:
-                v = v + self.dt * (self.plus_inv[m] @ forcing_mid[m])
-            states[m + 1] = v
-        return Trajectory(times=self.times, states=states)
+        return Trajectory(times=self.times, states=self.forward(v0, forcing_mid))
 
     def run_nonlinear(self, v0: np.ndarray):
         """Full loop with midpoint-state advection, inner fixed-point solve.
@@ -109,6 +94,11 @@ class ClosedLoopStepper:
                 v_next = cand
                 if delta <= INNER_TOL * max(1.0, np.max(np.abs(v_next))):
                     break
+            else:
+                raise StepSolveError(
+                    f"inner fixed-point solve did not converge in {INNER_CAP} "
+                    f"iterations at t={self.times[m + 1]:.6g} (last increment "
+                    f"{delta:.3e}); reduce time.dt or the initial amplitude")
             states[m + 1] = v_next
             if not np.isfinite(v_next).all() or np.linalg.norm(v_next) > guard:
                 return None, float(self.times[m + 1])
@@ -124,24 +114,9 @@ class ClosedLoopStepper:
 
 def build_stepper(space: SpectralSpace, traj: ReferenceTrajectory,
                   law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
-    dt = law.dt
-    s_index = int(round(s / dt))
-    n_steps = int(round(n_units / dt))
-    if s_index + n_steps > law.n_steps:
-        raise ValueError("simulation window exceeds the synthesized horizon")
-    K = space.K
-    eye = np.eye(K)
-    gram = law.actuator.gram
-    plus_inv = np.empty((n_steps, K, K))
-    phi = np.empty((n_steps, K, K))
-    for m in range(n_steps):
-        idx = s_index + m
-        Q_mid = 0.5 * (law.Qt[idx] + law.Qt[idx + 1])
-        F = np.diag(space.alphas) + traj.bmat_at((idx + 0.5) * dt) + gram @ Q_mid
-        plus_inv[m] = np.linalg.inv(eye + 0.5 * dt * F)
-        phi[m] = plus_inv[m] @ (eye - 0.5 * dt * F)
-    return ClosedLoopStepper(space=space, lam=law.lam, s=s, dt=dt,
-                             plus_inv=plus_inv, phi=phi)
+    steps = closed_loop_steps(space, traj, law, s, n_units)
+    return ClosedLoopStepper(tau=s, dt=law.dt, plus_inv=steps.plus_inv,
+                             phi=steps.phi, space=space, lam=law.lam)
 
 
 def simulate_closed_loop(space: SpectralSpace, traj: ReferenceTrajectory,
@@ -256,7 +231,8 @@ def duhamel_bound_check(space: SpectralSpace, traj: ReferenceTrajectory,
     forced-response constant.
 
     For each forcing batch entry (per-step midpoint samples), compares the
-    direct forced solve against the superposition of propagated pulses,
+    endpoint of the direct forced solve against the superposition
+    dt * sum_m stages[m]' f_m of pulse responses from the adjoint sweep,
     then reports the ratio of the contraction-norm energy of the response
     to the sliding-window weighted forcing energy.
     """
@@ -265,17 +241,16 @@ def duhamel_bound_check(space: SpectralSpace, traj: ReferenceTrajectory,
     n, K = st.n_steps, st.phi.shape[1]
     dt, lam = st.dt, st.lam
     window = int(round(1.0 / dt))
+    # stages[m].T is the endpoint response to a unit pulse at step m
+    _, stages = st.adjoint_block(np.eye(K))
     identity_gap = 0.0
     ratios = []
     for f in forcings:
         f = np.asarray(f, float)
         direct = st.run_linear(np.zeros(K), f)
-        # superposed pulse responses, same step matrices
-        z = np.zeros((n + 1, K))
-        for m in range(n):
-            z[m + 1] = st.phi[m] @ z[m] + dt * (st.plus_inv[m] @ f[m])
+        superposed = dt * np.einsum("mij,mi->j", stages, f)
         identity_gap = max(identity_gap,
-                           float(np.max(np.abs(z - direct.states))))
+                           float(np.max(np.abs(superposed - direct.endpoint()))))
         t_mid = (st.times[:-1] - st.times[0]) + 0.5 * dt
         wf = np.exp(2.0 * lam * t_mid) * np.sum(f**2, axis=1)
         cum = np.concatenate([[0.0], np.cumsum(dt * wf)])

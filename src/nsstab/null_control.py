@@ -146,7 +146,7 @@ def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):
 
     q1 = np.zeros(K)
     q1[:N] = -(2.0 / eps) * v_end[:N]
-    nodes, stages = prop.adjoint(q1)
+    nodes, stages = prop.adjoint_block(q1)
     q_traj = Trajectory(times=prop.times, states=nodes)
     return control, v_end, q_traj, stages
 

@@ -244,10 +244,6 @@ def norms(space: SpectralSpace, c: np.ndarray) -> tuple[float, float, float]:
     return space.norms(c)
 
 
-def stokes_project(space: SpectralSpace, c: np.ndarray, N: int) -> np.ndarray:
-    return space.project(c, N)
-
-
 @dataclass(frozen=True)
 class ChiMask:
     """Smooth localisation mask sampled on the grid, 0 <= chi <= 1.

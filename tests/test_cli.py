@@ -2,14 +2,18 @@
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsstab.cli import main, run, write_csv
+from nsstab import nonlinear
+from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
 from nsstab.errors import ConfigError, SchemaError
 from nsstab.plots import emit_plot
+
+DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
 
 @pytest.fixture()
@@ -140,12 +144,39 @@ class TestRun:
         cfg.save(path)
         assert run("stabilize", str(path), str(tmp_path / "o")) == 3
 
+    def test_picard_cap_exit_code(self, small_cfg, tmp_path, monkeypatch):
+        _, path = small_cfg
+        monkeypatch.setattr(nonlinear, "INNER_CAP", 1)
+        assert run("closed-loop", str(path), str(tmp_path / "o")) == 3
+
     def test_main_entrypoint(self, small_cfg, tmp_path):
         _, path = small_cfg
         code = main(["reference", "--config", str(path),
                      "--out", str(tmp_path / "m")])
         assert code == 0
         assert (tmp_path / "m" / "reference.svg").exists()
+
+
+class TestControlDimension:
+    def test_fallback_recorded_when_no_m1_selected(self, tmp_path):
+        cfg = ExperimentConfig.load(DEFAULT_CONFIG)
+        cfg.control.lam = 0.2
+        path = tmp_path / "low.json"
+        cfg.save(path)
+        choice = Pipeline(cfg, np.random.default_rng(cfg.seed)).choice(0.2)
+        assert choice.N == 0 and choice.M1 is None
+        out = tmp_path / "o"
+        assert run("null-control", str(path), str(out)) == 0
+        assert run("feedback", str(path), str(out)) == 0
+        null = json.loads((out / "null_control.json").read_text())
+        feedback = json.loads((out / "feedback.json").read_text())
+        assert null["M_fallback"] is True and null["M"] == 8
+        assert feedback["M_fallback"] is True and feedback["M"] == 8
+
+    def test_selected_m1_is_not_a_fallback(self):
+        cfg = ExperimentConfig.load(DEFAULT_CONFIG)
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        assert p.control_dim(cfg.control.lam) == (32, False)
 
 
 class TestPlots:

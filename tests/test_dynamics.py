@@ -8,6 +8,7 @@ from nsstab.dynamics import (
     adjoint_apply,
     bilinear_b,
     build_propagator,
+    cn_steps,
     linearization_matrix,
     linearized_apply,
     make_reference,
@@ -18,6 +19,7 @@ from nsstab.dynamics import (
     taylor_green_reference,
     zero_reference,
 )
+from nsstab.errors import StepSolveError
 from nsstab.spectral import build_actuator, build_space, ChiMask
 
 from oracles import bilinear_oracle, smoothing_ratio_l2
@@ -235,6 +237,14 @@ class TestPropagation:
         lhs = (np.sum(states[1:] ** 2, axis=1) - np.sum(states[:-1] ** 2, axis=1)) / dt
         rhs = -2.0 * np.sum(s.alphas * mids**2, axis=1)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(rhs))
+
+
+class TestCnSteps:
+    def test_singular_step_raises(self):
+        dt = 1.0 / 16
+        singular = -(2.0 / dt) * np.eye(3)      # I + h/2 F = 0
+        with pytest.raises(StepSolveError, match="step 0"):
+            cn_steps(lambda m: singular, 4, dt, 3)
 
 
 class TestRegularityDiagnostics:

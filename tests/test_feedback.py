@@ -104,6 +104,24 @@ class TestRiccatiSolve:
         space, ref, act, _ = scalar_law
         with pytest.raises(ValueError):
             riccati_solve(space, ref, lam=0.5, actuator=act, T_h=100.0, dt=DT)
+        with pytest.raises(ValueError, match="horizon"):
+            riccati_solve(space, ref, lam=0.5, actuator=act, T_h=13.0, dt=DT,
+                          verify_horizon=True)
+
+    def test_horizon_gate_equals_explicit_doubled_solve(self):
+        # the gate reuses the law's own steps on [0, T_h], so it must agree
+        # exactly with a separate synthesis on [0, 2 T_h]
+        space = build_space(nu=0.6, K=12, n=16)
+        ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=8.0)
+        chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
+        act = build_actuator(space, chi, M=16)
+        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=3.0,
+                            dt=1.0 / 64, verify_horizon=True)
+        double = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0,
+                               dt=1.0 / 64)
+        num = np.linalg.norm(double.Qt[0] - law.Qt[0])
+        den = max(np.linalg.norm(double.Qt[0]), 1e-300)
+        assert law.horizon_gate["rel_change"] == float(num / den)
 
 
 class TestGainApply:

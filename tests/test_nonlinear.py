@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from nsstab.dynamics import Trajectory, bilinear_b, taylor_green_reference
-from nsstab.feedback import riccati_solve
+from nsstab import nonlinear
+from nsstab.dynamics import Propagator, Trajectory, bilinear_b, taylor_green_reference
+from nsstab.errors import StepSolveError
+from nsstab.feedback import closed_loop_linear, riccati_solve
 from nsstab.nonlinear import (
     basin_sweep,
     build_stepper,
@@ -183,6 +185,21 @@ class TestContractionProbe:
         assert gap <= 1e-8
 
 
+class TestSharedSteps:
+    def test_linear_closed_loop_is_the_stepper_flow(self, loop_setup, rng):
+        space, ref, law, stepper = loop_setup
+        v0 = rng.standard_normal(space.K)
+        tr, _ = closed_loop_linear(space, ref, law, 0.0, v0, 6.0)
+        assert np.array_equal(tr.states, stepper.run_linear(v0).states)
+
+    def test_picard_cap_raises(self, loop_setup, rng, monkeypatch):
+        space, _, _, stepper = loop_setup
+        monkeypatch.setattr(nonlinear, "INNER_CAP", 1)
+        with pytest.raises(StepSolveError, match="reduce time.dt or the initial "
+                                                 "amplitude"):
+            stepper.run_nonlinear(unit_v_direction(space, rng))
+
+
 class TestDuhamel:
     def test_zero_forcing_is_plain_decay(self, loop_setup):
         space, ref, law, stepper = loop_setup
@@ -198,6 +215,19 @@ class TestDuhamel:
         f[17] = rng.standard_normal(space.K)
         rep = duhamel_bound_check(space, ref, law, [f], 6.0, stepper=stepper)
         assert rep["identity_max_gap"] <= 1e-10
+
+    def test_identity_detects_shifted_input(self, loop_setup, rng, monkeypatch):
+        space, ref, law, stepper = loop_setup
+        forward = Propagator.forward
+
+        def late_forward(self, w0, inputs=None):
+            late = None if inputs is None else np.roll(inputs, 1, axis=0)
+            return forward(self, w0, late)
+        monkeypatch.setattr(Propagator, "forward", late_forward)
+        f = np.zeros((stepper.n_steps, space.K))
+        f[17] = rng.standard_normal(space.K)
+        rep = duhamel_bound_check(space, ref, law, [f], 6.0, stepper=stepper)
+        assert rep["identity_max_gap"] > 1e-10
 
     def test_batch_constant_finite_and_stable(self, rng):
         # the forcing batch is a fixed smooth function of time, so its grid
