@@ -122,8 +122,9 @@ class ToleranceConfig:
 
 @dataclass
 class NonlinearConfig:
-    """Shipped calibration: eps_star is half the basin threshold measured on
-    the default configuration (re-derivable with the basin subcommand)."""
+    """Shipped calibration: eps_star is half the top of the tested basin range
+    (basin_scales up to 4), not a measured edge; the default sweep decays at
+    every tested amplitude and reports edge_found = false."""
 
     eps_star: float = 2.0
     theta_star: float = 2.0

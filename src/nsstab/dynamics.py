@@ -16,13 +16,23 @@ from .spectral import Actuator, SpectralSpace
 
 
 def bilinear_b(space: SpectralSpace, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
-    """Leray-projected advection Leray((u . grad) v) truncated to K modes."""
-    u = space.synthesize(cu)
-    cvp = space.pad(np.asarray(cv, float))
-    dvx = space.synthesize(space.deriv_x @ cvp)
-    dvy = space.synthesize(space.deriv_y @ cvp)
-    w = u[0][None, :, :] * dvx + u[1][None, :, :] * dvy
-    return space.analyze(w)
+    """Leray-projected advection Leray((u . grad) v) truncated to K modes.
+
+    cu and cv are (..., K) stacks of one shape; the result has their leading
+    shape.  The whole stack takes one synthesis of u, dv/dx and dv/dy and one
+    analysis, so a block of states costs one call.
+    """
+    cu, cv = np.asarray(cu, float), np.asarray(cv, float)
+    lead = cu.shape[:-1]
+    cup = space.pad(cu.reshape(-1, space.K))
+    cvp = space.pad(cv.reshape(-1, space.K))
+    B, n2 = cup.shape[0], space.n * space.n
+    grids = np.concatenate([cup, cvp @ space.deriv_x.T, cvp @ space.deriv_y.T]) \
+        @ space.mode_fields
+    u, dvx, dvy = grids.reshape(3, B, 2, n2)
+    w = u[:, 0:1] * dvx + u[:, 1:2] * dvy
+    out = space.quad_w * (w.reshape(B, 2 * n2) @ space.mode_fields.T)
+    return out[:, : space.K].reshape(lead + (space.K,))
 
 
 def linearization_matrix(space: SpectralSpace, cu: np.ndarray) -> np.ndarray:

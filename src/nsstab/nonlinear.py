@@ -40,13 +40,15 @@ def zlambda_norm(space: SpectralSpace, trajectory: Trajectory, lam: float) -> fl
     w_mid = np.exp(lam * (t[:-1] + 0.5 * dt))
     window = int(round(1.0 / dt))
     cum = np.concatenate([[0.0], np.cumsum(dt * w_mid * dl_mid)])
-    n = len(t)
-    best = 0.0
-    for m in range(n):
-        hi = min(m + window, n - 1)
-        val = np.exp(lam * t[m]) * v2[m] + (cum[hi] - cum[m])
-        best = max(best, val)
+    best = np.max(np.exp(lam * t) * v2 + _window_sums(cum, window, len(t)))
     return float(np.sqrt(best))
+
+
+def _window_sums(cum: np.ndarray, window: int, count: int) -> np.ndarray:
+    """cum[min(m + window, last)] - cum[m] for m < count: the sums over
+    one-unit windows of a cumulative sum, clipped at its final sample."""
+    m = np.arange(count)
+    return cum[np.minimum(m + window, len(cum) - 1)] - cum[m]
 
 
 @dataclass
@@ -76,40 +78,73 @@ class ClosedLoopStepper(Propagator):
         step contracts when dt * |DB(v)| < 1, comfortably true below the
         blow-up guard at desk scale.
         """
-        space = self.space
-        K = self.phi.shape[1]
-        states = np.empty((self.n_steps + 1, K))
-        states[0] = v0
-        guard = BLOWUP_FACTOR * max(1.0, float(np.linalg.norm(v0)))
+        states, blowup_t = self.run_nonlinear_block(np.asarray(v0, float)[None])
+        if blowup_t[0] is not None:
+            return None, blowup_t[0]
+        return Trajectory(times=self.times, states=states[:, 0]), None
+
+    def run_nonlinear_block(self, V0: np.ndarray):
+        """run_nonlinear for a block of initial states V0 (B, K) at once.
+
+        Returns (states (n_steps+1, B, K), blow-up time or None per state).
+        Each Picard iterate takes one stacked advection call for the states
+        still iterating; a state stops when its own increment test passes,
+        and a state that leaves its guard BLOWUP_FACTOR * max(1, |v0|) or
+        turns non-finite leaves the block (its later rows are NaN) while the
+        others carry on.
+        """
+        V0 = np.asarray(V0, float)
+        B, K = V0.shape
+        states = np.full((self.n_steps + 1, B, K), np.nan)
+        states[0] = V0
+        blowup_t = [None] * B
+        guard = BLOWUP_FACTOR * np.maximum(1.0, np.linalg.norm(V0, axis=1))
+        live = np.arange(B)                 # block rows still being advanced
+
+        def in_guard(v, rows):
+            return np.isfinite(v).all(axis=1) & (np.linalg.norm(v, axis=1)
+                                                 <= guard[rows])
+
         for m in range(self.n_steps):
-            base = self.phi[m] @ states[m]
-            v_next = base
+            if not live.size:
+                break
+            cur = states[m, live]
+            base = cur @ self.phi[m].T
+            v_next = base.copy()
+            active = np.arange(live.size)   # positions still iterating
             for _ in range(INNER_CAP):
-                if not np.isfinite(v_next).all() or np.linalg.norm(v_next) > guard:
-                    return None, float(self.times[m + 1])
-                mid = 0.5 * (states[m] + v_next)
-                cand = base - self.dt * (self.plus_inv[m]
-                                         @ bilinear_b(space, mid, mid))
-                delta = np.max(np.abs(cand - v_next))
-                v_next = cand
-                if delta <= INNER_TOL * max(1.0, np.max(np.abs(v_next))):
+                # a state outside its guard stops iterating; the check after
+                # the loop then takes it out of the block
+                active = active[in_guard(v_next[active], live[active])]
+                if not active.size:
+                    break
+                mid = 0.5 * (cur[active] + v_next[active])
+                cand = base[active] - self.dt * (bilinear_b(self.space, mid, mid)
+                                                 @ self.plus_inv[m].T)
+                delta = np.max(np.abs(cand - v_next[active]), axis=1)
+                v_next[active] = cand
+                done = delta <= INNER_TOL * np.maximum(1.0, np.max(np.abs(cand),
+                                                                    axis=1))
+                active = active[~done]
+                if not active.size:
                     break
             else:
                 raise StepSolveError(
                     f"inner fixed-point solve did not converge in {INNER_CAP} "
                     f"iterations at t={self.times[m + 1]:.6g} (last increment "
-                    f"{delta:.3e}); reduce time.dt or the initial amplitude")
-            states[m + 1] = v_next
-            if not np.isfinite(v_next).all() or np.linalg.norm(v_next) > guard:
-                return None, float(self.times[m + 1])
-        return Trajectory(times=self.times, states=states), None
+                    f"{np.max(delta[~done]):.3e}); reduce time.dt or the "
+                    f"initial amplitude")
+            ok = in_guard(v_next, live)
+            states[m + 1, live[ok]] = v_next[ok]
+            for row in live[~ok]:
+                blowup_t[row] = float(self.times[m + 1])
+            live = live[ok]
+        return states, blowup_t
 
     def run_xi(self, v0: np.ndarray, a_states: np.ndarray) -> Trajectory:
         """Linear solve forced by the advection of an external trajectory."""
-        space = self.space
         mids = 0.5 * (a_states[1:] + a_states[:-1])
-        forcing = np.array([-bilinear_b(space, am, am) for am in mids])
-        return self.run_linear(v0, forcing)
+        return self.run_linear(v0, -bilinear_b(self.space, mids, mids))
 
 
 def build_stepper(space: SpectralSpace, traj: ReferenceTrajectory,
@@ -132,22 +167,34 @@ def simulate_closed_loop(space: SpectralSpace, traj: ReferenceTrajectory,
     v0 = np.asarray(v0, float)
     st = stepper if stepper is not None else build_stepper(space, traj, law, 0.0, n_units)
     trajectory, blowup_t = st.run_nonlinear(v0)
-    v0_v2 = float(space.alphas @ v0**2)
-    report = {"blowup_t": blowup_t, "v0_v_norm": float(np.sqrt(v0_v2)),
+    v0_v_norm = float(np.sqrt(space.alphas @ v0**2))
+    report = {"blowup_t": blowup_t, "v0_v_norm": v0_v_norm,
               "inside_gate": bool(eps_gate is not None
-                                  and np.sqrt(v0_v2) <= eps_gate * (1 + 1e-12))}
+                                  and v0_v_norm <= eps_gate * (1 + 1e-12))}
     if trajectory is None:
         report.update(theta=float("inf"), decayed=False)
         return None, report
-    t = trajectory.times - trajectory.times[0]
-    wv2 = np.exp(law.lam * t) * np.sum(space.alphas * trajectory.states**2, axis=1)
-    theta = float(np.max(wv2) / v0_v2) if v0_v2 else 0.0
-    # decay at rate lam means the weighted V energy stays bounded by a
-    # moderate multiple of its initial value all the way to the end
-    decayed = bool(np.isfinite(theta) and (theta_cap is None or theta <= theta_cap))
-    report.update(theta=theta, decayed=decayed,
-                  weighted_v_final=float(wv2[-1] / v0_v2) if v0_v2 else 0.0)
+    report.update(decay_report(space, law.lam, trajectory, theta_cap))
     return trajectory, report
+
+
+def decay_report(space: SpectralSpace, lam: float, trajectory: Trajectory,
+                 theta_cap: float | None) -> dict:
+    """theta = sup_t e^{lam t}|v|_V^2 / |v0|_V^2 and the decay verdict.
+
+    Decay at rate lam means the weighted V energy stays bounded by a
+    moderate multiple (theta_cap) of its initial value all the way to the
+    end.  This is the one decay rule of the closed-loop run and the sweep.
+    """
+    states = trajectory.states
+    v0_v2 = float(space.alphas @ states[0]**2)
+    t = trajectory.times - trajectory.times[0]
+    wv2 = np.exp(lam * t) * np.sum(space.alphas * states**2, axis=1)
+    theta = float(np.max(wv2) / v0_v2) if v0_v2 else 0.0
+    return {"theta": theta,
+            "decayed": bool(np.isfinite(theta)
+                            and (theta_cap is None or theta <= theta_cap)),
+            "weighted_v_final": float(wv2[-1] / v0_v2) if v0_v2 else 0.0}
 
 
 def xi_map(space: SpectralSpace, traj: ReferenceTrajectory, law: FeedbackLaw,
@@ -254,7 +301,7 @@ def duhamel_bound_check(space: SpectralSpace, traj: ReferenceTrajectory,
         t_mid = (st.times[:-1] - st.times[0]) + 0.5 * dt
         wf = np.exp(2.0 * lam * t_mid) * np.sum(f**2, axis=1)
         cum = np.concatenate([[0.0], np.cumsum(dt * wf)])
-        sliding = max(cum[min(m + window, n)] - cum[m] for m in range(n))
+        sliding = np.max(_window_sums(cum, window, n))
         lhs = zlambda_norm(space, direct, lam) ** 2
         ratios.append(lhs / max(sliding, 1e-300))
     return {"identity_max_gap": identity_gap,
@@ -267,8 +314,12 @@ def basin_sweep(space: SpectralSpace, traj: ReferenceTrajectory,
                 rng, theta_cap: float = 1e4) -> dict:
     """Decay outcomes over random unit-V directions at increasing amplitudes.
 
-    The empirical threshold is the largest scale at which every direction
+    All directions x scales advance as one block on one stepper.  The
+    empirical threshold is the largest scale at which every direction
     decays; the outcome transition is recorded, never asserted monotone.
+    edge_found says whether any tested amplitude failed to decay: without
+    it, epsilon_hat is the top of the tested range (tested_up_to) and only
+    a lower bound on the basin.
     """
     scales = sorted(float(s) for s in scales)
     st = build_stepper(space, traj, law, 0.0, n_units)
@@ -277,22 +328,24 @@ def basin_sweep(space: SpectralSpace, traj: ReferenceTrajectory,
         d = rng.standard_normal(space.K)
         v_norm = np.sqrt(space.alphas @ d**2)
         dirs.append(d / v_norm)
-    outcomes = []
-    for d in dirs:
-        row = []
-        for s in scales:
-            _, rep = simulate_closed_loop(space, traj, law, s * d, n_units,
-                                          theta_cap=theta_cap, stepper=st)
-            if rep["blowup_t"] is not None:
-                row.append("blowup")
-            elif rep["decayed"]:
-                row.append("decay")
-            else:
-                row.append("no-decay")
-        outcomes.append(row)
+    states, blowup_t = st.run_nonlinear_block(
+        np.array([s * d for d in dirs for s in scales]))
+    flat = []
+    for i, bt in enumerate(blowup_t):
+        if bt is not None:
+            flat.append("blowup")
+        elif decay_report(space, law.lam, Trajectory(times=st.times,
+                                                     states=states[:, i]),
+                          theta_cap)["decayed"]:
+            flat.append("decay")
+        else:
+            flat.append("no-decay")
+    outcomes = [flat[j:j + len(scales)] for j in range(0, len(flat), len(scales))]
     eps_hat = 0.0
     for j, s in enumerate(scales):
         if all(row[j] == "decay" for row in outcomes):
             eps_hat = s
     return {"scales": scales, "outcomes": outcomes,
-            "epsilon_hat": float(eps_hat)}
+            "epsilon_hat": float(eps_hat),
+            "edge_found": any(o != "decay" for row in outcomes for o in row),
+            "tested_up_to": scales[-1]}

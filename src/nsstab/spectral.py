@@ -96,9 +96,12 @@ class SpectralSpace:
     # -- construction helpers -------------------------------------------------
 
     def pad(self, c: np.ndarray) -> np.ndarray:
-        if self.K_pad == self.K:
+        """Zero-pad the last axis from K to K_pad coefficients; input that is
+        already K_pad long (such as a padded derivative) passes through."""
+        if c.shape[-1] == self.K_pad:
             return c
-        return np.concatenate([c, np.zeros(self.K_pad - self.K)])
+        return np.concatenate([c, np.zeros(c.shape[:-1] + (self.K_pad - self.K,))],
+                              axis=-1)
 
     def synthesize(self, c: np.ndarray) -> np.ndarray:
         """Grid reconstruction, shape (2, n, n).  Divergence-free by construction."""

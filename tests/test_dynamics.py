@@ -103,6 +103,16 @@ class TestLinearization:
             e[j] = 1.0
             assert np.allclose(B[:, j], linearized_apply(s, cu, e), atol=1e-12)
 
+    def test_odd_truncation(self, rng):
+        # an odd K keeps only the cosine mode of its last pair (K_pad = K + 1)
+        s = build_space(nu=0.6, K=23, n=16)
+        assert s.K_pad == 24
+        ref = taylor_green_reference(s, a0=1.0, a1=0.5, omega=1.0, horizon=2.0)
+        assert np.isfinite(ref.w_norm)
+        cu, v = ref.u_at(0.3), rng.standard_normal(s.K)
+        assert np.allclose(ref.bmat_at(0.3) @ v, linearized_apply(s, cu, v),
+                           atol=1e-12 * max(1.0, np.max(np.abs(v))))
+
 
 class TestReference:
     def test_zero_amplitudes(self, small_space):

@@ -11,12 +11,15 @@ from nsstab.nonlinear import (
     basin_sweep,
     build_stepper,
     contraction_probe,
+    decay_report,
     duhamel_bound_check,
     simulate_closed_loop,
     xi_map,
     zlambda_norm,
 )
 from nsstab.spectral import ChiMask, build_actuator, build_space
+
+from oracles import bilinear_oracle
 
 DT = 1.0 / 128
 
@@ -32,9 +35,29 @@ def loop_setup():
     return space, ref, law, stepper
 
 
+@pytest.fixture(scope="module")
+def short_stepper(loop_setup):
+    space, ref, law, _ = loop_setup
+    return build_stepper(space, ref, law, 0.0, 2.0)
+
+
 def unit_v_direction(space, rng):
     d = rng.standard_normal(space.K)
     return d / np.sqrt(space.alphas @ d**2)
+
+
+def max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+def count_bilinear_calls(monkeypatch):
+    calls = []
+
+    def counted(space, cu, cv):
+        calls.append(np.shape(cu))
+        return bilinear_b(space, cu, cv)
+    monkeypatch.setattr(nonlinear, "bilinear_b", counted)
+    return calls
 
 
 class TestZLambdaNorm:
@@ -43,6 +66,28 @@ class TestZLambdaNorm:
         z = Trajectory(times=stepper.times, states=np.zeros((stepper.n_steps + 1,
                                                              space.K)))
         assert zlambda_norm(space, z, law.lam) == 0.0
+
+    def test_matches_loop_reference(self, loop_setup, rng):
+        # decaying at rate lam, so every window competes for the sup
+        space, _, law, stepper = loop_setup
+        t = stepper.times - stepper.times[0]
+        states = rng.standard_normal((stepper.n_steps + 1, space.K)) \
+            * np.exp(-law.lam * t / 2.0)[:, None]
+        z = Trajectory(times=stepper.times, states=states)
+        dt = z.dt
+        v2 = np.sum(space.alphas * states**2, axis=1)
+        mids = 0.5 * (states[1:] + states[:-1])
+        dl_mid = np.sum(space.alphas**2 * mids**2, axis=1)
+        w_mid = np.exp(law.lam * (t[:-1] + 0.5 * dt))
+        window = int(round(1.0 / dt))
+        cum = np.concatenate([[0.0], np.cumsum(dt * w_mid * dl_mid)])
+        n = len(t)
+        best = 0.0
+        for m in range(n):
+            hi = min(m + window, n - 1)
+            best = max(best, np.exp(law.lam * t[m]) * v2[m] + (cum[hi] - cum[m]))
+        assert zlambda_norm(space, z, law.lam) == pytest.approx(np.sqrt(best),
+                                                                rel=1e-14)
 
     def test_degree_one_homogeneity(self, loop_setup, rng):
         space, _, law, stepper = loop_setup
@@ -200,6 +245,88 @@ class TestSharedSteps:
             stepper.run_nonlinear(unit_v_direction(space, rng))
 
 
+class TestBlockStepping:
+    def test_block_rows_match_solo_runs(self, loop_setup, short_stepper, rng):
+        space = loop_setup[0]
+        V0 = np.array([s * unit_v_direction(space, rng)
+                       for s in (0.0, 0.5, 2.0, 8.0, 64.0)])
+        states, blowup_t = short_stepper.run_nonlinear_block(V0)
+        assert states.shape == (short_stepper.n_steps + 1,) + V0.shape
+        for i, v0 in enumerate(V0):
+            solo, solo_blowup = short_stepper.run_nonlinear(v0)
+            assert blowup_t[i] is None and solo_blowup is None
+            if i == 0:
+                assert np.array_equal(states[:, 0], solo.states)
+            else:
+                assert max_rel(states[:, i], solo.states) <= 1e-13
+
+    def test_mixed_block_keeps_the_small_state(self, loop_setup, rng):
+        # the far-out state leaves the block or fails to decay, and the
+        # other state carries on exactly as it would alone
+        space, ref, law, _ = loop_setup
+        st = build_stepper(space, ref, law, 0.0, 2.0)
+        d = unit_v_direction(space, rng)
+        states, blowup_t = st.run_nonlinear_block(np.array([1.0 * d, 3000.0 * d]))
+        if blowup_t[1] is None:
+            big = Trajectory(times=st.times, states=states[:, 1])
+            assert not decay_report(space, law.lam, big, 4.0)["decayed"]
+        else:
+            assert np.isnan(states[-1, 1]).all()
+        solo, _ = st.run_nonlinear(1.0 * d)
+        assert blowup_t[0] is None
+        assert max_rel(states[:, 0], solo.states) <= 1e-13
+
+    def test_picard_cap_raises_from_block(self, loop_setup, short_stepper, rng,
+                                          monkeypatch):
+        space = loop_setup[0]
+        monkeypatch.setattr(nonlinear, "INNER_CAP", 1)
+        V0 = np.array([unit_v_direction(space, rng), np.zeros(space.K)])
+        with pytest.raises(StepSolveError, match=r"at t=.*last increment"):
+            short_stepper.run_nonlinear_block(V0)
+
+    def test_basin_calls_do_not_grow_with_the_block(self, loop_setup, rng,
+                                                    monkeypatch):
+        # one stacked advection call per Picard iterate of the whole block,
+        # so a step costs at most INNER_CAP calls whatever the block size
+        space, ref, law, _ = loop_setup
+        calls = count_bilinear_calls(monkeypatch)
+        n_steps = int(round(1.0 / law.dt))
+        rep = basin_sweep(space, ref, law, scales=[0.25, 0.5, 1.0, 1.5, 2.0],
+                          directions=4, n_units=1.0, rng=rng, theta_cap=4.0)
+        assert len(rep["outcomes"]) * len(rep["scales"]) == 20
+        assert len(calls) <= n_steps * nonlinear.INNER_CAP
+        assert all(shape[0] <= 20 for shape in calls)
+
+    def test_run_xi_makes_one_advection_call(self, loop_setup, rng, monkeypatch):
+        space, _, _, stepper = loop_setup
+        calls = count_bilinear_calls(monkeypatch)
+        a = rng.standard_normal((stepper.n_steps + 1, space.K))
+        stepper.run_xi(np.zeros(space.K), a)
+        assert calls == [(stepper.n_steps, space.K)]
+
+
+class TestBatchedAdvection:
+    @pytest.mark.parametrize("K", [24, 23])
+    def test_stacks_match_per_vector_calls(self, K, rng):
+        space = build_space(nu=0.6, K=K, n=16)
+        assert (space.K_pad != space.K) == (K % 2 == 1)
+        for shape in ((5, K), (3, 4, K)):
+            cu = rng.standard_normal(shape)
+            cv = rng.standard_normal(shape)
+            got = bilinear_b(space, cu, cv)
+            want = np.array([bilinear_b(space, u, v) for u, v in
+                             zip(cu.reshape(-1, K), cv.reshape(-1, K))])
+            assert got.shape == shape
+            assert max_rel(got.reshape(-1, K), want) <= 1e-13
+
+    def test_odd_truncation_matches_convolution_oracle(self, rng):
+        space = build_space(nu=0.6, K=23, n=16)
+        cu, cv = rng.standard_normal(23), rng.standard_normal(23)
+        want = bilinear_oracle(space.modes, cu, cv)
+        assert np.max(np.abs(bilinear_b(space, cu, cv) - want)) \
+            <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 class TestDuhamel:
     def test_zero_forcing_is_plain_decay(self, loop_setup):
         space, ref, law, stepper = loop_setup
@@ -228,6 +355,21 @@ class TestDuhamel:
         f[17] = rng.standard_normal(space.K)
         rep = duhamel_bound_check(space, ref, law, [f], 6.0, stepper=stepper)
         assert rep["identity_max_gap"] > 1e-10
+
+    def test_forced_constant_matches_loop_reference(self, loop_setup, rng):
+        space, ref, law, stepper = loop_setup
+        f = rng.standard_normal((stepper.n_steps, space.K))
+        rep = duhamel_bound_check(space, ref, law, [f], 6.0, stepper=stepper)
+        n, dt = stepper.n_steps, stepper.dt
+        window = int(round(1.0 / dt))
+        t_mid = dt * (np.arange(n) + 0.5)
+        cum = np.concatenate([[0.0], np.cumsum(dt * np.exp(2.0 * law.lam * t_mid)
+                                               * np.sum(f**2, axis=1))])
+        sliding = max(cum[min(m + window, n)] - cum[m] for m in range(n))
+        lhs = zlambda_norm(space, stepper.run_linear(np.zeros(space.K), f),
+                           law.lam) ** 2
+        assert rep["forced_response_constants"][0] == pytest.approx(
+            lhs / sliding, rel=1e-14)
 
     def test_batch_constant_finite_and_stable(self, rng):
         # the forcing batch is a fixed smooth function of time, so its grid
@@ -275,6 +417,36 @@ class TestBasinSweep:
         assert rep["outcomes"][0][0] == "decay"
         assert rep["outcomes"][0][1] in ("no-decay", "blowup")
         assert rep["epsilon_hat"] == 1.0
+
+    def test_reports_whether_an_edge_was_found(self, loop_setup, rng):
+        space, ref, law, _ = loop_setup
+        inside = basin_sweep(space, ref, law, scales=[0.5, 0.25], directions=1,
+                             n_units=2.0, rng=rng, theta_cap=4.0)
+        assert inside["edge_found"] is False
+        assert inside["tested_up_to"] == inside["epsilon_hat"] == 0.5
+        beyond = basin_sweep(space, ref, law, scales=[1.0, 3000.0], directions=1,
+                             n_units=2.0, rng=rng, theta_cap=4.0)
+        assert beyond["edge_found"] is True
+        assert beyond["tested_up_to"] == 3000.0
+
+    def test_outcomes_follow_the_closed_loop_verdict(self, loop_setup, rng):
+        # the sweep judges each state with the closed-loop run's decay rule;
+        # theta is 1 at t = 0 for a non-zero state, so a cap below 1 makes
+        # that rule answer both ways
+        space, ref, law, _ = loop_setup
+        scales = [0.0, 1.0]
+        rep = basin_sweep(space, ref, law, scales=scales, directions=2,
+                          n_units=2.0, rng=np.random.default_rng(5),
+                          theta_cap=0.5)
+        assert rep["outcomes"] == [["decay", "no-decay"]] * 2
+        dirs = np.random.default_rng(5).standard_normal((2, space.K))
+        st = build_stepper(space, ref, law, 0.0, 2.0)
+        for d, row in zip(dirs, rep["outcomes"]):
+            d = d / np.sqrt(space.alphas @ d**2)
+            for s, outcome in zip(scales, row):
+                _, solo = simulate_closed_loop(space, ref, law, s * d, 2.0,
+                                               theta_cap=0.5, stepper=st)
+                assert outcome == ("decay" if solo["decayed"] else "no-decay")
 
     def test_advection_neutral_in_energy_and_enstrophy(self, loop_setup, rng):
         # on the 2D torus the truncated advection term is exactly neutral in
