@@ -33,7 +33,7 @@ from .null_control import build_reachability, epsilon_limit_study, kkt_identity_
 from .observability import build_forms, full_constant, h1_l2_ratio, select_m1, truncated_constant
 from .plots import emit_plot
 from .spectral import build_actuator
-from .stabilizer import choose_n, stabilize, weighted_control_norm
+from .stabilizer import CutoffSearch, stabilize, weighted_control_norm
 
 
 def _atomic_write(path, text: str):
@@ -90,12 +90,19 @@ class Pipeline:
     def chi(self):
         return self._get("chi", lambda: self.cfg.build_chi(self.space))
 
-    def choice(self, lam):
+    @property
+    def search(self):
+        """The run's one cutoff search; its unit-interval propagators on
+        [0, n_max] serve every interval solver of the run."""
         c = self.cfg
-        return self._get(("choice", round(lam, 12)), lambda: choose_n(
-            self.space, self.reference, self.chi, lam, c.control.M_list,
+        return self._get("search", lambda: CutoffSearch(
+            self.space, self.reference, self.chi, c.control.M_list,
             n_max=c.time.n_max, dt=c.time.dt, slack=c.control.slack,
-            pinv_rtol=c.tolerances.pinv_rtol, N_cap=c.control.N_max))
+            pinv_rtol=c.tolerances.pinv_rtol))
+
+    def choice(self, lam):
+        return self._get(("choice", round(lam, 12)), lambda: self.search.choose(
+            lam, N_cap=self.cfg.control.N_max))
 
     def control_dim(self, lam):
         """(M, M_fallback): the selected M1 at lam, or the fallback
@@ -115,6 +122,9 @@ class Pipeline:
 
         def build():
             M, _ = self.control_dim(self.lam_hat)
+            # the last cutoff is chosen: free the search's propagators
+            # before the Riccati stacks are allocated
+            self._cache.pop("search", None)
             act = build_actuator(self.space, self.chi, M)
             return riccati_solve(self.space, self.reference, c.control.lam, act,
                                  c.time.T_h, c.time.dt,
@@ -151,7 +161,7 @@ def cmd_observability(p: Pipeline, out):
     choice = p.choice(c.control.lam)
     N = min(max(choice.N, 4), p.space.K)
     forms = build_forms(p.space, p.reference, 0.0, p.chi, N, c.control.M_list,
-                        c.time.dt)
+                        c.time.dt, propagator=p.search.propagators[0])
     rep = select_m1(forms, slack=c.control.slack, rtol=c.tolerances.pinv_rtol)
     table = [(M, truncated_constant(forms, M, c.tolerances.pinv_rtol))
              for M in forms.M_list]
@@ -175,6 +185,7 @@ def cmd_null_control(p: Pipeline, out):
     M, M_fallback = p.control_dim(c.control.lam)
     act = build_actuator(p.space, p.chi, M)
     bundle = build_reachability(p.space, p.reference, 0.0, act, N, c.time.dt,
+                                propagator=p.search.propagators[0],
                                 pinv_rtol=c.tolerances.pinv_rtol)
     w0 = p.rng.standard_normal(p.space.K)
     control = min_norm_control(bundle, w0, c.tolerances.pinv_rtol,
@@ -198,7 +209,8 @@ def cmd_stabilize(p: Pipeline, out):
     run = stabilize(p.space, p.reference, p.chi, v0, c.control.lam,
                     n_max=c.time.n_max, M_list=c.control.M_list, dt=c.time.dt,
                     slack=c.control.slack, pinv_rtol=c.tolerances.pinv_rtol,
-                    null_tol=c.tolerances.null_tol, choice=choice)
+                    null_tol=c.tolerances.null_tol, choice=choice,
+                    propagators=p.search.propagators)
     summary = run.summary()
     summary["kappa2"] = weighted_control_norm(run, c.control.lam / 2.0)
     if not summary["integer_decay_ok"]:

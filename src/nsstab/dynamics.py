@@ -8,6 +8,7 @@ makes every discrete duality identity exact in floating-point algebra.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -230,17 +231,27 @@ class Propagator:
     def times(self) -> np.ndarray:
         return self.tau + self.dt * np.arange(self.n_steps + 1)
 
+    @cached_property
     def total(self) -> np.ndarray:
-        """Full-interval transition matrix (endpoint map of the free flow)."""
+        """Full-interval transition matrix (endpoint map of the free flow).
+
+        Computed once per propagator and shared read-only by every caller.
+        """
         out = np.eye(self.phi.shape[1])
         for m in range(self.n_steps):
             out = self.phi[m] @ out
+        out.flags.writeable = False
         return out
 
     def forward(self, w0: np.ndarray, inputs: np.ndarray | None = None) -> np.ndarray:
-        """Node states (n_steps+1, K); inputs are per-step H-space forcings."""
-        K = self.phi.shape[1]
-        states = np.empty((self.n_steps + 1, K))
+        """Forward sweep from w0 (K,) or (K, r) with per-step H-space
+        forcings (n_steps, K[, r]).
+
+        Returns node states (n_steps+1, K[, r]); the r columns of a block
+        advance together, one matrix product per step.
+        """
+        w0 = np.asarray(w0, float)
+        states = np.empty((self.n_steps + 1,) + w0.shape)
         states[0] = w0
         for m in range(self.n_steps):
             v = self.phi[m] @ states[m]

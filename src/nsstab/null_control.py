@@ -81,7 +81,7 @@ def build_reachability(space: SpectralSpace, traj: ReferenceTrajectory, tau: flo
     if not 0 <= N <= space.K:
         raise ValueError(f"projection cutoff N={N} outside [0, K]")
     prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
-    free_map = prop.total()
+    free_map = prop.total
 
     n_steps, M = prop.n_steps, actuator.M
     rows = np.zeros((N, n_steps * M))

@@ -23,18 +23,18 @@ from .spectral import ChiMask, SpectralSpace, build_actuator
 def closed_interval_map(bundle: ReachabilityBundle,
                         pinv_rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
     """Dense endpoint map w0 -> v(tau+1) under the minimal-norm null control."""
-    A = bundle.free_map
-    if bundle.N == 0:
+    A, N = bundle.free_map, bundle.N
+    if N == 0:
         return A
     Gp, _ = pinv_psd(bundle.gramian, pinv_rtol)
-    # columns of the input-to-endpoint correction, one forward pass per
-    # leading direction
-    E = np.empty((A.shape[0], bundle.N))
-    for a in range(bundle.N):
-        control = bundle.control_from_stacked(bundle.input_rows[a])
-        inputs = control.values @ bundle.actuator.mat.T
-        E[:, a] = bundle.propagator.forward(np.zeros(A.shape[0]), inputs)[-1]
-    return A - E @ (Gp @ A[: bundle.N])
+    # columns of the input-to-endpoint correction: the control of leading
+    # direction a is row a of input_rows, and all N of them drive one block
+    # forward from rest
+    prop, act = bundle.propagator, bundle.actuator
+    values = bundle.input_rows.reshape(N, prop.n_steps, act.M) / np.sqrt(prop.dt)
+    inputs = act.mat @ values.transpose(1, 2, 0)         # (n_steps, K, N)
+    E = prop.forward(np.zeros((A.shape[0], N)), inputs)[-1]
+    return A - E @ (Gp @ A[:N])
 
 
 def _propagators(space, traj, n_max, dt, cache=None):
@@ -55,92 +55,113 @@ class CutoffChoice:
     symbolic_threshold: dict = field(default_factory=dict)
 
 
-def _candidate_contraction(space, traj, chi, N, M_list, slack, props, dt,
-                           pinv_rtol, actuator_cache):
-    """(M1 report, actuator, per-interval closed-map norms) for one cutoff."""
-    if N == 0:
-        factors = [float(np.linalg.norm(props[n].total(), 2)) for n in sorted(props)]
-        return None, None, factors
-    forms = build_forms(space, traj, 0.0, chi, N, M_list, dt, propagator=props[0])
-    rep = select_m1(forms, slack=slack, rtol=pinv_rtol)
-    if rep["M1"] is None:
-        raise ResolutionTooSmallError(
-            f"no listed control dimension observes the first {N} modes; "
-            f"extend M_list beyond {max(M_list)}")
-    M1 = rep["M1"]
-    if M1 not in actuator_cache:
-        actuator_cache[M1] = build_actuator(space, chi, M1)
-    act = actuator_cache[M1]
-    factors = []
-    for n in sorted(props):
-        bundle = build_reachability(space, traj, float(n), act, N, dt,
-                                    propagator=props[n], pinv_rtol=pinv_rtol)
-        factors.append(float(np.linalg.norm(closed_interval_map(bundle, pinv_rtol), 2)))
-    return rep, act, factors
+class CutoffSearch:
+    """Cutoff measurements of one run, shared by every decay rate.
+
+    Holds the unit-interval propagators on [0, n_max], the actuators and the
+    measurement of each cutoff N tried.  A measurement (M1 report and
+    per-interval closed-map norms) does not depend on lambda, so choosing
+    for several rates measures each N once.
+    """
+
+    def __init__(self, space: SpectralSpace, traj: ReferenceTrajectory,
+                 chi: ChiMask, M_list, n_max: int = 6, dt: float = 1.0 / 128,
+                 slack: float = 2.0, pinv_rtol: float = DEFAULT_PINV_RTOL,
+                 propagators=None):
+        self.space, self.traj, self.chi = space, traj, chi
+        self.M_list, self.dt, self.slack, self.pinv_rtol = M_list, dt, slack, pinv_rtol
+        self.propagators = _propagators(space, traj, n_max, dt, propagators)
+        self._actuators: dict = {}
+        self._measured: dict = {}
+
+    def measure(self, N: int):
+        """(M1 report, per-interval closed-map norms) for cutoff N."""
+        if N not in self._measured:
+            self._measured[N] = self._contraction(N)
+        return self._measured[N]
+
+    def _contraction(self, N):
+        props = self.propagators
+        if N == 0:
+            return None, [float(np.linalg.norm(props[n].total, 2))
+                          for n in sorted(props)]
+        space, chi, M_list = self.space, self.chi, self.M_list
+        forms = build_forms(space, self.traj, 0.0, chi, N, M_list, self.dt,
+                            propagator=props[0])
+        rep = select_m1(forms, slack=self.slack, rtol=self.pinv_rtol)
+        if rep["M1"] is None:
+            raise ResolutionTooSmallError(
+                f"no listed control dimension observes the first {N} modes; "
+                f"extend M_list beyond {max(M_list)}")
+        M1 = rep["M1"]
+        if M1 not in self._actuators:
+            self._actuators[M1] = build_actuator(space, chi, M1)
+        act = self._actuators[M1]
+        factors = []
+        for n in sorted(props):
+            bundle = build_reachability(space, self.traj, float(n), act, N, self.dt,
+                                        propagator=props[n], pinv_rtol=self.pinv_rtol)
+            factors.append(float(np.linalg.norm(
+                closed_interval_map(bundle, self.pinv_rtol), 2)))
+        return rep, factors
+
+    def choose(self, lam: float, N_cap: int | None = None) -> CutoffChoice:
+        """Smallest cutoff with measured one-interval contraction <= e^{-lam/2}.
+
+        Doubles the candidate cutoff until the contraction test passes, then
+        binary-refines downwards.  Raises ResolutionTooSmallError when even
+        the capped truncation cannot deliver the requested rate.
+        """
+        if lam <= 0:
+            raise ValueError("decay rate lambda must be positive")
+        space = self.space
+        target = float(np.exp(-lam / 2.0))
+        n_top = min(space.K, N_cap) if N_cap else space.K
+
+        def passes(N):
+            return max(self.measure(N)[1]) <= target
+
+        candidates = [0, 1]
+        while candidates[-1] < n_top:
+            candidates.append(min(2 * candidates[-1], n_top))
+        success = next((N for N in candidates if passes(N)), None)
+        if success is None:
+            raise ResolutionTooSmallError(
+                f"no cutoff up to {n_top} achieves the one-interval factor "
+                f"{target:.3e} for lambda={lam}; raise K or lower lambda")
+        lo = candidates[candidates.index(success) - 1] if success else 0
+        # smallest passing cutoff in (lo, success]; contraction treated as
+        # monotone in N, which the doubling scan already vetted at the ends
+        hi = success
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if passes(mid):
+                hi = mid
+            else:
+                lo = mid
+        N = hi if success else 0
+        rep, factors = self.measure(N)
+
+        alpha_next = float(space.alphas[N]) if N < space.K else float("inf")
+        symbolic = {
+            "alpha_next": alpha_next,
+            "e_lambda": float(np.exp(lam)),
+            "C_chi_prime": (4.0 * rep["D_table"][rep["M1"]] * self.chi.sup_norm**2
+                            if rep is not None else 0.0),
+        }
+        return CutoffChoice(N=N, M1=(rep["M1"] if rep else None),
+                            contraction=max(factors), per_interval=factors,
+                            observability=rep, symbolic_threshold=symbolic)
 
 
 def choose_n(space: SpectralSpace, traj: ReferenceTrajectory, chi: ChiMask,
              lam: float, M_list, n_max: int = 6, dt: float = 1.0 / 128,
              slack: float = 2.0, pinv_rtol: float = DEFAULT_PINV_RTOL,
              propagators=None, N_cap: int | None = None) -> CutoffChoice:
-    """Smallest cutoff with measured one-interval contraction <= e^{-lam/2}.
-
-    Doubles the candidate cutoff until the contraction test passes, then
-    binary-refines downwards.  Raises ResolutionTooSmallError when even the
-    capped truncation cannot deliver the requested rate.
-    """
-    if lam <= 0:
-        raise ValueError("decay rate lambda must be positive")
-    target = float(np.exp(-lam / 2.0))
-    n_top = min(space.K, N_cap) if N_cap else space.K
-    props = _propagators(space, traj, n_max, dt, propagators)
-    actuator_cache: dict = {}
-    results: dict = {}
-
-    def measure(N):
-        if N not in results:
-            results[N] = _candidate_contraction(space, traj, chi, N, M_list,
-                                                slack, props, dt, pinv_rtol,
-                                                actuator_cache)
-        return results[N]
-
-    candidates = [0, 1]
-    while candidates[-1] < n_top:
-        candidates.append(min(2 * candidates[-1], n_top))
-    success = None
-    for N in candidates:
-        _, _, factors = measure(N)
-        if max(factors) <= target:
-            success = N
-            break
-    if success is None:
-        raise ResolutionTooSmallError(
-            f"no cutoff up to {n_top} achieves the one-interval factor "
-            f"{target:.3e} for lambda={lam}; raise K or lower lambda")
-    lo = candidates[candidates.index(success) - 1] if success else 0
-    # smallest passing cutoff in (lo, success]; contraction treated as
-    # monotone in N, which the doubling scan already vetted at the ends
-    hi = success
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        _, _, factors = measure(mid)
-        if max(factors) <= target:
-            hi = mid
-        else:
-            lo = mid
-    N = hi if success else 0
-    rep, act, factors = measure(N)
-
-    alpha_next = float(space.alphas[N]) if N < space.K else float("inf")
-    symbolic = {
-        "alpha_next": alpha_next,
-        "e_lambda": float(np.exp(lam)),
-        "C_chi_prime": (4.0 * rep["D_table"][rep["M1"]] * chi.sup_norm**2
-                        if rep is not None else 0.0),
-    }
-    return CutoffChoice(N=N, M1=(rep["M1"] if rep else None),
-                        contraction=max(factors), per_interval=factors,
-                        observability=rep, symbolic_threshold=symbolic)
+    """CutoffSearch.choose on a search of its own; a run that chooses for
+    several rates keeps one CutoffSearch instead."""
+    return CutoffSearch(space, traj, chi, M_list, n_max, dt, slack, pinv_rtol,
+                        propagators).choose(lam, N_cap)
 
 
 @dataclass

@@ -2,10 +2,14 @@
 
 Everything here is deliberately written against plain mathematical
 definitions (complex Fourier dictionaries, scalar calculus, null-space
-parametrisation) and shares no code path with the package numerics.
+parametrisation) and shares no code path with the package numerics, except
+`closed_interval_map_loop`: the one-column-at-a-time form of a batched
+package routine, kept as it was before the batching.
 """
 
 import numpy as np
+
+from nsstab.quadmin import pinv_psd
 
 NORM = 1.0 / (np.sqrt(2.0) * np.pi)
 
@@ -103,3 +107,18 @@ def smoothing_ratio_l2(alpha, n_quad=20000):
     sup_term = np.max(t * alpha * np.exp(-2.0 * alpha * t))
     integrand = t * alpha**2 * np.exp(-2.0 * alpha * t)
     return sup_term + np.trapezoid(integrand, t)
+
+
+def closed_interval_map_loop(bundle, pinv_rtol):
+    """Closed one-interval map with one single-vector forward pass per
+    leading direction (the reference for the block forward)."""
+    A = bundle.free_map
+    if bundle.N == 0:
+        return A
+    Gp, _ = pinv_psd(bundle.gramian, pinv_rtol)
+    E = np.empty((A.shape[0], bundle.N))
+    for a in range(bundle.N):
+        control = bundle.control_from_stacked(bundle.input_rows[a])
+        inputs = control.values @ bundle.actuator.mat.T
+        E[:, a] = bundle.propagator.forward(np.zeros(A.shape[0]), inputs)[-1]
+    return A - E @ (Gp @ A[: bundle.N])

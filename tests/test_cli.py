@@ -2,16 +2,21 @@
 
 import json
 import os
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nsstab import nonlinear
+from nsstab import cli, nonlinear
 from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
+from nsstab.dynamics import build_propagator
 from nsstab.errors import ConfigError, SchemaError
+from nsstab.feedback import riccati_solve
 from nsstab.plots import emit_plot
+from nsstab.stabilizer import CutoffSearch, choose_n
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
@@ -155,6 +160,64 @@ class TestRun:
                      "--out", str(tmp_path / "m")])
         assert code == 0
         assert (tmp_path / "m" / "reference.svg").exists()
+
+
+def count_propagator_builds(monkeypatch):
+    """Record the tau of every build_propagator call, at every nsstab module
+    attribute that refers to it."""
+    taus = []
+
+    def counted(space, traj, tau, dt):
+        taus.append(tau)
+        return build_propagator(space, traj, tau, dt)
+    for name, mod in list(sys.modules.items()):
+        if name == "nsstab" or name.startswith("nsstab."):
+            for attr, value in list(vars(mod).items()):
+                if value is build_propagator:
+                    monkeypatch.setattr(mod, attr, counted)
+    return taus
+
+
+class TestSharedIntervalWork:
+    @pytest.mark.parametrize("subcommand", ["stabilize", "all"])
+    def test_each_unit_interval_built_once(self, small_cfg, tmp_path, monkeypatch,
+                                           subcommand):
+        cfg, path = small_cfg
+        taus = count_propagator_builds(monkeypatch)
+        assert run(subcommand, str(path), str(tmp_path / "o")) == 0
+        assert sorted(taus) == [float(n) for n in range(cfg.time.n_max)]
+
+    def test_rates_share_cutoff_measurements(self, small_cfg, monkeypatch):
+        cfg, _ = small_cfg
+        measured = []
+        contraction = CutoffSearch._contraction
+
+        def counted(self, N):
+            measured.append(N)
+            return contraction(self, N)
+        monkeypatch.setattr(CutoffSearch, "_contraction", counted)
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        choices = [p.choice(cfg.control.lam), p.choice(p.lam_hat)]
+        assert len(measured) == len(set(measured))
+        for lam, got in zip((cfg.control.lam, p.lam_hat), choices):
+            want = choose_n(p.space, p.reference, p.chi, lam, cfg.control.M_list,
+                            n_max=cfg.time.n_max, dt=cfg.time.dt,
+                            slack=cfg.control.slack, N_cap=cfg.control.N_max)
+            assert (got.N, got.M1, got.per_interval) == (want.N, want.M1,
+                                                         want.per_interval)
+
+    def test_search_released_before_the_riccati_solve(self, small_cfg, monkeypatch):
+        cfg, _ = small_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        search = weakref.ref(p.search)
+        alive = []
+
+        def spy(*args, **kwargs):
+            alive.append(search() is not None)
+            return riccati_solve(*args, **kwargs)
+        monkeypatch.setattr(cli, "riccati_solve", spy)
+        p.law
+        assert alive == [False]
 
 
 class TestControlDimension:

@@ -231,10 +231,29 @@ class TestPropagation:
         p0 = build_propagator(s, ref, 0.0, dt)
         p1 = build_propagator(s, ref, 1.0, dt)
         w0 = rng.standard_normal(s.K)
-        via = p1.total() @ (p0.total() @ w0)
+        via = p1.total @ (p0.total @ w0)
         t0, _ = propagate_linear(s, ref, 0.0, w0, dt=dt, propagator=p0)
         t1, _ = propagate_linear(s, ref, 1.0, t0.endpoint(), dt=dt, propagator=p1)
         assert np.allclose(via, t1.endpoint(), atol=1e-12 * max(1.0, np.linalg.norm(via)))
+
+    def test_block_forward_equals_single_vector_calls(self, small_space, rng):
+        s = small_space
+        ref = taylor_green_reference(s, a0=0.5, a1=0.25, omega=2.0, horizon=2.0)
+        prop = build_propagator(s, ref, 0.0, 1.0 / 64)
+        r = 5
+        W0 = rng.standard_normal((s.K, r))
+        inputs = rng.standard_normal((prop.n_steps, s.K, r))
+        block = prop.forward(W0, inputs)
+        assert block.shape == (prop.n_steps + 1, s.K, r)
+        for j in range(r):
+            col = prop.forward(W0[:, j], inputs[:, :, j])
+            assert np.max(np.abs(block[:, :, j] - col)) <= 1e-14 * np.max(np.abs(col))
+
+    def test_free_endpoint_map_computed_once(self, small_space):
+        ref = taylor_green_reference(small_space, a0=0.4, horizon=2.0)
+        prop = build_propagator(small_space, ref, 0.0, 1.0 / 32)
+        assert prop.total is prop.total
+        assert not prop.total.flags.writeable
 
     def test_discrete_energy_identity(self, small_space, rng):
         # d/dt |v|^2 = -2|v|_V^2 at the Crank-Nicolson midpoint, per step

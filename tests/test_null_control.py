@@ -1,5 +1,7 @@
 """Interval null-projection controls: Gramian route, KKT identities, limits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,18 @@ class TestRegularized:
             rep = kkt_identity_check(bundle, w0, eps)
             assert rep["stepwise_max_rel"] <= 1e-9
             assert rep["identity_rel_gap"] <= 1e-8
+
+    def test_kkt_detects_perturbed_actuator(self, tg_setup, rng):
+        # the bundle's rows pair the adjoint with the built actuator; one
+        # changed entry makes the forward input and the pairing disagree
+        space, _, act, bundle = tg_setup
+        mat = act.mat.copy()
+        i, j = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
+        mat[i, j] *= 1.1
+        broken = dataclasses.replace(bundle, actuator=dataclasses.replace(act, mat=mat))
+        w0 = rng.standard_normal(space.K)
+        for eps in (1e-2, 1e-4, 1e-6):
+            assert kkt_identity_check(broken, w0, eps)["stepwise_max_rel"] > 1e-6
 
     def test_identity_scales_quadratically(self, tg_setup, rng):
         space, _, _, bundle = tg_setup

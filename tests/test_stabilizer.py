@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from nsstab.dynamics import taylor_green_reference, zero_reference
+from nsstab.dynamics import Propagator, taylor_green_reference, zero_reference
 from nsstab.errors import ResolutionTooSmallError
 from nsstab.null_control import build_reachability, min_norm_control
 from nsstab.observability import build_forms, select_m1
+from nsstab.quadmin import DEFAULT_PINV_RTOL
 from nsstab.spectral import ChiMask, build_actuator, build_space
 from nsstab.stabilizer import choose_n, closed_interval_map, stabilize, weighted_control_norm
+
+from oracles import closed_interval_map_loop
 
 DT = 1.0 / 128
 M_LIST = (8, 16, 32, 64, 96, 128)
@@ -22,6 +25,41 @@ def tg_instance():
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
     choice = choose_n(space, ref, chi, lam=1.0, M_list=M_LIST, n_max=6, dt=DT)
     return space, ref, chi, choice
+
+
+@pytest.fixture(scope="module")
+def tg_bundle(tg_instance):
+    """Interval [0, 1] of the shipped instance at its chosen N and M1."""
+    space, ref, chi, choice = tg_instance
+    act = build_actuator(space, chi, choice.M1)
+    return build_reachability(space, ref, 0.0, act, choice.N, DT)
+
+
+def leading_defect(bundle):
+    """|Pi_N of the closed map| / |free map|: zero when the null control
+    annihilates the leading endpoint modes."""
+    closed = closed_interval_map(bundle)
+    return np.linalg.norm(closed[: bundle.N], 2) / np.linalg.norm(bundle.free_map, 2)
+
+
+class TestClosedIntervalMap:
+    def test_block_forward_matches_loop_reference(self, tg_bundle):
+        got = closed_interval_map(tg_bundle)
+        want = closed_interval_map_loop(tg_bundle, DEFAULT_PINV_RTOL)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_null_control_annihilates_leading_modes(self, tg_bundle):
+        assert tg_bundle.N > 0 and tg_bundle.gramian_rank == tg_bundle.N
+        assert leading_defect(tg_bundle) <= 1e-8
+
+    def test_leading_defect_detects_shifted_input(self, tg_bundle, monkeypatch):
+        forward = Propagator.forward
+
+        def late_forward(self, w0, inputs=None):
+            late = None if inputs is None else np.roll(inputs, 1, axis=0)
+            return forward(self, w0, late)
+        monkeypatch.setattr(Propagator, "forward", late_forward)
+        assert leading_defect(tg_bundle) > 1e-6
 
 
 class TestChooseN:
