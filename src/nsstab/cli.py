@@ -30,7 +30,7 @@ from .feedback import (
 )
 from .nonlinear import basin_sweep, build_stepper, contraction_probe, simulate_closed_loop
 from .null_control import build_reachability, epsilon_limit_study, kkt_identity_check, min_norm_control
-from .observability import build_forms, full_constant, h1_l2_ratio, select_m1, truncated_constant
+from .observability import build_forms, select_m1
 from .plots import emit_plot
 from .spectral import build_actuator
 from .stabilizer import CutoffSearch, stabilize, weighted_control_norm
@@ -98,11 +98,10 @@ class Pipeline:
         return self._get("search", lambda: CutoffSearch(
             self.space, self.reference, self.chi, c.control.M_list,
             n_max=c.time.n_max, dt=c.time.dt, slack=c.control.slack,
-            pinv_rtol=c.tolerances.pinv_rtol))
+            pinv_rtol=c.tolerances.pinv_rtol, N_cap=c.control.N_max))
 
     def choice(self, lam):
-        return self._get(("choice", round(lam, 12)), lambda: self.search.choose(
-            lam, N_cap=self.cfg.control.N_max))
+        return self._get(("choice", round(lam, 12)), lambda: self.search.choose(lam))
 
     def control_dim(self, lam):
         """(M, M_fallback): the selected M1 at lam, or the fallback
@@ -163,16 +162,13 @@ def cmd_observability(p: Pipeline, out):
     forms = build_forms(p.space, p.reference, 0.0, p.chi, N, c.control.M_list,
                         c.time.dt, propagator=p.search.propagators[0])
     rep = select_m1(forms, slack=c.control.slack, rtol=c.tolerances.pinv_rtol)
-    table = [(M, truncated_constant(forms, M, c.tolerances.pinv_rtol))
-             for M in forms.M_list]
     payload = {"N": N, "M_list": list(forms.M_list),
-               "D_table": {str(m): d for m, d in table},
-               "D_inf": full_constant(forms, c.tolerances.pinv_rtol),
-               "M1": rep["M1"], "C_h1l2": h1_l2_ratio(forms)}
+               "D_table": {str(m): d for m, d in rep["D_table"].items()},
+               "D_inf": rep["D_inf"], "M1": rep["M1"], "C_h1l2": rep["C_h1l2"]}
     write_json(os.path.join(out, "observability.json"), payload)
     csv_path = os.path.join(out, "dm_table.csv")
     write_csv(csv_path, ["M", "D"],
-              [(m, d) for m, d in table if np.isfinite(d)])
+              [(m, d) for m, d in rep["D_table"].items() if np.isfinite(d)])
     emit_plot(csv_path, "staircase", os.path.join(out, "dm_staircase.svg"),
               title="truncated observability constant")
     return ["observability.json", "dm_table.csv", "dm_staircase.svg"]

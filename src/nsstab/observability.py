@@ -15,7 +15,7 @@ excludes the zero wavevector, and the constant component of chi*q carries
 no H1 decay, so it is quotiented out of the output consistently.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,12 +72,26 @@ class ObservabilityForms:
             raise ValueError(f"M={M} outside the assembled control table")
         return self.output_by_mode[:M].sum(axis=0) if M else np.zeros((self.N, self.N))
 
+    def leading(self, N: int) -> "ObservabilityForms":
+        """The forms restricted to terminal data in the first N modes
+        (leading N x N blocks, views into these forms)."""
+        if not 1 <= N <= self.N:
+            raise ValueError(f"N={N} outside [1, {self.N}]")
+        return replace(self, N=N, energy=self.energy[:N, :N],
+                       output_full=self.output_full[:N, :N],
+                       output_h1=self.output_h1[:N, :N],
+                       output_by_mode=self.output_by_mode[:, :N, :N])
+
 
 def build_forms(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,
                 chi: ChiMask, N: int, M_list, dt: float = 1.0 / 128,
                 actuator: Actuator | None = None,
-                propagator=None) -> ObservabilityForms:
-    """One backward sweep per basis direction of the terminal subspace."""
+                propagator=None, sweep=None) -> ObservabilityForms:
+    """One backward sweep per basis direction of the terminal subspace.
+
+    sweep: the (nodes, stages) of that sweep, when the caller has already
+    run adjoint_block on the first N unit directions of this interval.
+    """
     if not 1 <= N <= space.K:
         raise ValueError(f"N={N} outside [1, K]")
     M_list = tuple(sorted(set(int(m) for m in M_list)))
@@ -87,18 +101,19 @@ def build_forms(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,
     elif actuator.M < M_max:
         raise ValueError("actuator smaller than the largest requested M")
 
-    prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
-    Q1 = np.zeros((space.K, N))
-    Q1[:N, :N] = np.eye(N)
-    nodes, stages = prop.adjoint_block(Q1)
+    if sweep is None:
+        prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
+        Q1 = np.zeros((space.K, N))
+        Q1[:N, :N] = np.eye(N)
+        sweep = prop.adjoint_block(Q1)
+    nodes, stages = sweep
 
     energy = nodes[0].T @ nodes[0]
     W_l2, W_h1 = _chi_output_kernels(space, chi)
     output_full = np.zeros((N, N))
     output_h1 = np.zeros((N, N))
     by_mode = np.zeros((actuator.M, N, N))
-    for m in range(prop.n_steps):
-        Z = stages[m]                                # (K, N)
+    for Z in stages:                                 # (K, N)
         output_full += dt * (Z.T @ W_l2 @ Z)
         output_h1 += dt * (Z.T @ W_h1 @ Z)
         P = actuator.mat.T @ Z                       # (M, N)

@@ -12,12 +12,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import Propagator, ReferenceTrajectory, Trajectory, build_propagator
-from .errors import ResolutionTooSmallError, UnreachableTargetError
+from .dynamics import ReferenceTrajectory, Trajectory, build_propagator
+from .errors import ResolutionTooSmallError
 from .null_control import ControlSignal, ReachabilityBundle, build_reachability, min_norm_control
 from .observability import build_forms, select_m1
 from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from .spectral import ChiMask, SpectralSpace, build_actuator
+
+
+def null_closed_map(free_map: np.ndarray, endpoints: np.ndarray, gramian: np.ndarray,
+                    pinv_rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+    """A - E G^+ A[:N]: the free endpoint map A corrected by the minimal-norm
+    null control, given the endpoint responses E (K, N) to the N
+    leading-direction controls and their Gramian G (N, N)."""
+    Gp, _ = pinv_psd(gramian, pinv_rtol)
+    return free_map - endpoints @ (Gp @ free_map[: gramian.shape[0]])
 
 
 def closed_interval_map(bundle: ReachabilityBundle,
@@ -26,7 +35,6 @@ def closed_interval_map(bundle: ReachabilityBundle,
     A, N = bundle.free_map, bundle.N
     if N == 0:
         return A
-    Gp, _ = pinv_psd(bundle.gramian, pinv_rtol)
     # columns of the input-to-endpoint correction: the control of leading
     # direction a is row a of input_rows, and all N of them drive one block
     # forward from rest
@@ -34,7 +42,7 @@ def closed_interval_map(bundle: ReachabilityBundle,
     values = bundle.input_rows.reshape(N, prop.n_steps, act.M) / np.sqrt(prop.dt)
     inputs = act.mat @ values.transpose(1, 2, 0)         # (n_steps, K, N)
     E = prop.forward(np.zeros((A.shape[0], N)), inputs)[-1]
-    return A - E @ (Gp @ A[:N])
+    return null_closed_map(A, E, bundle.gramian, pinv_rtol)
 
 
 def _propagators(space, traj, n_max, dt, cache=None):
@@ -58,54 +66,84 @@ class CutoffChoice:
 class CutoffSearch:
     """Cutoff measurements of one run, shared by every decay rate.
 
-    Holds the unit-interval propagators on [0, n_max], the actuators and the
-    measurement of each cutoff N tried.  A measurement (M1 report and
+    Holds the unit-interval propagators on [0, n_max] and the measurement of
+    each cutoff N tried (`measured`).  A measurement (M1 report and
     per-interval closed-map norms) does not depend on lambda, so choosing
     for several rates measures each N once.
+
+    The cutoffs are searched up to n_top = min(K, N_cap).  The columns of a
+    smaller cutoff are the leading columns of a larger one, so the first
+    measurement runs one adjoint sweep per unit interval over the n_top
+    leading directions and keeps, per interval, for every listed M that some
+    cutoff selects as M1: the Gramian of those directions and their endpoint
+    responses (`tables`).  Each cutoff is then measured on leading blocks of
+    these tables, with the M1 report that select_m1 gives on the leading
+    blocks of the interval-0 observability forms; the forms themselves are
+    not kept.
     """
 
     def __init__(self, space: SpectralSpace, traj: ReferenceTrajectory,
                  chi: ChiMask, M_list, n_max: int = 6, dt: float = 1.0 / 128,
                  slack: float = 2.0, pinv_rtol: float = DEFAULT_PINV_RTOL,
-                 propagators=None):
+                 propagators=None, N_cap: int | None = None):
         self.space, self.traj, self.chi = space, traj, chi
         self.M_list, self.dt, self.slack, self.pinv_rtol = M_list, dt, slack, pinv_rtol
+        self.n_top = min(space.K, N_cap) if N_cap else space.K
         self.propagators = _propagators(space, traj, n_max, dt, propagators)
-        self._actuators: dict = {}
-        self._measured: dict = {}
+        self.measured: dict = {}
+        self.tables: dict = {}      # M -> (gramians (n_int, n_top, n_top),
+                                    #       endpoints (n_int, K, n_top))
+        self._reports: dict = {}    # N -> select_m1 report
 
     def measure(self, N: int):
         """(M1 report, per-interval closed-map norms) for cutoff N."""
-        if N not in self._measured:
-            self._measured[N] = self._contraction(N)
-        return self._measured[N]
+        if N not in self.measured:
+            self.measured[N] = self._contraction(N)
+        return self.measured[N]
+
+    def _sweep(self):
+        space, props, n_top = self.space, self.propagators, self.n_top
+        Q1 = np.eye(space.K)[:, :n_top]
+        for i, n in enumerate(sorted(props)):
+            nodes, stages = props[n].adjoint_block(Q1)
+            if i == 0:
+                forms = build_forms(space, self.traj, 0.0, self.chi, n_top,
+                                    self.M_list, self.dt, sweep=(nodes, stages))
+                self._reports = {N: select_m1(forms.leading(N), self.slack,
+                                              self.pinv_rtol)
+                                 for N in range(1, n_top + 1)}
+                M1s = sorted({r["M1"] for r in self._reports.values()} - {None})
+                grams = {M: build_actuator(space, self.chi, M).gram for M in M1s}
+                self.tables = {M: (np.empty((len(props), n_top, n_top)),
+                                   np.empty((len(props), space.K, n_top)))
+                               for M in M1s}
+            for M, (gramians, endpoints) in self.tables.items():
+                inputs = grams[M] @ stages               # (n_steps, K, n_top)
+                gramians[i] = self.dt * np.tensordot(stages, inputs, ([0, 1], [0, 1]))
+                endpoints[i] = props[n].forward(np.zeros((space.K, n_top)), inputs)[-1]
+            del nodes, stages           # freed before the next interval's sweep
 
     def _contraction(self, N):
         props = self.propagators
         if N == 0:
             return None, [float(np.linalg.norm(props[n].total, 2))
                           for n in sorted(props)]
-        space, chi, M_list = self.space, self.chi, self.M_list
-        forms = build_forms(space, self.traj, 0.0, chi, N, M_list, self.dt,
-                            propagator=props[0])
-        rep = select_m1(forms, slack=self.slack, rtol=self.pinv_rtol)
+        if not 1 <= N <= self.n_top:
+            raise ValueError(f"cutoff N={N} outside [0, {self.n_top}]")
+        if not self._reports:
+            self._sweep()
+        rep = self._reports[N]
         if rep["M1"] is None:
             raise ResolutionTooSmallError(
                 f"no listed control dimension observes the first {N} modes; "
-                f"extend M_list beyond {max(M_list)}")
-        M1 = rep["M1"]
-        if M1 not in self._actuators:
-            self._actuators[M1] = build_actuator(space, chi, M1)
-        act = self._actuators[M1]
-        factors = []
-        for n in sorted(props):
-            bundle = build_reachability(space, self.traj, float(n), act, N, self.dt,
-                                        propagator=props[n], pinv_rtol=self.pinv_rtol)
-            factors.append(float(np.linalg.norm(
-                closed_interval_map(bundle, self.pinv_rtol), 2)))
+                f"extend M_list beyond {max(self.M_list)}")
+        gramians, endpoints = self.tables[rep["M1"]]
+        factors = [float(np.linalg.norm(null_closed_map(
+            props[n].total, endpoints[i][:, :N], gramians[i][:N, :N], self.pinv_rtol), 2))
+            for i, n in enumerate(sorted(props))]
         return rep, factors
 
-    def choose(self, lam: float, N_cap: int | None = None) -> CutoffChoice:
+    def choose(self, lam: float) -> CutoffChoice:
         """Smallest cutoff with measured one-interval contraction <= e^{-lam/2}.
 
         Doubles the candidate cutoff until the contraction test passes, then
@@ -114,9 +152,8 @@ class CutoffSearch:
         """
         if lam <= 0:
             raise ValueError("decay rate lambda must be positive")
-        space = self.space
+        space, n_top = self.space, self.n_top
         target = float(np.exp(-lam / 2.0))
-        n_top = min(space.K, N_cap) if N_cap else space.K
 
         def passes(N):
             return max(self.measure(N)[1]) <= target
@@ -161,7 +198,7 @@ def choose_n(space: SpectralSpace, traj: ReferenceTrajectory, chi: ChiMask,
     """CutoffSearch.choose on a search of its own; a run that chooses for
     several rates keeps one CutoffSearch instead."""
     return CutoffSearch(space, traj, chi, M_list, n_max, dt, slack, pinv_rtol,
-                        propagators).choose(lam, N_cap)
+                        propagators, N_cap).choose(lam)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from nsstab.config import ExperimentConfig
 from nsstab.spectral import ChiMask, build_space
 
 
@@ -28,3 +29,23 @@ def bump_mask(small_space):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture()
+def small_cfg(tmp_path):
+    """Scaled-down configuration that exercises every subcommand quickly."""
+    cfg = ExperimentConfig()
+    cfg.space.K = 12
+    cfg.space.m_max = 64
+    cfg.control.M_list = (8, 16, 32, 64)
+    cfg.control.N_max = 8
+    cfg.time.T_h = 8.0
+    cfg.time.n_max = 3
+    cfg.reference.horizon = 18.0
+    cfg.nonlinear.sim_units = 3.0
+    cfg.nonlinear.basin_scales = (0.5, 1.0)
+    cfg.nonlinear.basin_directions = 2
+    cfg.validate()
+    path = tmp_path / "cfg.json"
+    cfg.save(path)
+    return cfg, path

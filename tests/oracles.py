@@ -3,13 +3,19 @@
 Everything here is deliberately written against plain mathematical
 definitions (complex Fourier dictionaries, scalar calculus, null-space
 parametrisation) and shares no code path with the package numerics, except
-`closed_interval_map_loop`: the one-column-at-a-time form of a batched
-package routine, kept as it was before the batching.
+two earlier forms of package routines, kept as they were:
+`closed_interval_map_loop`, the one-column-at-a-time closed map, and
+`cutoff_measure_per_n`, the cutoff measurement that builds everything
+afresh for each N.
 """
 
 import numpy as np
 
+from nsstab.null_control import build_reachability
+from nsstab.observability import build_forms, select_m1
 from nsstab.quadmin import pinv_psd
+from nsstab.spectral import build_actuator
+from nsstab.stabilizer import closed_interval_map
 
 NORM = 1.0 / (np.sqrt(2.0) * np.pi)
 
@@ -122,3 +128,21 @@ def closed_interval_map_loop(bundle, pinv_rtol):
         inputs = control.values @ bundle.actuator.mat.T
         E[:, a] = bundle.propagator.forward(np.zeros(A.shape[0]), inputs)[-1]
     return A - E @ (Gp @ A[: bundle.N])
+
+
+def cutoff_measure_per_n(search, N):
+    """(M1 report, per-interval closed-map norms) of cutoff N >= 1 on the
+    search's propagators, with forms and reachability bundles built for N
+    alone (the reference for the shared sweep)."""
+    forms = build_forms(search.space, search.traj, 0.0, search.chi, N, search.M_list,
+                        search.dt, propagator=search.propagators[0])
+    rep = select_m1(forms, slack=search.slack, rtol=search.pinv_rtol)
+    act = build_actuator(search.space, search.chi, rep["M1"])
+    factors = []
+    for n, prop in sorted(search.propagators.items()):
+        bundle = build_reachability(search.space, search.traj, float(n), act, N,
+                                    search.dt, propagator=prop,
+                                    pinv_rtol=search.pinv_rtol)
+        factors.append(float(np.linalg.norm(
+            closed_interval_map(bundle, search.pinv_rtol), 2)))
+    return rep, factors

@@ -9,36 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsstab import cli, nonlinear
+from nsstab import cli, nonlinear, observability
 from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
-from nsstab.dynamics import build_propagator
+from nsstab.dynamics import Propagator, build_propagator
 from nsstab.errors import ConfigError, SchemaError
 from nsstab.feedback import riccati_solve
 from nsstab.plots import emit_plot
 from nsstab.stabilizer import CutoffSearch, choose_n
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
-
-
-@pytest.fixture()
-def small_cfg(tmp_path):
-    """Scaled-down configuration that exercises every subcommand quickly."""
-    cfg = ExperimentConfig()
-    cfg.space.K = 12
-    cfg.space.m_max = 64
-    cfg.control.M_list = (8, 16, 32, 64)
-    cfg.control.N_max = 8
-    cfg.time.T_h = 8.0
-    cfg.time.n_max = 3
-    cfg.reference.horizon = 18.0
-    cfg.nonlinear.sim_units = 3.0
-    cfg.nonlinear.basin_scales = (0.5, 1.0)
-    cfg.nonlinear.basin_directions = 2
-    cfg.validate()
-    path = tmp_path / "cfg.json"
-    cfg.save(path)
-    return cfg, path
 
 
 class TestConfig:
@@ -162,20 +142,20 @@ class TestRun:
         assert (tmp_path / "m" / "reference.svg").exists()
 
 
-def count_propagator_builds(monkeypatch):
-    """Record the tau of every build_propagator call, at every nsstab module
-    attribute that refers to it."""
-    taus = []
+def record_calls(monkeypatch, func):
+    """Record the positional and keyword arguments of every call of func, at
+    every nsstab module attribute that refers to it."""
+    calls = []
 
-    def counted(space, traj, tau, dt):
-        taus.append(tau)
-        return build_propagator(space, traj, tau, dt)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return func(*args, **kwargs)
     for name, mod in list(sys.modules.items()):
         if name == "nsstab" or name.startswith("nsstab."):
             for attr, value in list(vars(mod).items()):
-                if value is build_propagator:
+                if value is func:
                     monkeypatch.setattr(mod, attr, counted)
-    return taus
+    return calls
 
 
 class TestSharedIntervalWork:
@@ -183,9 +163,58 @@ class TestSharedIntervalWork:
     def test_each_unit_interval_built_once(self, small_cfg, tmp_path, monkeypatch,
                                            subcommand):
         cfg, path = small_cfg
-        taus = count_propagator_builds(monkeypatch)
+        builds = record_calls(monkeypatch, build_propagator)
         assert run(subcommand, str(path), str(tmp_path / "o")) == 0
-        assert sorted(taus) == [float(n) for n in range(cfg.time.n_max)]
+        assert sorted(args[2] for args, _ in builds) == \
+            [float(n) for n in range(cfg.time.n_max)]
+
+    def test_one_adjoint_sweep_per_interval(self, small_cfg, monkeypatch):
+        cfg, _ = small_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        p.search
+        sweeps = []
+        adjoint_block = Propagator.adjoint_block
+
+        def counted(self, Q1):
+            sweeps.append(Q1.shape)
+            return adjoint_block(self, Q1)
+        monkeypatch.setattr(Propagator, "adjoint_block", counted)
+        forms = record_calls(monkeypatch, observability.build_forms)
+        # at lam the free flow already contracts enough (N = 0, no sweep)
+        assert p.choice(p.lam_hat).N > 0
+        assert len([N for N in p.search.measured if N]) >= 3
+        assert sweeps == [(cfg.space.K, p.search.n_top)] * cfg.time.n_max
+        assert len(forms) <= 1
+        p.choice(cfg.control.lam)
+        assert len(sweeps) == cfg.time.n_max and len(forms) <= 1
+
+    def test_search_tables_own_their_data(self, small_cfg):
+        cfg, _ = small_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        p.choice(p.lam_hat)
+        search, K = p.search, cfg.space.K
+        arrays = [a for pair in search.tables.values() for a in pair]
+        assert arrays and all(a.base is None for a in arrays)
+        bound = (cfg.time.n_max * len(cfg.control.M_list)
+                 * (search.n_top + K) * search.n_top * 8)
+        assert sum(a.nbytes for a in arrays) <= bound
+
+    def test_observability_constants_evaluated_once(self, small_cfg, tmp_path,
+                                                    monkeypatch):
+        cfg, _ = small_cfg
+        cfg.tolerances.pinv_rtol = 1e-11
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        p.choice(cfg.control.lam)
+        full = record_calls(monkeypatch, observability.full_constant)
+        ratio = record_calls(monkeypatch, observability.h1_l2_ratio)
+        cli.cmd_observability(p, str(tmp_path))
+        assert len(full) == 1 and len(ratio) == 1
+        (_, rtol), _ = ratio[0]
+        assert rtol == 1e-11
+        payload = json.loads((tmp_path / "observability.json").read_text())
+        forms = full[0][0][0]
+        assert payload["D_inf"] == observability.full_constant(forms, 1e-11)
+        assert payload["C_h1l2"] == observability.h1_l2_ratio(forms, 1e-11)
 
     def test_rates_share_cutoff_measurements(self, small_cfg, monkeypatch):
         cfg, _ = small_cfg

@@ -3,28 +3,42 @@
 import numpy as np
 import pytest
 
+from nsstab.cli import Pipeline
 from nsstab.dynamics import Propagator, taylor_green_reference, zero_reference
 from nsstab.errors import ResolutionTooSmallError
 from nsstab.null_control import build_reachability, min_norm_control
 from nsstab.observability import build_forms, select_m1
 from nsstab.quadmin import DEFAULT_PINV_RTOL
 from nsstab.spectral import ChiMask, build_actuator, build_space
-from nsstab.stabilizer import choose_n, closed_interval_map, stabilize, weighted_control_norm
+from nsstab.stabilizer import (
+    CutoffSearch,
+    choose_n,
+    closed_interval_map,
+    stabilize,
+    weighted_control_norm,
+)
 
-from oracles import closed_interval_map_loop
+from oracles import closed_interval_map_loop, cutoff_measure_per_n
 
 DT = 1.0 / 128
 M_LIST = (8, 16, 32, 64, 96, 128)
 
 
 @pytest.fixture(scope="module")
-def tg_instance():
-    """Shipped stabilization instance: strong shear, nontrivial cutoff."""
+def tg_search():
+    """Shipped stabilization instance: strong shear, nontrivial cutoff;
+    the search after choosing for lambda = 1."""
     space = build_space(nu=0.6, K=48, n=16, m_max=160)
     ref = taylor_green_reference(space, a0=1.8, a1=0.9, omega=1.0, horizon=7.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
-    choice = choose_n(space, ref, chi, lam=1.0, M_list=M_LIST, n_max=6, dt=DT)
-    return space, ref, chi, choice
+    search = CutoffSearch(space, ref, chi, M_LIST, n_max=6, dt=DT)
+    return search, search.choose(1.0)
+
+
+@pytest.fixture(scope="module")
+def tg_instance(tg_search):
+    search, choice = tg_search
+    return search.space, search.traj, search.chi, choice
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +76,30 @@ class TestClosedIntervalMap:
         assert leading_defect(tg_bundle) > 1e-6
 
 
+def assert_matches_per_n_measurement(search):
+    """Every cutoff the search measured has the M1 and, to 1e-11 relative,
+    the per-interval factors of the per-N reference path."""
+    cutoffs = sorted(N for N in search.measured if N)
+    assert len(cutoffs) >= 3
+    for N in cutoffs:
+        rep, factors = search.measured[N]
+        want_rep, want = cutoff_measure_per_n(search, N)
+        assert rep["M1"] == want_rep["M1"]
+        assert np.max(np.abs(np.array(factors) - want) / np.array(want)) <= 1e-11
+
+
 class TestChooseN:
+    def test_shared_sweep_matches_per_n_measurement(self, tg_search):
+        search, _ = tg_search
+        assert_matches_per_n_measurement(search)
+
+    def test_shared_sweep_matches_per_n_on_the_cli_config(self, small_cfg):
+        cfg, _ = small_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        p.choice(cfg.control.lam)
+        p.choice(p.lam_hat)
+        assert_matches_per_n_measurement(p.search)
+
     def test_free_decay_suffices_for_small_lambda(self):
         space = build_space(nu=0.6, K=8, n=16)
         ref = zero_reference(space, horizon=7.0)
