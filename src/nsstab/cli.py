@@ -132,10 +132,6 @@ class Pipeline:
         return self._get("law", build)
 
 
-def _trajectory_rows(space, trajectory):
-    return trajectory.norm_table(space)
-
-
 def cmd_reference(p: Pipeline, out):
     ref, space = p.reference, p.space
     ts = np.linspace(0.0, min(ref.horizon, 8.0), 129)
@@ -243,8 +239,7 @@ def cmd_feedback(p: Pipeline, out):
         "dp": dp_check(law, v0, 0.0, splits=[law.T_h / 4, law.T_h / 2]),
         "optimal_cost": optimal_cost_check(p.space, p.reference, law, 1.0, v0),
         "riccati_residual": riccati_residual(p.space, p.reference, law, interior),
-        "lyapunov": lyapunov_check(p.space, p.reference, law, 0.0, v0,
-                                   min(c.time.n_max, law.T_h - 1.0)),
+        "lyapunov": lyapunov_check(sim),
         "closed_loop": cl_rep,
     }
     write_json(os.path.join(out, "feedback.json"), report)

@@ -182,24 +182,22 @@ def taylor_green_reference(space: SpectralSpace, a0: float, a1: float = 0.0,
     return make_reference(space, [(taylor_green_coefficients(space), sched)], horizon)
 
 
-def cn_steps(F_at, n_steps: int, dt: float, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Crank-Nicolson step stacks for the per-step system matrices F_at(m).
+def cn_steps(F_at, n_steps: int, dt: float, K: int) -> np.ndarray:
+    """Crank-Nicolson step stack for the per-step system matrices F_at(m).
 
-    Fills plus_inv[m] = (I + h/2 F_m)^{-1} and phi[m] = plus_inv[m] (I - h/2 F_m)
-    one step at a time.  Every step model of the package (free, shifted and
-    closed-loop flow) is built here, so they all share one discretisation.
+    Fills phi[m] = (I + h/2 F_m)^{-1} (I - h/2 F_m), one solve per step.
+    Every step model of the package (free, shifted and closed-loop flow) is
+    built here, so they all share one discretisation.
     """
     eye = np.eye(K)
-    plus_inv = np.empty((n_steps, K, K))
     phi = np.empty((n_steps, K, K))
     for m in range(n_steps):
         half = 0.5 * dt * F_at(m)
         try:
-            plus_inv[m] = np.linalg.inv(eye + half)
+            phi[m] = np.linalg.solve(eye + half, eye - half)
         except np.linalg.LinAlgError as exc:
             raise StepSolveError(f"implicit step {m} is singular") from exc
-        phi[m] = plus_inv[m] @ (eye - half)
-    return plus_inv, phi
+    return phi
 
 
 @dataclass
@@ -209,19 +207,20 @@ class Propagator:
     Crank-Nicolson with the stiff Stokes part and the frozen midpoint
     linearization both inside the implicit solve:
 
-        v_{m+1} = phi_m v_m + h (I + h/2 F_m)^{-1} f_m,
+        v_{m+1} = phi_m v_m + h (I + h/2 F_m)^{-1} f_m
+                = phi_m (v_m + h/2 f_m) + h/2 f_m,
         phi_m = (I + h/2 F_m)^{-1} (I - h/2 F_m),
 
-    F_m = diag(alpha) + B(u(t_m + h/2)) for the free flow.  The adjoint sweep
-    applies the transposes of exactly the two matrices that forward applies,
-    so <v(tau+1), q1> - <w0, q(tau)> telescopes exactly against the
-    stage-sampled control duality term.
+    F_m = diag(alpha) + B(u(t_m + h/2)) for the free flow.  The second form
+    uses (I + h/2 F_m)^{-1} = (I + phi_m)/2, so phi is the only stored
+    matrix, and the adjoint sweep applies the transpose of exactly the map
+    forward applies: <v(tau+1), q1> - <w0, q(tau)> telescopes exactly
+    against the stage-sampled control duality term.
     """
 
     tau: float
     dt: float
-    plus_inv: np.ndarray    # (n_steps, K, K) = (I + h/2 F)^{-1}
-    phi: np.ndarray         # (n_steps, K, K) = plus_inv @ (I - h/2 F)
+    phi: np.ndarray         # (n_steps, K, K) = (I + h/2 F)^{-1} (I - h/2 F)
 
     @property
     def n_steps(self) -> int:
@@ -254,10 +253,11 @@ class Propagator:
         states = np.empty((self.n_steps + 1,) + w0.shape)
         states[0] = w0
         for m in range(self.n_steps):
-            v = self.phi[m] @ states[m]
-            if inputs is not None:
-                v = v + self.dt * (self.plus_inv[m] @ inputs[m])
-            states[m + 1] = v
+            if inputs is None:
+                states[m + 1] = self.phi[m] @ states[m]
+            else:
+                half_f = 0.5 * self.dt * inputs[m]
+                states[m + 1] = self.phi[m] @ (states[m] + half_f) + half_f
         return states
 
     def adjoint_block(self, Q1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,15 +265,15 @@ class Propagator:
 
         Returns node samples (n_steps+1, K[, r]) and stage duals
         (n_steps, K[, r]).  The stage dual at step m is
-        (I + h/2 F_m)^{-T} q_{m+1}; it is the sample against which
-        piecewise-constant controls pair exactly.
+        (I + h/2 F_m)^{-T} q_{m+1} = (q_m + q_{m+1}) / 2; it is the sample
+        against which piecewise-constant controls pair exactly.
         """
         nodes = np.empty((self.n_steps + 1,) + Q1.shape)
         stages = np.empty((self.n_steps,) + Q1.shape)
         nodes[-1] = Q1
         for m in range(self.n_steps - 1, -1, -1):
-            stages[m] = self.plus_inv[m].T @ nodes[m + 1]
             nodes[m] = self.phi[m].T @ nodes[m + 1]
+            stages[m] = 0.5 * (nodes[m] + nodes[m + 1])
         return nodes, stages
 
 
@@ -285,9 +285,9 @@ def build_propagator(space: SpectralSpace, traj: ReferenceTrajectory,
     if tau + 1.0 > traj.horizon + 1e-9:
         raise ValueError(f"interval [{tau}, {tau + 1}] exceeds the reference horizon")
     diag_alpha = np.diag(space.alphas)
-    plus_inv, phi = cn_steps(lambda m: diag_alpha + traj.bmat_at(tau + (m + 0.5) * dt),
-                             n_steps, dt, space.K)
-    return Propagator(tau=tau, dt=dt, plus_inv=plus_inv, phi=phi)
+    phi = cn_steps(lambda m: diag_alpha + traj.bmat_at(tau + (m + 0.5) * dt),
+                   n_steps, dt, space.K)
+    return Propagator(tau=tau, dt=dt, phi=phi)
 
 
 def propagate_linear(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,

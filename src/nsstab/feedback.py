@@ -31,11 +31,13 @@ DEFAULT_RICCATI_CAP = 1e8
 class FeedbackLaw:
     """Time-sampled shifted cost operators and the matching step machinery.
 
-    Qt[m] is PSD and the unshifted cost operator is e^{lam t_m} Qt[m]; the
-    feedback applied to a velocity state is -chi P_M chi Qt(t) v (the
-    exponential factors cancel in the shifted representation).  Beyond the
-    synthesized horizon the last sample is frozen (the law is only
-    meaningful up to the terminal layer; keep simulations inside it).
+    phi[m] is the one stored matrix of the shifted step z+ = phi (z + u) + u,
+    u = h/2 B eta (see _sweep).  Qt[m] is PSD and the unshifted cost
+    operator is e^{lam t_m} Qt[m]; the feedback applied to a velocity state
+    is -chi P_M chi Qt(t) v (the exponential factors cancel in the shifted
+    representation).  Beyond the synthesized horizon the last sample is
+    frozen (the law is only meaningful up to the terminal layer; keep
+    simulations inside it).
     """
 
     lam: float
@@ -45,7 +47,6 @@ class FeedbackLaw:
     Qt: np.ndarray          # (n_T + 1, K, K)
     gains: np.ndarray       # (n_T, M, K): discretely optimal eta_m = -G_m z_m
     phi: np.ndarray         # (n_T, K, K): shifted step transition
-    gamma: np.ndarray       # (n_T, K, M): shifted step input map
     actuator: Actuator
     alphas: np.ndarray      # state weight diagonal
     horizon_gate: dict | None = None
@@ -90,25 +91,25 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
         raise ValueError("synthesis horizon exceeds the reference horizon")
     n_T = int(round(T_h / dt))
     K, M = space.K, actuator.M
-    args = (dt, space.alphas, lam, cap)
+    args = (actuator.mat, dt, space.alphas, lam, cap)
     if verify_horizon:
         # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps only;
         # swept before the law's stacks exist so peak memory stays at their size
         P_tail = _sweep(np.zeros((K, K)),
-                        *_shifted_steps(space, traj, lam, actuator, n_T, n_T, dt),
+                        _shifted_steps(space, traj, lam, n_T, n_T, dt),
                         *args, start=n_T)
 
-    phi, gamma = _shifted_steps(space, traj, lam, actuator, 0, n_T, dt)
+    phi = _shifted_steps(space, traj, lam, 0, n_T, dt)
     Qt = np.empty((n_T + 1, K, K))
     gains = np.empty((n_T, M, K))
     Qt[n_T] = 0.0
-    _sweep(np.zeros((K, K)), phi, gamma, *args, Qt=Qt, gains=gains)
+    _sweep(np.zeros((K, K)), phi, *args, Qt=Qt, gains=gains)
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
-                      Qt=Qt, gains=gains, phi=phi, gamma=gamma,
+                      Qt=Qt, gains=gains, phi=phi,
                       actuator=actuator, alphas=space.alphas.copy())
     if verify_horizon:
         # the doubled horizon continues over the law's own [0, T_h] steps
-        double_Q0 = _sweep(P_tail, phi, gamma, *args)
+        double_Q0 = _sweep(P_tail, phi, *args)
         num = np.linalg.norm(double_Q0 - law.Qt[0])
         den = max(np.linalg.norm(double_Q0), 1e-300)
         law.horizon_gate = {"T_h": T_h, "rel_change": float(num / den)}
@@ -116,36 +117,38 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
 
 
 def _shifted_steps(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
-                   actuator: Actuator, start: int, n_steps: int,
-                   dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transition phi and input map gamma of the steps start .. start+n_steps-1
-    of the shifted system matrix F - (lam/2) I."""
+                   start: int, n_steps: int, dt: float) -> np.ndarray:
+    """Transitions phi of the steps start .. start+n_steps-1 of the shifted
+    system matrix F - (lam/2) I."""
     shift = np.diag(space.alphas) - 0.5 * lam * np.eye(space.K)
-    plus_inv, phi = cn_steps(lambda m: shift + traj.bmat_at((start + m + 0.5) * dt),
-                             n_steps, dt, space.K)
-    gamma = plus_inv @ actuator.mat
-    gamma *= dt
-    return phi, gamma
+    return cn_steps(lambda m: shift + traj.bmat_at((start + m + 0.5) * dt),
+                    n_steps, dt, space.K)
 
 
-def _sweep(P, phi, gamma, dt, alphas, lam, cap, start=0, Qt=None, gains=None):
+def _sweep(P, phi, B, dt, alphas, lam, cap, start=0, Qt=None, gains=None):
     """Backward dynamic program from the terminal cost operator P.
+
+    Step z+ = phi (z + u) + u with u = h/2 B eta, stage cost
+    h (|zbar|_C^2 + |eta|^2) with zbar = (z + z+)/2, C = diag(alphas).  With
+    gam = phi h/2 B + h/2 B, W = P + h/4 C and S = W phi the blocks are
+    Hzz = phi' S + h/4 (C + C phi + phi' C), Hze = S' gam + h/4 C gam and
+    Hee = h I + gam' W gam: two K^3 products per step.
 
     Returns the cost operator at the first step; fills Qt[m] and gains[m]
     when given.  start offsets the step index in the blow-up message.
     """
-    K, M = gamma.shape[1:]
-    eye = np.eye(K)
+    M = B.shape[1]
+    half_B = 0.5 * dt * B
+    qc = 0.25 * dt * alphas             # (h/4) C, as a diagonal
+    QC = np.diag(qc)
     for m in range(phi.shape[0] - 1, -1, -1):
-        Mz = 0.5 * (eye + phi[m])
-        Me = 0.5 * gamma[m]
-        CMz = alphas[:, None] * Mz
-        CMe = alphas[:, None] * Me
-        PPhi = P @ phi[m]
-        PGam = P @ gamma[m]
-        Hzz = dt * (Mz.T @ CMz) + phi[m].T @ PPhi
-        Hze = dt * (Mz.T @ CMe) + phi[m].T @ PGam
-        Hee = dt * (np.eye(M) + Me.T @ CMe) + gamma[m].T @ PGam
+        gam = phi[m] @ half_B + half_B
+        W = P + QC
+        S = W @ phi[m]
+        C_phi = qc[:, None] * phi[m]
+        Hzz = phi[m].T @ S + (QC + C_phi + C_phi.T)
+        Hze = S.T @ gam + qc[:, None] * gam
+        Hee = dt * np.eye(M) + gam.T @ (W @ gam)
         G = np.linalg.solve(Hee, Hze.T)
         P = Hzz - Hze @ G
         P = 0.5 * (P + P.T)
@@ -183,7 +186,7 @@ def closed_loop_steps(space: SpectralSpace, traj: ReferenceTrajectory,
         idx = s_index + m
         Q_mid = 0.5 * (law.Qt[idx] + law.Qt[idx + 1])
         return diag_alpha + traj.bmat_at((idx + 0.5) * dt) + gram @ Q_mid
-    return Propagator(s, dt, *cn_steps(F_at, n_steps, dt, space.K))
+    return Propagator(s, dt, cn_steps(F_at, n_steps, dt, space.K))
 
 
 def closed_loop_linear(space: SpectralSpace, traj: ReferenceTrajectory,
@@ -229,17 +232,18 @@ def closed_loop_linear(space: SpectralSpace, traj: ReferenceTrajectory,
 def optimal_rollout(law: FeedbackLaw, s_index: int, z0: np.ndarray):
     """Discretely optimal shifted trajectory, controls, and stage costs."""
     n = law.n_steps - s_index
-    K = law.phi.shape[1]
-    z = np.empty((n + 1, K))
+    half_B = 0.5 * law.dt * law.actuator.mat
+    z = np.empty((n + 1, law.phi.shape[1]))
     eta = np.empty((n, law.M))
     costs = np.empty(n)
     z[0] = z0
     for j in range(n):
         m = s_index + j
         eta[j] = -(law.gains[m] @ z[j])
-        zbar = 0.5 * ((np.eye(K) + law.phi[m]) @ z[j] + law.gamma[m] @ eta[j])
+        u = half_B @ eta[j]
+        z[j + 1] = law.phi[m] @ (z[j] + u) + u
+        zbar = 0.5 * (z[j] + z[j + 1])
         costs[j] = law.dt * (float(law.alphas @ zbar**2) + float(eta[j] @ eta[j]))
-        z[j + 1] = law.phi[m] @ z[j] + law.gamma[m] @ eta[j]
     return z, eta, costs
 
 
@@ -301,16 +305,13 @@ def optimal_cost_check(space: SpectralSpace, traj: ReferenceTrajectory,
             "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap)}
 
 
-def lyapunov_check(space: SpectralSpace, traj: ReferenceTrajectory,
-                   law: FeedbackLaw, s: float, v0: np.ndarray,
-                   n_units: float, samples: int = 64) -> dict:
-    """Forward-Gramian Lyapunov functional along the closed loop.
+def lyapunov_check(sim: Trajectory, samples: int = 64) -> dict:
+    """Forward-Gramian Lyapunov functional along a closed-loop trajectory.
 
     Phi(t) = int_t^end |v|_H^2 computed by composite per-step quadrature,
     so the decrease between sample times telescopes exactly.
     """
-    sim, _ = closed_loop_linear(space, traj, law, s, v0, n_units)
-    dt = law.dt
+    dt = sim.dt
     mids2 = np.sum((0.5 * (sim.states[1:] + sim.states[:-1]))**2, axis=1)
     phi = np.concatenate([np.cumsum((dt * mids2)[::-1])[::-1], [0.0]])
     idx = np.linspace(0, len(phi) - 1, samples).astype(int)

@@ -109,8 +109,8 @@ class ClosedLoopStepper(Propagator):
             if not live.size:
                 break
             cur = states[m, live]
-            base = cur @ self.phi[m].T
-            v_next = base.copy()
+            phi_t = self.phi[m].T
+            v_next = cur @ phi_t
             active = np.arange(live.size)   # positions still iterating
             for _ in range(INNER_CAP):
                 # a state outside its guard stops iterating; the check after
@@ -119,8 +119,8 @@ class ClosedLoopStepper(Propagator):
                 if not active.size:
                     break
                 mid = 0.5 * (cur[active] + v_next[active])
-                cand = base[active] - self.dt * (bilinear_b(self.space, mid, mid)
-                                                 @ self.plus_inv[m].T)
+                half_b = 0.5 * self.dt * bilinear_b(self.space, mid, mid)
+                cand = (cur[active] - half_b) @ phi_t - half_b
                 delta = np.max(np.abs(cand - v_next[active]), axis=1)
                 v_next[active] = cand
                 done = delta <= INNER_TOL * np.maximum(1.0, np.max(np.abs(cand),
@@ -150,8 +150,8 @@ class ClosedLoopStepper(Propagator):
 def build_stepper(space: SpectralSpace, traj: ReferenceTrajectory,
                   law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
     steps = closed_loop_steps(space, traj, law, s, n_units)
-    return ClosedLoopStepper(tau=s, dt=law.dt, plus_inv=steps.plus_inv,
-                             phi=steps.phi, space=space, lam=law.lam)
+    return ClosedLoopStepper(tau=s, dt=law.dt, phi=steps.phi, space=space,
+                             lam=law.lam)
 
 
 def simulate_closed_loop(space: SpectralSpace, traj: ReferenceTrajectory,

@@ -3,10 +3,12 @@
 Everything here is deliberately written against plain mathematical
 definitions (complex Fourier dictionaries, scalar calculus, null-space
 parametrisation) and shares no code path with the package numerics, except
-two earlier forms of package routines, kept as they were:
-`closed_interval_map_loop`, the one-column-at-a-time closed map, and
+earlier forms of package routines, kept as they were:
+`closed_interval_map_loop`, the one-column-at-a-time closed map;
 `cutoff_measure_per_n`, the cutoff measurement that builds everything
-afresh for each N.
+afresh for each N; and the two-matrix Crank-Nicolson step model
+(`cn_steps_two_matrix` and the sweeps over its stacks), which stores
+(I + h/2 F)^{-1} beside phi and applies both.
 """
 
 import numpy as np
@@ -146,3 +148,76 @@ def cutoff_measure_per_n(search, N):
         factors.append(float(np.linalg.norm(
             closed_interval_map(bundle, search.pinv_rtol), 2)))
     return rep, factors
+
+
+def cn_steps_two_matrix(F_at, n_steps, dt, K):
+    """(plus_inv, phi) stacks: plus_inv[m] = (I + h/2 F_m)^{-1} by explicit
+    inversion and phi[m] = plus_inv[m] (I - h/2 F_m)."""
+    eye = np.eye(K)
+    plus_inv = np.empty((n_steps, K, K))
+    phi = np.empty((n_steps, K, K))
+    for m in range(n_steps):
+        half = 0.5 * dt * F_at(m)
+        plus_inv[m] = np.linalg.inv(eye + half)
+        phi[m] = plus_inv[m] @ (eye - half)
+    return plus_inv, phi
+
+
+def free_steps_two_matrix(space, traj, tau, dt):
+    """Two-matrix stacks of the free flow on [tau, tau + 1]."""
+    n_steps = int(round(1.0 / dt))
+    diag_alpha = np.diag(space.alphas)
+    return cn_steps_two_matrix(
+        lambda m: diag_alpha + traj.bmat_at(tau + (m + 0.5) * dt),
+        n_steps, dt, space.K)
+
+
+def forward_two_matrix(plus_inv, phi, dt, w0, inputs):
+    """v_{m+1} = phi_m v_m + h plus_inv_m f_m: two products per step."""
+    states = np.empty((phi.shape[0] + 1,) + w0.shape)
+    states[0] = w0
+    for m in range(phi.shape[0]):
+        states[m + 1] = phi[m] @ states[m] + dt * (plus_inv[m] @ inputs[m])
+    return states
+
+
+def adjoint_two_matrix(plus_inv, phi, Q1):
+    """Nodes q_m = phi_m' q_{m+1} and stages plus_inv_m' q_{m+1}."""
+    nodes = np.empty((phi.shape[0] + 1,) + Q1.shape)
+    stages = np.empty((phi.shape[0],) + Q1.shape)
+    nodes[-1] = Q1
+    for m in range(phi.shape[0] - 1, -1, -1):
+        stages[m] = plus_inv[m].T @ nodes[m + 1]
+        nodes[m] = phi[m].T @ nodes[m + 1]
+    return nodes, stages
+
+
+def riccati_two_matrix(space, traj, lam, actuator, T_h, dt):
+    """(Qt, gains) of the shifted LQ synthesis on [0, T_h] from the stacks
+    phi and gamma = h plus_inv B, with the three-product dynamic program
+    over zbar = Mz z + Me eta, Mz = (I + phi)/2, Me = gamma/2."""
+    n_T = int(round(T_h / dt))
+    K, M = space.K, actuator.M
+    shift = np.diag(space.alphas) - 0.5 * lam * np.eye(K)
+    plus_inv, phi = cn_steps_two_matrix(
+        lambda m: shift + traj.bmat_at((m + 0.5) * dt), n_T, dt, K)
+    gamma = dt * (plus_inv @ actuator.mat)
+    alphas, eye = space.alphas, np.eye(K)
+    Qt = np.zeros((n_T + 1, K, K))
+    gains = np.empty((n_T, M, K))
+    P = Qt[n_T]
+    for m in range(n_T - 1, -1, -1):
+        Mz = 0.5 * (eye + phi[m])
+        Me = 0.5 * gamma[m]
+        CMz = alphas[:, None] * Mz
+        CMe = alphas[:, None] * Me
+        PPhi = P @ phi[m]
+        PGam = P @ gamma[m]
+        Hzz = dt * (Mz.T @ CMz) + phi[m].T @ PPhi
+        Hze = dt * (Mz.T @ CMe) + phi[m].T @ PGam
+        Hee = dt * (np.eye(M) + Me.T @ CMe) + gamma[m].T @ PGam
+        gains[m] = np.linalg.solve(Hee, Hze.T)
+        P = Hzz - Hze @ gains[m]
+        P = 0.5 * (P + P.T)
+        Qt[m] = P
+    return Qt, gains

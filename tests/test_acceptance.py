@@ -276,8 +276,8 @@ def test_criterion_10_lyapunov_monotonicity(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     worst = 0.0
     for _ in range(5):
-        rep = lyapunov_check(space, ref, law, 0.0,
-                             rng.standard_normal(space.K), 6.0)
+        rep = lyapunov_check(closed_loop_linear(
+            space, ref, law, 0.0, rng.standard_normal(space.K), 6.0)[0])
         assert rep["nonincreasing"]
         worst = max(worst, rep["max_increase_rel"])
     report(10, worst <= 1e-8,

@@ -14,7 +14,7 @@ from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
 from nsstab.errors import ConfigError, SchemaError
-from nsstab.feedback import riccati_solve
+from nsstab.feedback import closed_loop_steps, riccati_solve
 from nsstab.plots import emit_plot
 from nsstab.stabilizer import CutoffSearch, choose_n
 
@@ -215,6 +215,15 @@ class TestSharedIntervalWork:
         forms = full[0][0][0]
         assert payload["D_inf"] == observability.full_constant(forms, 1e-11)
         assert payload["C_h1l2"] == observability.h1_l2_ratio(forms, 1e-11)
+
+    def test_feedback_integrates_closed_loop_once(self, small_cfg, tmp_path,
+                                                  monkeypatch):
+        # one build for the decay run and its Lyapunov functional, one for
+        # the optimal-cost simulation
+        _, path = small_cfg
+        builds = record_calls(monkeypatch, closed_loop_steps)
+        assert run("feedback", str(path), str(tmp_path / "o")) == 0
+        assert len(builds) == 2
 
     def test_rates_share_cutoff_measurements(self, small_cfg, monkeypatch):
         cfg, _ = small_cfg

@@ -22,7 +22,17 @@ from nsstab.dynamics import (
 from nsstab.errors import StepSolveError
 from nsstab.spectral import build_actuator, build_space, ChiMask
 
-from oracles import bilinear_oracle, smoothing_ratio_l2
+from oracles import (
+    adjoint_two_matrix,
+    bilinear_oracle,
+    forward_two_matrix,
+    free_steps_two_matrix,
+    smoothing_ratio_l2,
+)
+
+
+def rel_diff(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
 
 
 class TestBilinear:
@@ -274,6 +284,38 @@ class TestCnSteps:
         singular = -(2.0 / dt) * np.eye(3)      # I + h/2 F = 0
         with pytest.raises(StepSolveError, match="step 0"):
             cn_steps(lambda m: singular, 4, dt, 3)
+
+
+class TestTwoMatrixModel:
+    """phi alone against the model that also stores (I + h/2 F)^{-1}."""
+
+    @pytest.fixture()
+    def steps(self, small_space):
+        ref = taylor_green_reference(small_space, a0=0.5, a1=0.25, omega=2.0,
+                                     horizon=2.0)
+        dt = 1.0 / 64
+        return (build_propagator(small_space, ref, 0.0, dt),
+                *free_steps_two_matrix(small_space, ref, 0.0, dt))
+
+    def test_forward_with_inputs(self, small_space, steps, rng):
+        prop, plus_inv, phi = steps
+        for shape in ((small_space.K,), (small_space.K, 5)):
+            w0 = rng.standard_normal(shape)
+            f = rng.standard_normal((prop.n_steps,) + shape)
+            want = forward_two_matrix(plus_inv, phi, prop.dt, w0, f)
+            assert rel_diff(prop.forward(w0, f), want) <= 1e-12
+
+    def test_adjoint_block(self, small_space, steps, rng):
+        prop, plus_inv, phi = steps
+        Q1 = rng.standard_normal((small_space.K, 5))
+        nodes, stages = prop.adjoint_block(Q1)
+        want_nodes, want_stages = adjoint_two_matrix(plus_inv, phi, Q1)
+        assert rel_diff(nodes, want_nodes) <= 1e-12
+        assert rel_diff(stages, want_stages) <= 1e-12
+
+    def test_stage_is_node_average(self, small_space, steps, rng):
+        nodes, stages = steps[0].adjoint_block(rng.standard_normal((small_space.K, 3)))
+        assert np.array_equal(stages, 0.5 * (nodes[:-1] + nodes[1:]))
 
 
 class TestRegularityDiagnostics:

@@ -1,5 +1,7 @@
 """Weighted LQ synthesis: scalar oracles, DP identities, decay, residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from nsstab.feedback import (
 )
 from nsstab.spectral import ChiMask, apply_chi_pm, build_actuator, build_space
 
-from oracles import scalar_are_root
+from oracles import riccati_two_matrix, scalar_are_root
 
 DT = 1.0 / 128
 
@@ -99,6 +101,12 @@ class TestRiccatiSolve:
         law = riccati_solve(space, ref, lam=0.5, actuator=act, T_h=6.0, dt=1.0 / 64,
                             verify_horizon=True)
         assert law.horizon_gate["rel_change"] <= 1e-6
+
+    def test_matches_two_matrix_model(self, tg_law):
+        space, ref, _, act, law = tg_law
+        Qt, gains = riccati_two_matrix(space, ref, law.lam, act, law.T_h, law.dt)
+        assert np.linalg.norm(law.Qt - Qt) <= 1e-10 * np.linalg.norm(Qt)
+        assert np.linalg.norm(law.gains - gains) <= 1e-10 * np.linalg.norm(gains)
 
     def test_rejects_bad_horizon(self, scalar_law):
         space, ref, act, _ = scalar_law
@@ -210,6 +218,12 @@ class TestOptimality:
         for split in rep["splits"]:
             assert split["rel_gap"] <= 1e-6
 
+    def test_wrong_stage_weight_breaks_value(self, tg_law, rng):
+        space, _, _, _, law = tg_law
+        wrong = dataclasses.replace(law, alphas=2 * law.alphas)
+        rep = dp_check(wrong, rng.standard_normal(space.K), 0.0, splits=[])
+        assert rep["total_vs_value_rel"] > 1e-6
+
     def test_split_at_zero_and_terminal(self, tg_law, rng):
         space, _, _, _, law = tg_law
         v0 = rng.standard_normal(space.K)
@@ -241,21 +255,24 @@ class TestOptimality:
         value = float(v0 @ (law.Qt[0] @ v0))
         _, eta_opt, _ = optimal_rollout(law, s_index, v0)
         eye = np.eye(space.K)
+        # reference input maps h (I + h/2 F)^{-1} B = h/2 (I + phi) B
+        gamma = 0.5 * law.dt * (eye + law.phi) @ law.actuator.mat
         for _ in range(20):
             eta = eta_opt + 0.05 * rng.standard_normal(eta_opt.shape)
             z = v0.copy()
             cost = 0.0
             for m in range(law.n_steps):
-                zbar = 0.5 * ((eye + law.phi[m]) @ z + law.gamma[m] @ eta[m])
+                zbar = 0.5 * ((eye + law.phi[m]) @ z + gamma[m] @ eta[m])
                 cost += law.dt * (law.alphas @ zbar**2 + eta[m] @ eta[m])
-                z = law.phi[m] @ z + law.gamma[m] @ eta[m]
+                z = law.phi[m] @ z + gamma[m] @ eta[m]
             assert cost >= value - 1e-6 * abs(value)
 
 
 class TestLyapunov:
     def test_zero_state(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = lyapunov_check(space, ref, law, 0.0, np.zeros(space.K), 2.0)
+        rep = lyapunov_check(closed_loop_linear(space, ref, law, 0.0,
+                                                np.zeros(space.K), 2.0)[0])
         assert max(rep["phi"]) == 0.0
 
     def test_free_mode_closed_form(self):
@@ -265,7 +282,8 @@ class TestLyapunov:
         law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=14.0, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
-        rep = lyapunov_check(space, ref, law, 0.0, v0, 12.0, samples=16)
+        rep = lyapunov_check(closed_loop_linear(space, ref, law, 0.0, v0, 12.0)[0],
+                             samples=16)
         a = space.alphas[0]
         for t, phi in zip(rep["times"], rep["phi"]):
             want = (np.exp(-2 * a * t) - np.exp(-2 * a * 12.0)) / (2 * a)
@@ -275,8 +293,8 @@ class TestLyapunov:
     def test_monotone_along_closed_loop(self, tg_law, rng):
         space, ref, _, _, law = tg_law
         for _ in range(3):
-            rep = lyapunov_check(space, ref, law, 0.0,
-                                 rng.standard_normal(space.K), 6.0)
+            rep = lyapunov_check(closed_loop_linear(
+                space, ref, law, 0.0, rng.standard_normal(space.K), 6.0)[0])
             assert rep["nonincreasing"]
 
 
