@@ -28,7 +28,7 @@ from .feedback import (
     riccati_residual,
     riccati_solve,
 )
-from .nonlinear import basin_sweep, build_stepper, contraction_probe, simulate_closed_loop
+from .nonlinear import basin_sweep, closed_loop_steps, contraction_probe, simulate_closed_loop
 from .null_control import build_reachability, epsilon_limit_study, kkt_identity_check, min_norm_control
 from .observability import build_forms, select_m1
 from .plots import emit_plot
@@ -131,6 +131,14 @@ class Pipeline:
                                  verify_horizon=True)
         return self._get("law", build)
 
+    def closed_loop(self, n_units):
+        """The law's closed loop on [0, min(n_units, T_h - 1)], one unit clear
+        of the terminal layer; built once per window and shared by the
+        linear decay run, the nonlinear run, the probe and the basin sweep."""
+        n_units = min(n_units, self.law.T_h - 1.0)
+        return self._get(("closed_loop", round(n_units, 12)), lambda: closed_loop_steps(
+            self.space, self.reference, self.law, 0.0, n_units))
+
 
 def cmd_reference(p: Pipeline, out):
     ref, space = p.reference, p.space
@@ -229,8 +237,7 @@ def cmd_feedback(p: Pipeline, out):
                         lam=law.lam, M=law.M, T_h=law.T_h, stride=stride)
     v0 = p.rng.standard_normal(p.space.K)
     interior = [law.T_h / 8, law.T_h / 4, law.T_h / 2]
-    sim, cl_rep = closed_loop_linear(p.space, p.reference, law, 0.0, v0,
-                                     min(c.time.n_max, law.T_h - 1.0))
+    sim, cl_rep = closed_loop_linear(p.closed_loop(c.time.n_max), v0)
     report = {
         "lambda": law.lam, "M": law.M, "M_fallback": p.control_dim(p.lam_hat)[1],
         "T_h": law.T_h,
@@ -258,17 +265,13 @@ def cmd_feedback(p: Pipeline, out):
 
 def cmd_closed_loop(p: Pipeline, out):
     c = p.cfg
-    law = p.law
     d = p.rng.standard_normal(p.space.K)
     d /= np.sqrt(p.space.alphas @ d**2)
     v0 = c.nonlinear.eps_star * d
-    n_units = min(c.nonlinear.sim_units, law.T_h - 1.0)
-    stepper = build_stepper(p.space, p.reference, law, 0.0, n_units)
-    trajectory, rep = simulate_closed_loop(
-        p.space, p.reference, law, v0, n_units, eps_gate=c.nonlinear.eps_star,
-        theta_cap=c.nonlinear.theta_star, stepper=stepper)
-    probe = contraction_probe(p.space, p.reference, law, v0, n_units, p.rng,
-                              pairs=2, stepper=stepper)
+    stepper = p.closed_loop(c.nonlinear.sim_units)
+    trajectory, rep = simulate_closed_loop(stepper, v0, eps_gate=c.nonlinear.eps_star,
+                                           theta_cap=c.nonlinear.theta_star)
+    probe = contraction_probe(stepper, v0, p.rng, pairs=2)
     rep["contraction"] = {k: probe[k] for k in
                           ("gamma_hat", "iterations", "converged",
                            "pair_ratios", "pairs_within_headroom")}
@@ -287,9 +290,8 @@ def cmd_closed_loop(p: Pipeline, out):
 
 def cmd_basin(p: Pipeline, out):
     c = p.cfg
-    rep = basin_sweep(p.space, p.reference, p.law, c.nonlinear.basin_scales,
-                      c.nonlinear.basin_directions,
-                      min(c.nonlinear.sim_units, c.time.T_h - 1.0), p.rng,
+    rep = basin_sweep(p.closed_loop(c.nonlinear.sim_units), c.nonlinear.basin_scales,
+                      c.nonlinear.basin_directions, p.rng,
                       theta_cap=c.nonlinear.theta_star * 10.0)
     rep["directions"] = c.nonlinear.basin_directions
     path = os.path.join(out, "basin.json")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, ReferenceTrajectory, Trajectory, cn_steps
+from .dynamics import ReferenceTrajectory, Trajectory, cn_steps
 from .errors import RiccatiBlowupError
 from .spectral import Actuator, SpectralSpace
 
@@ -35,9 +35,8 @@ class FeedbackLaw:
     u = h/2 B eta (see _sweep).  Qt[m] is PSD and the unshifted cost
     operator is e^{lam t_m} Qt[m]; the feedback applied to a velocity state
     is -chi P_M chi Qt(t) v (the exponential factors cancel in the shifted
-    representation).  Beyond the synthesized horizon the last sample is
-    frozen (the law is only meaningful up to the terminal layer; keep
-    simulations inside it).
+    representation).  The law exists on [0, T_h] only: reading it at a
+    time outside that range, beyond round-off, raises ValueError.
     """
 
     lam: float
@@ -60,8 +59,10 @@ class FeedbackLaw:
         return self.actuator.M
 
     def index_of(self, t: float) -> int:
-        m = int(round((t - self.times[0]) / self.dt))
-        return min(max(m, 0), self.n_steps)
+        x = (t - self.times[0]) / self.dt
+        if not -1e-9 <= x <= self.n_steps + 1e-9:
+            raise ValueError(f"t={t} lies outside the law's horizon [0, {self.T_h}]")
+        return int(round(x))
 
     def value_matrix(self, t: float) -> np.ndarray:
         return self.Qt[self.index_of(t)]
@@ -168,45 +169,33 @@ def gain_apply(law: FeedbackLaw, t: float, v: np.ndarray) -> np.ndarray:
     return -act.apply(act.adjoint(law.value_matrix(t) @ np.asarray(v, float)))
 
 
-def closed_loop_steps(space: SpectralSpace, traj: ReferenceTrajectory,
-                      law: FeedbackLaw, s: float, n_units: float) -> Propagator:
-    """Step matrices of the continuous-form closed loop on [s, s + n_units].
-
-    The system matrix adds the midpoint feedback gram Q_mid to the free flow.
-    """
-    dt = law.dt
-    s_index = int(round(s / dt))
-    n_steps = int(round(n_units / dt))
-    if s_index + n_steps > law.n_steps:
-        raise ValueError("simulation window exceeds the synthesized horizon")
-    diag_alpha = np.diag(space.alphas)
+def closed_loop_system(traj: ReferenceTrajectory, law: FeedbackLaw):
+    """m -> (F_m, Q_mid): the continuous-form closed loop over law step m,
+    Q_mid = (Qt[m] + Qt[m+1])/2 and F_m = diag(alpha) + B(u(t_m + h/2))
+    + (chi P_M chi) Q_mid.  Source of every closed-loop step and its cost."""
+    diag_alpha = np.diag(law.alphas)
     gram = law.actuator.gram
 
-    def F_at(m):
-        idx = s_index + m
-        Q_mid = 0.5 * (law.Qt[idx] + law.Qt[idx + 1])
-        return diag_alpha + traj.bmat_at((idx + 0.5) * dt) + gram @ Q_mid
-    return Propagator(s, dt, cn_steps(F_at, n_steps, dt, space.K))
+    def at(m):
+        Q_mid = 0.5 * (law.Qt[m] + law.Qt[m + 1])
+        return diag_alpha + traj.bmat_at((m + 0.5) * law.dt) + gram @ Q_mid, Q_mid
+    return at
 
 
-def closed_loop_linear(space: SpectralSpace, traj: ReferenceTrajectory,
-                       law: FeedbackLaw, s: float, v0: np.ndarray,
-                       n_units: float) -> tuple[Trajectory, dict]:
-    """Integrate the linear closed loop from time s and measure the decay bound.
+def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:
+    """Integrate the linear closed loop of a nonlinear.ClosedLoopStepper
+    from v0 and measure the decay bound.
 
     Reports the weighted-energy constant: the sup over t of
     e^{lam(t-s)}|v|_H^2 plus the running weighted V-energy and dual-norm
     time-derivative integrals, over |v0|_H^2; and the V-version for smooth
     data.
     """
-    steps = closed_loop_steps(space, traj, law, s, n_units)
-    states = steps.forward(v0)
-    times = steps.times
-    dt = law.dt
-    trajectory = Trajectory(times=times, states=states)
+    trajectory = stepper.run_linear(v0)
+    times, states = trajectory.times, trajectory.states
 
-    lam = law.lam
-    al = space.alphas
+    dt, lam, s = stepper.dt, stepper.lam, stepper.s
+    al = stepper.space.alphas
     w = np.exp(lam * (times - s))
     h2 = np.sum(states**2, axis=1)
     mids = 0.5 * (states[1:] + states[:-1])
@@ -230,21 +219,21 @@ def closed_loop_linear(space: SpectralSpace, traj: ReferenceTrajectory,
 
 
 def optimal_rollout(law: FeedbackLaw, s_index: int, z0: np.ndarray):
-    """Discretely optimal shifted trajectory, controls, and stage costs."""
+    """Discretely optimal shifted trajectory and stage costs; the control of
+    step m is eta_m = -gains[m] z_m."""
     n = law.n_steps - s_index
     half_B = 0.5 * law.dt * law.actuator.mat
     z = np.empty((n + 1, law.phi.shape[1]))
-    eta = np.empty((n, law.M))
     costs = np.empty(n)
     z[0] = z0
     for j in range(n):
         m = s_index + j
-        eta[j] = -(law.gains[m] @ z[j])
-        u = half_B @ eta[j]
+        eta = -(law.gains[m] @ z[j])
+        u = half_B @ eta
         z[j + 1] = law.phi[m] @ (z[j] + u) + u
         zbar = 0.5 * (z[j] + z[j + 1])
-        costs[j] = law.dt * (float(law.alphas @ zbar**2) + float(eta[j] @ eta[j]))
-    return z, eta, costs
+        costs[j] = law.dt * (float(law.alphas @ zbar**2) + float(eta @ eta))
+    return z, costs
 
 
 def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
@@ -252,18 +241,19 @@ def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
 
     Verifies total = running cost to the split plus the value of the tail
     state; equalities hold to round-off because rollout and recursion share
-    the same step model.
+    the same step model.  A split outside [s, T_h] raises ValueError.
     """
-    s_index = int(round(s / law.dt))
-    z, _, costs = optimal_rollout(law, s_index, np.asarray(v0, float))
+    s_index = law.index_of(s)
+    z, costs = optimal_rollout(law, s_index, np.asarray(v0, float))
     total = float(costs.sum())
     value0 = float(v0 @ (law.Qt[s_index] @ v0))
     out = {"s": s, "total_cost": total, "value": value0,
            "total_vs_value_rel": abs(total - value0) / (abs(value0) + 1e-300),
            "splits": []}
     for t_split in splits:
-        k = int(round((t_split - s) / law.dt))
-        k = min(max(k, 0), len(costs))
+        k = law.index_of(t_split) - s_index
+        if k < 0:
+            raise ValueError(f"split t={t_split} lies before s={s}")
         run = float(costs[:k].sum())
         tail = float(z[k] @ (law.Qt[s_index + k] @ z[k]))
         out["splits"].append({
@@ -275,31 +265,33 @@ def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
 
 def optimal_cost_check(space: SpectralSpace, traj: ReferenceTrajectory,
                        law: FeedbackLaw, s: float, w0: np.ndarray) -> dict:
-    """Compare (Qt(s) w0, w0) with simulated closed-loop costs.
+    """Compare (Qt(s) w0, w0) with simulated closed-loop costs on [s, T_h].
 
     The discrete rollout reproduces the value exactly; the continuous-form
     loop (midpoint gain, trapezoidal cost quadrature) agrees to O(dt^2)
     with a quadratically small sensitivity to the gain representation.
+    The loop streams: each step is built, applied, priced with its own
+    Q_mid and dropped, so no step stack is stored.
     """
-    s_index = int(round(s / law.dt))
+    s_index = law.index_of(s)
     w0 = np.asarray(w0, float)
     value = float(w0 @ (law.Qt[s_index] @ w0))
 
-    _, _, costs = optimal_rollout(law, s_index, w0)
+    _, costs = optimal_rollout(law, s_index, w0)
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
 
-    n_units = law.T_h - s
-    sim, _ = closed_loop_linear(space, traj, law, s, w0, n_units)
     dt, lam = law.dt, law.lam
-    mids = 0.5 * (sim.states[1:] + sim.states[:-1])
-    t_mid = sim.times[:-1] + 0.5 * dt
-    cost = 0.0
-    for m, (tm, vm) in enumerate(zip(t_mid, mids)):
-        idx = min(s_index + m, law.n_steps - 1)
-        Q_mid = 0.5 * (law.Qt[idx] + law.Qt[idx + 1])
+    system = closed_loop_system(traj, law)
+    t_mid = s + dt * np.arange(len(costs)) + 0.5 * dt
+    v, cost = w0, 0.0
+    for m, tm in zip(range(s_index, law.n_steps), t_mid):
+        F, Q_mid = system(m)
+        v_next = cn_steps(lambda _: F, 1, dt, space.K)[0] @ v
+        vm = 0.5 * (v_next + v)
         eta = law.actuator.adjoint(Q_mid @ vm)
         cost += dt * np.exp(lam * (tm - s)) * (float(law.alphas @ vm**2)
                                                + float(eta @ eta))
+        v = v_next
     sim_gap = abs(cost - value) / (abs(value) + 1e-300)
     return {"s": s, "value": value, "rollout_rel_gap": float(rollout_gap),
             "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap)}

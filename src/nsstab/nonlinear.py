@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, ReferenceTrajectory, Trajectory, bilinear_b
+from .dynamics import Propagator, ReferenceTrajectory, Trajectory, bilinear_b, cn_steps
 from .errors import StepSolveError
-from .feedback import FeedbackLaw, closed_loop_steps
+from .feedback import FeedbackLaw, closed_loop_system
 from .spectral import SpectralSpace
 
 INNER_TOL = 1e-13
@@ -53,10 +53,12 @@ def _window_sums(cum: np.ndarray, window: int, count: int) -> np.ndarray:
 
 @dataclass
 class ClosedLoopStepper(Propagator):
-    """Cached per-step matrices of the feedback loop on [s, s + n_units].
+    """Step matrices of the feedback loop on [s, s + n_units], with the
+    model and decay rate its reports are measured in.
 
-    Built once and shared by nonlinear runs, Picard iterates, and forced
-    linear solves, so all of them live on the identical discrete flow.
+    Built once per window by closed_loop_steps and handed to every consumer
+    (linear decay run, nonlinear runs, Picard iterates, forced solves, basin
+    sweep), so all of them live on the identical discrete flow.
     """
 
     space: SpectralSpace
@@ -147,17 +149,23 @@ class ClosedLoopStepper(Propagator):
         return self.run_linear(v0, -bilinear_b(self.space, mids, mids))
 
 
-def build_stepper(space: SpectralSpace, traj: ReferenceTrajectory,
-                  law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
-    steps = closed_loop_steps(space, traj, law, s, n_units)
-    return ClosedLoopStepper(tau=s, dt=law.dt, phi=steps.phi, space=space,
-                             lam=law.lam)
+def closed_loop_steps(space: SpectralSpace, traj: ReferenceTrajectory,
+                      law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
+    """The law's closed loop on [s, s + n_units], inside its horizon: one
+    Crank-Nicolson step per law step from feedback.closed_loop_system."""
+    dt = law.dt
+    s_index = int(round(s / dt))
+    n_steps = int(round(n_units / dt))
+    if s_index + n_steps > law.n_steps:
+        raise ValueError("simulation window exceeds the synthesized horizon")
+    system = closed_loop_system(traj, law)
+    phi = cn_steps(lambda m: system(s_index + m)[0], n_steps, dt, space.K)
+    return ClosedLoopStepper(tau=s, dt=dt, phi=phi, space=space, lam=law.lam)
 
 
-def simulate_closed_loop(space: SpectralSpace, traj: ReferenceTrajectory,
-                         law: FeedbackLaw, v0: np.ndarray, n_units: float,
-                         eps_gate: float | None = None, theta_cap: float | None = None,
-                         stepper: ClosedLoopStepper | None = None):
+def simulate_closed_loop(stepper: ClosedLoopStepper, v0: np.ndarray,
+                         eps_gate: float | None = None,
+                         theta_cap: float | None = None):
     """Nonlinear closed-loop run with decay measurement.
 
     Reports theta = sup_t e^{lam t}|v|_V^2 / |v0|_V^2, whether the weighted
@@ -165,16 +173,15 @@ def simulate_closed_loop(space: SpectralSpace, traj: ReferenceTrajectory,
     eps_gate is given, runs outside it are recorded rather than judged.
     """
     v0 = np.asarray(v0, float)
-    st = stepper if stepper is not None else build_stepper(space, traj, law, 0.0, n_units)
-    trajectory, blowup_t = st.run_nonlinear(v0)
-    v0_v_norm = float(np.sqrt(space.alphas @ v0**2))
+    trajectory, blowup_t = stepper.run_nonlinear(v0)
+    v0_v_norm = float(np.sqrt(stepper.space.alphas @ v0**2))
     report = {"blowup_t": blowup_t, "v0_v_norm": v0_v_norm,
               "inside_gate": bool(eps_gate is not None
                                   and v0_v_norm <= eps_gate * (1 + 1e-12))}
     if trajectory is None:
         report.update(theta=float("inf"), decayed=False)
         return None, report
-    report.update(decay_report(space, law.lam, trajectory, theta_cap))
+    report.update(decay_report(stepper.space, stepper.lam, trajectory, theta_cap))
     return trajectory, report
 
 
@@ -197,20 +204,15 @@ def decay_report(space: SpectralSpace, lam: float, trajectory: Trajectory,
             "weighted_v_final": float(wv2[-1] / v0_v2) if v0_v2 else 0.0}
 
 
-def xi_map(space: SpectralSpace, traj: ReferenceTrajectory, law: FeedbackLaw,
-           v0: np.ndarray, a: Trajectory,
-           stepper: ClosedLoopStepper | None = None) -> Trajectory:
-    """One application of the fixed-point map: solve the loop with the
-    advection forcing -B(a, a) taken from the given trajectory."""
-    st = stepper if stepper is not None else build_stepper(
-        space, traj, law, 0.0, (len(a.times) - 1) * a.dt)
-    return st.run_xi(np.asarray(v0, float), a.states)
+def xi_map(stepper: ClosedLoopStepper, v0: np.ndarray, a: Trajectory) -> Trajectory:
+    """One application of the fixed-point map: solve the stepper's closed
+    loop from v0 with the advection forcing -B(a, a) taken from the given
+    trajectory, which lives on the stepper's time grid."""
+    return stepper.run_xi(np.asarray(v0, float), a.states)
 
 
-def contraction_probe(space: SpectralSpace, traj: ReferenceTrajectory,
-                      law: FeedbackLaw, v0: np.ndarray, n_units: float,
-                      rng, pairs: int = 3, max_iter: int = 50,
-                      stepper: ClosedLoopStepper | None = None) -> dict:
+def contraction_probe(stepper: ClosedLoopStepper, v0: np.ndarray, rng,
+                      pairs: int = 3, max_iter: int = 50) -> dict:
     """Picard iteration of the fixed-point map plus a pairwise Lipschitz probe.
 
     Starts from the linear closed-loop solution, measures the geometric
@@ -219,17 +221,16 @@ def contraction_probe(space: SpectralSpace, traj: ReferenceTrajectory,
     10 percent headroom.  Stagnation is reported, not raised.
     """
     v0 = np.asarray(v0, float)
-    st = stepper if stepper is not None else build_stepper(space, traj, law,
-                                                           0.0, n_units)
-    a = st.run_linear(v0)
-    scale = max(zlambda_norm(space, a, law.lam), 1e-300)
+    space, lam = stepper.space, stepper.lam
+    a = stepper.run_linear(v0)
+    scale = max(zlambda_norm(space, a, lam), 1e-300)
     increments = []
     converged = False
     for _ in range(max_iter):
-        a_next = st.run_xi(v0, a.states)
+        a_next = stepper.run_xi(v0, a.states)
         inc = zlambda_norm(space, Trajectory(times=a.times,
                                              states=a_next.states - a.states),
-                           law.lam)
+                           lam)
         increments.append(inc)
         a = a_next
         if inc <= 1e-12 * scale:
@@ -240,18 +241,18 @@ def contraction_probe(space: SpectralSpace, traj: ReferenceTrajectory,
 
     pair_ratios = []
     for _ in range(pairs):
-        pert1 = _admissible_perturbation(st, rng, 0.3 * scale)
-        pert2 = _admissible_perturbation(st, rng, 0.3 * scale)
+        pert1 = _admissible_perturbation(stepper, rng, 0.3 * scale)
+        pert2 = _admissible_perturbation(stepper, rng, 0.3 * scale)
         a1 = Trajectory(times=a.times, states=a.states + pert1)
         a2 = Trajectory(times=a.times, states=a.states + pert2)
         gap = zlambda_norm(space, Trajectory(times=a.times,
-                                             states=a1.states - a2.states), law.lam)
+                                             states=a1.states - a2.states), lam)
         if gap == 0.0:
             continue
-        x1 = st.run_xi(v0, a1.states)
-        x2 = st.run_xi(v0, a2.states)
+        x1 = stepper.run_xi(v0, a1.states)
+        x2 = stepper.run_xi(v0, a2.states)
         out = zlambda_norm(space, Trajectory(times=a.times,
-                                             states=x1.states - x2.states), law.lam)
+                                             states=x1.states - x2.states), lam)
         pair_ratios.append(out / gap)
     return {"gamma_hat": gamma_hat, "iterations": len(increments),
             "converged": converged, "fixed_point": a,
@@ -271,9 +272,7 @@ def _admissible_perturbation(st: ClosedLoopStepper, rng, amplitude: float):
     return amplitude * envelope[:, None] * wobble * direction[None, :]
 
 
-def duhamel_bound_check(space: SpectralSpace, traj: ReferenceTrajectory,
-                        law: FeedbackLaw, forcings, n_units: float,
-                        stepper: ClosedLoopStepper | None = None) -> dict:
+def duhamel_bound_check(stepper: ClosedLoopStepper, forcings) -> dict:
     """Verify the discrete variation-of-constants identity and measure the
     forced-response constant.
 
@@ -283,38 +282,35 @@ def duhamel_bound_check(space: SpectralSpace, traj: ReferenceTrajectory,
     then reports the ratio of the contraction-norm energy of the response
     to the sliding-window weighted forcing energy.
     """
-    st = stepper if stepper is not None else build_stepper(space, traj, law,
-                                                           0.0, n_units)
-    n, K = st.n_steps, st.phi.shape[1]
-    dt, lam = st.dt, st.lam
+    n, K = stepper.n_steps, stepper.phi.shape[1]
+    dt, lam = stepper.dt, stepper.lam
     window = int(round(1.0 / dt))
     # stages[m].T is the endpoint response to a unit pulse at step m
-    _, stages = st.adjoint_block(np.eye(K))
+    _, stages = stepper.adjoint_block(np.eye(K))
     identity_gap = 0.0
     ratios = []
     for f in forcings:
         f = np.asarray(f, float)
-        direct = st.run_linear(np.zeros(K), f)
+        direct = stepper.run_linear(np.zeros(K), f)
         superposed = dt * np.einsum("mij,mi->j", stages, f)
         identity_gap = max(identity_gap,
                            float(np.max(np.abs(superposed - direct.endpoint()))))
-        t_mid = (st.times[:-1] - st.times[0]) + 0.5 * dt
+        t_mid = (stepper.times[:-1] - stepper.times[0]) + 0.5 * dt
         wf = np.exp(2.0 * lam * t_mid) * np.sum(f**2, axis=1)
         cum = np.concatenate([[0.0], np.cumsum(dt * wf)])
         sliding = np.max(_window_sums(cum, window, n))
-        lhs = zlambda_norm(space, direct, lam) ** 2
+        lhs = zlambda_norm(stepper.space, direct, lam) ** 2
         ratios.append(lhs / max(sliding, 1e-300))
     return {"identity_max_gap": identity_gap,
             "forced_response_constants": ratios,
             "C1": float(max(ratios)) if ratios else 0.0}
 
 
-def basin_sweep(space: SpectralSpace, traj: ReferenceTrajectory,
-                law: FeedbackLaw, scales, directions: int, n_units: float,
-                rng, theta_cap: float = 1e4) -> dict:
+def basin_sweep(stepper: ClosedLoopStepper, scales, directions: int, rng,
+                theta_cap: float = 1e4) -> dict:
     """Decay outcomes over random unit-V directions at increasing amplitudes.
 
-    All directions x scales advance as one block on one stepper.  The
+    All directions x scales advance as one block on the given stepper.  The
     empirical threshold is the largest scale at which every direction
     decays; the outcome transition is recorded, never asserted monotone.
     edge_found says whether any tested amplitude failed to decay: without
@@ -322,20 +318,20 @@ def basin_sweep(space: SpectralSpace, traj: ReferenceTrajectory,
     a lower bound on the basin.
     """
     scales = sorted(float(s) for s in scales)
-    st = build_stepper(space, traj, law, 0.0, n_units)
+    space = stepper.space
     dirs = []
     for _ in range(directions):
         d = rng.standard_normal(space.K)
         v_norm = np.sqrt(space.alphas @ d**2)
         dirs.append(d / v_norm)
-    states, blowup_t = st.run_nonlinear_block(
+    states, blowup_t = stepper.run_nonlinear_block(
         np.array([s * d for d in dirs for s in scales]))
     flat = []
     for i, bt in enumerate(blowup_t):
         if bt is not None:
             flat.append("blowup")
-        elif decay_report(space, law.lam, Trajectory(times=st.times,
-                                                     states=states[:, i]),
+        elif decay_report(space, stepper.lam,
+                          Trajectory(times=stepper.times, states=states[:, i]),
                           theta_cap)["decayed"]:
             flat.append("decay")
         else:

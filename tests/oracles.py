@@ -6,13 +6,15 @@ parametrisation) and shares no code path with the package numerics, except
 earlier forms of package routines, kept as they were:
 `closed_interval_map_loop`, the one-column-at-a-time closed map;
 `cutoff_measure_per_n`, the cutoff measurement that builds everything
-afresh for each N; and the two-matrix Crank-Nicolson step model
+afresh for each N; the two-matrix Crank-Nicolson step model
 (`cn_steps_two_matrix` and the sweeps over its stacks), which stores
-(I + h/2 F)^{-1} beside phi and applies both.
+(I + h/2 F)^{-1} beside phi and applies both; and
+`optimal_cost_check_stored`, the optimal-cost check over stored stacks.
 """
 
 import numpy as np
 
+from nsstab.dynamics import Propagator, cn_steps
 from nsstab.null_control import build_reachability
 from nsstab.observability import build_forms, select_m1
 from nsstab.quadmin import pinv_psd
@@ -221,3 +223,51 @@ def riccati_two_matrix(space, traj, lam, actuator, T_h, dt):
         P = 0.5 * (P + P.T)
         Qt[m] = P
     return Qt, gains
+
+
+def optimal_cost_check_stored(space, traj, law, s, w0):
+    """The optimal-cost check over stored stacks (the reference for the
+    streamed check): the rollout fills its z, eta and cost arrays, then the
+    whole closed-loop step stack on [s, T_h] is built, swept and priced."""
+    dt, lam = law.dt, law.lam
+    s_index = int(round(s / dt))
+    w0 = np.asarray(w0, float)
+    value = float(w0 @ (law.Qt[s_index] @ w0))
+
+    n = law.n_steps - s_index
+    half_B = 0.5 * dt * law.actuator.mat
+    z = np.empty((n + 1, law.phi.shape[1]))
+    eta = np.empty((n, law.M))
+    costs = np.empty(n)
+    z[0] = w0
+    for j in range(n):
+        m = s_index + j
+        eta[j] = -(law.gains[m] @ z[j])
+        u = half_B @ eta[j]
+        z[j + 1] = law.phi[m] @ (z[j] + u) + u
+        zbar = 0.5 * (z[j] + z[j + 1])
+        costs[j] = dt * (float(law.alphas @ zbar**2) + float(eta[j] @ eta[j]))
+    rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
+
+    diag_alpha = np.diag(space.alphas)
+    gram = law.actuator.gram
+
+    def F_at(j):
+        m = s_index + j
+        Q_mid = 0.5 * (law.Qt[m] + law.Qt[m + 1])
+        return diag_alpha + traj.bmat_at((m + 0.5) * dt) + gram @ Q_mid
+    steps = Propagator(s, dt, cn_steps(F_at, int(round((law.T_h - s) / dt)), dt,
+                                       space.K))
+    states = steps.forward(w0)
+    mids = 0.5 * (states[1:] + states[:-1])
+    t_mid = steps.times[:-1] + 0.5 * dt
+    cost = 0.0
+    for j, (tm, vm) in enumerate(zip(t_mid, mids)):
+        m = s_index + j
+        Q_mid = 0.5 * (law.Qt[m] + law.Qt[m + 1])
+        eta_m = law.actuator.adjoint(Q_mid @ vm)
+        cost += dt * np.exp(lam * (tm - s)) * (float(law.alphas @ vm**2)
+                                               + float(eta_m @ eta_m))
+    sim_gap = abs(cost - value) / (abs(value) + 1e-300)
+    return {"s": s, "value": value, "rollout_rel_gap": float(rollout_gap),
+            "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap)}

@@ -28,7 +28,7 @@ from nsstab.feedback import (
     riccati_solve,
 )
 from nsstab.nonlinear import (
-    build_stepper,
+    closed_loop_steps,
     contraction_probe,
     simulate_closed_loop,
     zlambda_norm,
@@ -258,9 +258,10 @@ def test_criterion_09_feedback_decay(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     kappas = []
     for s in (0.0, 2.0):
+        stepper = closed_loop_steps(space, ref, law, s, 6.0)
         for _ in range(5):
             v0 = rng.standard_normal(space.K)
-            tr, _ = closed_loop_linear(space, ref, law, s, v0, 6.0)
+            tr, _ = closed_loop_linear(stepper, v0)
             w = np.exp(law.lam * (tr.times - s))
             h2 = np.sum(tr.states**2, axis=1)
             kappas.append(float(np.max(w * h2) / (v0 @ v0)))
@@ -275,9 +276,10 @@ def test_criterion_09_feedback_decay(fb_instance, rng):
 def test_criterion_10_lyapunov_monotonicity(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     worst = 0.0
+    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
     for _ in range(5):
         rep = lyapunov_check(closed_loop_linear(
-            space, ref, law, 0.0, rng.standard_normal(space.K), 6.0)[0])
+            stepper, rng.standard_normal(space.K))[0])
         assert rep["nonincreasing"]
         worst = max(worst, rep["max_increase_rel"])
     report(10, worst <= 1e-8,
@@ -288,25 +290,24 @@ def test_criterion_10_lyapunov_monotonicity(fb_instance, rng):
 def test_criterion_11_nonlinear_decay(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     eps_star, theta_star = 2.0, 2.0          # shipped calibration
-    stepper = build_stepper(space, ref, law, 0.0, 6.0)
+    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
     thetas = []
     for _ in range(10):
         d = rng.standard_normal(space.K)
         d /= np.sqrt(space.alphas @ d**2)
-        _, rep = simulate_closed_loop(space, ref, law, eps_star * d, 6.0,
-                                      eps_gate=eps_star, theta_cap=theta_star,
-                                      stepper=stepper)
+        _, rep = simulate_closed_loop(stepper, eps_star * d, eps_gate=eps_star,
+                                      theta_cap=theta_star)
         assert rep["inside_gate"] and rep["decayed"]
         thetas.append(rep["theta"])
 
     # quadratic smallness: |nonlinear - linear| scales like |v0|_V^2
-    st1 = build_stepper(space, ref, law, 0.0, 1.0)
+    st1 = closed_loop_steps(space, ref, law, 0.0, 1.0)
     d = rng.standard_normal(space.K)
     d /= np.sqrt(space.alphas @ d**2)
     scales = np.array([0.01, 0.03, 0.1, 0.3])
     gaps = []
     for s in scales:
-        nl, _ = simulate_closed_loop(space, ref, law, s * d, 1.0, stepper=st1)
+        nl, _ = simulate_closed_loop(st1, s * d)
         lin = st1.run_linear(s * d)
         gaps.append(np.max(np.linalg.norm(nl.states - lin.states, axis=1)))
     slope = float(np.polyfit(np.log(scales), np.log(gaps), 1)[0])
@@ -320,20 +321,17 @@ def test_criterion_11_nonlinear_decay(fb_instance, rng):
 def test_criterion_12_contraction(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     eps_star = 2.0
-    stepper = build_stepper(space, ref, law, 0.0, 6.0)
+    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
     d = rng.standard_normal(space.K)
     d /= np.sqrt(space.alphas @ d**2)
-    probe = contraction_probe(space, ref, law, eps_star * d, 6.0, rng, pairs=3,
-                              stepper=stepper)
-    nl, _ = simulate_closed_loop(space, ref, law, eps_star * d, 6.0,
-                                 stepper=stepper)
+    probe = contraction_probe(stepper, eps_star * d, rng, pairs=3)
+    nl, _ = simulate_closed_loop(stepper, eps_star * d)
     fp_gap = zlambda_norm(space, Trajectory(
         times=nl.times, states=nl.states - probe["fixed_point"].states), law.lam)
     gammas = []
     scales = np.array([0.25, 1.0, 4.0])
     for s in scales:
-        rep = contraction_probe(space, ref, law, s * d, 6.0, rng, pairs=0,
-                                stepper=stepper)
+        rep = contraction_probe(stepper, s * d, rng, pairs=0)
         gammas.append(rep["gamma_hat"])
     slope = float(np.polyfit(np.log(scales), np.log(gammas), 1)[0])
     ok = (probe["converged"] and 0 < probe["gamma_hat"] < 1

@@ -3,6 +3,7 @@
 import json
 import os
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -14,7 +15,8 @@ from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
 from nsstab.errors import ConfigError, SchemaError
-from nsstab.feedback import closed_loop_steps, riccati_solve
+from nsstab.feedback import optimal_cost_check, riccati_solve
+from nsstab.nonlinear import closed_loop_steps
 from nsstab.plots import emit_plot
 from nsstab.stabilizer import CutoffSearch, choose_n
 
@@ -218,12 +220,12 @@ class TestSharedIntervalWork:
 
     def test_feedback_integrates_closed_loop_once(self, small_cfg, tmp_path,
                                                   monkeypatch):
-        # one build for the decay run and its Lyapunov functional, one for
-        # the optimal-cost simulation
+        # one build for the decay run and its Lyapunov functional; the
+        # optimal-cost simulation streams its steps instead
         _, path = small_cfg
         builds = record_calls(monkeypatch, closed_loop_steps)
         assert run("feedback", str(path), str(tmp_path / "o")) == 0
-        assert len(builds) == 2
+        assert len(builds) == 1
 
     def test_rates_share_cutoff_measurements(self, small_cfg, monkeypatch):
         cfg, _ = small_cfg
@@ -256,6 +258,37 @@ class TestSharedIntervalWork:
         monkeypatch.setattr(cli, "riccati_solve", spy)
         p.law
         assert alive == [False]
+
+
+class TestOneClosedLoop:
+    def test_all_builds_the_closed_loop_once(self, small_cfg, tmp_path, monkeypatch):
+        # feedback, closed-loop and basin share the (0, n) window
+        cfg, path = small_cfg
+        assert cfg.time.n_max == cfg.nonlinear.sim_units
+        builds = record_calls(monkeypatch, closed_loop_steps)
+        assert run("all", str(path), str(tmp_path / "o")) == 0
+        assert [(args[3], args[4]) for args, _ in builds] == [(0.0, cfg.time.n_max)]
+
+    def test_pipeline_holds_one_loop_per_window(self, small_cfg):
+        cfg, _ = small_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        loop = p.closed_loop(3.0)
+        assert p.closed_loop(3.0) is loop
+        assert p.closed_loop(2.0) is not loop
+        assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
+
+    def test_optimal_cost_check_stores_no_step_stack(self, small_cfg):
+        cfg, _ = small_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        law, space = p.law, p.space
+        w0 = p.rng.standard_normal(space.K)
+        tracemalloc.start()
+        try:
+            optimal_cost_check(space, p.reference, law, 1.0, w0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < law.n_steps * space.K**2 * 8 / 4
 
 
 class TestControlDimension:

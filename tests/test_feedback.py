@@ -18,9 +18,10 @@ from nsstab.feedback import (
     riccati_solve,
     sampled_continuity,
 )
+from nsstab.nonlinear import closed_loop_steps
 from nsstab.spectral import ChiMask, apply_chi_pm, build_actuator, build_space
 
-from oracles import riccati_two_matrix, scalar_are_root
+from oracles import optimal_cost_check_stored, riccati_two_matrix, scalar_are_root
 
 DT = 1.0 / 128
 
@@ -152,10 +153,13 @@ class TestGainApply:
         assert np.allclose(got, want, atol=1e-13 * max(1.0, np.abs(want).max()))
 
     def test_frozen_beyond_horizon(self, tg_law, rng):
+        # the law ends at T_h with terminal value zero; it is not extended
+        # past the horizon, so reading it there raises
         space, _, _, _, law = tg_law
         v = rng.standard_normal(space.K)
-        assert np.allclose(gain_apply(law, law.T_h + 5.0, v),
-                           gain_apply(law, law.T_h, v))
+        assert np.allclose(gain_apply(law, law.T_h, v), 0.0)
+        with pytest.raises(ValueError, match="outside the law's horizon"):
+            gain_apply(law, law.T_h + 5.0, v)
 
     def test_gain_norm_bounded(self, tg_law):
         *_, law = tg_law
@@ -165,10 +169,36 @@ class TestGainApply:
             assert np.linalg.norm(law.actuator.gram @ law.Qt[m], 2) <= kappa + 1e-12
 
 
+class TestTimeAxis:
+    def test_index_of_rejects_times_outside_horizon(self, tg_law):
+        *_, law = tg_law
+        assert law.index_of(0.0) == 0
+        assert law.index_of(law.T_h) == law.n_steps
+        assert law.index_of(law.T_h * (1 + 1e-15)) == law.n_steps
+        for t in (-law.dt, -1e-6, law.T_h + 1e-6, law.T_h + law.dt):
+            with pytest.raises(ValueError, match="outside the law's horizon"):
+                law.index_of(t)
+
+    def test_dp_check_rejects_split_outside_window(self, tg_law, rng):
+        space, _, _, _, law = tg_law
+        v0 = rng.standard_normal(space.K)
+        with pytest.raises(ValueError, match="before s"):
+            dp_check(law, v0, 1.0, splits=[1.0 - law.dt])
+        with pytest.raises(ValueError, match="outside the law's horizon"):
+            dp_check(law, v0, 1.0, splits=[law.T_h + law.dt])
+
+    def test_optimal_cost_check_rejects_start_outside_horizon(self, tg_law, rng):
+        space, ref, _, _, law = tg_law
+        with pytest.raises(ValueError, match="outside the law's horizon"):
+            optimal_cost_check(space, ref, law, law.T_h + 1.0,
+                               rng.standard_normal(space.K))
+
+
 class TestClosedLoop:
     def test_zero_initial_state(self, tg_law):
         space, ref, _, _, law = tg_law
-        tr, rep = closed_loop_linear(space, ref, law, 0.0, np.zeros(space.K), 2.0)
+        tr, rep = closed_loop_linear(closed_loop_steps(space, ref, law, 0.0, 2.0),
+                                     np.zeros(space.K))
         assert np.allclose(tr.states, 0.0)
         assert rep["kappa_h"] == 0.0
 
@@ -180,7 +210,7 @@ class TestClosedLoop:
         law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=8.0, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
-        tr, _ = closed_loop_linear(space, ref, law, 0.0, v0, 4.0)
+        tr, _ = closed_loop_linear(closed_loop_steps(space, ref, law, 0.0, 4.0), v0)
         w = np.exp(0.5 * tr.times)
         h2 = np.sum(tr.states**2, axis=1)
         assert np.max(w * h2) <= 1.0 + 1e-10
@@ -189,7 +219,7 @@ class TestClosedLoop:
         space, ref, _, _, law = tg_law
         for s in (0.0, 2.0):
             v0 = rng.standard_normal(space.K)
-            tr, rep = closed_loop_linear(space, ref, law, s, v0, 6.0)
+            tr, rep = closed_loop_linear(closed_loop_steps(space, ref, law, s, 6.0), v0)
             w = np.exp(law.lam * (tr.times - s))
             h2 = np.sum(tr.states**2, axis=1)
             sup = np.max(w * h2) / (v0 @ v0)
@@ -197,10 +227,10 @@ class TestClosedLoop:
             assert rep["weighted_h_final"] <= 0.5
             assert np.isfinite(rep["kappa_h"]) and np.isfinite(rep["kappa_v"])
 
-    def test_window_must_fit_horizon(self, tg_law, rng):
+    def test_window_must_fit_horizon(self, tg_law):
         space, ref, _, _, law = tg_law
         with pytest.raises(ValueError):
-            closed_loop_linear(space, ref, law, 10.0, rng.standard_normal(space.K), 6.0)
+            closed_loop_steps(space, ref, law, 10.0, 6.0)
 
 
 class TestOptimality:
@@ -243,6 +273,16 @@ class TestOptimality:
             gaps.append(rep["simulated_rel_gap"])
         assert max(gaps) <= 1e-4
 
+    @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
+    def test_streamed_check_equals_stored_stacks(self, tg_law, rng, s):
+        space, ref, _, _, law = tg_law
+        w0 = rng.standard_normal(space.K)
+        got = optimal_cost_check(space, ref, law, s, w0)
+        want = optimal_cost_check_stored(space, ref, law, s, w0)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert got[key] == value, key
+
     def test_zero_state_cost(self, tg_law):
         space, ref, _, _, law = tg_law
         rep = optimal_cost_check(space, ref, law, 0.0, np.zeros(space.K))
@@ -253,7 +293,8 @@ class TestOptimality:
         v0 = rng.standard_normal(space.K)
         s_index = 0
         value = float(v0 @ (law.Qt[0] @ v0))
-        _, eta_opt, _ = optimal_rollout(law, s_index, v0)
+        z_opt, _ = optimal_rollout(law, s_index, v0)
+        eta_opt = -np.einsum("mij,mj->mi", law.gains, z_opt[:-1])
         eye = np.eye(space.K)
         # reference input maps h (I + h/2 F)^{-1} B = h/2 (I + phi) B
         gamma = 0.5 * law.dt * (eye + law.phi) @ law.actuator.mat
@@ -271,8 +312,8 @@ class TestOptimality:
 class TestLyapunov:
     def test_zero_state(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = lyapunov_check(closed_loop_linear(space, ref, law, 0.0,
-                                                np.zeros(space.K), 2.0)[0])
+        rep = lyapunov_check(closed_loop_linear(
+            closed_loop_steps(space, ref, law, 0.0, 2.0), np.zeros(space.K))[0])
         assert max(rep["phi"]) == 0.0
 
     def test_free_mode_closed_form(self):
@@ -282,8 +323,8 @@ class TestLyapunov:
         law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=14.0, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
-        rep = lyapunov_check(closed_loop_linear(space, ref, law, 0.0, v0, 12.0)[0],
-                             samples=16)
+        rep = lyapunov_check(closed_loop_linear(
+            closed_loop_steps(space, ref, law, 0.0, 12.0), v0)[0], samples=16)
         a = space.alphas[0]
         for t, phi in zip(rep["times"], rep["phi"]):
             want = (np.exp(-2 * a * t) - np.exp(-2 * a * 12.0)) / (2 * a)
@@ -292,9 +333,10 @@ class TestLyapunov:
 
     def test_monotone_along_closed_loop(self, tg_law, rng):
         space, ref, _, _, law = tg_law
+        stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
         for _ in range(3):
             rep = lyapunov_check(closed_loop_linear(
-                space, ref, law, 0.0, rng.standard_normal(space.K), 6.0)[0])
+                stepper, rng.standard_normal(space.K))[0])
             assert rep["nonincreasing"]
 
 

@@ -9,7 +9,7 @@ from nsstab.errors import StepSolveError
 from nsstab.feedback import closed_loop_linear, riccati_solve
 from nsstab.nonlinear import (
     basin_sweep,
-    build_stepper,
+    closed_loop_steps,
     contraction_probe,
     decay_report,
     duhamel_bound_check,
@@ -31,14 +31,14 @@ def loop_setup():
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
     act = build_actuator(space, chi, M=32)
     law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=14.0, dt=DT)
-    stepper = build_stepper(space, ref, law, 0.0, 6.0)
+    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
     return space, ref, law, stepper
 
 
 @pytest.fixture(scope="module")
 def short_stepper(loop_setup):
     space, ref, law, _ = loop_setup
-    return build_stepper(space, ref, law, 0.0, 2.0)
+    return closed_loop_steps(space, ref, law, 0.0, 2.0)
 
 
 def unit_v_direction(space, rng):
@@ -101,15 +101,14 @@ class TestZLambdaNorm:
 class TestSimulateClosedLoop:
     def test_zero_state_forever(self, loop_setup):
         space, ref, law, stepper = loop_setup
-        tr, rep = simulate_closed_loop(space, ref, law, np.zeros(space.K), 6.0,
-                                       stepper=stepper)
+        tr, rep = simulate_closed_loop(stepper, np.zeros(space.K))
         assert np.allclose(tr.states, 0.0)
         assert rep["blowup_t"] is None
 
     def test_tiny_state_matches_linear_loop(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         v0 = 1e-6 * unit_v_direction(space, rng)
-        nl, _ = simulate_closed_loop(space, ref, law, v0, 6.0, stepper=stepper)
+        nl, _ = simulate_closed_loop(stepper, v0)
         lin = stepper.run_linear(v0)
         assert np.max(np.abs(nl.states - lin.states)) <= 1e-9
 
@@ -117,9 +116,7 @@ class TestSimulateClosedLoop:
         space, ref, law, stepper = loop_setup
         for _ in range(3):
             v0 = 2.0 * unit_v_direction(space, rng)
-            tr, rep = simulate_closed_loop(space, ref, law, v0, 6.0,
-                                           eps_gate=2.0, theta_cap=2.0,
-                                           stepper=stepper)
+            tr, rep = simulate_closed_loop(stepper, v0, eps_gate=2.0, theta_cap=2.0)
             assert rep["inside_gate"]
             assert rep["decayed"]
             assert rep["theta"] <= 2.0
@@ -127,12 +124,12 @@ class TestSimulateClosedLoop:
     def test_quadratic_consistency_slope(self, loop_setup, rng):
         # |nonlinear - linear| in C([0,1], H) scales like |v0|_V^2
         space, ref, law, _ = loop_setup
-        st1 = build_stepper(space, ref, law, 0.0, 1.0)
+        st1 = closed_loop_steps(space, ref, law, 0.0, 1.0)
         d = unit_v_direction(space, rng)
         scales = np.array([0.01, 0.03, 0.1, 0.3])
         gaps = []
         for s in scales:
-            nl, _ = simulate_closed_loop(space, ref, law, s * d, 1.0, stepper=st1)
+            nl, _ = simulate_closed_loop(st1, s * d)
             lin = st1.run_linear(s * d)
             gaps.append(np.max(np.linalg.norm(nl.states - lin.states, axis=1)))
         slope = np.polyfit(np.log(scales), np.log(gaps), 1)[0]
@@ -148,7 +145,7 @@ class TestSimulateClosedLoop:
         ends = []
         for dt in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
-            tr, _ = simulate_closed_loop(space, ref, law, v0, 2.0)
+            tr, _ = simulate_closed_loop(closed_loop_steps(space, ref, law, 0.0, 2.0), v0)
             ends.append(tr.endpoint())
         d1 = np.linalg.norm(ends[0] - ends[1])
         d2 = np.linalg.norm(ends[1] - ends[2])
@@ -161,7 +158,7 @@ class TestXiMap:
         v0 = 0.3 * unit_v_direction(space, rng)
         zero_traj = Trajectory(times=stepper.times,
                                states=np.zeros((stepper.n_steps + 1, space.K)))
-        xi0 = xi_map(space, ref, law, v0, zero_traj, stepper=stepper)
+        xi0 = xi_map(stepper, v0, zero_traj)
         lin = stepper.run_linear(v0)
         assert np.allclose(xi0.states, lin.states, atol=1e-14)
 
@@ -169,15 +166,14 @@ class TestXiMap:
         space, ref, law, stepper = loop_setup
         zero_traj = Trajectory(times=stepper.times,
                                states=np.zeros((stepper.n_steps + 1, space.K)))
-        out = xi_map(space, ref, law, np.zeros(space.K), zero_traj, stepper=stepper)
+        out = xi_map(stepper, np.zeros(space.K), zero_traj)
         assert np.allclose(out.states, 0.0)
 
     def test_fixed_point_is_nonlinear_trajectory(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         v0 = 0.5 * unit_v_direction(space, rng)
-        probe = contraction_probe(space, ref, law, v0, 6.0, rng, pairs=0,
-                                  stepper=stepper)
-        nl, _ = simulate_closed_loop(space, ref, law, v0, 6.0, stepper=stepper)
+        probe = contraction_probe(stepper, v0, rng, pairs=0)
+        nl, _ = simulate_closed_loop(stepper, v0)
         gap = zlambda_norm(space, Trajectory(times=nl.times,
                                              states=nl.states
                                              - probe["fixed_point"].states),
@@ -188,16 +184,14 @@ class TestXiMap:
 class TestContractionProbe:
     def test_zero_state_zero_ratio(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
-        rep = contraction_probe(space, ref, law, np.zeros(space.K), 6.0, rng,
-                                pairs=0, stepper=stepper)
+        rep = contraction_probe(stepper, np.zeros(space.K), rng, pairs=0)
         assert rep["gamma_hat"] == 0.0
         assert rep["converged"]
 
     def test_geometric_convergence_below_one(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         v0 = 2.0 * unit_v_direction(space, rng)
-        rep = contraction_probe(space, ref, law, v0, 6.0, rng, pairs=3,
-                                stepper=stepper)
+        rep = contraction_probe(stepper, v0, rng, pairs=3)
         assert rep["converged"]
         assert 0.0 < rep["gamma_hat"] < 1.0
         assert rep["pairs_within_headroom"]
@@ -208,8 +202,7 @@ class TestContractionProbe:
         scales = np.array([0.05, 0.2, 0.8])
         gammas = []
         for s in scales:
-            rep = contraction_probe(space, ref, law, s * d, 6.0, rng, pairs=0,
-                                    stepper=stepper)
+            rep = contraction_probe(stepper, s * d, rng, pairs=0)
             gammas.append(rep["gamma_hat"])
         slope = np.polyfit(np.log(scales), np.log(gammas), 1)[0]
         assert slope == pytest.approx(1.0, abs=0.3)
@@ -217,8 +210,7 @@ class TestContractionProbe:
     def test_fixed_point_independent_of_start(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         v0 = 0.5 * unit_v_direction(space, rng)
-        probe = contraction_probe(space, ref, law, v0, 6.0, rng, pairs=0,
-                                  stepper=stepper)
+        probe = contraction_probe(stepper, v0, rng, pairs=0)
         a = Trajectory(times=stepper.times,
                        states=np.zeros((stepper.n_steps + 1, space.K)))
         for _ in range(30):
@@ -234,7 +226,7 @@ class TestSharedSteps:
     def test_linear_closed_loop_is_the_stepper_flow(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         v0 = rng.standard_normal(space.K)
-        tr, _ = closed_loop_linear(space, ref, law, 0.0, v0, 6.0)
+        tr, _ = closed_loop_linear(closed_loop_steps(space, ref, law, 0.0, 6.0), v0)
         assert np.array_equal(tr.states, stepper.run_linear(v0).states)
 
     def test_picard_cap_raises(self, loop_setup, rng, monkeypatch):
@@ -260,11 +252,11 @@ class TestBlockStepping:
             else:
                 assert max_rel(states[:, i], solo.states) <= 1e-13
 
-    def test_mixed_block_keeps_the_small_state(self, loop_setup, rng):
+    def test_mixed_block_keeps_the_small_state(self, loop_setup, short_stepper, rng):
         # the far-out state leaves the block or fails to decay, and the
         # other state carries on exactly as it would alone
-        space, ref, law, _ = loop_setup
-        st = build_stepper(space, ref, law, 0.0, 2.0)
+        space, _, law, _ = loop_setup
+        st = short_stepper
         d = unit_v_direction(space, rng)
         states, blowup_t = st.run_nonlinear_block(np.array([1.0 * d, 3000.0 * d]))
         if blowup_t[1] is None:
@@ -291,8 +283,9 @@ class TestBlockStepping:
         space, ref, law, _ = loop_setup
         calls = count_bilinear_calls(monkeypatch)
         n_steps = int(round(1.0 / law.dt))
-        rep = basin_sweep(space, ref, law, scales=[0.25, 0.5, 1.0, 1.5, 2.0],
-                          directions=4, n_units=1.0, rng=rng, theta_cap=4.0)
+        rep = basin_sweep(closed_loop_steps(space, ref, law, 0.0, 1.0),
+                          scales=[0.25, 0.5, 1.0, 1.5, 2.0], directions=4, rng=rng,
+                          theta_cap=4.0)
         assert len(rep["outcomes"]) * len(rep["scales"]) == 20
         assert len(calls) <= n_steps * nonlinear.INNER_CAP
         assert all(shape[0] <= 20 for shape in calls)
@@ -330,9 +323,7 @@ class TestBatchedAdvection:
 class TestDuhamel:
     def test_zero_forcing_is_plain_decay(self, loop_setup):
         space, ref, law, stepper = loop_setup
-        rep = duhamel_bound_check(space, ref, law,
-                                  [np.zeros((stepper.n_steps, space.K))], 6.0,
-                                  stepper=stepper)
+        rep = duhamel_bound_check(stepper, [np.zeros((stepper.n_steps, space.K))])
         assert rep["identity_max_gap"] <= 1e-14
         assert rep["C1"] == 0.0
 
@@ -340,7 +331,7 @@ class TestDuhamel:
         space, ref, law, stepper = loop_setup
         f = np.zeros((stepper.n_steps, space.K))
         f[17] = rng.standard_normal(space.K)
-        rep = duhamel_bound_check(space, ref, law, [f], 6.0, stepper=stepper)
+        rep = duhamel_bound_check(stepper, [f])
         assert rep["identity_max_gap"] <= 1e-10
 
     def test_identity_detects_shifted_input(self, loop_setup, rng, monkeypatch):
@@ -353,13 +344,13 @@ class TestDuhamel:
         monkeypatch.setattr(Propagator, "forward", late_forward)
         f = np.zeros((stepper.n_steps, space.K))
         f[17] = rng.standard_normal(space.K)
-        rep = duhamel_bound_check(space, ref, law, [f], 6.0, stepper=stepper)
+        rep = duhamel_bound_check(stepper, [f])
         assert rep["identity_max_gap"] > 1e-10
 
     def test_forced_constant_matches_loop_reference(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         f = rng.standard_normal((stepper.n_steps, space.K))
-        rep = duhamel_bound_check(space, ref, law, [f], 6.0, stepper=stepper)
+        rep = duhamel_bound_check(stepper, [f])
         n, dt = stepper.n_steps, stepper.dt
         window = int(round(1.0 / dt))
         t_mid = dt * (np.arange(n) + 0.5)
@@ -384,11 +375,11 @@ class TestDuhamel:
         c1s = []
         for dt in (1.0 / 64, 1.0 / 128):
             law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
-            st = build_stepper(space, ref, law, 0.0, 4.0)
+            st = closed_loop_steps(space, ref, law, 0.0, 4.0)
             t_mid = dt * (np.arange(st.n_steps) + 0.5)
             fs = [np.cos(w * t_mid + p)[:, None] * d[None, :]
                   for d, w, p in zip(dirs, freqs, phases)]
-            rep = duhamel_bound_check(space, ref, law, fs, 4.0, stepper=st)
+            rep = duhamel_bound_check(st, fs)
             assert np.isfinite(rep["C1"])
             c1s.append(rep["C1"])
         assert c1s[0] == pytest.approx(c1s[1], rel=0.1)
@@ -397,55 +388,50 @@ class TestDuhamel:
 class TestBasinSweep:
     def test_scale_zero_decays(self, loop_setup, rng):
         space, ref, law, _ = loop_setup
-        rep = basin_sweep(space, ref, law, scales=[0.0, 1.0], directions=2,
-                          n_units=3.0, rng=rng, theta_cap=4.0)
+        rep = basin_sweep(closed_loop_steps(space, ref, law, 0.0, 3.0),
+                          scales=[0.0, 1.0], directions=2, rng=rng, theta_cap=4.0)
         assert all(row[0] == "decay" for row in rep["outcomes"])
 
     def test_small_scales_all_decay(self, loop_setup, rng):
         space, ref, law, _ = loop_setup
-        rep = basin_sweep(space, ref, law, scales=[0.25, 0.5, 1.0], directions=3,
-                          n_units=3.0, rng=rng, theta_cap=4.0)
+        rep = basin_sweep(closed_loop_steps(space, ref, law, 0.0, 3.0),
+                          scales=[0.25, 0.5, 1.0], directions=3, rng=rng, theta_cap=4.0)
         assert rep["epsilon_hat"] >= 1.0
         assert all(o == "decay" for row in rep["outcomes"] for o in row)
 
-    def test_extreme_amplitude_recorded_not_asserted(self, loop_setup, rng):
+    def test_extreme_amplitude_recorded_not_asserted(self, short_stepper, rng):
         # far outside the gate the integrator may leave its step bound; the
         # sweep records the outcome instead of failing
-        space, ref, law, _ = loop_setup
-        rep = basin_sweep(space, ref, law, scales=[1.0, 3000.0], directions=1,
-                          n_units=2.0, rng=rng, theta_cap=4.0)
+        rep = basin_sweep(short_stepper, scales=[1.0, 3000.0], directions=1,
+                          rng=rng, theta_cap=4.0)
         assert rep["outcomes"][0][0] == "decay"
         assert rep["outcomes"][0][1] in ("no-decay", "blowup")
         assert rep["epsilon_hat"] == 1.0
 
-    def test_reports_whether_an_edge_was_found(self, loop_setup, rng):
-        space, ref, law, _ = loop_setup
-        inside = basin_sweep(space, ref, law, scales=[0.5, 0.25], directions=1,
-                             n_units=2.0, rng=rng, theta_cap=4.0)
+    def test_reports_whether_an_edge_was_found(self, short_stepper, rng):
+        inside = basin_sweep(short_stepper, scales=[0.5, 0.25], directions=1,
+                             rng=rng, theta_cap=4.0)
         assert inside["edge_found"] is False
         assert inside["tested_up_to"] == inside["epsilon_hat"] == 0.5
-        beyond = basin_sweep(space, ref, law, scales=[1.0, 3000.0], directions=1,
-                             n_units=2.0, rng=rng, theta_cap=4.0)
+        beyond = basin_sweep(short_stepper, scales=[1.0, 3000.0], directions=1,
+                             rng=rng, theta_cap=4.0)
         assert beyond["edge_found"] is True
         assert beyond["tested_up_to"] == 3000.0
 
-    def test_outcomes_follow_the_closed_loop_verdict(self, loop_setup, rng):
+    def test_outcomes_follow_the_closed_loop_verdict(self, loop_setup, short_stepper):
         # the sweep judges each state with the closed-loop run's decay rule;
         # theta is 1 at t = 0 for a non-zero state, so a cap below 1 makes
         # that rule answer both ways
-        space, ref, law, _ = loop_setup
+        space = loop_setup[0]
         scales = [0.0, 1.0]
-        rep = basin_sweep(space, ref, law, scales=scales, directions=2,
-                          n_units=2.0, rng=np.random.default_rng(5),
-                          theta_cap=0.5)
+        rep = basin_sweep(short_stepper, scales=scales, directions=2,
+                          rng=np.random.default_rng(5), theta_cap=0.5)
         assert rep["outcomes"] == [["decay", "no-decay"]] * 2
         dirs = np.random.default_rng(5).standard_normal((2, space.K))
-        st = build_stepper(space, ref, law, 0.0, 2.0)
         for d, row in zip(dirs, rep["outcomes"]):
             d = d / np.sqrt(space.alphas @ d**2)
             for s, outcome in zip(scales, row):
-                _, solo = simulate_closed_loop(space, ref, law, s * d, 2.0,
-                                               theta_cap=0.5, stepper=st)
+                _, solo = simulate_closed_loop(short_stepper, s * d, theta_cap=0.5)
                 assert outcome == ("decay" if solo["decayed"] else "no-decay")
 
     def test_advection_neutral_in_energy_and_enstrophy(self, loop_setup, rng):
