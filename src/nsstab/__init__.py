@@ -22,16 +22,16 @@ from .feedback import FeedbackLaw, gain_apply, riccati_solve
 from .null_control import ControlSignal, ReachabilityBundle, build_reachability, min_norm_control
 from .observability import ObservabilityForms, build_forms, select_m1, truncated_constant
 from .spectral import Actuator, ChiMask, SpectralSpace, apply_chi_pm, build_actuator, build_space
-from .stabilizer import StabilizationRun, choose_n, stabilize
+from .stabilizer import CutoffSearch, StabilizationRun, stabilize
 from .nonlinear import contraction_probe, simulate_closed_loop, xi_map, zlambda_norm
 
 __all__ = [
     "__version__",
-    "Actuator", "ChiMask", "ControlSignal", "FeedbackLaw",
+    "Actuator", "ChiMask", "ControlSignal", "CutoffSearch", "FeedbackLaw",
     "ObservabilityForms", "ReachabilityBundle", "ReferenceTrajectory",
     "SpectralSpace", "StabilizationRun", "Trajectory",
     "apply_chi_pm", "bilinear_b", "build_actuator", "build_forms",
-    "build_reachability", "build_space", "choose_n", "contraction_probe",
+    "build_reachability", "build_space", "contraction_probe",
     "gain_apply", "make_reference", "min_norm_control", "propagate_adjoint",
     "propagate_linear", "riccati_solve", "select_m1", "simulate_closed_loop",
     "stabilize", "taylor_green_reference", "truncated_constant", "xi_map",

@@ -30,7 +30,6 @@ from .feedback import (
 )
 from .nonlinear import basin_sweep, closed_loop_steps, contraction_probe, simulate_closed_loop
 from .null_control import build_reachability, epsilon_limit_study, kkt_identity_check, min_norm_control
-from .observability import build_forms, select_m1
 from .plots import emit_plot
 from .spectral import build_actuator
 from .stabilizer import CutoffSearch, stabilize, weighted_control_norm
@@ -93,7 +92,8 @@ class Pipeline:
     @property
     def search(self):
         """The run's one cutoff search; its unit-interval propagators on
-        [0, n_max] serve every interval solver of the run."""
+        [0, n_max] and its block sweeps serve every interval solver of the
+        run."""
         c = self.cfg
         return self._get("search", lambda: CutoffSearch(
             self.space, self.reference, self.chi, c.control.M_list,
@@ -162,11 +162,9 @@ def cmd_reference(p: Pipeline, out):
 def cmd_observability(p: Pipeline, out):
     c = p.cfg
     choice = p.choice(c.control.lam)
-    N = min(max(choice.N, 4), p.space.K)
-    forms = build_forms(p.space, p.reference, 0.0, p.chi, N, c.control.M_list,
-                        c.time.dt, propagator=p.search.propagators[0])
-    rep = select_m1(forms, slack=c.control.slack, rtol=c.tolerances.pinv_rtol)
-    payload = {"N": N, "M_list": list(forms.M_list),
+    N = min(max(choice.N, 4), p.search.n_top)
+    rep = p.search.observability_report(N)
+    payload = {"N": N, "M_list": list(rep["D_table"]),
                "D_table": {str(m): d for m, d in rep["D_table"].items()},
                "D_inf": rep["D_inf"], "M1": rep["M1"], "C_h1l2": rep["C_h1l2"]}
     write_json(os.path.join(out, "observability.json"), payload)
@@ -206,11 +204,7 @@ def cmd_stabilize(p: Pipeline, out):
     c = p.cfg
     choice = p.choice(c.control.lam)
     v0 = p.rng.standard_normal(p.space.K)
-    run = stabilize(p.space, p.reference, p.chi, v0, c.control.lam,
-                    n_max=c.time.n_max, M_list=c.control.M_list, dt=c.time.dt,
-                    slack=c.control.slack, pinv_rtol=c.tolerances.pinv_rtol,
-                    null_tol=c.tolerances.null_tol, choice=choice,
-                    propagators=p.search.propagators)
+    run = stabilize(p.search, choice, v0, c.tolerances.null_tol)
     summary = run.summary()
     summary["kappa2"] = weighted_control_norm(run, c.control.lam / 2.0)
     if not summary["integer_decay_ok"]:
@@ -319,6 +313,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
         cfg = ExperimentConfig.load(config_path)
         if seed is not None:
             cfg.seed = seed
+            cfg.validate()
         out = out_dir or cfg.output_dir
         os.makedirs(out, exist_ok=True)
         rng = np.random.default_rng(cfg.seed)

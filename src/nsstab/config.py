@@ -159,6 +159,11 @@ class ExperimentConfig:
                         self.time, self.tolerances, self.nonlinear):
             section.validate()
         _require(self.seed >= 0, "seed", "must be nonnegative")
+        _require(max(self.control.M_list) <= self.space.m_max, "control.M_list",
+                 f"entries must not exceed space.m_max = {self.space.m_max}")
+        _require(self.time.n_max <= self.reference.horizon, "time.n_max",
+                 "the unit intervals [n, n + 1], n < n_max, must lie within "
+                 f"reference.horizon = {self.reference.horizon}")
         _require(2 * self.time.T_h + 1.0 <= self.reference.horizon
                  or self.reference.preset == "zero",
                  "reference.horizon",

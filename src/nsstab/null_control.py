@@ -104,23 +104,36 @@ def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
                      null_tol: float = DEFAULT_NULL_TOL) -> ControlSignal:
     """Minimal-L2 control forcing the projected endpoint to zero.
 
-    Linear in w0.  Raises UnreachableTargetError when the free endpoint's
-    projection has mass outside the Gramian range beyond the tolerance,
-    which signals that the control dimension M is too small for this N.
+    Linear in w0.  Raises UnreachableTargetError as null_coefficients does.
     """
     w0 = np.asarray(w0, float)
     if bundle.N == 0:
         return bundle.control_from_stacked(np.zeros(bundle.input_rows.shape[1]))
     y = (bundle.free_map @ w0)[: bundle.N]
-    Gp, _ = pinv_psd(bundle.gramian, pinv_rtol)
+    g = null_coefficients(bundle.gramian, y, w0, bundle.actuator.M, pinv_rtol, null_tol)
+    return bundle.control_from_stacked(bundle.input_rows.T @ g)
+
+
+def null_coefficients(gramian: np.ndarray, y: np.ndarray, w0: np.ndarray, M: int,
+                      pinv_rtol: float = DEFAULT_PINV_RTOL,
+                      null_tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
+    """Gramian coefficients g = -G^+ y of the minimal-norm control that
+    cancels the free endpoint's projection y = (A w0)[:N].
+
+    The control is the input map's transpose applied to g.  Raises
+    UnreachableTargetError when y has mass outside the Gramian range beyond
+    null_tol * |w0|, which signals that the control dimension M is too
+    small for this N.
+    """
+    Gp, _ = pinv_psd(gramian, pinv_rtol)
     g = Gp @ (-y)
-    resid = np.linalg.norm(y + bundle.gramian @ g)
+    resid = np.linalg.norm(y + gramian @ g)
     w0_h = np.linalg.norm(w0)
     if resid > null_tol * max(w0_h, 1e-300):
         raise UnreachableTargetError(
             f"projected endpoint residual {resid:.3e} exceeds {null_tol:.1e}*|w0|; "
-            f"raise M (currently {bundle.actuator.M}) or enlarge the mask")
-    return bundle.control_from_stacked(bundle.input_rows.T @ g)
+            f"raise M (currently {M}) or enlarge the mask")
+    return g
 
 
 def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):

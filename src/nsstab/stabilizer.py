@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import ReferenceTrajectory, Trajectory, build_propagator
 from .errors import ResolutionTooSmallError
-from .null_control import ControlSignal, ReachabilityBundle, build_reachability, min_norm_control
+from .null_control import DEFAULT_NULL_TOL, ControlSignal, null_coefficients
 from .observability import build_forms, select_m1
 from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from .spectral import ChiMask, SpectralSpace, build_actuator
@@ -29,34 +29,11 @@ def null_closed_map(free_map: np.ndarray, endpoints: np.ndarray, gramian: np.nda
     return free_map - endpoints @ (Gp @ free_map[: gramian.shape[0]])
 
 
-def closed_interval_map(bundle: ReachabilityBundle,
-                        pinv_rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
-    """Dense endpoint map w0 -> v(tau+1) under the minimal-norm null control."""
-    A, N = bundle.free_map, bundle.N
-    if N == 0:
-        return A
-    # columns of the input-to-endpoint correction: the control of leading
-    # direction a is row a of input_rows, and all N of them drive one block
-    # forward from rest
-    prop, act = bundle.propagator, bundle.actuator
-    values = bundle.input_rows.reshape(N, prop.n_steps, act.M) / np.sqrt(prop.dt)
-    inputs = act.mat @ values.transpose(1, 2, 0)         # (n_steps, K, N)
-    E = prop.forward(np.zeros((A.shape[0], N)), inputs)[-1]
-    return null_closed_map(A, E, bundle.gramian, pinv_rtol)
-
-
-def _propagators(space, traj, n_max, dt, cache=None):
-    cache = dict(cache or {})
-    for n in range(n_max):
-        if n not in cache:
-            cache[n] = build_propagator(space, traj, float(n), dt)
-    return cache
-
-
 @dataclass
 class CutoffChoice:
     N: int
     M1: int | None
+    lam: float                      # the decay rate the cutoff was chosen for
     contraction: float              # max one-interval factor over the horizon
     per_interval: list
     observability: dict | None
@@ -64,12 +41,13 @@ class CutoffChoice:
 
 
 class CutoffSearch:
-    """Cutoff measurements of one run, shared by every decay rate.
+    """The interval layer of one run: every adjoint block sweep of the unit
+    intervals, and the cutoff measurements shared by every decay rate.
 
-    Holds the unit-interval propagators on [0, n_max] and the measurement of
-    each cutoff N tried (`measured`).  A measurement (M1 report and
-    per-interval closed-map norms) does not depend on lambda, so choosing
-    for several rates measures each N once.
+    Holds the unit-interval propagators on [0, n_max] (`propagators[n]` on
+    [n, n + 1]) and the measurement of each cutoff N tried (`measured`).  A
+    measurement (M1 report and per-interval closed-map norms) does not
+    depend on lambda, so choosing for several rates measures each N once.
 
     The cutoffs are searched up to n_top = min(K, N_cap).  The columns of a
     smaller cutoff are the leading columns of a larger one, so the first
@@ -78,18 +56,20 @@ class CutoffSearch:
     cutoff selects as M1: the Gramian of those directions and their endpoint
     responses (`tables`).  Each cutoff is then measured on leading blocks of
     these tables, with the M1 report that select_m1 gives on the leading
-    blocks of the interval-0 observability forms; the forms themselves are
-    not kept.
+    blocks of the interval-0 observability forms (`observability_report`);
+    the forms themselves are not kept.  `stabilize` reads its Gramians from
+    the same tables, so no other block sweep of these intervals runs.
     """
 
     def __init__(self, space: SpectralSpace, traj: ReferenceTrajectory,
                  chi: ChiMask, M_list, n_max: int = 6, dt: float = 1.0 / 128,
                  slack: float = 2.0, pinv_rtol: float = DEFAULT_PINV_RTOL,
-                 propagators=None, N_cap: int | None = None):
+                 N_cap: int | None = None):
         self.space, self.traj, self.chi = space, traj, chi
         self.M_list, self.dt, self.slack, self.pinv_rtol = M_list, dt, slack, pinv_rtol
         self.n_top = min(space.K, N_cap) if N_cap else space.K
-        self.propagators = _propagators(space, traj, n_max, dt, propagators)
+        self.propagators = [build_propagator(space, traj, float(n), dt)
+                            for n in range(n_max)]
         self.measured: dict = {}
         self.tables: dict = {}      # M -> (gramians (n_int, n_top, n_top),
                                     #       endpoints (n_int, K, n_top))
@@ -101,11 +81,20 @@ class CutoffSearch:
             self.measured[N] = self._contraction(N)
         return self.measured[N]
 
+    def observability_report(self, N: int) -> dict:
+        """The select_m1 report of the interval-0 forms on the first N modes,
+        1 <= N <= n_top, as the sweep made it (M1 may be None)."""
+        if not 1 <= N <= self.n_top:
+            raise ValueError(f"cutoff N={N} outside [1, {self.n_top}]")
+        if not self._reports:
+            self._sweep()
+        return self._reports[N]
+
     def _sweep(self):
         space, props, n_top = self.space, self.propagators, self.n_top
         Q1 = np.eye(space.K)[:, :n_top]
-        for i, n in enumerate(sorted(props)):
-            nodes, stages = props[n].adjoint_block(Q1)
+        for i, prop in enumerate(props):
+            nodes, stages = prop.adjoint_block(Q1)
             if i == 0:
                 forms = build_forms(space, self.traj, 0.0, self.chi, n_top,
                                     self.M_list, self.dt, sweep=(nodes, stages))
@@ -120,27 +109,22 @@ class CutoffSearch:
             for M, (gramians, endpoints) in self.tables.items():
                 inputs = grams[M] @ stages               # (n_steps, K, n_top)
                 gramians[i] = self.dt * np.tensordot(stages, inputs, ([0, 1], [0, 1]))
-                endpoints[i] = props[n].forward(np.zeros((space.K, n_top)), inputs)[-1]
+                endpoints[i] = prop.forward(np.zeros((space.K, n_top)), inputs)[-1]
             del nodes, stages           # freed before the next interval's sweep
 
     def _contraction(self, N):
         props = self.propagators
         if N == 0:
-            return None, [float(np.linalg.norm(props[n].total, 2))
-                          for n in sorted(props)]
-        if not 1 <= N <= self.n_top:
-            raise ValueError(f"cutoff N={N} outside [0, {self.n_top}]")
-        if not self._reports:
-            self._sweep()
-        rep = self._reports[N]
+            return None, [float(np.linalg.norm(prop.total, 2)) for prop in props]
+        rep = self.observability_report(N)
         if rep["M1"] is None:
             raise ResolutionTooSmallError(
                 f"no listed control dimension observes the first {N} modes; "
                 f"extend M_list beyond {max(self.M_list)}")
         gramians, endpoints = self.tables[rep["M1"]]
         factors = [float(np.linalg.norm(null_closed_map(
-            props[n].total, endpoints[i][:, :N], gramians[i][:N, :N], self.pinv_rtol), 2))
-            for i, n in enumerate(sorted(props))]
+            prop.total, endpoints[i][:, :N], gramians[i][:N, :N], self.pinv_rtol), 2))
+            for i, prop in enumerate(props)]
         return rep, factors
 
     def choose(self, lam: float) -> CutoffChoice:
@@ -186,19 +170,9 @@ class CutoffSearch:
             "C_chi_prime": (4.0 * rep["D_table"][rep["M1"]] * self.chi.sup_norm**2
                             if rep is not None else 0.0),
         }
-        return CutoffChoice(N=N, M1=(rep["M1"] if rep else None),
+        return CutoffChoice(N=N, M1=(rep["M1"] if rep else None), lam=lam,
                             contraction=max(factors), per_interval=factors,
                             observability=rep, symbolic_threshold=symbolic)
-
-
-def choose_n(space: SpectralSpace, traj: ReferenceTrajectory, chi: ChiMask,
-             lam: float, M_list, n_max: int = 6, dt: float = 1.0 / 128,
-             slack: float = 2.0, pinv_rtol: float = DEFAULT_PINV_RTOL,
-             propagators=None, N_cap: int | None = None) -> CutoffChoice:
-    """CutoffSearch.choose on a search of its own; a run that chooses for
-    several rates keeps one CutoffSearch instead."""
-    return CutoffSearch(space, traj, chi, M_list, n_max, dt, slack, pinv_rtol,
-                        propagators, N_cap).choose(lam)
 
 
 @dataclass
@@ -224,25 +198,26 @@ class StabilizationRun:
                     * self.integer_h_norms[0] ** 2 * (1 + 1e-10)))}
 
 
-def stabilize(space: SpectralSpace, traj: ReferenceTrajectory, chi: ChiMask,
-              v0: np.ndarray, lam: float, n_max: int = 6, M_list=(8, 16, 32, 64),
-              dt: float = 1.0 / 128, slack: float = 2.0,
-              pinv_rtol: float = DEFAULT_PINV_RTOL,
-              null_tol: float = 1e-8, choice: CutoffChoice | None = None,
-              propagators=None) -> StabilizationRun:
-    """Concatenate minimal-norm interval controls from v0 over n_max units.
+def stabilize(search: CutoffSearch, choice: CutoffChoice, v0: np.ndarray,
+              null_tol: float = DEFAULT_NULL_TOL) -> StabilizationRun:
+    """Concatenate minimal-norm interval controls from v0 over the search's
+    unit intervals, at the cutoff and decay rate of choice.
 
-    Interval joints reuse the previous endpoint exactly.  Measures kappa1
-    (weighted H decay), kappa3 (weighted V decay from t >= 1) and its
+    On interval [n, n + 1] with free endpoint map A, the Gramian coefficients
+    g solve G g = -(A v)[:N] for the Gramian G of the N leading directions,
+    read from the search's tables.  The minimal-norm control is the actuator
+    image of the dual state they start, eta = P_M1(chi q) with q the adjoint
+    sweep of the terminal datum [g; 0] (the Hilbert Uniqueness Method form),
+    so each interval adds one single-vector sweep to the search's block
+    sweeps.  Interval joints reuse the previous endpoint exactly.  Measures
+    kappa1 (weighted H decay), kappa3 (weighted V decay from t >= 1) and its
     sqrt(t)-smoothing variant on the first interval.
     """
+    space, lam, N = search.space, choice.lam, choice.N
     v0 = np.asarray(v0, float)
-    props = _propagators(space, traj, n_max, dt, propagators)
-    if choice is None:
-        choice = choose_n(space, traj, chi, lam, M_list, n_max, dt, slack,
-                          pinv_rtol, propagators=props)
-    N, M1 = choice.N, choice.M1
-    act = build_actuator(space, chi, M1) if M1 else None
+    if N:
+        act = build_actuator(space, search.chi, choice.M1)
+        gramians = search.tables[choice.M1][0]
 
     times = [np.array([0.0])]
     states = [v0[None, :]]
@@ -250,19 +225,17 @@ def stabilize(space: SpectralSpace, traj: ReferenceTrajectory, chi: ChiMask,
     proj_defects = []
     int_norms = [np.linalg.norm(v0)]
     v = v0.copy()
-    for n in range(n_max):
-        prop = props[n]
-        if N and act is not None:
-            bundle = build_reachability(space, traj, float(n), act, N, dt,
-                                        propagator=prop, pinv_rtol=pinv_rtol)
-            control = min_norm_control(bundle, v, pinv_rtol, null_tol)
-            inputs = control.values @ act.mat.T
+    for i, prop in enumerate(search.propagators):
+        if N:
+            g = null_coefficients(gramians[i][:N, :N], (prop.total @ v)[:N], v,
+                                  act.M, search.pinv_rtol, null_tol)
+            _, stages = prop.adjoint_block(np.concatenate([g, np.zeros(space.K - N)]))
+            values = stages @ act.mat                    # (n_steps, M1)
+            inputs = values @ act.mat.T
         else:
-            control = ControlSignal(tau=float(n), dt=dt,
-                                    values=np.zeros((prop.n_steps, 1)))
-            inputs = None
+            values, inputs = np.zeros((prop.n_steps, 1)), None
         seg = prop.forward(v, inputs)
-        controls.append(control)
+        controls.append(ControlSignal(tau=prop.tau, dt=prop.dt, values=values))
         times.append(prop.times[1:])
         states.append(seg[1:])
         v = seg[-1]
@@ -282,9 +255,9 @@ def stabilize(space: SpectralSpace, traj: ReferenceTrajectory, chi: ChiMask,
     early = t <= 1.0 + 1e-12
     kappa3_s = (float(np.max(t[early] * np.exp(lam * t[early]) * v2[early]) / v0_h2)
                 if v0_h2 else 0.0)
-    return StabilizationRun(lam=lam, N=N, M1=M1, v0=v0, trajectory=trajectory,
-                            controls=controls, kappa1=kappa1, kappa3=kappa3,
-                            kappa3_smoothing=kappa3_s,
+    return StabilizationRun(lam=lam, N=N, M1=choice.M1, v0=v0,
+                            trajectory=trajectory, controls=controls,
+                            kappa1=kappa1, kappa3=kappa3, kappa3_smoothing=kappa3_s,
                             integer_h_norms=np.array(int_norms),
                             projection_defects=np.array(proj_defects))
 

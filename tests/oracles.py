@@ -4,9 +4,11 @@ Everything here is deliberately written against plain mathematical
 definitions (complex Fourier dictionaries, scalar calculus, null-space
 parametrisation) and shares no code path with the package numerics, except
 earlier forms of package routines, kept as they were:
-`closed_interval_map_loop`, the one-column-at-a-time closed map;
+`closed_interval_map`, the closed one-interval map of one reachability
+bundle, and `closed_interval_map_loop`, its one-column-at-a-time form;
 `cutoff_measure_per_n`, the cutoff measurement that builds everything
-afresh for each N; the two-matrix Crank-Nicolson step model
+afresh for each N; `stabilize_per_bundle`, the interval concatenation that
+builds a reachability bundle per interval and applies its input rows; the two-matrix Crank-Nicolson step model
 (`cn_steps_two_matrix` and the sweeps over its stacks), which stores
 (I + h/2 F)^{-1} beside phi and applies both; and
 `optimal_cost_check_stored`, the optimal-cost check over stored stacks.
@@ -15,11 +17,11 @@ afresh for each N; the two-matrix Crank-Nicolson step model
 import numpy as np
 
 from nsstab.dynamics import Propagator, cn_steps
-from nsstab.null_control import build_reachability
+from nsstab.null_control import build_reachability, min_norm_control
 from nsstab.observability import build_forms, select_m1
-from nsstab.quadmin import pinv_psd
+from nsstab.quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from nsstab.spectral import build_actuator
-from nsstab.stabilizer import closed_interval_map
+from nsstab.stabilizer import null_closed_map
 
 NORM = 1.0 / (np.sqrt(2.0) * np.pi)
 
@@ -119,6 +121,20 @@ def smoothing_ratio_l2(alpha, n_quad=20000):
     return sup_term + np.trapezoid(integrand, t)
 
 
+def closed_interval_map(bundle, pinv_rtol=DEFAULT_PINV_RTOL):
+    """Dense endpoint map w0 -> v(tau+1) under the minimal-norm null control
+    of one reachability bundle: all N leading-direction controls (the rows
+    of input_rows) drive one block forward from rest."""
+    A, N = bundle.free_map, bundle.N
+    if N == 0:
+        return A
+    prop, act = bundle.propagator, bundle.actuator
+    values = bundle.input_rows.reshape(N, prop.n_steps, act.M) / np.sqrt(prop.dt)
+    inputs = act.mat @ values.transpose(1, 2, 0)         # (n_steps, K, N)
+    E = prop.forward(np.zeros((A.shape[0], N)), inputs)[-1]
+    return null_closed_map(A, E, bundle.gramian, pinv_rtol)
+
+
 def closed_interval_map_loop(bundle, pinv_rtol):
     """Closed one-interval map with one single-vector forward pass per
     leading direction (the reference for the block forward)."""
@@ -143,13 +159,38 @@ def cutoff_measure_per_n(search, N):
     rep = select_m1(forms, slack=search.slack, rtol=search.pinv_rtol)
     act = build_actuator(search.space, search.chi, rep["M1"])
     factors = []
-    for n, prop in sorted(search.propagators.items()):
+    for n, prop in enumerate(search.propagators):
         bundle = build_reachability(search.space, search.traj, float(n), act, N,
                                     search.dt, propagator=prop,
                                     pinv_rtol=search.pinv_rtol)
         factors.append(float(np.linalg.norm(
             closed_interval_map(bundle, search.pinv_rtol), 2)))
     return rep, factors
+
+
+def stabilize_per_bundle(search, choice, v0):
+    """(states (n_int * n_steps + 1, K), per-interval control values) of the
+    interval concatenation at choice, with a reachability bundle built on
+    every interval of the search and the control taken from its input rows
+    (the reference for the search-read stabilize)."""
+    space, N = search.space, choice.N
+    act = build_actuator(space, search.chi, choice.M1) if N else None
+    states, controls = [np.asarray(v0, float)[None, :]], []
+    v = states[0][0]
+    for n, prop in enumerate(search.propagators):
+        if N:
+            bundle = build_reachability(space, search.traj, float(n), act, N,
+                                        search.dt, propagator=prop,
+                                        pinv_rtol=search.pinv_rtol)
+            values = min_norm_control(bundle, v, search.pinv_rtol).values
+            inputs = values @ act.mat.T
+        else:
+            values, inputs = np.zeros((prop.n_steps, 1)), None
+        seg = prop.forward(v, inputs)
+        states.append(seg[1:])
+        controls.append(values)
+        v = seg[-1]
+    return np.vstack(states), controls
 
 
 def cn_steps_two_matrix(F_at, n_steps, dt, K):

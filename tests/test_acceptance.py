@@ -37,7 +37,7 @@ from nsstab.null_control import build_reachability, kkt_identity_check, min_norm
 from nsstab.observability import build_forms, full_constant, select_m1, truncated_constant
 from nsstab.quadmin import QuadraticProgram, solve_constrained_min
 from nsstab.spectral import ChiMask, build_actuator, build_space
-from nsstab.stabilizer import choose_n, stabilize, weighted_control_norm
+from nsstab.stabilizer import CutoffSearch, stabilize, weighted_control_norm
 from nsstab.dynamics import Trajectory, bilinear_b
 
 from oracles import bilinear_oracle, heat_decay_O, heat_decay_R, scalar_are_root
@@ -76,8 +76,8 @@ def fb_instance():
     ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=60.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
     lam = 1.0
-    choice = choose_n(space, ref, chi, lam * 1.25, M_list=(8, 16, 32, 64, 96, 128),
-                      n_max=4, dt=DT)
+    choice = CutoffSearch(space, ref, chi, M_list=(8, 16, 32, 64, 96, 128),
+                          n_max=4, dt=DT).choose(lam * 1.25)
     act = build_actuator(space, chi, choice.M1)
     law = riccati_solve(space, ref, lam, act, T_h=28.0, dt=DT, verify_horizon=True)
     return space, ref, chi, act, law
@@ -166,13 +166,14 @@ def test_criterion_04_null_projection(stab_instance, rng):
 def test_criterion_05_integer_decay_chain(stab_instance, rng):
     space, ref, chi = stab_instance
     lam = 1.0
-    choice = choose_n(space, ref, chi, lam, M_list=(8, 16, 32, 64, 96, 128),
-                      n_max=6, dt=DT)
+    search = CutoffSearch(space, ref, chi, M_list=(8, 16, 32, 64, 96, 128),
+                          n_max=6, dt=DT)
+    choice = search.choose(lam)
     violations = 0
     kappas = []
     for _ in range(10):
         v0 = rng.standard_normal(space.K)
-        run_ = stabilize(space, ref, chi, v0, lam, n_max=6, dt=DT, choice=choice)
+        run_ = stabilize(search, choice, v0)
         lhs = run_.integer_h_norms[1:] ** 2
         rhs = np.exp(-lam * np.arange(1, 7)) * run_.integer_h_norms[0] ** 2
         violations += int(np.any(lhs > rhs))

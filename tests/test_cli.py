@@ -18,7 +18,8 @@ from nsstab.errors import ConfigError, SchemaError
 from nsstab.feedback import optimal_cost_check, riccati_solve
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.plots import emit_plot
-from nsstab.stabilizer import CutoffSearch, choose_n
+from nsstab.null_control import build_reachability
+from nsstab.stabilizer import CutoffSearch
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
@@ -50,6 +51,14 @@ class TestConfig:
         cfg = ExperimentConfig()
         cfg.control.slack = 0.2
         with pytest.raises(ConfigError, match="control.slack"):
+            cfg.validate()
+        cfg = ExperimentConfig()
+        cfg.time.n_max = int(cfg.reference.horizon) + 1
+        with pytest.raises(ConfigError, match="time.n_max"):
+            cfg.validate()
+        cfg = ExperimentConfig()
+        cfg.control.M_list = (8, cfg.space.m_max + 1)
+        with pytest.raises(ConfigError, match="control.M_list"):
             cfg.validate()
 
     def test_unknown_section_rejected(self):
@@ -121,6 +130,13 @@ class TestRun:
         bad.write_text('{"space": {"nu": -3}}')
         assert run("reference", str(bad), str(tmp_path / "o")) == 2
 
+    def test_negative_seed_override_exit_code(self, small_cfg, tmp_path, capsys):
+        _, path = small_cfg
+        code = main(["reference", "--config", str(path), "--seed", "-1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert run("reference", str(tmp_path / "nope.json"), str(tmp_path)) == 2
 
@@ -158,6 +174,17 @@ def record_calls(monkeypatch, func):
                 if value is func:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+@pytest.fixture()
+def controlled_cfg(small_cfg, tmp_path):
+    """small_cfg at lambda = 1.25, where the stabilizing cutoff is N > 0 (at
+    its own lambda the free flow contracts enough and N = 0)."""
+    cfg, _ = small_cfg
+    cfg.control.lam = 1.25
+    path = tmp_path / "controlled.json"
+    cfg.save(path)
+    return cfg, path
 
 
 class TestSharedIntervalWork:
@@ -203,20 +230,65 @@ class TestSharedIntervalWork:
 
     def test_observability_constants_evaluated_once(self, small_cfg, tmp_path,
                                                     monkeypatch):
+        # the search's sweep evaluates them, once per cutoff and at the
+        # run's pinv_rtol; the subcommand reads the report at N_obs
         cfg, _ = small_cfg
         cfg.tolerances.pinv_rtol = 1e-11
         p = Pipeline(cfg, np.random.default_rng(cfg.seed))
-        p.choice(cfg.control.lam)
+        choice = p.choice(cfg.control.lam)
         full = record_calls(monkeypatch, observability.full_constant)
         ratio = record_calls(monkeypatch, observability.h1_l2_ratio)
         cli.cmd_observability(p, str(tmp_path))
-        assert len(full) == 1 and len(ratio) == 1
-        (_, rtol), _ = ratio[0]
-        assert rtol == 1e-11
+        assert len(full) == len(ratio) <= p.search.n_top
+        assert {rtol for (_, rtol), _ in full + ratio} <= {1e-11}
+        evaluated = len(full)
+        cli.cmd_observability(p, str(tmp_path))
+        assert len(full) == len(ratio) == evaluated
         payload = json.loads((tmp_path / "observability.json").read_text())
-        forms = full[0][0][0]
-        assert payload["D_inf"] == observability.full_constant(forms, 1e-11)
-        assert payload["C_h1l2"] == observability.h1_l2_ratio(forms, 1e-11)
+        N_obs = min(max(choice.N, 4), p.search.n_top)
+        rep = p.search.observability_report(N_obs)
+        assert payload["N"] == N_obs and payload["M1"] == rep["M1"]
+        forms = observability.build_forms(
+            p.space, p.reference, 0.0, p.chi, p.search.n_top, cfg.control.M_list,
+            cfg.time.dt, propagator=p.search.propagators[0]).leading(N_obs)
+        assert payload["D_inf"] == rep["D_inf"] \
+            == observability.full_constant(forms, 1e-11)
+        assert payload["C_h1l2"] == rep["C_h1l2"] \
+            == observability.h1_l2_ratio(forms, 1e-11)
+        assert payload["D_table"] == {str(m): d for m, d in rep["D_table"].items()}
+
+    def test_stabilize_builds_no_reachability_bundle(self, controlled_cfg, tmp_path,
+                                                     monkeypatch):
+        _, path = controlled_cfg
+        bundles = record_calls(monkeypatch, build_reachability)
+        assert run("stabilize", str(path), str(tmp_path / "o")) == 0
+        assert json.loads((tmp_path / "o" / "stabilize.json").read_text())["N"] > 0
+        assert bundles == []
+
+    def test_stabilize_sweeps_blocks_once_and_vectors_per_interval(
+            self, controlled_cfg, tmp_path, monkeypatch):
+        # n_max block sweeps by the search, and at most one single-vector
+        # sweep per interval for the control
+        cfg, path = controlled_cfg
+        sweeps = []
+        adjoint_block = Propagator.adjoint_block
+
+        def counted(self, Q1):
+            sweeps.append(Q1.shape)
+            return adjoint_block(self, Q1)
+        monkeypatch.setattr(Propagator, "adjoint_block", counted)
+        assert run("stabilize", str(path), str(tmp_path / "o")) == 0
+        K, n_top = cfg.space.K, min(cfg.space.K, cfg.control.N_max)
+        blocks = [s for s in sweeps if s != (K,)]
+        assert blocks == [(K, n_top)] * cfg.time.n_max
+        assert len(sweeps) - len(blocks) <= cfg.time.n_max
+
+    def test_all_builds_observability_forms_once(self, small_cfg, tmp_path,
+                                                 monkeypatch):
+        _, path = small_cfg
+        forms = record_calls(monkeypatch, observability.build_forms)
+        assert run("all", str(path), str(tmp_path / "o")) == 0
+        assert len(forms) == 1
 
     def test_feedback_integrates_closed_loop_once(self, small_cfg, tmp_path,
                                                   monkeypatch):
@@ -240,9 +312,10 @@ class TestSharedIntervalWork:
         choices = [p.choice(cfg.control.lam), p.choice(p.lam_hat)]
         assert len(measured) == len(set(measured))
         for lam, got in zip((cfg.control.lam, p.lam_hat), choices):
-            want = choose_n(p.space, p.reference, p.chi, lam, cfg.control.M_list,
-                            n_max=cfg.time.n_max, dt=cfg.time.dt,
-                            slack=cfg.control.slack, N_cap=cfg.control.N_max)
+            want = CutoffSearch(p.space, p.reference, p.chi, cfg.control.M_list,
+                                n_max=cfg.time.n_max, dt=cfg.time.dt,
+                                slack=cfg.control.slack,
+                                N_cap=cfg.control.N_max).choose(lam)
             assert (got.N, got.M1, got.per_interval) == (want.N, want.M1,
                                                          want.per_interval)
 

@@ -15,6 +15,8 @@ TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
 # layers whose function the library no longer has, with what replaced it
 RETIRED = {
     "nonlinear.build_stepper",    # closed_loop_steps builds the stepper itself
+    "stabilizer.choose_n",        # CutoffSearch.choose on the run's one search
+    "stabilizer.closed_interval_map",  # a per-bundle oracle in tests/oracles.py
 }
 
 
