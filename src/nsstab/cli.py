@@ -122,7 +122,7 @@ class Pipeline:
         def build():
             M, _ = self.control_dim(self.lam_hat)
             # the last cutoff is chosen: free the search's propagators
-            # before the Riccati stacks are allocated
+            # before the law is allocated
             self._cache.pop("search", None)
             act = build_actuator(self.space, self.chi, M)
             return riccati_solve(self.space, self.reference, c.control.lam, act,
@@ -238,7 +238,7 @@ def cmd_feedback(p: Pipeline, out):
         "horizon_gate": law.horizon_gate,
         "max_gain_norm": law.max_gain_norm(),
         "dp": dp_check(law, v0, 0.0, splits=[law.T_h / 4, law.T_h / 2]),
-        "optimal_cost": optimal_cost_check(p.space, p.reference, law, 1.0, v0),
+        "optimal_cost": optimal_cost_check(p.reference, law, 1.0, v0),
         "riccati_residual": riccati_residual(p.space, p.reference, law, interior),
         "lyapunov": lyapunov_check(sim),
         "closed_loop": cl_rep,

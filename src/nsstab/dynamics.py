@@ -8,7 +8,7 @@ makes every discrete duality identity exact in floating-point algebra.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -182,21 +182,46 @@ def taylor_green_reference(space: SpectralSpace, a0: float, a1: float = 0.0,
     return make_reference(space, [(taylor_green_coefficients(space), sched)], horizon)
 
 
+def cn_step(F: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
+    """Crank-Nicolson transition phi = (I + h/2 F)^{-1} (I - h/2 F) of the
+    system matrix F of step m, from one solve."""
+    half = 0.5 * dt * F
+    eye = _identity(F.shape[0])
+    return _cn_solve(eye + half, eye - half, m)
+
+
+def cn_advance(F: np.ndarray, v: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
+    """phi v for v (K,) or (K, r) without forming phi:
+    (I + h/2 F)^{-1} (v - h/2 F v), one solve with the columns of v."""
+    half = 0.5 * dt * F
+    return _cn_solve(_identity(F.shape[0]) + half, v - half @ v, m)
+
+
+@cache
+def _identity(K: int) -> np.ndarray:
+    # one read-only identity per size: the step loops build thousands of steps
+    eye = np.eye(K)
+    eye.flags.writeable = False
+    return eye
+
+
+def _cn_solve(lhs, rhs, m):
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise StepSolveError(f"implicit step {m} is singular") from exc
+
+
 def cn_steps(F_at, n_steps: int, dt: float, K: int) -> np.ndarray:
     """Crank-Nicolson step stack for the per-step system matrices F_at(m).
 
-    Fills phi[m] = (I + h/2 F_m)^{-1} (I - h/2 F_m), one solve per step.
-    Every step model of the package (free, shifted and closed-loop flow) is
-    built here, so they all share one discretisation.
+    Fills phi[m] = cn_step(F_at(m)), one solve per step.  Every step model
+    of the package (free, shifted and closed-loop flow) is built by cn_step
+    or advanced by cn_advance, so they all share one discretisation.
     """
-    eye = np.eye(K)
     phi = np.empty((n_steps, K, K))
     for m in range(n_steps):
-        half = 0.5 * dt * F_at(m)
-        try:
-            phi[m] = np.linalg.solve(eye + half, eye - half)
-        except np.linalg.LinAlgError as exc:
-            raise StepSolveError(f"implicit step {m} is singular") from exc
+        phi[m] = cn_step(F_at(m), dt, m)
     return phi
 
 

@@ -9,19 +9,26 @@ doubling convergence gate.
 The backward sweep is the discrete dynamic program for the Crank-Nicolson
 one-step model with midpoint-sampled stage cost.  Two consequences drive
 the test design: dynamic-programming and optimal-cost identities hold to
-round-off (the rollout and the recursion share every matrix), and for a
-frozen system the recursion's fixed point solves the continuous algebraic
-Riccati equation exactly (the bilinear-transform equivalence of the
-discrete and continuous equations), so scalar closed forms are exact
-oracles up to horizon truncation.
+round-off (the rollout and the recursion build every step from the same
+expression), and for a frozen system the recursion's fixed point solves
+the continuous algebraic Riccati equation exactly (the bilinear-transform
+equivalence of the discrete and continuous equations), so scalar closed
+forms are exact oracles up to horizon truncation.
+
+The law is its cost operators and gains only, 8 ((n_T + 1) K^2 + n_T M K)
+bytes for n_T = T_h / dt steps.  No step matrix is stored: the sweep builds
+each step when it uses it, and the rollouts advance vectors through the
+same step model with one solve per step.
 """
 
+import os
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReferenceTrajectory, Trajectory, cn_steps
-from .errors import RiccatiBlowupError
+from .dynamics import ReferenceTrajectory, Trajectory, cn_advance, cn_step
+from .errors import ConfigError, RiccatiBlowupError
 from .spectral import Actuator, SpectralSpace
 
 DEFAULT_RICCATI_CAP = 1e8
@@ -29,14 +36,17 @@ DEFAULT_RICCATI_CAP = 1e8
 
 @dataclass
 class FeedbackLaw:
-    """Time-sampled shifted cost operators and the matching step machinery.
+    """Time-sampled shifted cost operators and optimal gains on [0, T_h].
 
-    phi[m] is the one stored matrix of the shifted step z+ = phi (z + u) + u,
-    u = h/2 B eta (see _sweep).  Qt[m] is PSD and the unshifted cost
-    operator is e^{lam t_m} Qt[m]; the feedback applied to a velocity state
-    is -chi P_M chi Qt(t) v (the exponential factors cancel in the shifted
-    representation).  The law exists on [0, T_h] only: reading it at a
-    time outside that range, beyond round-off, raises ValueError.
+    Qt[m] is PSD and the unshifted cost operator is e^{lam t_m} Qt[m]; the
+    feedback applied to a velocity state is -chi P_M chi Qt(t) v (the
+    exponential factors cancel in the shifted representation).  gains[m]
+    is the discretely optimal control eta_m = -gains[m] z_m of the shifted
+    step z+ = phi_m (z + u) + u, u = h/2 B eta, phi_m = cn_step of
+    shifted_system(m) (see _sweep).  No step matrix is stored: a rollout
+    rebuilds step m from shifted_system, the expression the sweep used.
+    The law exists on [0, T_h] only: reading it at a time outside that
+    range, beyond round-off, raises ValueError.
     """
 
     lam: float
@@ -45,14 +55,14 @@ class FeedbackLaw:
     times: np.ndarray       # (n_T + 1,)
     Qt: np.ndarray          # (n_T + 1, K, K)
     gains: np.ndarray       # (n_T, M, K): discretely optimal eta_m = -G_m z_m
-    phi: np.ndarray         # (n_T, K, K): shifted step transition
     actuator: Actuator
     alphas: np.ndarray      # state weight diagonal
+    shifted_system: Callable[[int], np.ndarray]     # m -> F_m - (lam/2) I
     horizon_gate: dict | None = None
 
     @property
     def n_steps(self) -> int:
-        return self.phi.shape[0]
+        return self.gains.shape[0]
 
     @property
     def M(self) -> int:
@@ -74,6 +84,43 @@ class FeedbackLaw:
                          for m in range(0, self.n_steps + 1, stride)))
 
 
+CGROUP_DIR = "/sys/fs/cgroup"       # cgroup v2 mount: the limit this process runs under
+
+
+def available_memory_bytes() -> int | None:
+    """Bytes this process can still allocate, or None where nothing can be
+    read.  MemAvailable from /proc/meminfo (else the physical memory size)
+    counts the whole host, so a cgroup v2 memory limit's headroom,
+    memory.max - memory.current, caps it where that limit is set."""
+    known = [b for b in (_host_available(), _cgroup_headroom()) if b is not None]
+    return min(known) if known else None
+
+
+def _host_available() -> int | None:
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _cgroup_headroom() -> int | None:
+    try:
+        with open(os.path.join(CGROUP_DIR, "memory.max")) as fh:
+            limit = fh.read().strip()
+        with open(os.path.join(CGROUP_DIR, "memory.current")) as fh:
+            used = int(fh.read())
+        return None if limit == "max" else max(int(limit) - used, 0)
+    except (OSError, ValueError):
+        return None
+
+
 def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
                   actuator: Actuator, T_h: float, dt: float = 1.0 / 128,
                   cap: float = DEFAULT_RICCATI_CAP,
@@ -83,8 +130,13 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
     State weight diag(alpha) (the V-form), control weight identity on the
     control basis.  Divergence past the cap reports the system as not
     stabilizable through this actuator.  With verify_horizon, also sweeps
-    the doubled horizon 2*T_h, reusing the law's steps on [0, T_h], and
-    records the relative change of Qt(0).
+    the doubled horizon 2*T_h and records the relative change of Qt(0):
+    its [T_h, 2 T_h] steps first, then its value continues beside the law
+    in the law's own loop over [0, T_h].  Every step is built once per
+    sweep and none is stored.  A law (Qt and gains) larger than the
+    available memory is refused with ConfigError before anything is
+    allocated; the estimate leaves out what later stages build, such as
+    the closed loop's step stack.
     """
     if lam < 0 or T_h <= 0:
         raise ValueError("lam must be nonnegative and T_h positive")
@@ -92,74 +144,81 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
         raise ValueError("synthesis horizon exceeds the reference horizon")
     n_T = int(round(T_h / dt))
     K, M = space.K, actuator.M
-    args = (actuator.mat, dt, space.alphas, lam, cap)
+    need = 8 * ((n_T + 1) * K * K + n_T * M * K)
+    avail = available_memory_bytes()
+    if avail is not None and need > avail:
+        raise ConfigError(
+            f"the feedback law (Qt and gains) needs {need / 1e6:.1f} MB, more "
+            f"than the {avail / 1e6:.1f} MB available; lower space.K or "
+            f"time.T_h, or raise time.dt")
+    system = _shifted_system(space.alphas, traj, lam, dt)
+    args = (system, actuator.mat, dt, space.alphas, lam, cap)
+    P = np.zeros((1, K, K))
     if verify_horizon:
-        # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps only;
-        # swept before the law's stacks exist so peak memory stays at their size
-        P_tail = _sweep(np.zeros((K, K)),
-                        _shifted_steps(space, traj, lam, n_T, n_T, dt),
-                        *args, start=n_T)
+        # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps
+        P = np.concatenate([P, _sweep(P, n_T, n_T, *args)])
 
-    phi = _shifted_steps(space, traj, lam, 0, n_T, dt)
     Qt = np.empty((n_T + 1, K, K))
     gains = np.empty((n_T, M, K))
     Qt[n_T] = 0.0
-    _sweep(np.zeros((K, K)), phi, *args, Qt=Qt, gains=gains)
+    P = _sweep(P, 0, n_T, *args, Qt=Qt, gains=gains)
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
-                      Qt=Qt, gains=gains, phi=phi,
-                      actuator=actuator, alphas=space.alphas.copy())
+                      Qt=Qt, gains=gains, actuator=actuator,
+                      alphas=space.alphas.copy(), shifted_system=system)
     if verify_horizon:
-        # the doubled horizon continues over the law's own [0, T_h] steps
-        double_Q0 = _sweep(P_tail, phi, *args)
+        double_Q0 = P[1]
         num = np.linalg.norm(double_Q0 - law.Qt[0])
         den = max(np.linalg.norm(double_Q0), 1e-300)
         law.horizon_gate = {"T_h": T_h, "rel_change": float(num / den)}
     return law
 
 
-def _shifted_steps(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
-                   start: int, n_steps: int, dt: float) -> np.ndarray:
-    """Transitions phi of the steps start .. start+n_steps-1 of the shifted
-    system matrix F - (lam/2) I."""
-    shift = np.diag(space.alphas) - 0.5 * lam * np.eye(space.K)
-    return cn_steps(lambda m: shift + traj.bmat_at((start + m + 0.5) * dt),
-                    n_steps, dt, space.K)
+def _shifted_system(alphas, traj: ReferenceTrajectory, lam: float, dt: float):
+    """m -> diag(alpha) - (lam/2) I + B(u((m + 1/2) h)): the shifted system
+    matrix of step m, the one expression every shifted step is built from."""
+    shift = np.diag(alphas) - 0.5 * lam * np.eye(len(alphas))
+    return lambda m: shift + traj.bmat_at((m + 0.5) * dt)
 
 
-def _sweep(P, phi, B, dt, alphas, lam, cap, start=0, Qt=None, gains=None):
-    """Backward dynamic program from the terminal cost operator P.
+def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, Qt=None, gains=None):
+    """Backward dynamic program over the steps start .. start+n_steps-1 from
+    the stacked terminal cost operators P (r, K, K).
 
-    Step z+ = phi (z + u) + u with u = h/2 B eta, stage cost
+    Step m is phi = cn_step(system(m)), built here and dropped after use;
+    the r cost operators advance through it together.  Step
+    z+ = phi (z + u) + u with u = h/2 B eta, stage cost
     h (|zbar|_C^2 + |eta|^2) with zbar = (z + z+)/2, C = diag(alphas).  With
     gam = phi h/2 B + h/2 B, W = P + h/4 C and S = W phi the blocks are
     Hzz = phi' S + h/4 (C + C phi + phi' C), Hze = S' gam + h/4 C gam and
-    Hee = h I + gam' W gam: two K^3 products per step.
+    Hee = h I + gam' W gam: two K^3 products per step and operator.
 
-    Returns the cost operator at the first step; fills Qt[m] and gains[m]
-    when given.  start offsets the step index in the blow-up message.
+    Returns the stacked cost operators at the first step; fills Qt[m] and
+    gains[m] (m relative to start) from the first operator when given.
     """
     M = B.shape[1]
     half_B = 0.5 * dt * B
     qc = 0.25 * dt * alphas             # (h/4) C, as a diagonal
     QC = np.diag(qc)
-    for m in range(phi.shape[0] - 1, -1, -1):
-        gam = phi[m] @ half_B + half_B
+    for m in range(n_steps - 1, -1, -1):
+        phi = cn_step(system(start + m), dt, start + m)
+        gam = phi @ half_B + half_B
         W = P + QC
-        S = W @ phi[m]
-        C_phi = qc[:, None] * phi[m]
-        Hzz = phi[m].T @ S + (QC + C_phi + C_phi.T)
-        Hze = S.T @ gam + qc[:, None] * gam
+        S = W @ phi
+        C_phi = qc[:, None] * phi
+        Hzz = phi.T @ S + (QC + C_phi + C_phi.T)
+        Hze = S.transpose(0, 2, 1) @ gam + qc[:, None] * gam
         Hee = dt * np.eye(M) + gam.T @ (W @ gam)
-        G = np.linalg.solve(Hee, Hze.T)
+        G = np.linalg.solve(Hee, Hze.transpose(0, 2, 1))
         P = Hzz - Hze @ G
-        P = 0.5 * (P + P.T)
-        if not np.isfinite(P).all() or np.linalg.norm(P, np.inf) > cap:
+        P = 0.5 * (P + P.transpose(0, 2, 1))
+        # max row sum of |P|: the inf-norm of each operator
+        if not np.isfinite(P).all() or np.abs(P).sum(axis=-1).max() > cap:
             raise RiccatiBlowupError(
                 f"cost operator exceeded cap {cap:.1e} at t={(start + m) * dt:.3f}; "
                 f"system not stabilizable through M={M} at lambda={lam}")
         if Qt is not None:
-            Qt[m] = P
-            gains[m] = G
+            Qt[m] = P[0]
+            gains[m] = G[0]
     return P
 
 
@@ -219,18 +278,20 @@ def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:
 
 
 def optimal_rollout(law: FeedbackLaw, s_index: int, z0: np.ndarray):
-    """Discretely optimal shifted trajectory and stage costs; the control of
-    step m is eta_m = -gains[m] z_m."""
+    """Discretely optimal shifted trajectory from z0 at step s_index and its
+    stage costs; the control of step m is eta_m = -gains[m] z_m.  Step m
+    advances by cn_advance on the law's shifted system, the expression the
+    sweep built it from."""
     n = law.n_steps - s_index
     half_B = 0.5 * law.dt * law.actuator.mat
-    z = np.empty((n + 1, law.phi.shape[1]))
+    z = np.empty((n + 1, len(law.alphas)))
     costs = np.empty(n)
     z[0] = z0
     for j in range(n):
         m = s_index + j
         eta = -(law.gains[m] @ z[j])
         u = half_B @ eta
-        z[j + 1] = law.phi[m] @ (z[j] + u) + u
+        z[j + 1] = cn_advance(law.shifted_system(m), z[j] + u, law.dt, m) + u
         zbar = 0.5 * (z[j] + z[j + 1])
         costs[j] = law.dt * (float(law.alphas @ zbar**2) + float(eta @ eta))
     return z, costs
@@ -263,15 +324,15 @@ def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
     return out
 
 
-def optimal_cost_check(space: SpectralSpace, traj: ReferenceTrajectory,
-                       law: FeedbackLaw, s: float, w0: np.ndarray) -> dict:
+def optimal_cost_check(traj: ReferenceTrajectory, law: FeedbackLaw, s: float,
+                       w0: np.ndarray) -> dict:
     """Compare (Qt(s) w0, w0) with simulated closed-loop costs on [s, T_h].
 
     The discrete rollout reproduces the value exactly; the continuous-form
     loop (midpoint gain, trapezoidal cost quadrature) agrees to O(dt^2)
     with a quadratically small sensitivity to the gain representation.
-    The loop streams: each step is built, applied, priced with its own
-    Q_mid and dropped, so no step stack is stored.
+    The loop streams: each step advances the one state by cn_advance
+    and is priced with its own Q_mid, so no step matrix is formed.
     """
     s_index = law.index_of(s)
     w0 = np.asarray(w0, float)
@@ -286,7 +347,7 @@ def optimal_cost_check(space: SpectralSpace, traj: ReferenceTrajectory,
     v, cost = w0, 0.0
     for m, tm in zip(range(s_index, law.n_steps), t_mid):
         F, Q_mid = system(m)
-        v_next = cn_steps(lambda _: F, 1, dt, space.K)[0] @ v
+        v_next = cn_advance(F, v, dt, m)
         vm = 0.5 * (v_next + v)
         eta = law.actuator.adjoint(Q_mid @ vm)
         cost += dt * np.exp(lam * (tm - s)) * (float(law.alphas @ vm**2)

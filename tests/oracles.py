@@ -10,13 +10,18 @@ bundle, and `closed_interval_map_loop`, its one-column-at-a-time form;
 afresh for each N; `stabilize_per_bundle`, the interval concatenation that
 builds a reachability bundle per interval and applies its input rows; the two-matrix Crank-Nicolson step model
 (`cn_steps_two_matrix` and the sweeps over its stacks), which stores
-(I + h/2 F)^{-1} beside phi and applies both; and
-`optimal_cost_check_stored`, the optimal-cost check over stored stacks.
+(I + h/2 F)^{-1} beside phi and applies both;
+`optimal_cost_check_stored`, the optimal-cost check over stored stacks;
+and the stored-step feedback synthesis: `shifted_steps`, the stack of the
+shifted steps, `riccati_two_sweep`, the law's sweep over that stack with
+the horizon gate's tail stack swept apart and then continued over the
+law's stack, and `optimal_rollout_stored`, the rollout over that stack.
 """
 
 import numpy as np
 
 from nsstab.dynamics import Propagator, cn_steps
+from nsstab.errors import RiccatiBlowupError
 from nsstab.null_control import build_reachability, min_norm_control
 from nsstab.observability import build_forms, select_m1
 from nsstab.quadmin import DEFAULT_PINV_RTOL, pinv_psd
@@ -266,28 +271,86 @@ def riccati_two_matrix(space, traj, lam, actuator, T_h, dt):
     return Qt, gains
 
 
-def optimal_cost_check_stored(space, traj, law, s, w0):
+def shifted_steps(space, traj, lam, start, n_steps, dt):
+    """Stored transitions phi of the steps start .. start+n_steps-1 of the
+    shifted system matrix F - (lam/2) I."""
+    shift = np.diag(space.alphas) - 0.5 * lam * np.eye(space.K)
+    return cn_steps(lambda m: shift + traj.bmat_at((start + m + 0.5) * dt),
+                    n_steps, dt, space.K)
+
+
+def sweep_stored(P, phi, B, dt, alphas, lam, cap, Qt=None, gains=None):
+    """Backward dynamic program from the terminal operator P (K, K) over a
+    stored step stack phi; returns the operator at the first step and fills
+    Qt[m], gains[m] when given."""
+    M = B.shape[1]
+    half_B = 0.5 * dt * B
+    qc = 0.25 * dt * alphas
+    QC = np.diag(qc)
+    for m in range(phi.shape[0] - 1, -1, -1):
+        gam = phi[m] @ half_B + half_B
+        W = P + QC
+        S = W @ phi[m]
+        C_phi = qc[:, None] * phi[m]
+        Hzz = phi[m].T @ S + (QC + C_phi + C_phi.T)
+        Hze = S.T @ gam + qc[:, None] * gam
+        Hee = dt * np.eye(M) + gam.T @ (W @ gam)
+        G = np.linalg.solve(Hee, Hze.T)
+        P = Hzz - Hze @ G
+        P = 0.5 * (P + P.T)
+        if not np.isfinite(P).all() or np.linalg.norm(P, np.inf) > cap:
+            raise RiccatiBlowupError(f"cost operator exceeded cap at step {m}")
+        if Qt is not None:
+            Qt[m] = P
+            gains[m] = G
+    return P
+
+
+def riccati_two_sweep(space, traj, lam, actuator, T_h, dt, cap=1e8):
+    """(Qt, gains, double_Q0) of the stored-step synthesis on [0, T_h]:
+    the [T_h, 2 T_h] tail stack is built and swept first, then the law's
+    stack phi on [0, T_h] is swept once for the law and once more from the
+    tail's value, giving the doubled horizon's Qt(0)."""
+    n_T = int(round(T_h / dt))
+    K, M = space.K, actuator.M
+    args = (actuator.mat, dt, space.alphas, lam, cap)
+    P_tail = sweep_stored(np.zeros((K, K)),
+                          shifted_steps(space, traj, lam, n_T, n_T, dt), *args)
+    phi = shifted_steps(space, traj, lam, 0, n_T, dt)
+    Qt = np.empty((n_T + 1, K, K))
+    gains = np.empty((n_T, M, K))
+    Qt[n_T] = 0.0
+    sweep_stored(np.zeros((K, K)), phi, *args, Qt=Qt, gains=gains)
+    return Qt, gains, sweep_stored(P_tail, phi, *args)
+
+
+def optimal_rollout_stored(law, phi, s_index, z0):
+    """Optimal shifted trajectory and stage costs from step s_index over the
+    stored shifted stack phi, one product per step."""
+    n = law.n_steps - s_index
+    half_B = 0.5 * law.dt * law.actuator.mat
+    z = np.empty((n + 1, phi.shape[1]))
+    costs = np.empty(n)
+    z[0] = z0
+    for j in range(n):
+        m = s_index + j
+        eta = -(law.gains[m] @ z[j])
+        u = half_B @ eta
+        z[j + 1] = phi[m] @ (z[j] + u) + u
+        zbar = 0.5 * (z[j] + z[j + 1])
+        costs[j] = law.dt * (float(law.alphas @ zbar**2) + float(eta @ eta))
+    return z, costs
+
+
+def optimal_cost_check_stored(space, traj, law, phi, s, w0):
     """The optimal-cost check over stored stacks (the reference for the
-    streamed check): the rollout fills its z, eta and cost arrays, then the
+    streamed check): the rollout runs over the shifted stack phi, then the
     whole closed-loop step stack on [s, T_h] is built, swept and priced."""
     dt, lam = law.dt, law.lam
     s_index = int(round(s / dt))
     w0 = np.asarray(w0, float)
     value = float(w0 @ (law.Qt[s_index] @ w0))
-
-    n = law.n_steps - s_index
-    half_B = 0.5 * dt * law.actuator.mat
-    z = np.empty((n + 1, law.phi.shape[1]))
-    eta = np.empty((n, law.M))
-    costs = np.empty(n)
-    z[0] = w0
-    for j in range(n):
-        m = s_index + j
-        eta[j] = -(law.gains[m] @ z[j])
-        u = half_B @ eta[j]
-        z[j + 1] = law.phi[m] @ (z[j] + u) + u
-        zbar = 0.5 * (z[j] + z[j + 1])
-        costs[j] = dt * (float(law.alphas @ zbar**2) + float(eta[j] @ eta[j]))
+    _, costs = optimal_rollout_stored(law, phi, s_index, w0)
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
 
     diag_alpha = np.diag(space.alphas)

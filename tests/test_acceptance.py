@@ -249,7 +249,7 @@ def test_criterion_08_dynamic_programming(fb_instance, rng):
     v0 = rng.standard_normal(space.K)
     rep = dp_check(law, v0, 0.0, splits=[law.T_h / 4, law.T_h / 2])
     split_gap = max(s["rel_gap"] for s in rep["splits"])
-    cost = optimal_cost_check(space, ref, law, 1.0, v0)
+    cost = optimal_cost_check(ref, law, 1.0, v0)
     report(8, split_gap <= 1e-6 and cost["simulated_rel_gap"] <= 1e-4,
            f"cost splitting at T_h/4, T_h/2: gap {split_gap:.2e} <= 1e-6; "
            f"simulated optimal cost gap {cost['simulated_rel_gap']:.2e} <= 1e-4")

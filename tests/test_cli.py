@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsstab import cli, nonlinear, observability
+from nsstab import cli, feedback, nonlinear, observability
 from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
@@ -151,6 +151,20 @@ class TestRun:
         _, path = small_cfg
         monkeypatch.setattr(nonlinear, "INNER_CAP", 1)
         assert run("closed-loop", str(path), str(tmp_path / "o")) == 3
+
+    def test_law_beyond_available_memory_exit_code(self, small_cfg, tmp_path,
+                                                   monkeypatch, capsys):
+        cfg, path = small_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        M, _ = p.control_dim(p.lam_hat)
+        K, n_T = cfg.space.K, round(cfg.time.T_h / cfg.time.dt)
+        need = 8 * ((n_T + 1) * K * K + n_T * M * K)
+        monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need - 1)
+        code = main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{need / 1e6:.1f} MB" in err
+        assert all(field in err for field in ("space.K", "time.T_h", "time.dt"))
 
     def test_main_entrypoint(self, small_cfg, tmp_path):
         _, path = small_cfg
@@ -357,7 +371,7 @@ class TestOneClosedLoop:
         w0 = p.rng.standard_normal(space.K)
         tracemalloc.start()
         try:
-            optimal_cost_check(space, p.reference, law, 1.0, w0)
+            optimal_cost_check(p.reference, law, 1.0, w0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -379,6 +393,27 @@ class TestControlDimension:
         feedback = json.loads((out / "feedback.json").read_text())
         assert null["M_fallback"] is True and null["M"] == 8
         assert feedback["M_fallback"] is True and feedback["M"] == 8
+
+    def test_observability_payload_at_cutoff_zero(self, tmp_path):
+        # the chosen N is 0 (the M_fallback case): the payload is the
+        # report of the leading N = 4 block
+        cfg = ExperimentConfig.load(DEFAULT_CONFIG)
+        cfg.control.lam = 0.2
+        path = tmp_path / "low.json"
+        cfg.save(path)
+        assert run("observability", str(path), str(tmp_path / "o")) == 0
+        payload = json.loads((tmp_path / "o" / "observability.json").read_text())
+
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        assert p.choice(cfg.control.lam).N == 0
+        rep = p.search.observability_report(4)
+        assert payload == {"N": 4, "M_list": list(cfg.control.M_list),
+                           "D_table": {str(m): d for m, d in rep["D_table"].items()},
+                           "D_inf": rep["D_inf"], "M1": rep["M1"],
+                           "C_h1l2": rep["C_h1l2"]}
+        assert payload["M1"] == 16
+        assert payload["D_inf"] == pytest.approx(5.015354900430112, rel=1e-12)
+        assert payload["C_h1l2"] == pytest.approx(3.5999054773458803, rel=1e-12)
 
     def test_selected_m1_is_not_a_fallback(self):
         cfg = ExperimentConfig.load(DEFAULT_CONFIG)

@@ -8,6 +8,8 @@ from nsstab.dynamics import (
     adjoint_apply,
     bilinear_b,
     build_propagator,
+    cn_advance,
+    cn_step,
     cn_steps,
     linearization_matrix,
     linearized_apply,
@@ -284,6 +286,22 @@ class TestCnSteps:
         singular = -(2.0 / dt) * np.eye(3)      # I + h/2 F = 0
         with pytest.raises(StepSolveError, match="step 0"):
             cn_steps(lambda m: singular, 4, dt, 3)
+        for step in (lambda: cn_step(singular, dt, 5),
+                     lambda: cn_advance(singular, np.ones(3), dt, 5)):
+            with pytest.raises(StepSolveError, match="step 5"):
+                step()
+
+    def test_one_engine_for_stacks_steps_and_vectors(self, rng):
+        dt = 1.0 / 32
+        Fs = rng.standard_normal((3, 6, 6))
+        phi = cn_steps(lambda m: Fs[m], 3, dt, 6)
+        for m, F in enumerate(Fs):
+            assert np.array_equal(phi[m], cn_step(F, dt))
+            for v in (rng.standard_normal(6), rng.standard_normal((6, 2))):
+                want = phi[m] @ v
+                got = cn_advance(F, v, dt)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestTwoMatrixModel:

@@ -1,12 +1,15 @@
 """Weighted LQ synthesis: scalar oracles, DP identities, decay, residuals."""
 
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nsstab import dynamics, feedback
 from nsstab.dynamics import taylor_green_reference, zero_reference
-from nsstab.errors import RiccatiBlowupError
+from nsstab.errors import ConfigError, RiccatiBlowupError
 from nsstab.feedback import (
     closed_loop_linear,
     dp_check,
@@ -21,7 +24,14 @@ from nsstab.feedback import (
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.spectral import ChiMask, apply_chi_pm, build_actuator, build_space
 
-from oracles import optimal_cost_check_stored, riccati_two_matrix, scalar_are_root
+from oracles import (
+    optimal_cost_check_stored,
+    optimal_rollout_stored,
+    riccati_two_matrix,
+    riccati_two_sweep,
+    scalar_are_root,
+    shifted_steps,
+)
 
 DT = 1.0 / 128
 
@@ -50,6 +60,21 @@ def tg_law():
     act = build_actuator(space, chi, M=32)
     law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=14.0, dt=DT)
     return space, ref, chi, act, law
+
+
+@pytest.fixture(scope="module")
+def tg_phi(tg_law):
+    """The stored shifted step stack of tg_law (the reference path)."""
+    space, ref, _, _, law = tg_law
+    return shifted_steps(space, ref, law.lam, 0, law.n_steps, law.dt)
+
+
+def gate_instance(K=24, M=32, T_h=14.0):
+    """tg_law's instance on a reference long enough for the 2 T_h gate."""
+    space = build_space(nu=0.6, K=K, n=16, m_max=160)
+    ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=2 * T_h)
+    chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
+    return space, ref, build_actuator(space, chi, M=M)
 
 
 class TestRiccatiSolve:
@@ -132,6 +157,111 @@ class TestRiccatiSolve:
         den = max(np.linalg.norm(double.Qt[0]), 1e-300)
         assert law.horizon_gate["rel_change"] == float(num / den)
 
+    def test_one_loop_law_equals_two_sweep_oracle(self, monkeypatch):
+        # law and gate continuation advance together through steps built in
+        # the loop; the stored-stack path gives the same bits
+        space, ref, act = gate_instance(K=12, M=16, T_h=3.0)
+        returned = []
+        sweep = feedback._sweep
+
+        def spy(*args, **kwargs):
+            returned.append(sweep(*args, **kwargs))
+            return returned[-1]
+        monkeypatch.setattr(feedback, "_sweep", spy)
+        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=3.0,
+                            dt=1.0 / 64, verify_horizon=True)
+        Qt, gains, double_Q0 = riccati_two_sweep(space, ref, 1.0, act, 3.0, 1.0 / 64)
+        assert np.array_equal(law.Qt, Qt)
+        assert np.array_equal(law.gains, gains)
+        assert np.array_equal(returned[-1][1], double_Q0)
+        num = np.linalg.norm(double_Q0 - Qt[0])
+        assert law.horizon_gate["rel_change"] == float(num / np.linalg.norm(double_Q0))
+
+    def test_builds_each_step_once_per_sweep_and_stores_none(self, monkeypatch):
+        space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
+        built, stacks = [], []
+        cn_step = feedback.cn_step
+        cn_steps = dynamics.cn_steps
+
+        def step_spy(F, dt, m=0):
+            built.append(m)
+            return cn_step(F, dt, m)
+
+        def stack_spy(*args):
+            stacks.append(args)
+            return cn_steps(*args)
+        monkeypatch.setattr(feedback, "cn_step", step_spy)
+        monkeypatch.setattr(dynamics, "cn_steps", stack_spy)
+        monkeypatch.setattr(feedback, "cn_steps", stack_spy, raising=False)
+        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0,
+                            dt=1.0 / 32, verify_horizon=True)
+        n_T = law.n_steps
+        assert stacks == []
+        assert built == list(range(2 * n_T - 1, -1, -1))
+
+    def test_law_holds_cost_operators_and_gains_only(self, tg_law):
+        *_, law = tg_law
+        assert not hasattr(law, "phi")
+        held = sum(v.nbytes for v in vars(law).values() if isinstance(v, np.ndarray))
+        assert held == (law.Qt.nbytes + law.gains.nbytes + law.times.nbytes
+                        + law.alphas.nbytes)
+        assert law.n_steps == law.gains.shape[0] == law.Qt.shape[0] - 1
+
+    def test_gated_synthesis_peaks_near_the_law(self):
+        # neither a step stack nor a gate tail stack is ever allocated, so
+        # the traced peak stays within 10% of Qt plus gains
+        space, ref, act = gate_instance()
+        tracemalloc.start()
+        try:
+            law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=14.0,
+                                dt=DT, verify_horizon=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (law.Qt.nbytes + law.gains.nbytes)
+
+
+class TestMemoryGuard:
+    def test_refuses_a_law_larger_than_available_memory(self, monkeypatch):
+        space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
+        n_T = 64
+        need = 8 * ((n_T + 1) * 8 * 8 + n_T * 8 * 8)
+        steps = []
+        monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need - 1)
+        monkeypatch.setattr(feedback, "cn_step",
+                            lambda *a: steps.append(a) or dynamics.cn_step(*a))
+        with pytest.raises(ConfigError, match=f"{need / 1e6:.1f} MB") as info:
+            riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0,
+                          dt=1.0 / 32, verify_horizon=True)
+        for field in ("space.K", "time.T_h", "time.dt"):
+            assert field in str(info.value)
+        assert steps == []              # refused before the gate's tail sweep
+        monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need)
+        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
+        assert law.Qt.nbytes + law.gains.nbytes == need
+
+    def test_probe_reads_meminfo_or_physical_memory(self, monkeypatch):
+        avail = feedback.available_memory_bytes()
+        assert isinstance(avail, int) and avail > 0
+
+        def unreadable(*args, **kwargs):
+            raise OSError("unreadable")
+        monkeypatch.setattr(feedback, "open", unreadable, raising=False)
+        want = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        assert feedback.available_memory_bytes() == want
+
+    def test_probe_is_capped_by_a_cgroup_limit(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(feedback, "_host_available", lambda: 10**12)
+        monkeypatch.setattr(feedback, "CGROUP_DIR", str(tmp_path))
+        assert feedback.available_memory_bytes() == 10**12     # no limit files
+        (tmp_path / "memory.current").write_text("400000\n")
+        (tmp_path / "memory.max").write_text("max\n")
+        assert feedback.available_memory_bytes() == 10**12
+        (tmp_path / "memory.max").write_text("1000000\n")
+        assert feedback.available_memory_bytes() == 600000
+        monkeypatch.setattr(feedback, "_host_available", lambda: 500000)
+        assert feedback.available_memory_bytes() == 500000
+
 
 class TestGainApply:
     def test_zero_state(self, tg_law):
@@ -190,8 +320,7 @@ class TestTimeAxis:
     def test_optimal_cost_check_rejects_start_outside_horizon(self, tg_law, rng):
         space, ref, _, _, law = tg_law
         with pytest.raises(ValueError, match="outside the law's horizon"):
-            optimal_cost_check(space, ref, law, law.T_h + 1.0,
-                               rng.standard_normal(space.K))
+            optimal_cost_check(ref, law, law.T_h + 1.0, rng.standard_normal(space.K))
 
 
 class TestClosedLoop:
@@ -268,44 +397,64 @@ class TestOptimality:
         gaps = []
         for _ in range(3):
             w0 = rng.standard_normal(space.K)
-            rep = optimal_cost_check(space, ref, law, 2.0, w0)
+            rep = optimal_cost_check(ref, law, 2.0, w0)
             assert rep["rollout_rel_gap"] <= 1e-12
             gaps.append(rep["simulated_rel_gap"])
         assert max(gaps) <= 1e-4
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
-    def test_streamed_check_equals_stored_stacks(self, tg_law, rng, s):
+    def test_streamed_check_equals_stored_stacks(self, tg_law, tg_phi, rng, s):
+        # vector solves against stored-matrix products: equal to round-off
         space, ref, _, _, law = tg_law
         w0 = rng.standard_normal(space.K)
-        got = optimal_cost_check(space, ref, law, s, w0)
-        want = optimal_cost_check_stored(space, ref, law, s, w0)
+        got = optimal_cost_check(ref, law, s, w0)
+        want = optimal_cost_check_stored(space, ref, law, tg_phi, s, w0)
         assert got.keys() == want.keys()
-        for key, value in want.items():
-            assert got[key] == value, key
+        assert got["s"] == want["s"] and got["value"] == want["value"]
+        assert got["simulated_cost"] == pytest.approx(want["simulated_cost"], rel=1e-12)
+        for key in ("rollout_rel_gap", "simulated_rel_gap"):
+            assert got[key] == pytest.approx(want[key], abs=1e-12), key
+
+    @pytest.mark.parametrize("s", [0.0, 3.5])
+    def test_vector_rollout_equals_stored_rollout(self, tg_law, tg_phi, rng, s):
+        space, _, _, _, law = tg_law
+        z0 = rng.standard_normal(space.K)
+        s_index = law.index_of(s)
+        z, costs = optimal_rollout(law, s_index, z0)
+        z_ref, costs_ref = optimal_rollout_stored(law, tg_phi, s_index, z0)
+        assert z.shape == z_ref.shape and costs.shape == costs_ref.shape
+        assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+        assert np.linalg.norm(costs - costs_ref) <= 1e-12 * np.linalg.norm(costs_ref)
+
+    def test_scaled_cost_operators_trip_the_optimal_cost_check(self, tg_law, rng):
+        space, ref, _, _, law = tg_law
+        wrong = dataclasses.replace(law, Qt=law.Qt * (1 + 1e-3))
+        rep = optimal_cost_check(ref, wrong, 2.0, rng.standard_normal(space.K))
+        assert rep["rollout_rel_gap"] > 1e-6
+        assert rep["simulated_rel_gap"] > 1e-4
 
     def test_zero_state_cost(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = optimal_cost_check(space, ref, law, 0.0, np.zeros(space.K))
+        rep = optimal_cost_check(ref, law, 0.0, np.zeros(space.K))
         assert rep["value"] == 0.0
 
-    def test_perturbed_controls_never_beat_optimum(self, tg_law, rng):
+    def test_perturbed_controls_never_beat_optimum(self, tg_law, tg_phi, rng):
         space, _, _, _, law = tg_law
         v0 = rng.standard_normal(space.K)
-        s_index = 0
         value = float(v0 @ (law.Qt[0] @ v0))
-        z_opt, _ = optimal_rollout(law, s_index, v0)
+        z_opt, _ = optimal_rollout(law, 0, v0)
         eta_opt = -np.einsum("mij,mj->mi", law.gains, z_opt[:-1])
         eye = np.eye(space.K)
         # reference input maps h (I + h/2 F)^{-1} B = h/2 (I + phi) B
-        gamma = 0.5 * law.dt * (eye + law.phi) @ law.actuator.mat
+        gamma = 0.5 * law.dt * (eye + tg_phi) @ law.actuator.mat
         for _ in range(20):
             eta = eta_opt + 0.05 * rng.standard_normal(eta_opt.shape)
             z = v0.copy()
             cost = 0.0
             for m in range(law.n_steps):
-                zbar = 0.5 * ((eye + law.phi[m]) @ z + gamma[m] @ eta[m])
+                zbar = 0.5 * ((eye + tg_phi[m]) @ z + gamma[m] @ eta[m])
                 cost += law.dt * (law.alphas @ zbar**2 + eta[m] @ eta[m])
-                z = law.phi[m] @ z + gamma[m] @ eta[m]
+                z = tg_phi[m] @ z + gamma[m] @ eta[m]
             assert cost >= value - 1e-6 * abs(value)
 
 
@@ -345,6 +494,17 @@ class TestRiccatiResidual:
         space, ref, _, _, law = tg_law
         rep = riccati_residual(space, ref, law, [2.0, 4.0, 6.0, 8.0])
         assert rep["max_rel_residual"] <= 1e-5
+
+    def test_late_reference_trips_the_residual(self, tg_law):
+        # the residual read against u one step late must exceed the level
+        # test_interior_residual_small accepts
+        space, ref, _, _, law = tg_law
+
+        class LateReference:
+            def bmat_at(self, t):
+                return ref.bmat_at(t + law.dt)
+        rep = riccati_residual(space, LateReference(), law, [2.0, 4.0, 6.0, 8.0])
+        assert rep["max_rel_residual"] > 1e-5
 
     def test_terminal_layer_large(self, tg_law):
         space, ref, _, _, law = tg_law
