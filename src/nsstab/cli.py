@@ -105,11 +105,18 @@ class Pipeline:
 
     def control_dim(self, lam):
         """(M, M_fallback): the selected M1 at lam, or the fallback
-        max(M_list[0], 8) when no M1 was selected."""
+        max(M_list[0], 8) when no M1 was selected.  A fallback past the
+        control table (space.m_max) is a config error."""
         M1 = self.choice(lam).M1
         if M1:
             return M1, False
-        return max(self.cfg.control.M_list[0], 8), True
+        M = max(self.cfg.control.M_list[0], 8)
+        if M > self.cfg.space.m_max:
+            raise ConfigError(
+                f"space.m_max: no control dimension was selected at lambda={lam}, "
+                f"and the fallback max(control.M_list[0], 8) = {M} exceeds "
+                f"space.m_max = {self.cfg.space.m_max}; raise space.m_max to {M}")
+        return M, True
 
     @property
     def lam_hat(self):
@@ -182,9 +189,8 @@ def cmd_null_control(p: Pipeline, out):
     N = min(max(choice.N, 2), p.space.K)
     M, M_fallback = p.control_dim(c.control.lam)
     act = build_actuator(p.space, p.chi, M)
-    bundle = build_reachability(p.space, p.reference, 0.0, act, N, c.time.dt,
-                                propagator=p.search.propagators[0],
-                                pinv_rtol=c.tolerances.pinv_rtol)
+    bundle = build_reachability(p.space, act, N, p.search.propagators[0],
+                                c.tolerances.pinv_rtol)
     w0 = p.rng.standard_normal(p.space.K)
     control = min_norm_control(bundle, w0, c.tolerances.pinv_rtol,
                                c.tolerances.null_tol)

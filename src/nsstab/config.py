@@ -9,7 +9,6 @@ import numpy as np
 from .dynamics import (
     AmplitudeSchedule,
     ReferenceTrajectory,
-    make_reference,
     taylor_green_reference,
     zero_reference,
 )
@@ -245,7 +244,7 @@ class ExperimentConfig:
             c[index[key]] = float(m["weight"])
             shapes.append((c, AmplitudeSchedule(m["a0"], m.get("a1", 0.0),
                                                 m.get("omega", 0.0))))
-        return make_reference(space, shapes, r.horizon)
+        return ReferenceTrajectory(space, shapes, r.horizon)
 
     def build_chi(self, space: SpectralSpace) -> ChiMask:
         return ChiMask.bump(space, center=self.chi.center,

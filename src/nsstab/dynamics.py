@@ -13,7 +13,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .errors import StepSolveError
-from .spectral import Actuator, SpectralSpace
+from .spectral import SpectralSpace
 
 
 def bilinear_b(space: SpectralSpace, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
@@ -54,15 +54,6 @@ def linearization_matrix(space: SpectralSpace, cu: np.ndarray) -> np.ndarray:
 
     cols = space.quad_w * (term.reshape(space.K, 2 * n2) @ space.mode_fields[: space.K].T)
     return cols.T
-
-
-def linearized_apply(space, cu, cv):
-    return bilinear_b(space, cv, cu) + bilinear_b(space, cu, cv)
-
-
-def adjoint_apply(space, cu, cq):
-    """Formal H-adjoint of the linearization; the exact matrix transpose."""
-    return linearization_matrix(space, cu).T @ cq
 
 
 @dataclass
@@ -112,7 +103,8 @@ def taylor_green_coefficients(space: SpectralSpace) -> np.ndarray:
 
 
 class ReferenceTrajectory:
-    """Manufactured reference: modal shapes with smooth amplitude schedules.
+    """Manufactured reference: modal shapes with smooth amplitude schedules,
+    shapes a list of (coefficient vector, AmplitudeSchedule).
 
     The forcing h = u_t + L u + B(u) is computed exactly in coefficients, so
     the reference is an exact solution of the forced system and its
@@ -167,19 +159,15 @@ class ReferenceTrajectory:
         return float(sups.sum())
 
 
-def make_reference(space: SpectralSpace, shapes, horizon: float) -> ReferenceTrajectory:
-    """shapes: list of (coefficient vector, AmplitudeSchedule)."""
-    return ReferenceTrajectory(space, shapes, horizon)
-
-
 def zero_reference(space: SpectralSpace, horizon: float) -> ReferenceTrajectory:
-    return make_reference(space, [(np.zeros(space.K), AmplitudeSchedule(0.0))], horizon)
+    return ReferenceTrajectory(space, [(np.zeros(space.K), AmplitudeSchedule(0.0))],
+                               horizon)
 
 
 def taylor_green_reference(space: SpectralSpace, a0: float, a1: float = 0.0,
                            omega: float = 0.0, horizon: float = 8.0) -> ReferenceTrajectory:
     sched = AmplitudeSchedule(a0, a1, omega)
-    return make_reference(space, [(taylor_green_coefficients(space), sched)], horizon)
+    return ReferenceTrajectory(space, [(taylor_green_coefficients(space), sched)], horizon)
 
 
 def cn_step(F: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
@@ -313,37 +301,6 @@ def build_propagator(space: SpectralSpace, traj: ReferenceTrajectory,
     phi = cn_steps(lambda m: diag_alpha + traj.bmat_at(tau + (m + 0.5) * dt),
                    n_steps, dt, space.K)
     return Propagator(tau=tau, dt=dt, phi=phi)
-
-
-def propagate_linear(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,
-                     w0: np.ndarray, actuator: Actuator | None = None,
-                     eta: np.ndarray | None = None, dt: float = 1.0 / 128,
-                     propagator: Propagator | None = None,
-                     forcing: np.ndarray | None = None) -> tuple[Trajectory, Propagator]:
-    """Controlled linearized flow on [tau, tau+1].
-
-    eta: per-step control coefficients (n_steps, M); forcing: per-step
-    H-space forcing samples (n_steps, K), both piecewise constant.
-    """
-    prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
-    inputs = None
-    if eta is not None:
-        if actuator is None:
-            raise ValueError("control requires an actuator")
-        if eta.shape != (prop.n_steps, actuator.M):
-            raise ValueError(f"control grid {eta.shape} does not match "
-                             f"({prop.n_steps}, {actuator.M})")
-        inputs = eta @ actuator.mat.T
-    if forcing is not None:
-        inputs = forcing if inputs is None else inputs + forcing
-    states = prop.forward(np.asarray(w0, float), inputs)
-    return Trajectory(times=prop.times, states=states), prop
-
-
-def propagate_adjoint(prop: Propagator, q1: np.ndarray) -> Trajectory:
-    """Backward dual flow; node samples of q on the same grid."""
-    nodes, _ = prop.adjoint_block(np.asarray(q1, float))
-    return Trajectory(times=prop.times, states=nodes)
 
 
 def regularity_diagnostics(space: SpectralSpace, traj: ReferenceTrajectory,

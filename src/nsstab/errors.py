@@ -13,14 +13,6 @@ class DealiasingError(NsstabError):
     """Grid resolution too small for alias-free products at the requested cutoff."""
 
 
-class InvalidProgramError(NsstabError):
-    """Quadratic program violates its structural requirements (e.g. indefinite cost)."""
-
-
-class InfeasibleConstraintError(NsstabError):
-    """Equality constraint has no solution within the pseudoinverse tolerance."""
-
-
 class UnreachableTargetError(NsstabError):
     """Projected endpoint not reachable through the actuator; raise M or the horizon."""
 

@@ -74,9 +74,6 @@ class FeedbackLaw:
             raise ValueError(f"t={t} lies outside the law's horizon [0, {self.T_h}]")
         return int(round(x))
 
-    def value_matrix(self, t: float) -> np.ndarray:
-        return self.Qt[self.index_of(t)]
-
     def max_gain_norm(self, stride: int = 16) -> float:
         """Measured operator-norm bound of the continuous-form gain."""
         G = self.actuator.gram
@@ -220,12 +217,6 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, Qt=None, gains=No
             Qt[m] = P[0]
             gains[m] = G[0]
     return P
-
-
-def gain_apply(law: FeedbackLaw, t: float, v: np.ndarray) -> np.ndarray:
-    """Feedback forcing -chi P_M chi Qt(t) v in velocity coefficients."""
-    act = law.actuator
-    return -act.apply(act.adjoint(law.value_matrix(t) @ np.asarray(v, float)))
 
 
 def closed_loop_system(traj: ReferenceTrajectory, law: FeedbackLaw):
@@ -404,9 +395,3 @@ def riccati_residual(space: SpectralSpace, traj: ReferenceTrajectory,
         out.append(float(np.linalg.norm(res) / scale))
     return {"t": list(t_samples), "rel_residual": out,
             "max_rel_residual": float(max(out))}
-
-
-def sampled_continuity(law: FeedbackLaw, w: np.ndarray) -> float:
-    """Max adjacent-sample jump of t -> (Qt(t) w, w), the weak-continuity probe."""
-    vals = np.einsum("i,mij,j->m", w, law.Qt, w)
-    return float(np.max(np.abs(np.diff(vals))))

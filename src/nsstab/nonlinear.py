@@ -40,15 +40,10 @@ def zlambda_norm(space: SpectralSpace, trajectory: Trajectory, lam: float) -> fl
     w_mid = np.exp(lam * (t[:-1] + 0.5 * dt))
     window = int(round(1.0 / dt))
     cum = np.concatenate([[0.0], np.cumsum(dt * w_mid * dl_mid)])
-    best = np.max(np.exp(lam * t) * v2 + _window_sums(cum, window, len(t)))
+    m = np.arange(len(t))
+    window_sums = cum[np.minimum(m + window, len(cum) - 1)] - cum[m]
+    best = np.max(np.exp(lam * t) * v2 + window_sums)
     return float(np.sqrt(best))
-
-
-def _window_sums(cum: np.ndarray, window: int, count: int) -> np.ndarray:
-    """cum[min(m + window, last)] - cum[m] for m < count: the sums over
-    one-unit windows of a cumulative sum, clipped at its final sample."""
-    m = np.arange(count)
-    return cum[np.minimum(m + window, len(cum) - 1)] - cum[m]
 
 
 @dataclass
@@ -204,13 +199,6 @@ def decay_report(space: SpectralSpace, lam: float, trajectory: Trajectory,
             "weighted_v_final": float(wv2[-1] / v0_v2) if v0_v2 else 0.0}
 
 
-def xi_map(stepper: ClosedLoopStepper, v0: np.ndarray, a: Trajectory) -> Trajectory:
-    """One application of the fixed-point map: solve the stepper's closed
-    loop from v0 with the advection forcing -B(a, a) taken from the given
-    trajectory, which lives on the stepper's time grid."""
-    return stepper.run_xi(np.asarray(v0, float), a.states)
-
-
 def contraction_probe(stepper: ClosedLoopStepper, v0: np.ndarray, rng,
                       pairs: int = 3, max_iter: int = 50) -> dict:
     """Picard iteration of the fixed-point map plus a pairwise Lipschitz probe.
@@ -270,40 +258,6 @@ def _admissible_perturbation(st: ClosedLoopStepper, rng, amplitude: float):
     direction /= np.linalg.norm(direction)
     wobble = np.cos(np.outer(t, 1.0 + rng.uniform(0, 2, K)))
     return amplitude * envelope[:, None] * wobble * direction[None, :]
-
-
-def duhamel_bound_check(stepper: ClosedLoopStepper, forcings) -> dict:
-    """Verify the discrete variation-of-constants identity and measure the
-    forced-response constant.
-
-    For each forcing batch entry (per-step midpoint samples), compares the
-    endpoint of the direct forced solve against the superposition
-    dt * sum_m stages[m]' f_m of pulse responses from the adjoint sweep,
-    then reports the ratio of the contraction-norm energy of the response
-    to the sliding-window weighted forcing energy.
-    """
-    n, K = stepper.n_steps, stepper.phi.shape[1]
-    dt, lam = stepper.dt, stepper.lam
-    window = int(round(1.0 / dt))
-    # stages[m].T is the endpoint response to a unit pulse at step m
-    _, stages = stepper.adjoint_block(np.eye(K))
-    identity_gap = 0.0
-    ratios = []
-    for f in forcings:
-        f = np.asarray(f, float)
-        direct = stepper.run_linear(np.zeros(K), f)
-        superposed = dt * np.einsum("mij,mi->j", stages, f)
-        identity_gap = max(identity_gap,
-                           float(np.max(np.abs(superposed - direct.endpoint()))))
-        t_mid = (stepper.times[:-1] - stepper.times[0]) + 0.5 * dt
-        wf = np.exp(2.0 * lam * t_mid) * np.sum(f**2, axis=1)
-        cum = np.concatenate([[0.0], np.cumsum(dt * wf)])
-        sliding = np.max(_window_sums(cum, window, n))
-        lhs = zlambda_norm(stepper.space, direct, lam) ** 2
-        ratios.append(lhs / max(sliding, 1e-300))
-    return {"identity_max_gap": identity_gap,
-            "forced_response_constants": ratios,
-            "C1": float(max(ratios)) if ratios else 0.0}
 
 
 def basin_sweep(stepper: ClosedLoopStepper, scales, directions: int, rng,

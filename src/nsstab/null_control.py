@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, ReferenceTrajectory, Trajectory, build_propagator
+from .dynamics import Propagator, Trajectory
 from .errors import UnreachableTargetError
 from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from .spectral import Actuator, SpectralSpace
@@ -73,30 +73,29 @@ class ReachabilityBundle:
         return ControlSignal(tau=self.tau, dt=self.propagator.dt, values=vals)
 
 
-def build_reachability(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,
-                       actuator: Actuator, N: int, dt: float = 1.0 / 128,
-                       propagator: Propagator | None = None,
+def build_reachability(space: SpectralSpace, actuator: Actuator, N: int,
+                       propagator: Propagator,
                        pinv_rtol: float = DEFAULT_PINV_RTOL) -> ReachabilityBundle:
-    """Assemble endpoint maps by one adjoint sweep per retained Stokes direction."""
+    """Assemble the endpoint maps of the propagator's interval by one adjoint
+    sweep per retained Stokes direction."""
     if not 0 <= N <= space.K:
         raise ValueError(f"projection cutoff N={N} outside [0, K]")
-    prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
-    free_map = prop.total
+    free_map = propagator.total
 
-    n_steps, M = prop.n_steps, actuator.M
+    n_steps, M = propagator.n_steps, actuator.M
     rows = np.zeros((N, n_steps * M))
     if N:
         Q1 = np.zeros((space.K, N))
         Q1[:N, :N] = np.eye(N)
-        _, stages = prop.adjoint_block(Q1)          # (n_steps, K, N)
-        sq = np.sqrt(prop.dt)
+        _, stages = propagator.adjoint_block(Q1)    # (n_steps, K, N)
+        sq = np.sqrt(propagator.dt)
         for m in range(n_steps):
             rows[:, m * M:(m + 1) * M] = sq * (actuator.mat.T @ stages[m]).T
     gram = rows @ rows.T
     _, rank = pinv_psd(gram, pinv_rtol)
-    return ReachabilityBundle(space=space, actuator=actuator, propagator=prop,
-                              tau=tau, N=N, free_map=free_map, input_rows=rows,
-                              gramian=gram, gramian_rank=rank)
+    return ReachabilityBundle(space=space, actuator=actuator, propagator=propagator,
+                              tau=propagator.tau, N=N, free_map=free_map,
+                              input_rows=rows, gramian=gram, gramian_rank=rank)
 
 
 def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
@@ -110,23 +109,24 @@ def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
     if bundle.N == 0:
         return bundle.control_from_stacked(np.zeros(bundle.input_rows.shape[1]))
     y = (bundle.free_map @ w0)[: bundle.N]
-    g = null_coefficients(bundle.gramian, y, w0, bundle.actuator.M, pinv_rtol, null_tol)
+    Gp, _ = pinv_psd(bundle.gramian, pinv_rtol)
+    g = null_coefficients(bundle.gramian, Gp, y, w0, bundle.actuator.M, null_tol)
     return bundle.control_from_stacked(bundle.input_rows.T @ g)
 
 
-def null_coefficients(gramian: np.ndarray, y: np.ndarray, w0: np.ndarray, M: int,
-                      pinv_rtol: float = DEFAULT_PINV_RTOL,
+def null_coefficients(gramian: np.ndarray, gramian_pinv: np.ndarray, y: np.ndarray,
+                      w0: np.ndarray, M: int,
                       null_tol: float = DEFAULT_NULL_TOL) -> np.ndarray:
     """Gramian coefficients g = -G^+ y of the minimal-norm control that
-    cancels the free endpoint's projection y = (A w0)[:N].
+    cancels the free endpoint's projection y = (A w0)[:N], given G and its
+    pseudoinverse G^+ = pinv_psd(G).
 
     The control is the input map's transpose applied to g.  Raises
     UnreachableTargetError when y has mass outside the Gramian range beyond
     null_tol * |w0|, which signals that the control dimension M is too
     small for this N.
     """
-    Gp, _ = pinv_psd(gramian, pinv_rtol)
-    g = Gp @ (-y)
+    g = gramian_pinv @ (-y)
     resid = np.linalg.norm(y + gramian @ g)
     w0_h = np.linalg.norm(w0)
     if resid > null_tol * max(w0_h, 1e-300):

@@ -19,9 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import ReferenceTrajectory, build_propagator
 from .quadmin import DEFAULT_PINV_RTOL
-from .spectral import Actuator, ChiMask, SpectralSpace, build_actuator
+from .spectral import ChiMask, SpectralSpace, build_actuator
 
 
 def _grid_derivative_ops(n: int):
@@ -57,7 +56,6 @@ def _chi_output_kernels(space: SpectralSpace, chi: ChiMask):
 class ObservabilityForms:
     """Symmetric PSD forms over terminal data q1 in the first N Stokes modes."""
 
-    tau: float
     N: int
     M_list: tuple
     energy: np.ndarray          # (N, N): q1 -> |q(tau)|_H^2
@@ -83,30 +81,17 @@ class ObservabilityForms:
                        output_by_mode=self.output_by_mode[:, :N, :N])
 
 
-def build_forms(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,
-                chi: ChiMask, N: int, M_list, dt: float = 1.0 / 128,
-                actuator: Actuator | None = None,
-                propagator=None, sweep=None) -> ObservabilityForms:
-    """One backward sweep per basis direction of the terminal subspace.
-
-    sweep: the (nodes, stages) of that sweep, when the caller has already
-    run adjoint_block on the first N unit directions of this interval.
-    """
+def build_forms(space: SpectralSpace, chi: ChiMask, M_list, dt: float,
+                sweep) -> ObservabilityForms:
+    """The forms over terminal data in the first N Stokes modes, from the
+    (nodes, stages) of one interval's adjoint block sweep of the first N
+    unit directions (stages of shape (n_steps, K, N))."""
+    nodes, stages = sweep
+    N = stages.shape[-1]
     if not 1 <= N <= space.K:
         raise ValueError(f"N={N} outside [1, K]")
     M_list = tuple(sorted(set(int(m) for m in M_list)))
-    M_max = max(M_list) if M_list else 0
-    if actuator is None:
-        actuator = build_actuator(space, chi, max(M_max, 1))
-    elif actuator.M < M_max:
-        raise ValueError("actuator smaller than the largest requested M")
-
-    if sweep is None:
-        prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
-        Q1 = np.zeros((space.K, N))
-        Q1[:N, :N] = np.eye(N)
-        sweep = prop.adjoint_block(Q1)
-    nodes, stages = sweep
+    actuator = build_actuator(space, chi, max(max(M_list, default=0), 1))
 
     energy = nodes[0].T @ nodes[0]
     W_l2, W_h1 = _chi_output_kernels(space, chi)
@@ -118,7 +103,7 @@ def build_forms(space: SpectralSpace, traj: ReferenceTrajectory, tau: float,
         output_h1 += dt * (Z.T @ W_h1 @ Z)
         P = actuator.mat.T @ Z                       # (M, N)
         by_mode += dt * np.einsum("ia,ib->iab", P, P)
-    return ObservabilityForms(tau=tau, N=N, M_list=M_list, energy=energy,
+    return ObservabilityForms(N=N, M_list=M_list, energy=energy,
                               output_full=output_full, output_h1=output_h1,
                               output_by_mode=by_mode,
                               betas=space.betas[: actuator.M].copy())

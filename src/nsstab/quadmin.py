@@ -1,16 +1,14 @@
-"""Dense equality-constrained quadratic minimisation with KKT residuals.
+"""Pseudoinverse of the symmetric PSD Gramians of the interval problems.
 
-Solves min x^T J x subject to A x = y for symmetric positive-definite J and
-surjective A, by either the Gramian (normal-equations) route or a null-space
-parametrisation.  Both routes are kept on purpose: agreement between two
-independent factorizations is one of the library's correctness checks.
+Every minimal-norm control of the package solves its equality constraint
+through the Gramian (normal-equations) route, x = A^T (A A^T)^+ y, with
+this eigen-based pseudoinverse of the Gramian.
+The generic equality-constrained solver that cross-checks those controls,
+with its KKT residual and its null-space route, is a test oracle
+(tests/oracles.py).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import InfeasibleConstraintError, InvalidProgramError
 
 DEFAULT_PINV_RTOL = 1e-10
 
@@ -27,101 +25,3 @@ def pinv_psd(G: np.ndarray, rtol: float = DEFAULT_PINV_RTOL):
     keep = w > cut
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     return (U * inv_w) @ U.T, int(keep.sum())
-
-
-@dataclass
-class QuadraticProgram:
-    """min x^T cost x  s.t.  constraint x = target."""
-
-    cost: np.ndarray        # (n, n), symmetric positive definite
-    constraint: np.ndarray  # (m, n)
-    target: np.ndarray      # (m,)
-
-    def validate(self, rtol: float = DEFAULT_PINV_RTOL):
-        J = self.cost
-        if not np.allclose(J, J.T, atol=1e-12 * max(1.0, np.abs(J).max())):
-            raise InvalidProgramError("cost form must be symmetric")
-        w = np.linalg.eigvalsh(0.5 * (J + J.T))
-        if w.min() <= 0.0:
-            raise InvalidProgramError(
-                f"cost form must be positive definite (min eigenvalue {w.min():.3e})")
-        if self.constraint.shape[1] != J.shape[0]:
-            raise InvalidProgramError("constraint and cost dimensions disagree")
-
-
-def solve_constrained_min(qp: QuadraticProgram, rtol: float = DEFAULT_PINV_RTOL,
-                          method: str = "gramian"):
-    """Unique global minimiser and its KKT multiplier.
-
-    gramian:   x = J^{-1} A^T (A J^{-1} A^T)^+ y  (production route)
-    nullspace: particular solution plus a reduced solve on ker A (oracle route)
-
-    Raises InfeasibleConstraintError when A is rank-deficient and y is not in
-    its range within the pseudoinverse tolerance.
-    """
-    qp.validate(rtol)
-    J, A, y = qp.cost, qp.constraint, np.asarray(qp.target, float)
-
-    JinvAt = np.linalg.solve(J, A.T)
-    W = A @ JinvAt
-    Wpinv, rank = pinv_psd(W, rtol)
-    mult = -2.0 * (Wpinv @ y)
-    x = -0.5 * (JinvAt @ mult)
-    if rank < A.shape[0]:
-        resid = np.linalg.norm(A @ x - y)
-        if resid > np.sqrt(rtol) * max(1.0, np.linalg.norm(y)):
-            raise InfeasibleConstraintError(
-                f"constraint residual {resid:.3e} with rank-deficient operator "
-                f"(rank {rank} of {A.shape[0]})")
-
-    if method == "nullspace":
-        _, s, vt = np.linalg.svd(A)
-        r = int((s > rtol * s[0]).sum()) if s.size else 0
-        x_p, *_ = np.linalg.lstsq(A, y, rcond=None)
-        Z = vt[r:].T
-        if Z.shape[1]:
-            xi = np.linalg.solve(Z.T @ J @ Z, -(Z.T @ J @ x_p))
-            x = x_p + Z @ xi
-        else:
-            x = x_p
-    elif method != "gramian":
-        raise ValueError(f"unknown method {method!r}")
-    return x, mult
-
-
-def kkt_residual(qp: QuadraticProgram, x: np.ndarray, mult: np.ndarray) -> float:
-    """Scaled stationarity residual |2 J x + A^T mult| of a candidate pair."""
-    J, A = qp.cost, qp.constraint
-    r = 2.0 * (J @ x) + A.T @ mult
-    scale = (np.linalg.norm(J, 2) * np.linalg.norm(x)
-             + np.linalg.norm(A.T, 2) * np.linalg.norm(mult) + 1e-300)
-    return float(np.linalg.norm(r) / scale)
-
-
-def minimizer_map_linearity_check(cost, constraint, targets, rng,
-                                  rtol: float = DEFAULT_PINV_RTOL) -> dict:
-    """Probe linearity of y -> argmin and the orthogonality J(L y, ker A) = 0."""
-    max_lin = 0.0
-    max_orth = 0.0
-    _, s, vt = np.linalg.svd(constraint)
-    r = int((s > rtol * s[0]).sum())
-    Z = vt[r:].T
-    Jnorm = np.linalg.norm(cost, 2)
-
-    def solve(y):
-        x, _ = solve_constrained_min(QuadraticProgram(cost, constraint, y), rtol)
-        return x
-
-    for a, b in zip(targets[0::2], targets[1::2]):
-        al, be = rng.standard_normal(2)
-        gap = solve(al * a + be * b) - al * solve(a) - be * solve(b)
-        scale = max(np.linalg.norm(solve(a)), np.linalg.norm(solve(b)), 1e-300)
-        max_lin = max(max_lin, np.linalg.norm(gap) / scale)
-        if Z.shape[1]:
-            z = Z @ rng.standard_normal(Z.shape[1])
-            x = solve(a)
-            val = abs(x @ (cost @ z))
-            max_orth = max(max_orth, val / (Jnorm * np.linalg.norm(x)
-                                            * np.linalg.norm(z) + 1e-300))
-    return {"max_linearity_defect": float(max_lin),
-            "max_kernel_orthogonality_defect": float(max_orth)}

@@ -115,16 +115,6 @@ class SpectralSpace:
         """
         return (self.quad_w * (self.mode_fields @ np.ravel(w)))[: self.K]
 
-    def analyze_laplacian(self, w: np.ndarray, M: int | None = None) -> np.ndarray:
-        """Laplacian-basis coefficients (first M) of a grid field."""
-        coeffs = self.quad_w * (self.lap_fields @ np.ravel(w))
-        return coeffs if M is None else coeffs[:M]
-
-    def synthesize_laplacian(self, eta: np.ndarray) -> np.ndarray:
-        """Grid field of a control-basis coefficient vector."""
-        eta = np.asarray(eta, float)
-        return (eta @ self.lap_fields[: eta.shape[0]]).reshape(2, self.n, self.n)
-
     def norms(self, c: np.ndarray) -> tuple[float, float, float]:
         """(H, V, D(L)) norms of a coefficient vector."""
         c2 = np.asarray(c, float)[: self.K] ** 2
@@ -134,21 +124,9 @@ class SpectralSpace:
             float(np.sqrt((self.alphas**2 * c2).sum())),
         )
 
-    def project(self, c: np.ndarray, N: int) -> np.ndarray:
-        """Orthogonal projection onto the first N Stokes modes (zero-padded to K)."""
-        if not 0 <= N <= self.K:
-            raise ValueError(f"projection cutoff N={N} outside [0, K={self.K}]")
-        out = np.zeros(self.K)
-        out[:N] = np.asarray(c, float)[:N]
-        return out
-
     def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
         x = np.arange(self.n) * (TWO_PI / self.n)
         return np.meshgrid(x, x, indexing="ij")
-
-    def grid_inner(self, w1: np.ndarray, w2: np.ndarray) -> float:
-        """Quadrature L2 inner product of two grid fields."""
-        return float(self.quad_w * np.vdot(np.ravel(w1), np.ravel(w2)).real)
 
 
 def build_space(nu: float, K: int, n: int, m_max: int | None = None) -> SpectralSpace:
@@ -243,10 +221,6 @@ def build_space(nu: float, K: int, n: int, m_max: int | None = None) -> Spectral
     return space
 
 
-def norms(space: SpectralSpace, c: np.ndarray) -> tuple[float, float, float]:
-    return space.norms(c)
-
-
 @dataclass(frozen=True)
 class ChiMask:
     """Smooth localisation mask sampled on the grid, 0 <= chi <= 1.
@@ -322,11 +296,3 @@ def build_actuator(space: SpectralSpace, chi: ChiMask, M: int) -> Actuator:
     mat = space.quad_w * (space.mode_fields[: space.K] @ (chi_flat[:, None] * space.lap_fields[:M].T))
     _freeze(mat)
     return Actuator(M=M, mat=mat)
-
-
-def apply_chi_pm(space: SpectralSpace, chi: ChiMask, M: int, c: np.ndarray) -> np.ndarray:
-    """P_M(chi * v) coefficients of a velocity state, computed on the grid."""
-    if not 1 <= M <= len(space.lap_modes):
-        raise ValueError(f"control dimension M={M} outside the Laplacian table")
-    w = space.synthesize(c) * chi.values[None, :, :]
-    return space.analyze_laplacian(w, M)

@@ -20,13 +20,13 @@ from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from .spectral import ChiMask, SpectralSpace, build_actuator
 
 
-def null_closed_map(free_map: np.ndarray, endpoints: np.ndarray, gramian: np.ndarray,
-                    pinv_rtol: float = DEFAULT_PINV_RTOL) -> np.ndarray:
+def null_closed_map(free_map: np.ndarray, endpoints: np.ndarray,
+                    gramian_pinv: np.ndarray) -> np.ndarray:
     """A - E G^+ A[:N]: the free endpoint map A corrected by the minimal-norm
     null control, given the endpoint responses E (K, N) to the N
-    leading-direction controls and their Gramian G (N, N)."""
-    Gp, _ = pinv_psd(gramian, pinv_rtol)
-    return free_map - endpoints @ (Gp @ free_map[: gramian.shape[0]])
+    leading-direction controls and the pseudoinverse G^+ (N, N) of their
+    Gramian."""
+    return free_map - endpoints @ (gramian_pinv @ free_map[: gramian_pinv.shape[0]])
 
 
 @dataclass
@@ -54,11 +54,14 @@ class CutoffSearch:
     measurement runs one adjoint sweep per unit interval over the n_top
     leading directions and keeps, per interval, for every listed M that some
     cutoff selects as M1: the Gramian of those directions and their endpoint
-    responses (`tables`).  Each cutoff is then measured on leading blocks of
-    these tables, with the M1 report that select_m1 gives on the leading
-    blocks of the interval-0 observability forms (`observability_report`);
-    the forms themselves are not kept.  `stabilize` reads its Gramians from
-    the same tables, so no other block sweep of these intervals runs.
+    responses (`tables`), and the actuator of that M (`actuators`).  Each
+    cutoff is then measured on leading blocks of these tables, with the M1
+    report that select_m1 gives on the leading blocks of the interval-0
+    observability forms (`observability_report`); the forms themselves are
+    not kept.  Measuring cutoff N keeps the pseudoinverse of each interval's
+    Gramian block (`gramian_pinvs[N]`).  `stabilize` reads its Gramians,
+    their pseudoinverses and its actuator from the search, so no other
+    block sweep of these intervals runs.
     """
 
     def __init__(self, space: SpectralSpace, traj: ReferenceTrajectory,
@@ -73,6 +76,8 @@ class CutoffSearch:
         self.measured: dict = {}
         self.tables: dict = {}      # M -> (gramians (n_int, n_top, n_top),
                                     #       endpoints (n_int, K, n_top))
+        self.actuators: dict = {}   # M -> Actuator, for the M of the tables
+        self.gramian_pinvs: dict = {}   # N -> pinv of G[:N, :N] per interval
         self._reports: dict = {}    # N -> select_m1 report
 
     def measure(self, N: int):
@@ -96,13 +101,14 @@ class CutoffSearch:
         for i, prop in enumerate(props):
             nodes, stages = prop.adjoint_block(Q1)
             if i == 0:
-                forms = build_forms(space, self.traj, 0.0, self.chi, n_top,
-                                    self.M_list, self.dt, sweep=(nodes, stages))
+                forms = build_forms(space, self.chi, self.M_list, self.dt,
+                                    (nodes, stages))
                 self._reports = {N: select_m1(forms.leading(N), self.slack,
                                               self.pinv_rtol)
                                  for N in range(1, n_top + 1)}
                 M1s = sorted({r["M1"] for r in self._reports.values()} - {None})
-                grams = {M: build_actuator(space, self.chi, M).gram for M in M1s}
+                self.actuators = {M: build_actuator(space, self.chi, M) for M in M1s}
+                grams = {M: act.gram for M, act in self.actuators.items()}
                 self.tables = {M: (np.empty((len(props), n_top, n_top)),
                                    np.empty((len(props), space.K, n_top)))
                                for M in M1s}
@@ -122,8 +128,10 @@ class CutoffSearch:
                 f"no listed control dimension observes the first {N} modes; "
                 f"extend M_list beyond {max(self.M_list)}")
         gramians, endpoints = self.tables[rep["M1"]]
+        pinvs = [pinv_psd(G[:N, :N], self.pinv_rtol)[0] for G in gramians]
+        self.gramian_pinvs[N] = pinvs
         factors = [float(np.linalg.norm(null_closed_map(
-            prop.total, endpoints[i][:, :N], gramians[i][:N, :N], self.pinv_rtol), 2))
+            prop.total, endpoints[i][:, :N], pinvs[i]), 2))
             for i, prop in enumerate(props)]
         return rep, factors
 
@@ -204,20 +212,22 @@ def stabilize(search: CutoffSearch, choice: CutoffChoice, v0: np.ndarray,
     unit intervals, at the cutoff and decay rate of choice.
 
     On interval [n, n + 1] with free endpoint map A, the Gramian coefficients
-    g solve G g = -(A v)[:N] for the Gramian G of the N leading directions,
-    read from the search's tables.  The minimal-norm control is the actuator
-    image of the dual state they start, eta = P_M1(chi q) with q the adjoint
-    sweep of the terminal datum [g; 0] (the Hilbert Uniqueness Method form),
-    so each interval adds one single-vector sweep to the search's block
-    sweeps.  Interval joints reuse the previous endpoint exactly.  Measures
-    kappa1 (weighted H decay), kappa3 (weighted V decay from t >= 1) and its
-    sqrt(t)-smoothing variant on the first interval.
+    g = -G^+ (A v)[:N] come from the Gramian G of the N leading directions
+    and its pseudoinverse, both read from the search.  The minimal-norm
+    control is the actuator image of the dual state they start,
+    eta = P_M1(chi q) with q the adjoint sweep of the terminal datum [g; 0]
+    (the Hilbert Uniqueness Method form), so each interval adds one
+    single-vector sweep to the search's block sweeps.  Interval joints
+    reuse the previous endpoint exactly.  Measures kappa1 (weighted H
+    decay), kappa3 (weighted V decay from t >= 1) and its sqrt(t)-smoothing
+    variant on the first interval.
     """
     space, lam, N = search.space, choice.lam, choice.N
     v0 = np.asarray(v0, float)
     if N:
-        act = build_actuator(space, search.chi, choice.M1)
+        act = search.actuators[choice.M1]
         gramians = search.tables[choice.M1][0]
+        pinvs = search.gramian_pinvs[N]
 
     times = [np.array([0.0])]
     states = [v0[None, :]]
@@ -227,8 +237,8 @@ def stabilize(search: CutoffSearch, choice: CutoffChoice, v0: np.ndarray,
     v = v0.copy()
     for i, prop in enumerate(search.propagators):
         if N:
-            g = null_coefficients(gramians[i][:N, :N], (prop.total @ v)[:N], v,
-                                  act.M, search.pinv_rtol, null_tol)
+            g = null_coefficients(gramians[i][:N, :N], pinvs[i], (prop.total @ v)[:N],
+                                  v, act.M, null_tol)
             _, stages = prop.adjoint_block(np.concatenate([g, np.zeros(space.K - N)]))
             values = stages @ act.mat                    # (n_steps, M1)
             inputs = values @ act.mat.T

@@ -16,12 +16,26 @@ and the stored-step feedback synthesis: `shifted_steps`, the stack of the
 shifted steps, `riccati_two_sweep`, the law's sweep over that stack with
 the horizon gate's tail stack swept apart and then continued over the
 law's stack, and `optimal_rollout_stored`, the rollout over that stack.
-"""
+
+The checks that no run of the package makes live here too, with the tests
+that use them: the generic equality-constrained solver
+(`solve_constrained_min`, Gramian route, against `nullspace_qp`) with its
+KKT residual and linearity probe; the grid-quadrature forms of the control
+basis (`analyze_laplacian`, `synthesize_laplacian`, `grid_inner`,
+`apply_chi_pm`); the linearization applied by two advection calls
+(`linearized_apply`); the feedback forcing `gain_apply` and the
+weak-continuity probe `sampled_continuity`; and the discrete
+variation-of-constants identity `duhamel_bound_check`.  `forms_on` and
+`bundle_on` build the interval forms and reachability bundle from a fresh
+propagator, as the package builds them from the run's cutoff search."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from nsstab.dynamics import Propagator, cn_steps
+from nsstab.dynamics import Propagator, bilinear_b, build_propagator, cn_steps
 from nsstab.errors import RiccatiBlowupError
+from nsstab.nonlinear import zlambda_norm
 from nsstab.null_control import build_reachability, min_norm_control
 from nsstab.observability import build_forms, select_m1
 from nsstab.quadmin import DEFAULT_PINV_RTOL, pinv_psd
@@ -137,7 +151,7 @@ def closed_interval_map(bundle, pinv_rtol=DEFAULT_PINV_RTOL):
     values = bundle.input_rows.reshape(N, prop.n_steps, act.M) / np.sqrt(prop.dt)
     inputs = act.mat @ values.transpose(1, 2, 0)         # (n_steps, K, N)
     E = prop.forward(np.zeros((A.shape[0], N)), inputs)[-1]
-    return null_closed_map(A, E, bundle.gramian, pinv_rtol)
+    return null_closed_map(A, E, pinv_psd(bundle.gramian, pinv_rtol)[0])
 
 
 def closed_interval_map_loop(bundle, pinv_rtol):
@@ -159,15 +173,13 @@ def cutoff_measure_per_n(search, N):
     """(M1 report, per-interval closed-map norms) of cutoff N >= 1 on the
     search's propagators, with forms and reachability bundles built for N
     alone (the reference for the shared sweep)."""
-    forms = build_forms(search.space, search.traj, 0.0, search.chi, N, search.M_list,
-                        search.dt, propagator=search.propagators[0])
+    forms = forms_on(search.space, search.traj, 0.0, search.chi, N, search.M_list,
+                     search.dt, propagator=search.propagators[0])
     rep = select_m1(forms, slack=search.slack, rtol=search.pinv_rtol)
     act = build_actuator(search.space, search.chi, rep["M1"])
     factors = []
     for n, prop in enumerate(search.propagators):
-        bundle = build_reachability(search.space, search.traj, float(n), act, N,
-                                    search.dt, propagator=prop,
-                                    pinv_rtol=search.pinv_rtol)
+        bundle = build_reachability(search.space, act, N, prop, search.pinv_rtol)
         factors.append(float(np.linalg.norm(
             closed_interval_map(bundle, search.pinv_rtol), 2)))
     return rep, factors
@@ -184,9 +196,7 @@ def stabilize_per_bundle(search, choice, v0):
     v = states[0][0]
     for n, prop in enumerate(search.propagators):
         if N:
-            bundle = build_reachability(space, search.traj, float(n), act, N,
-                                        search.dt, propagator=prop,
-                                        pinv_rtol=search.pinv_rtol)
+            bundle = build_reachability(space, act, N, prop, search.pinv_rtol)
             values = min_norm_control(bundle, v, search.pinv_rtol).values
             inputs = values @ act.mat.T
         else:
@@ -375,3 +385,185 @@ def optimal_cost_check_stored(space, traj, law, phi, s, w0):
     sim_gap = abs(cost - value) / (abs(value) + 1e-300)
     return {"s": s, "value": value, "rollout_rel_gap": float(rollout_gap),
             "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap)}
+
+
+def forms_on(space, traj, tau, chi, N, M_list, dt, propagator=None):
+    """Observability forms of the first N modes on [tau, tau + 1]: one
+    adjoint block sweep of the first N unit directions of the propagator
+    (built here unless given), handed to build_forms."""
+    prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
+    return build_forms(space, chi, M_list, dt, prop.adjoint_block(np.eye(space.K)[:, :N]))
+
+
+def bundle_on(space, traj, tau, actuator, N, dt, pinv_rtol=DEFAULT_PINV_RTOL):
+    """Reachability bundle of the first N modes on [tau, tau + 1] from a
+    freshly built propagator."""
+    return build_reachability(space, actuator, N, build_propagator(space, traj, tau, dt),
+                              pinv_rtol)
+
+
+class InvalidProgramError(Exception):
+    """Quadratic program violates its structural requirements (e.g. indefinite cost)."""
+
+
+class InfeasibleConstraintError(Exception):
+    """Equality constraint has no solution within the pseudoinverse tolerance."""
+
+
+@dataclass
+class QuadraticProgram:
+    """min x^T cost x  s.t.  constraint x = target."""
+
+    cost: np.ndarray        # (n, n), symmetric positive definite
+    constraint: np.ndarray  # (m, n)
+    target: np.ndarray      # (m,)
+
+    def validate(self):
+        J = self.cost
+        if not np.allclose(J, J.T, atol=1e-12 * max(1.0, np.abs(J).max())):
+            raise InvalidProgramError("cost form must be symmetric")
+        w = np.linalg.eigvalsh(0.5 * (J + J.T))
+        if w.min() <= 0.0:
+            raise InvalidProgramError(
+                f"cost form must be positive definite (min eigenvalue {w.min():.3e})")
+        if self.constraint.shape[1] != J.shape[0]:
+            raise InvalidProgramError("constraint and cost dimensions disagree")
+
+
+def solve_constrained_min(qp: QuadraticProgram, rtol: float = DEFAULT_PINV_RTOL):
+    """Unique global minimiser x = J^{-1} A^T (A J^{-1} A^T)^+ y and its KKT
+    multiplier, by the Gramian route (nullspace_qp is the null-space route).
+
+    Raises InfeasibleConstraintError when A is rank-deficient and y is not in
+    its range within the pseudoinverse tolerance.
+    """
+    qp.validate()
+    J, A, y = qp.cost, qp.constraint, np.asarray(qp.target, float)
+
+    JinvAt = np.linalg.solve(J, A.T)
+    W = A @ JinvAt
+    Wpinv, rank = pinv_psd(W, rtol)
+    mult = -2.0 * (Wpinv @ y)
+    x = -0.5 * (JinvAt @ mult)
+    if rank < A.shape[0]:
+        resid = np.linalg.norm(A @ x - y)
+        if resid > np.sqrt(rtol) * max(1.0, np.linalg.norm(y)):
+            raise InfeasibleConstraintError(
+                f"constraint residual {resid:.3e} with rank-deficient operator "
+                f"(rank {rank} of {A.shape[0]})")
+    return x, mult
+
+
+def kkt_residual(qp: QuadraticProgram, x: np.ndarray, mult: np.ndarray) -> float:
+    """Scaled stationarity residual |2 J x + A^T mult| of a candidate pair."""
+    J, A = qp.cost, qp.constraint
+    r = 2.0 * (J @ x) + A.T @ mult
+    scale = (np.linalg.norm(J, 2) * np.linalg.norm(x)
+             + np.linalg.norm(A.T, 2) * np.linalg.norm(mult) + 1e-300)
+    return float(np.linalg.norm(r) / scale)
+
+
+def minimizer_map_linearity_check(cost, constraint, targets, rng,
+                                  rtol: float = DEFAULT_PINV_RTOL) -> dict:
+    """Probe linearity of y -> argmin and the orthogonality J(L y, ker A) = 0."""
+    max_lin = 0.0
+    max_orth = 0.0
+    _, s, vt = np.linalg.svd(constraint)
+    r = int((s > rtol * s[0]).sum())
+    Z = vt[r:].T
+    Jnorm = np.linalg.norm(cost, 2)
+
+    def solve(y):
+        x, _ = solve_constrained_min(QuadraticProgram(cost, constraint, y), rtol)
+        return x
+
+    for a, b in zip(targets[0::2], targets[1::2]):
+        al, be = rng.standard_normal(2)
+        gap = solve(al * a + be * b) - al * solve(a) - be * solve(b)
+        scale = max(np.linalg.norm(solve(a)), np.linalg.norm(solve(b)), 1e-300)
+        max_lin = max(max_lin, np.linalg.norm(gap) / scale)
+        if Z.shape[1]:
+            z = Z @ rng.standard_normal(Z.shape[1])
+            x = solve(a)
+            val = abs(x @ (cost @ z))
+            max_orth = max(max_orth, val / (Jnorm * np.linalg.norm(x)
+                                            * np.linalg.norm(z) + 1e-300))
+    return {"max_linearity_defect": float(max_lin),
+            "max_kernel_orthogonality_defect": float(max_orth)}
+
+
+def analyze_laplacian(space, w, M=None):
+    """Laplacian-basis coefficients (first M) of a grid field."""
+    coeffs = space.quad_w * (space.lap_fields @ np.ravel(w))
+    return coeffs if M is None else coeffs[:M]
+
+
+def synthesize_laplacian(space, eta):
+    """Grid field of a control-basis coefficient vector."""
+    eta = np.asarray(eta, float)
+    return (eta @ space.lap_fields[: eta.shape[0]]).reshape(2, space.n, space.n)
+
+
+def grid_inner(space, w1, w2):
+    """Quadrature L2 inner product of two grid fields."""
+    return float(space.quad_w * np.vdot(np.ravel(w1), np.ravel(w2)).real)
+
+
+def apply_chi_pm(space, chi, M, c):
+    """P_M(chi * v) coefficients of a velocity state, computed on the grid."""
+    if not 1 <= M <= len(space.lap_modes):
+        raise ValueError(f"control dimension M={M} outside the Laplacian table")
+    w = space.synthesize(c) * chi.values[None, :, :]
+    return analyze_laplacian(space, w, M)
+
+
+def linearized_apply(space, cu, cv):
+    """B(v, u) + B(u, v) by two advection calls (the linearization at u)."""
+    return bilinear_b(space, cv, cu) + bilinear_b(space, cu, cv)
+
+
+def gain_apply(law, t, v):
+    """Feedback forcing -chi P_M chi Qt(t) v in velocity coefficients."""
+    act = law.actuator
+    return -act.apply(act.adjoint(law.Qt[law.index_of(t)] @ np.asarray(v, float)))
+
+
+def sampled_continuity(law, w):
+    """Max adjacent-sample jump of t -> (Qt(t) w, w), the weak-continuity probe."""
+    vals = np.einsum("i,mij,j->m", w, law.Qt, w)
+    return float(np.max(np.abs(np.diff(vals))))
+
+
+def duhamel_bound_check(stepper, forcings):
+    """Verify the discrete variation-of-constants identity and measure the
+    forced-response constant.
+
+    For each forcing batch entry (per-step midpoint samples), compares the
+    endpoint of the direct forced solve against the superposition
+    dt * sum_m stages[m]' f_m of pulse responses from the adjoint sweep,
+    then reports the ratio of the contraction-norm energy of the response
+    to the sliding-window weighted forcing energy.
+    """
+    n, K = stepper.n_steps, stepper.phi.shape[1]
+    dt, lam = stepper.dt, stepper.lam
+    window = int(round(1.0 / dt))
+    # stages[m].T is the endpoint response to a unit pulse at step m
+    _, stages = stepper.adjoint_block(np.eye(K))
+    identity_gap = 0.0
+    ratios = []
+    for f in forcings:
+        f = np.asarray(f, float)
+        direct = stepper.run_linear(np.zeros(K), f)
+        superposed = dt * np.einsum("mij,mi->j", stages, f)
+        identity_gap = max(identity_gap,
+                           float(np.max(np.abs(superposed - direct.endpoint()))))
+        t_mid = (stepper.times[:-1] - stepper.times[0]) + 0.5 * dt
+        wf = np.exp(2.0 * lam * t_mid) * np.sum(f**2, axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(dt * wf)])
+        m = np.arange(n)
+        sliding = np.max(cum[np.minimum(m + window, len(cum) - 1)] - cum[m])
+        lhs = zlambda_norm(stepper.space, direct, lam) ** 2
+        ratios.append(lhs / max(sliding, 1e-300))
+    return {"identity_max_gap": identity_gap,
+            "forced_response_constants": ratios,
+            "C1": float(max(ratios)) if ratios else 0.0}

@@ -12,13 +12,7 @@ import pytest
 
 from nsstab.cli import run as cli_run
 from nsstab.config import ExperimentConfig
-from nsstab.dynamics import (
-    build_propagator,
-    propagate_adjoint,
-    propagate_linear,
-    taylor_green_reference,
-    zero_reference,
-)
+from nsstab.dynamics import build_propagator, taylor_green_reference, zero_reference
 from nsstab.feedback import (
     closed_loop_linear,
     dp_check,
@@ -33,14 +27,22 @@ from nsstab.nonlinear import (
     simulate_closed_loop,
     zlambda_norm,
 )
-from nsstab.null_control import build_reachability, kkt_identity_check, min_norm_control
-from nsstab.observability import build_forms, full_constant, select_m1, truncated_constant
-from nsstab.quadmin import QuadraticProgram, solve_constrained_min
+from nsstab.null_control import kkt_identity_check, min_norm_control
+from nsstab.observability import full_constant, select_m1, truncated_constant
 from nsstab.spectral import ChiMask, build_actuator, build_space
 from nsstab.stabilizer import CutoffSearch, stabilize, weighted_control_norm
 from nsstab.dynamics import Trajectory, bilinear_b
 
-from oracles import bilinear_oracle, heat_decay_O, heat_decay_R, scalar_are_root
+from oracles import (
+    QuadraticProgram,
+    bilinear_oracle,
+    bundle_on,
+    forms_on,
+    heat_decay_O,
+    heat_decay_R,
+    scalar_are_root,
+    solve_constrained_min,
+)
 
 DT = 1.0 / 128
 SEED = 20260808
@@ -104,10 +106,8 @@ def test_criterion_02_discrete_adjoint_exactness(rng):
     for _ in range(50):
         w0 = rng.standard_normal(space.K)
         q1 = rng.standard_normal(space.K)
-        fwd, _ = propagate_linear(space, ref, 0.0, w0, propagator=prop)
-        back = propagate_adjoint(prop, q1)
-        lhs = fwd.endpoint() @ q1
-        rhs = w0 @ back.states[0]
+        lhs = prop.forward(w0)[-1] @ q1
+        rhs = w0 @ prop.adjoint_block(q1)[0][0]
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
     report(2, worst <= 1e-12,
            f"forward/adjoint duality over 50 pairs, max rel {worst:.2e} <= 1e-12")
@@ -118,7 +118,7 @@ def test_criterion_03_kkt_identities(rng):
     ref = taylor_green_reference(space, a0=0.8, a1=0.4, omega=1.0, horizon=2.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.4, rho=0.1)
     act = build_actuator(space, chi, M=16)
-    bundle = build_reachability(space, ref, 0.0, act, N=4, dt=DT)
+    bundle = bundle_on(space, ref, 0.0, act, N=4, dt=DT)
     w0 = rng.standard_normal(space.K)
     worst_step, worst_id = 0.0, 0.0
     for eps in (1e-2, 1e-4, 1e-6):
@@ -133,24 +133,23 @@ def test_criterion_03_kkt_identities(rng):
 def test_criterion_04_null_projection(stab_instance, rng):
     space, ref, chi = stab_instance
     N = 8
-    forms = build_forms(space, ref, 0.0, chi, N, (8, 16, 32, 64, 96, 128), DT)
+    forms = forms_on(space, ref, 0.0, chi, N, (8, 16, 32, 64, 96, 128), DT)
     m1 = select_m1(forms, slack=2.0)["M1"]
     act = build_actuator(space, chi, m1)
-    bundle = build_reachability(space, ref, 0.0, act, N, DT)
+    bundle = bundle_on(space, ref, 0.0, act, N, DT)
     worst = 0.0
     for _ in range(20):
         w0 = rng.standard_normal(space.K)
         eta = min_norm_control(bundle, w0)
-        tr, _ = propagate_linear(space, ref, 0.0, w0, act, eta.values, DT,
-                                 propagator=bundle.propagator)
-        worst = max(worst, np.linalg.norm(tr.endpoint()[:N]) / np.linalg.norm(w0))
+        end = bundle.propagator.forward(w0, eta.values @ act.mat.T)[-1]
+        worst = max(worst, np.linalg.norm(end[:N]) / np.linalg.norm(w0))
 
     # oracle agreement at K = 16: generic QP on the stacked decision vector
     space16 = build_space(nu=0.2, K=16, n=16)
     ref16 = taylor_green_reference(space16, a0=0.8, a1=0.4, omega=1.0, horizon=2.0)
     chi16 = ChiMask.bump(space16, center=(np.pi, np.pi), radius=2.4, rho=0.1)
     act16 = build_actuator(space16, chi16, M=8)
-    b16 = build_reachability(space16, ref16, 0.0, act16, N=4, dt=1.0 / 64)
+    b16 = bundle_on(space16, ref16, 0.0, act16, N=4, dt=1.0 / 64)
     w0 = rng.standard_normal(space16.K)
     x, _ = solve_constrained_min(QuadraticProgram(
         np.eye(b16.input_rows.shape[1]), b16.input_rows,
@@ -190,7 +189,7 @@ def test_criterion_05_integer_decay_chain(stab_instance, rng):
 def test_criterion_06_truncated_observability(stab_instance, rng):
     space, ref, chi = stab_instance
     N = 8
-    forms = build_forms(space, ref, 0.0, chi, N, (8, 16, 32, 64, 96, 128), DT)
+    forms = forms_on(space, ref, 0.0, chi, N, (8, 16, 32, 64, 96, 128), DT)
     rep = select_m1(forms, slack=2.0)
     m1 = rep["M1"]
     D = rep["D_table"][m1]
@@ -208,8 +207,8 @@ def test_criterion_06_truncated_observability(stab_instance, rng):
 
     # closed-form heat-decay check at the scheme's dt
     s1 = build_space(nu=0.2, K=2, n=8)
-    f1 = build_forms(s1, zero_reference(s1, 2.0), 0.0, ChiMask.uniform(s1),
-                     N=1, M_list=[8], dt=DT)
+    f1 = forms_on(s1, zero_reference(s1, 2.0), 0.0, ChiMask.uniform(s1),
+                  N=1, M_list=[8], dt=DT)
     a = s1.alphas[0]
     want = heat_decay_R(a) / heat_decay_O(a)
     got = full_constant(f1)

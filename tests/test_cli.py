@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsstab import cli, feedback, nonlinear, observability
+from nsstab import cli, feedback, nonlinear, observability, stabilizer
 from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
@@ -19,7 +19,11 @@ from nsstab.feedback import optimal_cost_check, riccati_solve
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.plots import emit_plot
 from nsstab.null_control import build_reachability
+from nsstab.quadmin import pinv_psd
+from nsstab.spectral import build_actuator
 from nsstab.stabilizer import CutoffSearch
+
+from oracles import forms_on
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
@@ -166,6 +170,43 @@ class TestRun:
         assert f"{need / 1e6:.1f} MB" in err
         assert all(field in err for field in ("space.K", "time.T_h", "time.dt"))
 
+    def test_broken_decay_chain_exit_code(self, controlled_cfg, tmp_path, monkeypatch,
+                                          capsys):
+        # a run whose H norm does not fall at the integer times fails the
+        # decay-chain check, and no stabilize artifact is written
+        _, path = controlled_cfg
+
+        def stalled(*args, **kwargs):
+            run_ = stabilizer.stabilize(*args, **kwargs)
+            run_.integer_h_norms[1:] = run_.integer_h_norms[0]
+            return run_
+        monkeypatch.setattr(cli, "stabilize", stalled)
+        out = tmp_path / "o"
+        code = main(["stabilize", "--config", str(path), "--out", str(out)])
+        assert code == 4
+        assert "integer-time decay chain violated" in capsys.readouterr().err
+        assert not (out / "stabilize.json").exists()
+
+    def test_growth_inside_the_gate_exit_code(self, small_cfg, tmp_path, monkeypatch,
+                                              capsys):
+        # a nonlinear run that grows like e^t from data inside the shipped
+        # gate is not decayed there, and the run fails
+        _, path = small_cfg
+        run_nonlinear = nonlinear.ClosedLoopStepper.run_nonlinear
+
+        def growing(self, v0):
+            trajectory, blowup_t = run_nonlinear(self, v0)
+            t = trajectory.times - trajectory.times[0]
+            trajectory.states = trajectory.states * np.exp(t)[:, None]
+            return trajectory, blowup_t
+        monkeypatch.setattr(nonlinear.ClosedLoopStepper, "run_nonlinear", growing)
+        out = tmp_path / "o"
+        code = main(["closed-loop", "--config", str(path), "--out", str(out)])
+        assert code == 4
+        assert "nonlinear decay violated inside the gate" in capsys.readouterr().err
+        rep = json.loads((out / "closed_loop.json").read_text())
+        assert rep["inside_gate"] and not rep["decayed"]
+
     def test_main_entrypoint(self, small_cfg, tmp_path):
         _, path = small_cfg
         code = main(["reference", "--config", str(path),
@@ -262,7 +303,7 @@ class TestSharedIntervalWork:
         N_obs = min(max(choice.N, 4), p.search.n_top)
         rep = p.search.observability_report(N_obs)
         assert payload["N"] == N_obs and payload["M1"] == rep["M1"]
-        forms = observability.build_forms(
+        forms = forms_on(
             p.space, p.reference, 0.0, p.chi, p.search.n_top, cfg.control.M_list,
             cfg.time.dt, propagator=p.search.propagators[0]).leading(N_obs)
         assert payload["D_inf"] == rep["D_inf"] \
@@ -296,6 +337,20 @@ class TestSharedIntervalWork:
         blocks = [s for s in sweeps if s != (K,)]
         assert blocks == [(K, n_top)] * cfg.time.n_max
         assert len(sweeps) - len(blocks) <= cfg.time.n_max
+
+    def test_stabilize_reads_actuator_and_pseudoinverses_off_the_search(
+            self, controlled_cfg, monkeypatch):
+        # the search built the M1 actuator and the pinv of each G[:N, :N]
+        # while measuring N; stabilize builds neither again
+        cfg, _ = controlled_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        choice = p.choice(cfg.control.lam)
+        assert choice.N > 0
+        actuators = record_calls(monkeypatch, build_actuator)
+        pinvs = record_calls(monkeypatch, pinv_psd)
+        run_ = stabilizer.stabilize(p.search, choice, p.rng.standard_normal(cfg.space.K))
+        assert actuators == [] and pinvs == []
+        assert np.max(run_.projection_defects) <= 1e-8 * run_.integer_h_norms[0]
 
     def test_all_builds_observability_forms_once(self, small_cfg, tmp_path,
                                                  monkeypatch):
@@ -414,6 +469,19 @@ class TestControlDimension:
         assert payload["M1"] == 16
         assert payload["D_inf"] == pytest.approx(5.015354900430112, rel=1e-12)
         assert payload["C_h1l2"] == pytest.approx(3.5999054773458803, rel=1e-12)
+
+    def test_fallback_past_m_max_is_a_config_error(self, tmp_path, capsys):
+        # no M1 at lambda = 0.2, and the fallback max(M_list[0], 8) = 8 does
+        # not fit a control table of m_max = 4 modes
+        cfg = ExperimentConfig.load(DEFAULT_CONFIG)
+        cfg.space.m_max = 4
+        cfg.control.M_list = (4,)
+        cfg.control.lam = 0.2
+        path = tmp_path / "narrow.json"
+        cfg.validate().save(path)
+        code = main(["null-control", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "space.m_max" in capsys.readouterr().err
 
     def test_selected_m1_is_not_a_fallback(self):
         cfg = ExperimentConfig.load(DEFAULT_CONFIG)

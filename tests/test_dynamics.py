@@ -5,17 +5,13 @@ import pytest
 
 from nsstab.dynamics import (
     AmplitudeSchedule,
-    adjoint_apply,
+    ReferenceTrajectory,
     bilinear_b,
     build_propagator,
     cn_advance,
     cn_step,
     cn_steps,
     linearization_matrix,
-    linearized_apply,
-    make_reference,
-    propagate_adjoint,
-    propagate_linear,
     regularity_diagnostics,
     taylor_green_coefficients,
     taylor_green_reference,
@@ -29,6 +25,7 @@ from oracles import (
     bilinear_oracle,
     forward_two_matrix,
     free_steps_two_matrix,
+    linearized_apply,
     smoothing_ratio_l2,
 )
 
@@ -86,7 +83,7 @@ class TestLinearization:
         z = np.zeros(small_space.K)
         v = rng.standard_normal(small_space.K)
         assert np.allclose(linearized_apply(small_space, z, v), 0.0)
-        assert np.allclose(adjoint_apply(small_space, z, v), 0.0)
+        assert np.allclose(linearization_matrix(small_space, z).T @ v, 0.0)
 
     def test_adjoint_is_exact_transpose(self, small_space, rng):
         s = small_space
@@ -154,9 +151,8 @@ class TestReference:
                 ref.forcing_at((m + 0.5) * dt)
                 - bilinear_b(s, ref.u_at((m + 0.5) * dt), ref.u_at((m + 0.5) * dt))
                 for m in range(n)])
-            tr, _ = propagate_linear(s, zref, 0.0, ref.u_at(0.0),
-                                     dt=dt, forcing=forcing)
-            errs.append(np.linalg.norm(tr.endpoint() - ref.u_at(1.0)))
+            end = build_propagator(s, zref, 0.0, dt).forward(ref.u_at(0.0), forcing)[-1]
+            errs.append(np.linalg.norm(end - ref.u_at(1.0)))
         assert errs[1] < errs[0] / 3.0
 
     def test_w_norm_positive_and_scales(self, small_space):
@@ -169,8 +165,8 @@ class TestReference:
         with pytest.raises(ValueError):
             AmplitudeSchedule(np.inf)
         with pytest.raises(ValueError):
-            make_reference(small_space, [(np.zeros(small_space.K),
-                                          AmplitudeSchedule(1.0))], horizon=-1.0)
+            ReferenceTrajectory(small_space, [(np.zeros(small_space.K),
+                                               AmplitudeSchedule(1.0))], horizon=-1.0)
 
 
 class TestPropagation:
@@ -180,18 +176,18 @@ class TestPropagation:
         for j in [0, 4]:
             w0 = np.zeros(s.K)
             w0[j] = 1.0
-            tr, _ = propagate_linear(s, ref, 0.0, w0, dt=1.0 / 128)
+            end = build_propagator(s, ref, 0.0, 1.0 / 128).forward(w0)[-1]
             exact = np.exp(-s.alphas[j])
-            assert abs(tr.endpoint()[j] - exact) < 1e-5 * exact
+            assert abs(end[j] - exact) < 1e-5 * exact
             mask = np.ones(s.K, bool)
             mask[j] = False
-            assert np.max(np.abs(tr.endpoint()[mask])) < 1e-14
+            assert np.max(np.abs(end[mask])) < 1e-14
 
     def test_zero_data_zero_solution(self, small_space):
         ref = zero_reference(small_space, horizon=2.0)
-        tr, _ = propagate_linear(small_space, ref, 0.0, np.zeros(small_space.K),
-                                 dt=1.0 / 64)
-        assert np.allclose(tr.states, 0.0)
+        states = build_propagator(small_space, ref, 0.0, 1.0 / 64).forward(
+            np.zeros(small_space.K))
+        assert np.allclose(states, 0.0)
 
     def test_superposition(self, small_space, bump_mask, rng):
         s = small_space
@@ -201,11 +197,11 @@ class TestPropagation:
         prop = build_propagator(s, ref, 0.0, dt)
         w0 = rng.standard_normal(s.K)
         eta = rng.standard_normal((prop.n_steps, act.M))
-        full, _ = propagate_linear(s, ref, 0.0, w0, act, eta, dt, propagator=prop)
-        free, _ = propagate_linear(s, ref, 0.0, w0, dt=dt, propagator=prop)
-        ctrl, _ = propagate_linear(s, ref, 0.0, np.zeros(s.K), act, eta, dt,
-                                   propagator=prop)
-        assert np.allclose(full.states, free.states + ctrl.states, atol=1e-12)
+        inputs = eta @ act.mat.T
+        full = prop.forward(w0, inputs)
+        free = prop.forward(w0)
+        ctrl = prop.forward(np.zeros(s.K), inputs)
+        assert np.allclose(full, free + ctrl, atol=1e-12)
 
     def test_adjoint_free_decay(self, small_space):
         s = small_space
@@ -213,9 +209,9 @@ class TestPropagation:
         prop = build_propagator(s, ref, 0.0, 1.0 / 128)
         q1 = np.zeros(s.K)
         q1[2] = 1.0
-        qt = propagate_adjoint(prop, q1)
+        nodes, _ = prop.adjoint_block(q1)
         exact = np.exp(-s.alphas[2])
-        assert abs(qt.states[0][2] - exact) < 1e-5 * exact
+        assert abs(nodes[0][2] - exact) < 1e-5 * exact
 
     def test_duality_of_endpoint_maps(self, small_space, rng):
         s = small_space
@@ -224,17 +220,15 @@ class TestPropagation:
         for _ in range(5):
             w0 = rng.standard_normal(s.K)
             q1 = rng.standard_normal(s.K)
-            fwd, _ = propagate_linear(s, ref, 0.0, w0, propagator=prop)
-            back = propagate_adjoint(prop, q1)
-            lhs = fwd.endpoint() @ q1
-            rhs = w0 @ back.states[0]
+            lhs = prop.forward(w0)[-1] @ q1
+            rhs = w0 @ prop.adjoint_block(q1)[0][0]
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
     def test_zero_terminal_datum(self, small_space):
         ref = zero_reference(small_space, horizon=2.0)
         prop = build_propagator(small_space, ref, 0.0, 1.0 / 64)
-        qt = propagate_adjoint(prop, np.zeros(small_space.K))
-        assert np.allclose(qt.states, 0.0)
+        nodes, _ = prop.adjoint_block(np.zeros(small_space.K))
+        assert np.allclose(nodes, 0.0)
 
     def test_semigroup_property(self, small_space, rng):
         s = small_space
@@ -244,9 +238,8 @@ class TestPropagation:
         p1 = build_propagator(s, ref, 1.0, dt)
         w0 = rng.standard_normal(s.K)
         via = p1.total @ (p0.total @ w0)
-        t0, _ = propagate_linear(s, ref, 0.0, w0, dt=dt, propagator=p0)
-        t1, _ = propagate_linear(s, ref, 1.0, t0.endpoint(), dt=dt, propagator=p1)
-        assert np.allclose(via, t1.endpoint(), atol=1e-12 * max(1.0, np.linalg.norm(via)))
+        end = p1.forward(p0.forward(w0)[-1])[-1]
+        assert np.allclose(via, end, atol=1e-12 * max(1.0, np.linalg.norm(via)))
 
     def test_block_forward_equals_single_vector_calls(self, small_space, rng):
         s = small_space
@@ -272,8 +265,7 @@ class TestPropagation:
         s = small_space
         ref = zero_reference(s, horizon=2.0)
         dt = 1.0 / 64
-        tr, _ = propagate_linear(s, ref, 0.0, rng.standard_normal(s.K), dt=dt)
-        states = tr.states
+        states = build_propagator(s, ref, 0.0, dt).forward(rng.standard_normal(s.K))
         mids = 0.5 * (states[1:] + states[:-1])
         lhs = (np.sum(states[1:] ** 2, axis=1) - np.sum(states[:-1] ** 2, axis=1)) / dt
         rhs = -2.0 * np.sum(s.alphas * mids**2, axis=1)

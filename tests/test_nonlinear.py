@@ -12,14 +12,12 @@ from nsstab.nonlinear import (
     closed_loop_steps,
     contraction_probe,
     decay_report,
-    duhamel_bound_check,
     simulate_closed_loop,
-    xi_map,
     zlambda_norm,
 )
 from nsstab.spectral import ChiMask, build_actuator, build_space
 
-from oracles import bilinear_oracle
+from oracles import bilinear_oracle, duhamel_bound_check
 
 DT = 1.0 / 128
 
@@ -156,17 +154,13 @@ class TestXiMap:
     def test_zero_input_gives_linear_solution(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         v0 = 0.3 * unit_v_direction(space, rng)
-        zero_traj = Trajectory(times=stepper.times,
-                               states=np.zeros((stepper.n_steps + 1, space.K)))
-        xi0 = xi_map(stepper, v0, zero_traj)
+        xi0 = stepper.run_xi(v0, np.zeros((stepper.n_steps + 1, space.K)))
         lin = stepper.run_linear(v0)
         assert np.allclose(xi0.states, lin.states, atol=1e-14)
 
     def test_zero_everything(self, loop_setup):
         space, ref, law, stepper = loop_setup
-        zero_traj = Trajectory(times=stepper.times,
-                               states=np.zeros((stepper.n_steps + 1, space.K)))
-        out = xi_map(stepper, np.zeros(space.K), zero_traj)
+        out = stepper.run_xi(np.zeros(space.K), np.zeros((stepper.n_steps + 1, space.K)))
         assert np.allclose(out.states, 0.0)
 
     def test_fixed_point_is_nonlinear_trajectory(self, loop_setup, rng):

@@ -5,23 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsstab.dynamics import (
-    build_propagator,
-    propagate_linear,
-    taylor_green_reference,
-    zero_reference,
-)
+from nsstab.dynamics import taylor_green_reference, zero_reference
 from nsstab.errors import UnreachableTargetError
 from nsstab.null_control import (
-    build_reachability,
     epsilon_limit_study,
     kkt_identity_check,
     min_norm_control,
     regularized_control,
 )
-from nsstab.observability import build_forms, truncated_constant
-from nsstab.quadmin import QuadraticProgram, solve_constrained_min
+from nsstab.observability import truncated_constant
 from nsstab.spectral import ChiMask, build_actuator, build_space
+
+from oracles import QuadraticProgram, bundle_on, forms_on, solve_constrained_min
 
 
 DT = 1.0 / 64
@@ -33,7 +28,7 @@ def tg_setup():
     ref = taylor_green_reference(space, a0=0.5, a1=0.25, omega=1.0, horizon=2.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.4, rho=0.1)
     act = build_actuator(space, chi, M=8)
-    bundle = build_reachability(space, ref, 0.0, act, N=4, dt=DT)
+    bundle = bundle_on(space, ref, 0.0, act, N=4, dt=DT)
     return space, ref, act, bundle
 
 
@@ -43,7 +38,7 @@ class TestBuildReachability:
         vals = np.zeros((space.n, space.n))
         chi0 = ChiMask(values=vals, center=(0, 0), radius=0.1, rho=0.1, sup_norm=0.0)
         act0 = build_actuator(space, chi0, M=8)
-        b = build_reachability(space, ref, 0.0, act0, N=4, dt=DT)
+        b = bundle_on(space, ref, 0.0, act0, N=4, dt=DT)
         assert np.allclose(b.gramian, 0.0)
         assert b.gramian_rank == 0
 
@@ -54,7 +49,7 @@ class TestBuildReachability:
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.uniform(space)
         act = build_actuator(space, chi, M=4)
-        b = build_reachability(space, ref, 0.0, act, N=1, dt=1.0)
+        b = bundle_on(space, ref, 0.0, act, N=1, dt=1.0)
         # CN one-step stage dual: (I + h/2 L)^{-T} e_1, gain through A^T
         a = space.alphas[0]
         stage = 1.0 / (1.0 + 0.5 * a)
@@ -66,21 +61,19 @@ class TestBuildReachability:
         space, ref, act, bundle = tg_setup
         w0 = rng.standard_normal(space.K)
         eta = rng.standard_normal((bundle.n_steps, act.M))
-        full, _ = propagate_linear(space, ref, 0.0, w0, act, eta, DT,
-                                   propagator=bundle.propagator)
+        inputs = eta @ act.mat.T
+        full = bundle.propagator.forward(w0, inputs)
         free_end = bundle.free_map @ w0
-        ctrl, _ = propagate_linear(space, ref, 0.0, np.zeros(space.K), act, eta, DT,
-                                   propagator=bundle.propagator)
-        assert np.allclose(full.endpoint(), free_end + ctrl.endpoint(), atol=1e-12)
+        ctrl = bundle.propagator.forward(np.zeros(space.K), inputs)
+        assert np.allclose(full[-1], free_end + ctrl[-1], atol=1e-12)
 
     def test_input_rows_match_forward_columns(self, tg_setup, rng):
         # adjoint-swept rows must equal the forward-propagated input map
         space, ref, act, bundle = tg_setup
         psi = rng.standard_normal(bundle.input_rows.shape[1])
         control = bundle.control_from_stacked(psi)
-        tr, _ = propagate_linear(space, ref, 0.0, np.zeros(space.K), act,
-                                 control.values, DT, propagator=bundle.propagator)
-        want = tr.endpoint()[: bundle.N]
+        end = bundle.propagator.forward(np.zeros(space.K), control.values @ act.mat.T)[-1]
+        want = end[: bundle.N]
         got = bundle.input_rows @ psi
         assert np.allclose(got, want, atol=1e-12 * max(1.0, np.abs(want).max()))
 
@@ -96,9 +89,8 @@ class TestMinNorm:
         for _ in range(5):
             w0 = rng.standard_normal(space.K)
             eta = min_norm_control(bundle, w0)
-            tr, _ = propagate_linear(space, ref, 0.0, w0, act, eta.values, DT,
-                                     propagator=bundle.propagator)
-            assert np.linalg.norm(tr.endpoint()[: bundle.N]) <= 1e-8 * np.linalg.norm(w0)
+            end = bundle.propagator.forward(w0, eta.values @ act.mat.T)[-1]
+            assert np.linalg.norm(end[: bundle.N]) <= 1e-8 * np.linalg.norm(w0)
 
     def test_linearity(self, tg_setup, rng):
         space, _, _, bundle = tg_setup
@@ -129,7 +121,7 @@ class TestMinNorm:
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=1.2, rho=0.1)
         act = build_actuator(space, chi, M=1)
-        bundle = build_reachability(space, ref, 0.0, act, N=4, dt=DT)
+        bundle = bundle_on(space, ref, 0.0, act, N=4, dt=DT)
         with pytest.raises(UnreachableTargetError, match="raise M"):
             min_norm_control(bundle, np.ones(space.K))
 
@@ -139,7 +131,7 @@ class TestMinNorm:
         space = build_space(nu=0.1, K=8, n=16)
         ref = zero_reference(space, horizon=2.0)
         act = build_actuator(space, ChiMask.uniform(space), M=8)
-        bundle = build_reachability(space, ref, 0.0, act, N=2, dt=DT)
+        bundle = bundle_on(space, ref, 0.0, act, N=2, dt=DT)
         w0 = np.zeros(space.K)
         w0[5] = 3.0
         eta = min_norm_control(bundle, w0)
@@ -194,8 +186,7 @@ class TestRegularized:
         # share one quadrature, so the inequality chain is exact arithmetic
         space, ref, act, bundle = tg_setup
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.4, rho=0.1)
-        forms = build_forms(space, ref, 0.0, chi, bundle.N, [act.M], DT,
-                            actuator=act)
+        forms = forms_on(space, ref, 0.0, chi, bundle.N, [act.M], DT)
         D = truncated_constant(forms, act.M)
         w0 = rng.standard_normal(space.K)
         for eps in np.logspace(-2, -8, 7):
@@ -231,7 +222,7 @@ def broad_bundle():
     ref = taylor_green_reference(space, a0=0.5, a1=0.25, omega=1.0, horizon=2.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=1.0, rho=0.1)
     act = build_actuator(space, chi, M=16)
-    return space, build_reachability(space, ref, 0.0, act, N=8, dt=DT)
+    return space, bundle_on(space, ref, 0.0, act, N=8, dt=DT)
 
 
 class TestEpsilonLimit:

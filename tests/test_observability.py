@@ -5,15 +5,14 @@ import pytest
 
 from nsstab.dynamics import taylor_green_reference, zero_reference
 from nsstab.observability import (
-    build_forms,
     full_constant,
     h1_l2_ratio,
     select_m1,
     truncated_constant,
 )
-from nsstab.spectral import ChiMask, build_actuator, build_space
+from nsstab.spectral import ChiMask, build_space
 
-from oracles import heat_decay_O, heat_decay_R
+from oracles import forms_on, heat_decay_O, heat_decay_R
 
 DT = 1.0 / 128
 
@@ -23,7 +22,7 @@ def obs_setup():
     space = build_space(nu=0.15, K=16, n=16)
     ref = taylor_green_reference(space, a0=0.4, a1=0.2, omega=1.0, horizon=2.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.2, rho=0.1)
-    forms = build_forms(space, ref, 0.0, chi, N=6, M_list=[2, 4, 8, 16, 32], dt=DT)
+    forms = forms_on(space, ref, 0.0, chi, N=6, M_list=[2, 4, 8, 16, 32], dt=DT)
     return space, ref, chi, forms
 
 
@@ -32,7 +31,7 @@ class TestBuildForms:
         space = build_space(nu=0.2, K=2, n=8)
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.uniform(space)
-        forms = build_forms(space, ref, 0.0, chi, N=1, M_list=[8], dt=DT)
+        forms = forms_on(space, ref, 0.0, chi, N=1, M_list=[8], dt=DT)
         a = space.alphas[0]
         assert forms.energy[0, 0] == pytest.approx(heat_decay_R(a), rel=1e-4)
         assert forms.output_full[0, 0] == pytest.approx(heat_decay_O(a), rel=1e-4)
@@ -42,9 +41,7 @@ class TestBuildForms:
         ref = zero_reference(space, horizon=2.0)
         vals = np.zeros((space.n, space.n))
         chi0 = ChiMask(values=vals, center=(0, 0), radius=0.1, rho=0.1, sup_norm=0.0)
-        act = build_actuator(space, chi0, M=4)
-        forms = build_forms(space, ref, 0.0, chi0, N=2, M_list=[4], dt=1.0 / 32,
-                            actuator=act)
+        forms = forms_on(space, ref, 0.0, chi0, N=2, M_list=[4], dt=1.0 / 32)
         assert np.allclose(forms.output_full, 0.0)
         assert np.isinf(full_constant(forms))
         assert np.isinf(truncated_constant(forms, 4))
@@ -55,7 +52,7 @@ class TestBuildForms:
         space = build_space(nu=0.15, K=4, n=16)
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.0, rho=0.1)
-        forms = build_forms(space, ref, 0.0, chi, N=4, M_list=[8], dt=1.0 / 64)
+        forms = forms_on(space, ref, 0.0, chi, N=4, M_list=[8], dt=1.0 / 64)
         modes = space.modes
         assert modes[0][:2] == (0, 1) and modes[2][:2] == (1, 0)
         o = np.diag(forms.output_full)
@@ -75,7 +72,7 @@ class TestTruncatedConstant:
         space = build_space(nu=0.2, K=6, n=16)
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.uniform(space)
-        forms = build_forms(space, ref, 0.0, chi, N=3, M_list=[4, 16], dt=DT)
+        forms = forms_on(space, ref, 0.0, chi, N=3, M_list=[4, 16], dt=DT)
         want = max(heat_decay_R(a) / heat_decay_O(a) for a in space.alphas[:3])
         assert full_constant(forms) == pytest.approx(want, rel=1e-4)
         assert truncated_constant(forms, 16) == pytest.approx(want, rel=1e-4)
@@ -130,7 +127,7 @@ class TestH1Ratio:
         space = build_space(nu=0.2, K=2, n=16)
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.uniform(space)
-        forms = build_forms(space, ref, 0.0, chi, N=1, M_list=[4], dt=1.0 / 64)
+        forms = forms_on(space, ref, 0.0, chi, N=1, M_list=[4], dt=1.0 / 64)
         kx, ky, _ = space.modes[0]
         assert h1_l2_ratio(forms) == pytest.approx(1.0 + kx**2 + ky**2, rel=1e-10)
 
@@ -140,7 +137,7 @@ class TestH1Ratio:
         cs = []
         for a0 in (0.0, 0.05, 0.1):
             ref = taylor_green_reference(space, a0=a0, horizon=2.0)
-            forms = build_forms(space, ref, 0.0, chi, N=4, M_list=[8], dt=1.0 / 64)
+            forms = forms_on(space, ref, 0.0, chi, N=4, M_list=[8], dt=1.0 / 64)
             cs.append(h1_l2_ratio(forms))
         assert all(np.isfinite(c) for c in cs)
         assert abs(cs[1] - cs[0]) < 0.5 * max(cs[0], 1.0)
@@ -151,7 +148,7 @@ class TestSelectM1:
         space = build_space(nu=0.2, K=6, n=16)
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.uniform(space)
-        forms = build_forms(space, ref, 0.0, chi, N=3, M_list=[2, 4, 8, 16], dt=1.0 / 64)
+        forms = forms_on(space, ref, 0.0, chi, N=3, M_list=[2, 4, 8, 16], dt=1.0 / 64)
         rep = select_m1(forms, slack=2.0)
         # smallest M spanning the first 3 Stokes wavevector-phases
         span_M = next(M for M in forms.M_list
@@ -172,8 +169,8 @@ class TestSelectM1:
         m1s = []
         for radius in (2.6, 2.0, 1.4):
             chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=radius, rho=0.1)
-            forms = build_forms(space, ref, 0.0, chi, N=4,
-                                M_list=[2, 4, 8, 16, 32, 64, 96], dt=1.0 / 64)
+            forms = forms_on(space, ref, 0.0, chi, N=4,
+                             M_list=[2, 4, 8, 16, 32, 64, 96], dt=1.0 / 64)
             m1s.append(select_m1(forms, slack=2.0)["M1"])
         assert all(m is not None for m in m1s)   # recorded, not asserted monotone
 

@@ -1,0 +1,113 @@
+"""The package holds what its runs use.
+
+Read from the sources with `ast`, without importing the package: every
+name of `nsstab.__all__` resolves to a top-level definition, and every
+public top-level function or class of `src/nsstab` is used by the package
+itself, by another module than `__init__.py` or inside its own module.
+Code that only the tests use lives in `tests/oracles.py`.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).parent.parent / "src" / "nsstab"
+
+# public definitions no run uses yet, each with the reason it stays
+ALLOWED_UNUSED = {
+    "regularity_diagnostics": "ROADMAP item 3: the smoothing constants of the "
+                              "linearized flow, to be reported by the runs",
+}
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def modules():
+    """{module name: syntax tree} of every module of the package."""
+    return {path.stem: parse(path) for path in sorted(SRC.glob("*.py"))}
+
+
+def top_level_names(tree):
+    """Names a module binds at top level: definitions, assignments, imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def public_definitions(tree):
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def references(tree):
+    """Every identifier a module reads: loaded names, attribute names and
+    imported names."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {a.name for a in node.names}
+    return refs
+
+
+def all_names(init):
+    for node in init.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("nsstab/__init__.py defines no __all__")
+
+
+def test_every_exported_name_resolves():
+    trees = modules()
+    init = trees["__init__"]
+    source = {}         # exported name -> module it is imported from
+    for node in init.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                source[alias.asname or alias.name] = (node.module, alias.name)
+    missing = []
+    for name in all_names(init):
+        if name in source:
+            module, original = source[name]
+            if original not in top_level_names(trees[module]):
+                missing.append(f"{name} (from .{module})")
+        elif name not in top_level_names(init):
+            missing.append(name)
+    assert missing == []
+
+
+def test_every_public_definition_is_used_by_the_package():
+    trees = modules()
+    refs = {name: references(tree) for name, tree in trees.items()}
+    unused = set()
+    for module, tree in trees.items():
+        if module == "__init__":
+            continue
+        used = set().union(*(r for other, r in refs.items()
+                             if other not in ("__init__", module)))
+        for name in public_definitions(tree):
+            if name not in used and name not in refs[module]:
+                unused.add(f"{module}.{name}")
+    allowed = {f"{m}.{n}" for m, tree in trees.items()
+               for n in public_definitions(tree) if n in ALLOWED_UNUSED}
+    assert unused == allowed
+
+
+def test_allowed_names_exist_and_carry_a_reason():
+    defined = {n for tree in modules().values() for n in public_definitions(tree)}
+    for name, reason in ALLOWED_UNUSED.items():
+        assert name in defined, name
+        assert "ROADMAP item" in reason

@@ -6,13 +6,13 @@ import pytest
 from nsstab.cli import Pipeline
 from nsstab.dynamics import Propagator, taylor_green_reference, zero_reference
 from nsstab.errors import ResolutionTooSmallError
-from nsstab.null_control import build_reachability, min_norm_control
-from nsstab.observability import build_forms, select_m1
+from nsstab.null_control import min_norm_control
 from nsstab.quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from nsstab.spectral import ChiMask, build_actuator, build_space
 from nsstab.stabilizer import CutoffSearch, stabilize, weighted_control_norm
 
 from oracles import (
+    bundle_on,
     closed_interval_map,
     closed_interval_map_loop,
     cutoff_measure_per_n,
@@ -45,7 +45,7 @@ def tg_bundle(tg_instance):
     """Interval [0, 1] of the shipped instance at its chosen N and M1."""
     space, ref, chi, choice = tg_instance
     act = build_actuator(space, chi, choice.M1)
-    return build_reachability(space, ref, 0.0, act, choice.N, DT)
+    return bundle_on(space, ref, 0.0, act, choice.N, DT)
 
 
 def leading_defect(bundle):
@@ -302,7 +302,7 @@ class TestUniformControlBound:
         # truncated-observability constant uniformly over states
         space, ref, chi, choice = tg_instance
         act = build_actuator(space, chi, choice.M1)
-        bundle = build_reachability(space, ref, 0.0, act, choice.N, DT)
+        bundle = bundle_on(space, ref, 0.0, act, choice.N, DT)
         d_m1 = choice.observability["D_table"][choice.M1]
         for _ in range(10):
             w0 = rng.standard_normal(space.K)
