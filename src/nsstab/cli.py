@@ -29,9 +29,8 @@ from .feedback import (
     riccati_solve,
 )
 from .nonlinear import basin_sweep, closed_loop_steps, contraction_probe, simulate_closed_loop
-from .null_control import build_reachability, epsilon_limit_study, kkt_identity_check, min_norm_control
+from .null_control import epsilon_limit_study, kkt_identity_check, min_norm_control
 from .plots import emit_plot
-from .spectral import build_actuator
 from .stabilizer import CutoffSearch, stabilize, weighted_control_norm
 
 
@@ -128,10 +127,10 @@ class Pipeline:
 
         def build():
             M, _ = self.control_dim(self.lam_hat)
-            # the last cutoff is chosen: free the search's propagators
-            # before the law is allocated
+            act = self.search.actuator(M)
+            # the last cutoff is chosen: free the search's propagators and
+            # sweep before the law is allocated
             self._cache.pop("search", None)
-            act = build_actuator(self.space, self.chi, M)
             return riccati_solve(self.space, self.reference, c.control.lam, act,
                                  c.time.T_h, c.time.dt,
                                  cap=c.tolerances.riccati_cap,
@@ -186,11 +185,9 @@ def cmd_observability(p: Pipeline, out):
 def cmd_null_control(p: Pipeline, out):
     c = p.cfg
     choice = p.choice(c.control.lam)
-    N = min(max(choice.N, 2), p.space.K)
+    N = min(max(choice.N, 2), p.search.n_top)
     M, M_fallback = p.control_dim(c.control.lam)
-    act = build_actuator(p.space, p.chi, M)
-    bundle = build_reachability(p.space, act, N, p.search.propagators[0],
-                                c.tolerances.pinv_rtol)
+    bundle = p.search.reachability(N, M)
     w0 = p.rng.standard_normal(p.space.K)
     control = min_norm_control(bundle, w0, c.tolerances.pinv_rtol,
                                c.tolerances.null_tol)
@@ -213,6 +210,10 @@ def cmd_stabilize(p: Pipeline, out):
     run = stabilize(p.search, choice, v0, c.tolerances.null_tol)
     summary = run.summary()
     summary["kappa2"] = weighted_control_norm(run, c.control.lam / 2.0)
+    summary.update(contraction=choice.contraction,
+                   contraction_target=float(np.exp(-choice.lam / 2.0)),
+                   per_interval=choice.per_interval,
+                   symbolic_threshold=choice.symbolic_threshold)
     if not summary["integer_decay_ok"]:
         raise VerificationError("integer-time decay chain violated")
     t = run.trajectory.times

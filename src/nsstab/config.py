@@ -168,6 +168,12 @@ class ExperimentConfig:
                  "reference.horizon",
                  "must cover twice the synthesis horizon plus one unit "
                  "(the doubling gate re-runs at 2*T_h)")
+        # the closed loop runs on [0, min(n_units, T_h - 1)]: at least one step
+        _require(self.time.T_h - 1.0 >= self.time.dt, "time.T_h",
+                 f"must exceed 1 by at least time.dt = {self.time.dt} (the closed "
+                 "loop stops one unit before the synthesis horizon)")
+        _require(self.nonlinear.sim_units >= self.time.dt, "nonlinear.sim_units",
+                 f"must be at least time.dt = {self.time.dt} (one closed-loop step)")
         return self
 
     # -- serialization --------------------------------------------------------
@@ -216,11 +222,6 @@ class ExperimentConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         return ExperimentConfig.from_dict(data).validate()
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
     # -- model construction ---------------------------------------------------
 

@@ -67,9 +67,6 @@ class Trajectory:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def endpoint(self) -> np.ndarray:
-        return self.states[-1]
-
     def norm_table(self, space: SpectralSpace) -> np.ndarray:
         """Rows (t, |v|_H, |v|_V, |v|_DL) for CSV export."""
         out = np.empty((len(self.times), 4))

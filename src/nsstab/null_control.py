@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import Propagator, Trajectory
 from .errors import UnreachableTargetError
 from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
-from .spectral import Actuator, SpectralSpace
+from .spectral import Actuator
 
 DEFAULT_NULL_TOL = 1e-8
 
@@ -54,7 +54,6 @@ class ReachabilityBundle:
     norms equal L2-in-time control norms exactly.
     """
 
-    space: SpectralSpace
     actuator: Actuator
     propagator: Propagator
     tau: float
@@ -73,28 +72,22 @@ class ReachabilityBundle:
         return ControlSignal(tau=self.tau, dt=self.propagator.dt, values=vals)
 
 
-def build_reachability(space: SpectralSpace, actuator: Actuator, N: int,
+def build_reachability(actuator: Actuator, stages: np.ndarray,
                        propagator: Propagator,
                        pinv_rtol: float = DEFAULT_PINV_RTOL) -> ReachabilityBundle:
-    """Assemble the endpoint maps of the propagator's interval by one adjoint
-    sweep per retained Stokes direction."""
-    if not 0 <= N <= space.K:
-        raise ValueError(f"projection cutoff N={N} outside [0, K]")
-    free_map = propagator.total
-
-    n_steps, M = propagator.n_steps, actuator.M
+    """Assemble the endpoint maps of the propagator's interval from the stage
+    duals of its adjoint block sweep of the first N unit directions (stages
+    of shape (n_steps, K, N)), the array the run's cutoff search keeps of
+    interval 0."""
+    n_steps, M, N = propagator.n_steps, actuator.M, stages.shape[-1]
     rows = np.zeros((N, n_steps * M))
-    if N:
-        Q1 = np.zeros((space.K, N))
-        Q1[:N, :N] = np.eye(N)
-        _, stages = propagator.adjoint_block(Q1)    # (n_steps, K, N)
-        sq = np.sqrt(propagator.dt)
-        for m in range(n_steps):
-            rows[:, m * M:(m + 1) * M] = sq * (actuator.mat.T @ stages[m]).T
+    sq = np.sqrt(propagator.dt)
+    for m in range(n_steps):
+        rows[:, m * M:(m + 1) * M] = sq * (actuator.mat.T @ stages[m]).T
     gram = rows @ rows.T
     _, rank = pinv_psd(gram, pinv_rtol)
-    return ReachabilityBundle(space=space, actuator=actuator, propagator=propagator,
-                              tau=propagator.tau, N=N, free_map=free_map,
+    return ReachabilityBundle(actuator=actuator, propagator=propagator,
+                              tau=propagator.tau, N=N, free_map=propagator.total,
                               input_rows=rows, gramian=gram, gramian_rank=rank)
 
 
@@ -146,7 +139,7 @@ def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):
     if eps <= 0:
         raise ValueError("ridge parameter must be positive")
     w0 = np.asarray(w0, float)
-    N, K = bundle.N, bundle.space.K
+    N, K = bundle.N, bundle.free_map.shape[0]
     prop = bundle.propagator
     y0 = (bundle.free_map @ w0)[:N]
     u = np.linalg.solve(bundle.gramian + eps * np.eye(N), y0) if N else np.zeros(0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quadmin import DEFAULT_PINV_RTOL
-from .spectral import ChiMask, SpectralSpace, build_actuator
+from .spectral import Actuator, ChiMask, SpectralSpace
 
 
 def _grid_derivative_ops(n: int):
@@ -81,17 +81,17 @@ class ObservabilityForms:
                        output_by_mode=self.output_by_mode[:, :N, :N])
 
 
-def build_forms(space: SpectralSpace, chi: ChiMask, M_list, dt: float,
-                sweep) -> ObservabilityForms:
+def build_forms(space: SpectralSpace, chi: ChiMask, actuator: Actuator, M_list,
+                dt: float, sweep) -> ObservabilityForms:
     """The forms over terminal data in the first N Stokes modes, from the
     (nodes, stages) of one interval's adjoint block sweep of the first N
-    unit directions (stages of shape (n_steps, K, N))."""
+    unit directions (stages of shape (n_steps, K, N)).  The actuator's M
+    control modes bound the listed M."""
     nodes, stages = sweep
     N = stages.shape[-1]
     if not 1 <= N <= space.K:
         raise ValueError(f"N={N} outside [1, K]")
     M_list = tuple(sorted(set(int(m) for m in M_list)))
-    actuator = build_actuator(space, chi, max(max(M_list, default=0), 1))
 
     energy = nodes[0].T @ nodes[0]
     W_l2, W_h1 = _chi_output_kernels(space, chi)

@@ -256,13 +256,6 @@ class ChiMask:
         return ChiMask(values=vals, center=tuple(center), radius=float(radius),
                        rho=float(rho), sup_norm=float(vals.max()))
 
-    @staticmethod
-    def uniform(space: SpectralSpace) -> "ChiMask":
-        """chi == 1 everywhere (degenerate mask used for closed-form checks)."""
-        vals = np.ones((space.n, space.n))
-        _freeze(vals)
-        return ChiMask(values=vals, center=(0.0, 0.0), radius=np.inf, rho=1.0, sup_norm=1.0)
-
 
 @dataclass(frozen=True)
 class Actuator:
@@ -274,9 +267,6 @@ class Actuator:
 
     M: int
     mat: np.ndarray             # (K, M)
-
-    def apply(self, eta: np.ndarray) -> np.ndarray:
-        return self.mat @ eta
 
     def adjoint(self, v: np.ndarray) -> np.ndarray:
         return self.mat.T @ v

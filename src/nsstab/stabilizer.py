@@ -5,7 +5,8 @@ interval, so the projection onto the leading modes vanishes at integer
 times and the complement is damped by the spectral gap.  The cutoff N is
 chosen empirically: the smallest one whose measured one-interval closed
 map contracts by e^{-lambda/2} in the H norm (the symbolic eigenvalue
-threshold is evaluated with measured constants and reported alongside).
+threshold is evaluated with measured constants and reported alongside it
+in stabilize.json).
 """
 
 from dataclasses import dataclass, field
@@ -14,10 +15,16 @@ import numpy as np
 
 from .dynamics import ReferenceTrajectory, Trajectory, build_propagator
 from .errors import ResolutionTooSmallError
-from .null_control import DEFAULT_NULL_TOL, ControlSignal, null_coefficients
+from .null_control import (
+    DEFAULT_NULL_TOL,
+    ControlSignal,
+    ReachabilityBundle,
+    build_reachability,
+    null_coefficients,
+)
 from .observability import build_forms, select_m1
 from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
-from .spectral import ChiMask, SpectralSpace, build_actuator
+from .spectral import Actuator, ChiMask, SpectralSpace, build_actuator
 
 
 def null_closed_map(free_map: np.ndarray, endpoints: np.ndarray,
@@ -42,7 +49,8 @@ class CutoffChoice:
 
 class CutoffSearch:
     """The interval layer of one run: every adjoint block sweep of the unit
-    intervals, and the cutoff measurements shared by every decay rate.
+    intervals, every actuator, and the cutoff measurements shared by every
+    decay rate.
 
     Holds the unit-interval propagators on [0, n_max] (`propagators[n]` on
     [n, n + 1]) and the measurement of each cutoff N tried (`measured`).  A
@@ -53,15 +61,20 @@ class CutoffSearch:
     smaller cutoff are the leading columns of a larger one, so the first
     measurement runs one adjoint sweep per unit interval over the n_top
     leading directions and keeps, per interval, for every listed M that some
-    cutoff selects as M1: the Gramian of those directions and their endpoint
-    responses (`tables`), and the actuator of that M (`actuators`).  Each
-    cutoff is then measured on leading blocks of these tables, with the M1
-    report that select_m1 gives on the leading blocks of the interval-0
-    observability forms (`observability_report`); the forms themselves are
-    not kept.  Measuring cutoff N keeps the pseudoinverse of each interval's
-    Gramian block (`gramian_pinvs[N]`).  `stabilize` reads its Gramians,
-    their pseudoinverses and its actuator from the search, so no other
-    block sweep of these intervals runs.
+    cutoff selects as M1, the Gramian of those directions and their endpoint
+    responses (`tables`).  Each cutoff is then measured on leading blocks
+    of these tables, with the M1 report that select_m1 gives on the leading
+    blocks of the interval-0 observability forms (`observability_report`);
+    the forms themselves are not kept, but the interval-0 stage duals they
+    were built from are.  Measuring cutoff N keeps the pseudoinverse of
+    each interval's Gramian block (`gramian_pinvs[N]`).
+
+    `actuator(M)` builds each actuator once per run, for the forms, the
+    tables, the stabilize run, the null-control bundle and the feedback law
+    alike.
+    `reachability(N, M)` builds interval 0's bundle from the kept stage
+    duals, and `stabilize` reads its Gramians and their pseudoinverses from
+    the tables, so no other block sweep of these intervals runs.
     """
 
     def __init__(self, space: SpectralSpace, traj: ReferenceTrajectory,
@@ -76,9 +89,16 @@ class CutoffSearch:
         self.measured: dict = {}
         self.tables: dict = {}      # M -> (gramians (n_int, n_top, n_top),
                                     #       endpoints (n_int, K, n_top))
-        self.actuators: dict = {}   # M -> Actuator, for the M of the tables
         self.gramian_pinvs: dict = {}   # N -> pinv of G[:N, :N] per interval
+        self._actuators: dict = {}  # M -> Actuator
         self._reports: dict = {}    # N -> select_m1 report
+        self._stages0 = None        # interval 0's stage duals (n_steps, K, n_top)
+
+    def actuator(self, M: int) -> Actuator:
+        """The actuator of control dimension M, built at most once per run."""
+        if M not in self._actuators:
+            self._actuators[M] = build_actuator(self.space, self.chi, M)
+        return self._actuators[M]
 
     def measure(self, N: int):
         """(M1 report, per-interval closed-map norms) for cutoff N."""
@@ -89,11 +109,22 @@ class CutoffSearch:
     def observability_report(self, N: int) -> dict:
         """The select_m1 report of the interval-0 forms on the first N modes,
         1 <= N <= n_top, as the sweep made it (M1 may be None)."""
+        self._swept(N)
+        return self._reports[N]
+
+    def reachability(self, N: int, M: int) -> ReachabilityBundle:
+        """Interval 0's reachability bundle on the first N directions,
+        1 <= N <= n_top, with the actuator of M, from the leading N columns
+        of the sweep's interval-0 stage duals."""
+        self._swept(N)
+        return build_reachability(self.actuator(M), self._stages0[..., :N],
+                                  self.propagators[0], self.pinv_rtol)
+
+    def _swept(self, N):
         if not 1 <= N <= self.n_top:
             raise ValueError(f"cutoff N={N} outside [1, {self.n_top}]")
-        if not self._reports:
+        if self._stages0 is None:
             self._sweep()
-        return self._reports[N]
 
     def _sweep(self):
         space, props, n_top = self.space, self.propagators, self.n_top
@@ -101,17 +132,17 @@ class CutoffSearch:
         for i, prop in enumerate(props):
             nodes, stages = prop.adjoint_block(Q1)
             if i == 0:
-                forms = build_forms(space, self.chi, self.M_list, self.dt,
-                                    (nodes, stages))
+                forms = build_forms(space, self.chi, self.actuator(max(self.M_list)),
+                                    self.M_list, self.dt, (nodes, stages))
                 self._reports = {N: select_m1(forms.leading(N), self.slack,
                                               self.pinv_rtol)
                                  for N in range(1, n_top + 1)}
                 M1s = sorted({r["M1"] for r in self._reports.values()} - {None})
-                self.actuators = {M: build_actuator(space, self.chi, M) for M in M1s}
-                grams = {M: act.gram for M, act in self.actuators.items()}
+                grams = {M: self.actuator(M).gram for M in M1s}
                 self.tables = {M: (np.empty((len(props), n_top, n_top)),
                                    np.empty((len(props), space.K, n_top)))
                                for M in M1s}
+                self._stages0 = stages
             for M, (gramians, endpoints) in self.tables.items():
                 inputs = grams[M] @ stages               # (n_steps, K, n_top)
                 gramians[i] = self.dt * np.tensordot(stages, inputs, ([0, 1], [0, 1]))
@@ -200,6 +231,8 @@ class StabilizationRun:
     def summary(self) -> dict:
         return {"N": self.N, "M1": self.M1, "lambda": self.lam,
                 "kappa1": self.kappa1, "kappa3": self.kappa3,
+                "kappa3_smoothing": self.kappa3_smoothing,
+                "projection_defect_max": float(np.max(self.projection_defects)),
                 "integer_decay_ok": bool(np.all(
                     self.integer_h_norms[1:] ** 2
                     <= np.exp(-self.lam * np.arange(1, len(self.integer_h_norms)))
@@ -225,7 +258,7 @@ def stabilize(search: CutoffSearch, choice: CutoffChoice, v0: np.ndarray,
     space, lam, N = search.space, choice.lam, choice.N
     v0 = np.asarray(v0, float)
     if N:
-        act = search.actuators[choice.M1]
+        act = search.actuator(choice.M1)
         gramians = search.tables[choice.M1][0]
         pinvs = search.gramian_pinvs[N]
 

@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from nsstab.config import ExperimentConfig
 from nsstab.spectral import ChiMask, build_space
+from oracles import save_config
 
 
 @pytest.fixture(scope="session")
@@ -47,5 +48,5 @@ def small_cfg(tmp_path):
     cfg.nonlinear.basin_directions = 2
     cfg.validate()
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    save_config(cfg, path)
     return cfg, path

@@ -25,10 +25,13 @@ basis (`analyze_laplacian`, `synthesize_laplacian`, `grid_inner`,
 `apply_chi_pm`); the linearization applied by two advection calls
 (`linearized_apply`); the feedback forcing `gain_apply` and the
 weak-continuity probe `sampled_continuity`; and the discrete
-variation-of-constants identity `duhamel_bound_check`.  `forms_on` and
-`bundle_on` build the interval forms and reachability bundle from a fresh
-propagator, as the package builds them from the run's cutoff search."""
+variation-of-constants identity `duhamel_bound_check`.  `forms_on`,
+`bundle_on` and `bundle_of` build the interval forms and reachability
+bundle from a sweep of their own, as the package builds them from the run's
+cutoff search; `save_config` writes a config file and `uniform_mask` is the
+degenerate mask chi == 1."""
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +42,24 @@ from nsstab.nonlinear import zlambda_norm
 from nsstab.null_control import build_reachability, min_norm_control
 from nsstab.observability import build_forms, select_m1
 from nsstab.quadmin import DEFAULT_PINV_RTOL, pinv_psd
-from nsstab.spectral import build_actuator
+from nsstab.spectral import ChiMask, build_actuator
 from nsstab.stabilizer import null_closed_map
 
 NORM = 1.0 / (np.sqrt(2.0) * np.pi)
+
+
+def save_config(cfg, path):
+    """Write cfg as the indented JSON file that ExperimentConfig.load reads."""
+    with open(path, "w") as fh:
+        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def uniform_mask(space):
+    """chi == 1 everywhere (degenerate mask used for closed-form checks)."""
+    vals = np.ones((space.n, space.n))
+    vals.setflags(write=False)
+    return ChiMask(values=vals, center=(0.0, 0.0), radius=np.inf, rho=1.0, sup_norm=1.0)
 
 
 def complex_coeffs(modes, c):
@@ -179,7 +196,7 @@ def cutoff_measure_per_n(search, N):
     act = build_actuator(search.space, search.chi, rep["M1"])
     factors = []
     for n, prop in enumerate(search.propagators):
-        bundle = build_reachability(search.space, act, N, prop, search.pinv_rtol)
+        bundle = bundle_of(prop, act, N, search.pinv_rtol)
         factors.append(float(np.linalg.norm(
             closed_interval_map(bundle, search.pinv_rtol), 2)))
     return rep, factors
@@ -196,7 +213,7 @@ def stabilize_per_bundle(search, choice, v0):
     v = states[0][0]
     for n, prop in enumerate(search.propagators):
         if N:
-            bundle = build_reachability(space, act, N, prop, search.pinv_rtol)
+            bundle = bundle_of(prop, act, N, search.pinv_rtol)
             values = min_norm_control(bundle, v, search.pinv_rtol).values
             inputs = values @ act.mat.T
         else:
@@ -392,14 +409,22 @@ def forms_on(space, traj, tau, chi, N, M_list, dt, propagator=None):
     adjoint block sweep of the first N unit directions of the propagator
     (built here unless given), handed to build_forms."""
     prop = propagator if propagator is not None else build_propagator(space, traj, tau, dt)
-    return build_forms(space, chi, M_list, dt, prop.adjoint_block(np.eye(space.K)[:, :N]))
+    return build_forms(space, chi, build_actuator(space, chi, max(M_list)), M_list, dt,
+                       prop.adjoint_block(np.eye(space.K)[:, :N]))
+
+
+def bundle_of(propagator, actuator, N, pinv_rtol=DEFAULT_PINV_RTOL):
+    """Reachability bundle of the first N modes on the propagator's interval:
+    one adjoint block sweep of the first N unit directions, handed to
+    build_reachability."""
+    _, stages = propagator.adjoint_block(np.eye(propagator.phi.shape[1])[:, :N])
+    return build_reachability(actuator, stages, propagator, pinv_rtol)
 
 
 def bundle_on(space, traj, tau, actuator, N, dt, pinv_rtol=DEFAULT_PINV_RTOL):
     """Reachability bundle of the first N modes on [tau, tau + 1] from a
     freshly built propagator."""
-    return build_reachability(space, actuator, N, build_propagator(space, traj, tau, dt),
-                              pinv_rtol)
+    return bundle_of(build_propagator(space, traj, tau, dt), actuator, N, pinv_rtol)
 
 
 class InvalidProgramError(Exception):
@@ -525,7 +550,7 @@ def linearized_apply(space, cu, cv):
 def gain_apply(law, t, v):
     """Feedback forcing -chi P_M chi Qt(t) v in velocity coefficients."""
     act = law.actuator
-    return -act.apply(act.adjoint(law.Qt[law.index_of(t)] @ np.asarray(v, float)))
+    return -act.mat @ act.adjoint(law.Qt[law.index_of(t)] @ np.asarray(v, float))
 
 
 def sampled_continuity(law, w):
@@ -556,7 +581,7 @@ def duhamel_bound_check(stepper, forcings):
         direct = stepper.run_linear(np.zeros(K), f)
         superposed = dt * np.einsum("mij,mi->j", stages, f)
         identity_gap = max(identity_gap,
-                           float(np.max(np.abs(superposed - direct.endpoint()))))
+                           float(np.max(np.abs(superposed - direct.states[-1]))))
         t_mid = (stepper.times[:-1] - stepper.times[0]) + 0.5 * dt
         wf = np.exp(2.0 * lam * t_mid) * np.sum(f**2, axis=1)
         cum = np.concatenate([[0.0], np.cumsum(dt * wf)])

@@ -42,6 +42,7 @@ from oracles import (
     heat_decay_R,
     scalar_are_root,
     solve_constrained_min,
+    uniform_mask,
 )
 
 DT = 1.0 / 128
@@ -207,7 +208,7 @@ def test_criterion_06_truncated_observability(stab_instance, rng):
 
     # closed-form heat-decay check at the scheme's dt
     s1 = build_space(nu=0.2, K=2, n=8)
-    f1 = forms_on(s1, zero_reference(s1, 2.0), 0.0, ChiMask.uniform(s1),
+    f1 = forms_on(s1, zero_reference(s1, 2.0), 0.0, uniform_mask(s1),
                   N=1, M_list=[8], dt=DT)
     a = s1.alphas[0]
     want = heat_decay_R(a) / heat_decay_O(a)
@@ -222,7 +223,7 @@ def test_criterion_07_riccati_synthesis(fb_instance):
     # scalar limits against the algebraic closed form
     s4 = build_space(nu=1.0, K=4, n=16)
     r4 = zero_reference(s4, horizon=26.0)
-    a4 = build_actuator(s4, ChiMask.uniform(s4), M=8)
+    a4 = build_actuator(s4, uniform_mask(s4), M=8)
     law4 = riccati_solve(s4, r4, lam=0.5, actuator=a4, T_h=12.0, dt=DT)
     scalar_gap = max(
         abs(law4.Qt[0][j, j] - scalar_are_root(0.25 - s4.alphas[j],

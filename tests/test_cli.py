@@ -23,7 +23,7 @@ from nsstab.quadmin import pinv_psd
 from nsstab.spectral import build_actuator
 from nsstab.stabilizer import CutoffSearch
 
-from oracles import forms_on
+from oracles import bundle_on, forms_on, save_config
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
@@ -34,7 +34,7 @@ class TestConfig:
         loaded = ExperimentConfig.load(path)
         assert loaded.canonical_json() == cfg.canonical_json()
         again = tmp_path / "again.json"
-        loaded.save(again)
+        save_config(loaded, again)
         assert again.read_text() == path.read_text()
 
     def test_hash_changes_with_content(self, small_cfg):
@@ -148,7 +148,7 @@ class TestRun:
         cfg, _ = small_cfg
         cfg.control.lam = 25.0        # unreachable decay rate at this K
         path = tmp_path / "hard.json"
-        cfg.save(path)
+        save_config(cfg, path)
         assert run("stabilize", str(path), str(tmp_path / "o")) == 3
 
     def test_picard_cap_exit_code(self, small_cfg, tmp_path, monkeypatch):
@@ -207,6 +207,48 @@ class TestRun:
         rep = json.loads((out / "closed_loop.json").read_text())
         assert rep["inside_gate"] and not rep["decayed"]
 
+    def test_synthesis_horizon_leaves_a_closed_loop_step(self, small_cfg, tmp_path,
+                                                         capsys):
+        # the closed loop runs on [0, min(n, T_h - 1)], which holds one step
+        # at T_h = 1 + dt
+        cfg, _ = small_cfg
+        path = tmp_path / "short.json"
+        cfg.time.T_h = 1.0 + cfg.time.dt
+        save_config(cfg, path)
+        assert main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        cfg.time.T_h = np.nextafter(1.0 + cfg.time.dt, 0.0)
+        save_config(cfg, path)
+        assert main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "time.T_h" in capsys.readouterr().err
+
+    def test_simulated_units_hold_a_closed_loop_step(self, small_cfg, tmp_path, capsys):
+        cfg, _ = small_cfg
+        path = tmp_path / "short.json"
+        cfg.nonlinear.sim_units = cfg.time.dt
+        save_config(cfg, path)
+        assert main(["closed-loop", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        cfg.nonlinear.sim_units = np.nextafter(cfg.time.dt, 0.0)
+        save_config(cfg, path)
+        assert main(["closed-loop", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "nonlinear.sim_units" in capsys.readouterr().err
+
+    def test_stabilize_report_carries_the_cutoff_measurements(self, controlled_cfg,
+                                                              tmp_path):
+        cfg, path = controlled_cfg
+        assert run("stabilize", str(path), str(tmp_path / "o")) == 0
+        rep = json.loads((tmp_path / "o" / "stabilize.json").read_text())
+        assert rep["N"] > 0
+        assert rep["contraction_target"] == np.exp(-cfg.control.lam / 2.0)
+        assert rep["contraction"] == max(rep["per_interval"]) <= rep["contraction_target"]
+        assert len(rep["per_interval"]) == cfg.time.n_max
+        assert set(rep["symbolic_threshold"]) == {"alpha_next", "e_lambda", "C_chi_prime"}
+        assert 0.0 < rep["kappa3_smoothing"] < np.inf
+        # the null control leaves at most null_tol * |v0| of the leading modes,
+        # and |v0| of a standard normal K = 12 vector is a few units
+        assert 0.0 <= rep["projection_defect_max"] < 1e-7
+
     def test_main_entrypoint(self, small_cfg, tmp_path):
         _, path = small_cfg
         code = main(["reference", "--config", str(path),
@@ -238,7 +280,7 @@ def controlled_cfg(small_cfg, tmp_path):
     cfg, _ = small_cfg
     cfg.control.lam = 1.25
     path = tmp_path / "controlled.json"
-    cfg.save(path)
+    save_config(cfg, path)
     return cfg, path
 
 
@@ -311,6 +353,49 @@ class TestSharedIntervalWork:
         assert payload["C_h1l2"] == rep["C_h1l2"] \
             == observability.h1_l2_ratio(forms, 1e-11)
         assert payload["D_table"] == {str(m): d for m, d in rep["D_table"].items()}
+
+    def test_all_sweeps_each_interval_once(self, small_cfg, tmp_path, monkeypatch):
+        # the null-control bundle comes from the search's interval-0 sweep;
+        # every other adjoint sweep is a single vector
+        cfg, path = small_cfg
+        blocks = []
+        adjoint_block = Propagator.adjoint_block
+
+        def counted(self, Q1):
+            if Q1.ndim == 2:
+                blocks.append(Q1.shape)
+            return adjoint_block(self, Q1)
+        monkeypatch.setattr(Propagator, "adjoint_block", counted)
+        assert run("all", str(path), str(tmp_path / "o")) == 0
+        assert len(blocks) == cfg.time.n_max
+
+    def test_all_builds_each_actuator_once(self, small_cfg, tmp_path, monkeypatch):
+        _, path = small_cfg
+        builds = record_calls(monkeypatch, build_actuator)
+        assert run("all", str(path), str(tmp_path / "o")) == 0
+        dims = [args[2] for args, _ in builds]
+        assert dims and len(dims) == len(set(dims))
+
+    def test_search_reachability_matches_a_fresh_bundle(self, controlled_cfg):
+        # for the chosen (N, M1) and for an M outside the search's tables
+        cfg, _ = controlled_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        choice = p.choice(cfg.control.lam)
+        search = p.search
+        other = next(M for M in cfg.control.M_list if M not in search.tables)
+        assert choice.N > 0 and choice.M1 in search.tables
+        for N, M in ((choice.N, choice.M1), (2, other)):
+            got = search.reachability(N, M)
+            want = bundle_on(p.space, p.reference, 0.0, build_actuator(p.space, p.chi, M),
+                             N, cfg.time.dt, cfg.tolerances.pinv_rtol)
+            assert (got.N, got.actuator.M, got.gramian_rank) == (N, M, want.gramian_rank)
+            for name in ("input_rows", "gramian"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
+        assert search.reachability(choice.N, choice.M1).actuator \
+            is search.actuator(choice.M1)
+        with pytest.raises(ValueError, match="outside"):
+            search.reachability(search.n_top + 1, choice.M1)
 
     def test_stabilize_builds_no_reachability_bundle(self, controlled_cfg, tmp_path,
                                                      monkeypatch):
@@ -438,7 +523,7 @@ class TestControlDimension:
         cfg = ExperimentConfig.load(DEFAULT_CONFIG)
         cfg.control.lam = 0.2
         path = tmp_path / "low.json"
-        cfg.save(path)
+        save_config(cfg, path)
         choice = Pipeline(cfg, np.random.default_rng(cfg.seed)).choice(0.2)
         assert choice.N == 0 and choice.M1 is None
         out = tmp_path / "o"
@@ -455,7 +540,7 @@ class TestControlDimension:
         cfg = ExperimentConfig.load(DEFAULT_CONFIG)
         cfg.control.lam = 0.2
         path = tmp_path / "low.json"
-        cfg.save(path)
+        save_config(cfg, path)
         assert run("observability", str(path), str(tmp_path / "o")) == 0
         payload = json.loads((tmp_path / "o" / "observability.json").read_text())
 
@@ -478,7 +563,7 @@ class TestControlDimension:
         cfg.control.M_list = (4,)
         cfg.control.lam = 0.2
         path = tmp_path / "narrow.json"
-        cfg.validate().save(path)
+        save_config(cfg.validate(), path)
         code = main(["null-control", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "space.m_max" in capsys.readouterr().err

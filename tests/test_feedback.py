@@ -32,6 +32,7 @@ from oracles import (
     sampled_continuity,
     scalar_are_root,
     shifted_steps,
+    uniform_mask,
 )
 
 DT = 1.0 / 128
@@ -47,7 +48,7 @@ def scalar_law():
     """Frozen reference, uniform mask: every mode decouples to a scalar problem."""
     space = build_space(nu=1.0, K=4, n=16)
     ref = zero_reference(space, horizon=24.0)
-    act = build_actuator(space, ChiMask.uniform(space), M=8)
+    act = build_actuator(space, uniform_mask(space), M=8)
     law = riccati_solve(space, ref, lam=0.5, actuator=act, T_h=12.0, dt=DT)
     return space, ref, act, law
 
@@ -280,7 +281,7 @@ class TestGainApply:
         v = rng.standard_normal(space.K)
         t = 3.0
         got = gain_apply(law, t, v)
-        want = -act.apply(apply_chi_pm(space, chi, act.M, law.Qt[law.index_of(t)] @ v))
+        want = -act.mat @ apply_chi_pm(space, chi, act.M, law.Qt[law.index_of(t)] @ v)
         assert np.allclose(got, want, atol=1e-13 * max(1.0, np.abs(want).max()))
 
     def test_frozen_beyond_horizon(self, tg_law, rng):

@@ -144,7 +144,7 @@ class TestSimulateClosedLoop:
         for dt in (1.0 / 32, 1.0 / 64, 1.0 / 128):
             law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
             tr, _ = simulate_closed_loop(closed_loop_steps(space, ref, law, 0.0, 2.0), v0)
-            ends.append(tr.endpoint())
+            ends.append(tr.states[-1])
         d1 = np.linalg.norm(ends[0] - ends[1])
         d2 = np.linalg.norm(ends[1] - ends[2])
         assert d1 / d2 == pytest.approx(4.0, rel=0.5)

@@ -16,7 +16,13 @@ from nsstab.null_control import (
 from nsstab.observability import truncated_constant
 from nsstab.spectral import ChiMask, build_actuator, build_space
 
-from oracles import QuadraticProgram, bundle_on, forms_on, solve_constrained_min
+from oracles import (
+    QuadraticProgram,
+    bundle_on,
+    forms_on,
+    solve_constrained_min,
+    uniform_mask,
+)
 
 
 DT = 1.0 / 64
@@ -47,7 +53,7 @@ class TestBuildReachability:
         # with one step of size 1, the CN factor replaces the exponential
         space = build_space(nu=0.3, K=2, n=8)
         ref = zero_reference(space, horizon=2.0)
-        chi = ChiMask.uniform(space)
+        chi = uniform_mask(space)
         act = build_actuator(space, chi, M=4)
         b = bundle_on(space, ref, 0.0, act, N=1, dt=1.0)
         # CN one-step stage dual: (I + h/2 L)^{-T} e_1, gain through A^T
@@ -130,7 +136,7 @@ class TestMinNorm:
         # norm control is zero
         space = build_space(nu=0.1, K=8, n=16)
         ref = zero_reference(space, horizon=2.0)
-        act = build_actuator(space, ChiMask.uniform(space), M=8)
+        act = build_actuator(space, uniform_mask(space), M=8)
         bundle = bundle_on(space, ref, 0.0, act, N=2, dt=DT)
         w0 = np.zeros(space.K)
         w0[5] = 3.0

@@ -12,7 +12,7 @@ from nsstab.observability import (
 )
 from nsstab.spectral import ChiMask, build_space
 
-from oracles import forms_on, heat_decay_O, heat_decay_R
+from oracles import forms_on, heat_decay_O, heat_decay_R, uniform_mask
 
 DT = 1.0 / 128
 
@@ -30,7 +30,7 @@ class TestBuildForms:
     def test_heat_decay_scalar_oracle(self):
         space = build_space(nu=0.2, K=2, n=8)
         ref = zero_reference(space, horizon=2.0)
-        chi = ChiMask.uniform(space)
+        chi = uniform_mask(space)
         forms = forms_on(space, ref, 0.0, chi, N=1, M_list=[8], dt=DT)
         a = space.alphas[0]
         assert forms.energy[0, 0] == pytest.approx(heat_decay_R(a), rel=1e-4)
@@ -71,7 +71,7 @@ class TestTruncatedConstant:
     def test_uniform_mask_matches_per_mode_heat_oracle(self):
         space = build_space(nu=0.2, K=6, n=16)
         ref = zero_reference(space, horizon=2.0)
-        chi = ChiMask.uniform(space)
+        chi = uniform_mask(space)
         forms = forms_on(space, ref, 0.0, chi, N=3, M_list=[4, 16], dt=DT)
         want = max(heat_decay_R(a) / heat_decay_O(a) for a in space.alphas[:3])
         assert full_constant(forms) == pytest.approx(want, rel=1e-4)
@@ -126,7 +126,7 @@ class TestH1Ratio:
     def test_single_mode_exact_weight(self):
         space = build_space(nu=0.2, K=2, n=16)
         ref = zero_reference(space, horizon=2.0)
-        chi = ChiMask.uniform(space)
+        chi = uniform_mask(space)
         forms = forms_on(space, ref, 0.0, chi, N=1, M_list=[4], dt=1.0 / 64)
         kx, ky, _ = space.modes[0]
         assert h1_l2_ratio(forms) == pytest.approx(1.0 + kx**2 + ky**2, rel=1e-10)
@@ -147,7 +147,7 @@ class TestSelectM1:
     def test_uniform_mask_picks_span_and_matches_d_inf(self):
         space = build_space(nu=0.2, K=6, n=16)
         ref = zero_reference(space, horizon=2.0)
-        chi = ChiMask.uniform(space)
+        chi = uniform_mask(space)
         forms = forms_on(space, ref, 0.0, chi, N=3, M_list=[2, 4, 8, 16], dt=1.0 / 64)
         rep = select_m1(forms, slack=2.0)
         # smallest M spanning the first 3 Stokes wavevector-phases

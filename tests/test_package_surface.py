@@ -1,10 +1,11 @@
 """The package holds what its runs use.
 
 Read from the sources with `ast`, without importing the package: every
-name of `nsstab.__all__` resolves to a top-level definition, and every
-public top-level function or class of `src/nsstab` is used by the package
-itself, by another module than `__init__.py` or inside its own module.
-Code that only the tests use lives in `tests/oracles.py`.
+name of `nsstab.__all__` resolves to a top-level definition, every public
+top-level function or class of `src/nsstab` is used by the package itself,
+by another module than `__init__.py` or inside its own module, and so is
+every public method and property of its classes.  Code that only the tests
+use lives in `tests/oracles.py`.
 """
 
 import ast
@@ -62,6 +63,26 @@ def references(tree):
     return refs
 
 
+def public_methods(tree):
+    """(class, name, static) of every public method or property of the
+    module's top-level classes; static marks static and class methods."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")):
+                    decorators = {d.id for d in item.decorator_list
+                                  if isinstance(d, ast.Name)}
+                    yield node.name, item.name, bool(
+                        decorators & {"staticmethod", "classmethod"})
+
+
+def qualified_reads(tree):
+    """(name, attribute) of every `name.attribute` a module reads."""
+    return {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+
+
 def all_names(init):
     for node in init.body:
         if isinstance(node, ast.Assign) and any(
@@ -104,6 +125,21 @@ def test_every_public_definition_is_used_by_the_package():
     allowed = {f"{m}.{n}" for m, tree in trees.items()
                for n in public_definitions(tree) if n in ALLOWED_UNUSED}
     assert unused == allowed
+
+
+def test_every_public_method_is_used_by_the_package():
+    # an instance method or property is used when its name is read as an
+    # attribute anywhere in the package; a static or class method only when
+    # it is read through its class, so that an unrelated attribute of the
+    # same name (`rng.uniform` beside a `ChiMask.uniform`) does not count
+    trees = {name: tree for name, tree in modules().items() if name != "__init__"}
+    names = set().union(*(references(tree) for tree in trees.values()))
+    qualified = set().union(*(qualified_reads(tree) for tree in trees.values()))
+    unused = {f"{module}.{cls}.{name}"
+              for module, tree in trees.items()
+              for cls, name, static in public_methods(tree)
+              if ((cls, name) not in qualified if static else name not in names)}
+    assert unused == set()
 
 
 def test_allowed_names_exist_and_carry_a_reason():
