@@ -167,12 +167,21 @@ def taylor_green_reference(space: SpectralSpace, a0: float, a1: float = 0.0,
     return ReferenceTrajectory(space, [(taylor_green_coefficients(space), sched)], horizon)
 
 
-def cn_step(F: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
+def cn_step(F: np.ndarray, dt: float, m: int = 0,
+            near: np.ndarray | None = None) -> np.ndarray:
     """Crank-Nicolson transition phi = (I + h/2 F)^{-1} (I - h/2 F) of the
-    system matrix F of step m, from one solve."""
+    system matrix F of step m, from one solve.
+
+    near, the transition of a neighbouring step, makes it
+    phi = 2 X - I with X = (I + h/2 F)^{-1} refined from (I + near)/2 by
+    refined_inverse, which falls back to a solve where that does not
+    converge.  Without near, the step is the one solve.
+    """
     half = 0.5 * dt * F
     eye = _identity(F.shape[0])
-    return _cn_solve(eye + half, eye - half, m)
+    if near is None:
+        return _cn_solve(eye + half, eye - half, m)
+    return 2.0 * refined_inverse(eye + half, 0.5 * (eye + near), m) - eye
 
 
 def cn_advance(F: np.ndarray, v: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
@@ -195,6 +204,40 @@ def _cn_solve(lhs, rhs, m):
         return np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
         raise StepSolveError(f"implicit step {m} is singular") from exc
+
+
+REFINE_STEPS = 2        # Newton-Schulz updates per refined inverse
+REFINE_TOL = 1e-8       # residual before the last update that is accepted
+
+
+def refined_inverse(A: np.ndarray, X0: np.ndarray, m: int = 0) -> np.ndarray:
+    """A^{-1} for A (n, n) or a stack (r, n, n), refined from X0, the inverse
+    of a nearby matrix, by REFINE_STEPS Newton-Schulz updates
+    X <- X + X R, R = I - A X.
+
+    Each update squares the residual: I - A (X + X R) = R^2.  A matrix whose
+    residual before the last update is at most REFINE_TOL is accepted, so
+    its error is at round-off.  Every other matrix of the stack (one whose
+    starting residual exceeds 1/2 in the inf-norm, as X0 = 0 always does,
+    or one that misses REFINE_TOL) is solved afresh by _cn_solve, which
+    raises StepSolveError naming step m where A is singular.
+    """
+    eye = _identity(A.shape[-1])
+    X, R = X0, eye - A @ X0
+    ok = _inf_norm(R) <= 0.5
+    for _ in range(REFINE_STEPS - 1):
+        X = X + X @ R
+        R = eye - A @ X
+    ok &= _inf_norm(R) <= REFINE_TOL
+    X = X + X @ R
+    if ok.all():
+        return X
+    return np.where(ok[..., None, None], X, _cn_solve(A, eye, m))
+
+
+def _inf_norm(R):
+    # max row sum of |R| for each matrix of a stack
+    return np.abs(R).sum(axis=-1).max(axis=-1)
 
 
 def cn_steps(F_at, n_steps: int, dt: float, K: int) -> np.ndarray:

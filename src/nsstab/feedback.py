@@ -18,7 +18,10 @@ forms are exact oracles up to horizon truncation.
 The law is its cost operators and gains only, 8 ((n_T + 1) K^2 + n_T M K)
 bytes for n_T = T_h / dt steps.  No step matrix is stored: the sweep builds
 each step when it uses it, and the rollouts advance vectors through the
-same step model with one solve per step.
+same step model with one solve per step.  Consecutive steps differ by
+O(h), so the sweep solves only its first step and first gain systems and
+refines every later inverse from its neighbour's with matrix products
+(dynamics.refined_inverse), solving afresh any that does not converge.
 """
 
 import os
@@ -27,7 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ReferenceTrajectory, Trajectory, cn_advance, cn_step
+from .dynamics import (
+    ReferenceTrajectory,
+    Trajectory,
+    cn_advance,
+    cn_step,
+    refined_inverse,
+)
 from .errors import ConfigError, RiccatiBlowupError
 from .spectral import Actuator, SpectralSpace
 
@@ -129,11 +138,12 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
     stabilizable through this actuator.  With verify_horizon, also sweeps
     the doubled horizon 2*T_h and records the relative change of Qt(0):
     its [T_h, 2 T_h] steps first, then its value continues beside the law
-    in the law's own loop over [0, T_h].  Every step is built once per
-    sweep and none is stored.  A law (Qt and gains) larger than the
-    available memory is refused with ConfigError before anything is
-    allocated; the estimate leaves out what later stages build, such as
-    the closed loop's step stack.
+    in the law's own loop over [0, T_h], from the tail's last step and
+    gain-system inverses.  Every step is built once per sweep and none is
+    stored.  A law (Qt and gains) larger than the available memory is
+    refused with ConfigError before anything is allocated; the estimate
+    leaves out what later stages build, such as the closed loop's step
+    stack.
     """
     if lam < 0 or T_h <= 0:
         raise ValueError("lam must be nonnegative and T_h positive")
@@ -150,15 +160,20 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
             f"time.T_h, or raise time.dt")
     system = _shifted_system(space.alphas, traj, lam, dt)
     args = (system, actuator.mat, dt, space.alphas, lam, cap)
-    P = np.zeros((1, K, K))
+    # no neighbouring step and no gain-system inverse yet: the first
+    # step and each operator's first gain system are solved
+    P, phi, Hee_inv = np.zeros((1, K, K)), None, np.zeros((1, M, M))
     if verify_horizon:
-        # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps
-        P = np.concatenate([P, _sweep(P, n_T, n_T, *args)])
+        # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps;
+        # its last step and gain-system inverse seed the continuation
+        tail, phi, tail_inv = _sweep(P, n_T, n_T, *args, phi, Hee_inv)
+        P = np.concatenate([P, tail])
+        Hee_inv = np.concatenate([Hee_inv, tail_inv])
 
     Qt = np.empty((n_T + 1, K, K))
     gains = np.empty((n_T, M, K))
     Qt[n_T] = 0.0
-    P = _sweep(P, 0, n_T, *args, Qt=Qt, gains=gains)
+    P, _, _ = _sweep(P, 0, n_T, *args, phi, Hee_inv, Qt=Qt, gains=gains)
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
                       Qt=Qt, gains=gains, actuator=actuator,
                       alphas=space.alphas.copy(), shifted_system=system)
@@ -177,7 +192,8 @@ def _shifted_system(alphas, traj: ReferenceTrajectory, lam: float, dt: float):
     return lambda m: shift + traj.bmat_at((m + 0.5) * dt)
 
 
-def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, Qt=None, gains=None):
+def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
+           Qt=None, gains=None):
     """Backward dynamic program over the steps start .. start+n_steps-1 from
     the stacked terminal cost operators P (r, K, K).
 
@@ -189,23 +205,33 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, Qt=None, gains=No
     Hzz = phi' S + h/4 (C + C phi + phi' C), Hze = S' gam + h/4 C gam and
     Hee = h I + gam' W gam: two K^3 products per step and operator.
 
-    Returns the stacked cost operators at the first step; fills Qt[m] and
-    gains[m] (m relative to start) from the first operator when given.
+    Neighbouring steps differ by O(h), so neither inverse is solved
+    afresh: step m refines (I + h/2 F_m)^{-1} from phi, the step after it
+    (None: solve), and each operator's Hee^{-1} from its (r, M, M) value
+    Hee_inv at the step after (zero: solve), by dynamics.refined_inverse,
+    which solves any matrix that does not converge.  The gains are
+    G = Hee^{-1} Hze'.
+
+    Returns the stacked cost operators, the step and the Hee^{-1} stack at
+    the first step; fills Qt[m] and gains[m] (m relative to start) from the
+    first operator when given.
     """
     M = B.shape[1]
     half_B = 0.5 * dt * B
     qc = 0.25 * dt * alphas             # (h/4) C, as a diagonal
     QC = np.diag(qc)
+    h_eye = dt * np.eye(M)
     for m in range(n_steps - 1, -1, -1):
-        phi = cn_step(system(start + m), dt, start + m)
+        phi = cn_step(system(start + m), dt, start + m, phi)
         gam = phi @ half_B + half_B
         W = P + QC
         S = W @ phi
         C_phi = qc[:, None] * phi
         Hzz = phi.T @ S + (QC + C_phi + C_phi.T)
         Hze = S.transpose(0, 2, 1) @ gam + qc[:, None] * gam
-        Hee = dt * np.eye(M) + gam.T @ (W @ gam)
-        G = np.linalg.solve(Hee, Hze.transpose(0, 2, 1))
+        Hee = h_eye + gam.T @ (W @ gam)
+        Hee_inv = refined_inverse(Hee, Hee_inv, start + m)
+        G = Hee_inv @ Hze.transpose(0, 2, 1)
         P = Hzz - Hze @ G
         P = 0.5 * (P + P.transpose(0, 2, 1))
         # max row sum of |P|: the inf-norm of each operator
@@ -216,7 +242,7 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, Qt=None, gains=No
         if Qt is not None:
             Qt[m] = P[0]
             gains[m] = G[0]
-    return P
+    return P, phi, Hee_inv
 
 
 def closed_loop_system(traj: ReferenceTrajectory, law: FeedbackLaw):

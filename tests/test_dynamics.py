@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nsstab import dynamics
 from nsstab.dynamics import (
     AmplitudeSchedule,
     ReferenceTrajectory,
@@ -12,6 +13,7 @@ from nsstab.dynamics import (
     cn_step,
     cn_steps,
     linearization_matrix,
+    refined_inverse,
     regularity_diagnostics,
     taylor_green_coefficients,
     taylor_green_reference,
@@ -294,6 +296,71 @@ class TestCnSteps:
                 got = cn_advance(F, v, dt)
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+class TestRefinedInverse:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Steps m of the solves made through dynamics._cn_solve."""
+        made = []
+        cn_solve = dynamics._cn_solve
+
+        def spy(lhs, rhs, m):
+            made.append(m)
+            return cn_solve(lhs, rhs, m)
+        monkeypatch.setattr(dynamics, "_cn_solve", spy)
+        return made
+
+    @staticmethod
+    def step_matrix(rng, K=16, dt=1.0 / 128):
+        return np.eye(K) + 0.5 * dt * rng.standard_normal((K, K))
+
+    def test_nearby_warm_start_refines_to_round_off(self, rng, solves):
+        A = self.step_matrix(rng)
+        X0 = np.linalg.inv(A + 1e-6 * rng.standard_normal(A.shape))
+        assert 1e-6 < np.abs(np.eye(16) - A @ X0).sum(axis=1).max() < 1e-4
+        X = refined_inverse(A, X0, 3)
+        assert np.abs(np.eye(16) - A @ X).sum(axis=1).max() <= 1e-13
+        want = np.linalg.solve(A, np.eye(16))
+        assert np.linalg.norm(X - want) <= 1e-13 * np.linalg.norm(want)
+        assert solves == []
+
+    def test_far_or_slow_warm_starts_fall_back_to_the_solve(self, rng, solves):
+        A = self.step_matrix(rng)
+        inv = np.linalg.solve(A, np.eye(16))
+        # residual 0.6 I: over 1/2, refinement is not tried
+        # residual 0.3 I: 0.09 before the last update, misses REFINE_TOL
+        for X0 in (0.4 * inv, 0.7 * inv, np.zeros_like(A)):
+            solves.clear()
+            X = refined_inverse(A, X0, 4)
+            assert solves == [4]
+            assert np.array_equal(X, inv)
+
+    def test_fallback_is_decided_per_matrix_of_a_stack(self, rng, solves):
+        A = np.stack([self.step_matrix(rng), self.step_matrix(rng)])
+        inv = np.linalg.solve(A, np.eye(16))
+        X = refined_inverse(A, np.stack([np.zeros((16, 16)), inv[1]]), 2)
+        assert solves == [2]
+        assert np.array_equal(X[0], inv[0])
+        assert np.linalg.norm(X[1] - inv[1]) <= 1e-13 * np.linalg.norm(inv[1])
+
+    def test_singular_step_on_the_warm_path_raises(self, rng):
+        dt = 1.0 / 16
+        singular = -(2.0 / dt) * np.eye(3)      # I + h/2 F = 0
+        near = cn_step(rng.standard_normal((3, 3)), dt)
+        with pytest.raises(StepSolveError, match="step 6"):
+            cn_step(singular, dt, 6, near)
+        with pytest.raises(StepSolveError, match="step 6"):
+            refined_inverse(np.zeros((2, 3, 3)), np.eye(3) + np.zeros((2, 3, 3)), 6)
+
+    def test_warm_step_equals_the_solved_step(self, rng):
+        dt = 1.0 / 128
+        F0, dF = rng.standard_normal((2, 12, 12))
+        near = cn_step(F0, dt)
+        F = F0 + dt * dF
+        want = cn_step(F, dt)
+        got = cn_step(F, dt, 0, near)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestTwoMatrixModel:
