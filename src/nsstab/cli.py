@@ -233,8 +233,10 @@ def cmd_feedback(p: Pipeline, out):
     c = p.cfg
     law = p.law
     stride = max(1, law.n_steps // 64)
+    nodes = range(0, law.n_steps + 1, stride)
     np.savez_compressed(os.path.join(out, "feedback_law.npz"),
-                        times=law.times[::stride], Qt=law.Qt[::stride],
+                        times=law.times[::stride],
+                        Qt=np.stack([law.Q(m) for m in nodes]),
                         lam=law.lam, M=law.M, T_h=law.T_h, stride=stride)
     v0 = p.rng.standard_normal(p.space.K)
     interior = [law.T_h / 8, law.T_h / 4, law.T_h / 2]

@@ -15,8 +15,10 @@ the continuous algebraic Riccati equation exactly (the bilinear-transform
 equivalence of the discrete and continuous equations), so scalar closed
 forms are exact oracles up to horizon truncation.
 
-The law is its cost operators and gains only, 8 ((n_T + 1) K^2 + n_T M K)
-bytes for n_T = T_h / dt steps.  No step matrix is stored: the sweep builds
+The law is its cost operators and gains only, 8 ((n_T + 1) K (K + 1)/2
++ n_T M K) bytes for n_T = T_h / dt steps: each cost operator is exactly
+symmetric and is stored once, as its packed upper triangle (LAPACK's packed
+symmetric storage).  No step matrix is stored: the sweep builds
 each step when it uses it, and the rollouts advance vectors through the
 same step model with one solve per step.  Consecutive steps differ by
 O(h), so the sweep solves only its first step and first gain systems and
@@ -24,6 +26,8 @@ refines every later inverse from its neighbour's with matrix products
 (dynamics.refined_inverse), solving afresh any that does not converge.
 """
 
+import functools
+import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -47,9 +51,11 @@ DEFAULT_RICCATI_CAP = 1e8
 class FeedbackLaw:
     """Time-sampled shifted cost operators and optimal gains on [0, T_h].
 
-    Qt[m] is PSD and the unshifted cost operator is e^{lam t_m} Qt[m]; the
-    feedback applied to a velocity state is -chi P_M chi Qt(t) v (the
-    exponential factors cancel in the shifted representation).  gains[m]
+    Q(m) is PSD and the unshifted cost operator is e^{lam t_m} Q(m); the
+    feedback applied to a velocity state is -chi P_M chi Q(t) v (the
+    exponential factors cancel in the shifted representation).  Each Q(m)
+    is exactly symmetric and is stored once, as the row-major upper
+    triangle Q_packed[m] (pack_symmetric); Q(m) unpacks it.  gains[m]
     is the discretely optimal control eta_m = -gains[m] z_m of the shifted
     step z+ = phi_m (z + u) + u, u = h/2 B eta, phi_m = cn_step of
     shifted_system(m) (see _sweep).  No step matrix is stored: a rollout
@@ -62,7 +68,7 @@ class FeedbackLaw:
     T_h: float
     dt: float
     times: np.ndarray       # (n_T + 1,)
-    Qt: np.ndarray          # (n_T + 1, K, K)
+    Q_packed: np.ndarray    # (n_T + 1, K (K + 1)/2): packed upper triangles
     gains: np.ndarray       # (n_T, M, K): discretely optimal eta_m = -G_m z_m
     actuator: Actuator
     alphas: np.ndarray      # state weight diagonal
@@ -77,6 +83,10 @@ class FeedbackLaw:
     def M(self) -> int:
         return self.actuator.M
 
+    def Q(self, m: int) -> np.ndarray:
+        """The (K, K) cost operator at node m."""
+        return unpack_symmetric(self.Q_packed[m])
+
     def index_of(self, t: float) -> int:
         x = (t - self.times[0]) / self.dt
         if not -1e-9 <= x <= self.n_steps + 1e-9:
@@ -86,8 +96,33 @@ class FeedbackLaw:
     def max_gain_norm(self, stride: int = 16) -> float:
         """Measured operator-norm bound of the continuous-form gain."""
         G = self.actuator.gram
-        return float(max(np.linalg.norm(G @ self.Qt[m], 2)
+        return float(max(np.linalg.norm(G @ self.Q(m), 2)
                          for m in range(0, self.n_steps + 1, stride)))
+
+
+@functools.cache
+def _packed_positions(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, pos) for (K, K) matrices: the flat indices of the upper
+    triangle, row by row, and the (K, K) table of each entry's place in
+    that packing, (i, j) and (j, i) alike.  Cached, so read-only."""
+    rows, cols = np.triu_indices(K)
+    upper = rows * K + cols
+    pos = np.empty((K, K), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
+    upper.flags.writeable = pos.flags.writeable = False
+    return upper, pos
+
+
+def pack_symmetric(P: np.ndarray) -> np.ndarray:
+    """The upper triangle of a symmetric (K, K) matrix, row by row."""
+    return P.take(_packed_positions(P.shape[-1])[0])
+
+
+def unpack_symmetric(q: np.ndarray) -> np.ndarray:
+    """The (..., K, K) symmetric matrices of packed upper triangles q
+    (..., K (K + 1)/2): one gather, each entry copied as stored."""
+    K = (math.isqrt(8 * q.shape[-1] + 1) - 1) // 2
+    return np.take(q, _packed_positions(K)[1], axis=-1)
 
 
 CGROUP_DIR = "/sys/fs/cgroup"       # cgroup v2 mount: the limit this process runs under
@@ -136,11 +171,11 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
     State weight diag(alpha) (the V-form), control weight identity on the
     control basis.  Divergence past the cap reports the system as not
     stabilizable through this actuator.  With verify_horizon, also sweeps
-    the doubled horizon 2*T_h and records the relative change of Qt(0):
+    the doubled horizon 2*T_h and records the relative change of Q(0):
     its [T_h, 2 T_h] steps first, then its value continues beside the law
     in the law's own loop over [0, T_h], from the tail's last step and
     gain-system inverses.  Every step is built once per sweep and none is
-    stored.  A law (Qt and gains) larger than the available memory is
+    stored.  A law (Q_packed and gains) larger than the available memory is
     refused with ConfigError before anything is allocated; the estimate
     leaves out what later stages build, such as the closed loop's step
     stack.
@@ -151,13 +186,13 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
         raise ValueError("synthesis horizon exceeds the reference horizon")
     n_T = int(round(T_h / dt))
     K, M = space.K, actuator.M
-    need = 8 * ((n_T + 1) * K * K + n_T * M * K)
+    need = 8 * ((n_T + 1) * (K * (K + 1) // 2) + n_T * M * K)
     avail = available_memory_bytes()
     if avail is not None and need > avail:
         raise ConfigError(
-            f"the feedback law (Qt and gains) needs {need / 1e6:.1f} MB, more "
-            f"than the {avail / 1e6:.1f} MB available; lower space.K or "
-            f"time.T_h, or raise time.dt")
+            f"the feedback law (cost operators and gains) needs "
+            f"{need / 1e6:.1f} MB, more than the {avail / 1e6:.1f} MB "
+            f"available; lower space.K or time.T_h, or raise time.dt")
     system = _shifted_system(space.alphas, traj, lam, dt)
     args = (system, actuator.mat, dt, space.alphas, lam, cap)
     # no neighbouring step and no gain-system inverse yet: the first
@@ -170,16 +205,17 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
         P = np.concatenate([P, tail])
         Hee_inv = np.concatenate([Hee_inv, tail_inv])
 
-    Qt = np.empty((n_T + 1, K, K))
+    Q_packed = np.empty((n_T + 1, K * (K + 1) // 2))
     gains = np.empty((n_T, M, K))
-    Qt[n_T] = 0.0
-    P, _, _ = _sweep(P, 0, n_T, *args, phi, Hee_inv, Qt=Qt, gains=gains)
+    Q_packed[n_T] = 0.0
+    P, _, _ = _sweep(P, 0, n_T, *args, phi, Hee_inv, Q_packed=Q_packed,
+                     gains=gains)
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
-                      Qt=Qt, gains=gains, actuator=actuator,
+                      Q_packed=Q_packed, gains=gains, actuator=actuator,
                       alphas=space.alphas.copy(), shifted_system=system)
     if verify_horizon:
         double_Q0 = P[1]
-        num = np.linalg.norm(double_Q0 - law.Qt[0])
+        num = np.linalg.norm(double_Q0 - law.Q(0))
         den = max(np.linalg.norm(double_Q0), 1e-300)
         law.horizon_gate = {"T_h": T_h, "rel_change": float(num / den)}
     return law
@@ -193,7 +229,7 @@ def _shifted_system(alphas, traj: ReferenceTrajectory, lam: float, dt: float):
 
 
 def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
-           Qt=None, gains=None):
+           Q_packed=None, gains=None):
     """Backward dynamic program over the steps start .. start+n_steps-1 from
     the stacked terminal cost operators P (r, K, K).
 
@@ -210,11 +246,13 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
     (None: solve), and each operator's Hee^{-1} from its (r, M, M) value
     Hee_inv at the step after (zero: solve), by dynamics.refined_inverse,
     which solves any matrix that does not converge.  The gains are
-    G = Hee^{-1} Hze'.
+    G = Hee^{-1} Hze'.  Each P is symmetrised as (P + P')/2, which makes it
+    exactly symmetric (floating-point addition commutes), so packing its
+    upper triangle loses nothing.
 
     Returns the stacked cost operators, the step and the Hee^{-1} stack at
-    the first step; fills Qt[m] and gains[m] (m relative to start) from the
-    first operator when given.
+    the first step; fills Q_packed[m] (packed) and gains[m] (m relative to
+    start) from the first operator when given.
     """
     M = B.shape[1]
     half_B = 0.5 * dt * B
@@ -234,26 +272,29 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
         G = Hee_inv @ Hze.transpose(0, 2, 1)
         P = Hzz - Hze @ G
         P = 0.5 * (P + P.transpose(0, 2, 1))
-        # max row sum of |P|: the inf-norm of each operator
-        if not np.isfinite(P).all() or np.abs(P).sum(axis=-1).max() > cap:
+        # max row sum of |P|: the inf-norm of each operator; written as
+        # "not <=" so that a NaN or inf in P fails it too
+        if not np.abs(P).sum(axis=-1).max() <= cap:
             raise RiccatiBlowupError(
                 f"cost operator exceeded cap {cap:.1e} at t={(start + m) * dt:.3f}; "
                 f"system not stabilizable through M={M} at lambda={lam}")
-        if Qt is not None:
-            Qt[m] = P[0]
+        if Q_packed is not None:
+            Q_packed[m] = pack_symmetric(P[0])
             gains[m] = G[0]
     return P, phi, Hee_inv
 
 
 def closed_loop_system(traj: ReferenceTrajectory, law: FeedbackLaw):
     """m -> (F_m, Q_mid): the continuous-form closed loop over law step m,
-    Q_mid = (Qt[m] + Qt[m+1])/2 and F_m = diag(alpha) + B(u(t_m + h/2))
-    + (chi P_M chi) Q_mid.  Source of every closed-loop step and its cost."""
+    Q_mid = (Q(m) + Q(m+1))/2 (averaged packed, then unpacked) and
+    F_m = diag(alpha) + B(u(t_m + h/2)) + (chi P_M chi) Q_mid.  Source of
+    every closed-loop step and its cost."""
     diag_alpha = np.diag(law.alphas)
     gram = law.actuator.gram
+    q = law.Q_packed
 
     def at(m):
-        Q_mid = 0.5 * (law.Qt[m] + law.Qt[m + 1])
+        Q_mid = unpack_symmetric(0.5 * (q[m] + q[m + 1]))
         return diag_alpha + traj.bmat_at((m + 0.5) * law.dt) + gram @ Q_mid, Q_mid
     return at
 
@@ -324,7 +365,7 @@ def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
     s_index = law.index_of(s)
     z, costs = optimal_rollout(law, s_index, np.asarray(v0, float))
     total = float(costs.sum())
-    value0 = float(v0 @ (law.Qt[s_index] @ v0))
+    value0 = float(v0 @ (law.Q(s_index) @ v0))
     out = {"s": s, "total_cost": total, "value": value0,
            "total_vs_value_rel": abs(total - value0) / (abs(value0) + 1e-300),
            "splits": []}
@@ -333,7 +374,7 @@ def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
         if k < 0:
             raise ValueError(f"split t={t_split} lies before s={s}")
         run = float(costs[:k].sum())
-        tail = float(z[k] @ (law.Qt[s_index + k] @ z[k]))
+        tail = float(z[k] @ (law.Q(s_index + k) @ z[k]))
         out["splits"].append({
             "t": s + k * law.dt,
             "running_plus_value": run + tail,
@@ -343,7 +384,7 @@ def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
 
 def optimal_cost_check(traj: ReferenceTrajectory, law: FeedbackLaw, s: float,
                        w0: np.ndarray) -> dict:
-    """Compare (Qt(s) w0, w0) with simulated closed-loop costs on [s, T_h].
+    """Compare (Q(s) w0, w0) with simulated closed-loop costs on [s, T_h].
 
     The discrete rollout reproduces the value exactly; the continuous-form
     loop (midpoint gain, trapezoidal cost quadrature) agrees to O(dt^2)
@@ -353,7 +394,7 @@ def optimal_cost_check(traj: ReferenceTrajectory, law: FeedbackLaw, s: float,
     """
     s_index = law.index_of(s)
     w0 = np.asarray(w0, float)
-    value = float(w0 @ (law.Qt[s_index] @ w0))
+    value = float(w0 @ (law.Q(s_index) @ w0))
 
     _, costs = optimal_rollout(law, s_index, w0)
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
@@ -411,9 +452,9 @@ def riccati_residual(space: SpectralSpace, traj: ReferenceTrajectory,
         m = law.index_of(t)
         if m < 2 or m > law.n_steps - 2:
             raise ValueError(f"sample t={t} too close to the horizon ends")
-        Qdot = (law.Qt[m - 2] - 8.0 * law.Qt[m - 1] + 8.0 * law.Qt[m + 1]
-                - law.Qt[m + 2]) / (12.0 * dt)
-        Q = law.Qt[m]
+        Qdot = (law.Q(m - 2) - 8.0 * law.Q(m - 1) + 8.0 * law.Q(m + 1)
+                - law.Q(m + 2)) / (12.0 * dt)
+        Q = law.Q(m)
         Lmat = diag_alpha + traj.bmat_at(law.times[m])
         terms = [-lam * Q, Q @ Lmat + Lmat.T @ Q, Q @ gram @ Q, -diag_alpha]
         res = Qdot - sum(terms)

@@ -38,6 +38,7 @@ import numpy as np
 
 from nsstab.dynamics import Propagator, bilinear_b, build_propagator, cn_steps
 from nsstab.errors import RiccatiBlowupError
+from nsstab.feedback import unpack_symmetric
 from nsstab.nonlinear import zlambda_norm
 from nsstab.null_control import build_reachability, min_norm_control
 from nsstab.observability import build_forms, select_m1
@@ -376,7 +377,7 @@ def optimal_cost_check_stored(space, traj, law, phi, s, w0):
     dt, lam = law.dt, law.lam
     s_index = int(round(s / dt))
     w0 = np.asarray(w0, float)
-    value = float(w0 @ (law.Qt[s_index] @ w0))
+    value = float(w0 @ (law.Q(s_index) @ w0))
     _, costs = optimal_rollout_stored(law, phi, s_index, w0)
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
 
@@ -385,7 +386,7 @@ def optimal_cost_check_stored(space, traj, law, phi, s, w0):
 
     def F_at(j):
         m = s_index + j
-        Q_mid = 0.5 * (law.Qt[m] + law.Qt[m + 1])
+        Q_mid = 0.5 * (law.Q(m) + law.Q(m + 1))
         return diag_alpha + traj.bmat_at((m + 0.5) * dt) + gram @ Q_mid
     steps = Propagator(s, dt, cn_steps(F_at, int(round((law.T_h - s) / dt)), dt,
                                        space.K))
@@ -395,7 +396,7 @@ def optimal_cost_check_stored(space, traj, law, phi, s, w0):
     cost = 0.0
     for j, (tm, vm) in enumerate(zip(t_mid, mids)):
         m = s_index + j
-        Q_mid = 0.5 * (law.Qt[m] + law.Qt[m + 1])
+        Q_mid = 0.5 * (law.Q(m) + law.Q(m + 1))
         eta_m = law.actuator.adjoint(Q_mid @ vm)
         cost += dt * np.exp(lam * (tm - s)) * (float(law.alphas @ vm**2)
                                                + float(eta_m @ eta_m))
@@ -548,14 +549,14 @@ def linearized_apply(space, cu, cv):
 
 
 def gain_apply(law, t, v):
-    """Feedback forcing -chi P_M chi Qt(t) v in velocity coefficients."""
+    """Feedback forcing -chi P_M chi Q(t) v in velocity coefficients."""
     act = law.actuator
-    return -act.mat @ act.adjoint(law.Qt[law.index_of(t)] @ np.asarray(v, float))
+    return -act.mat @ act.adjoint(law.Q(law.index_of(t)) @ np.asarray(v, float))
 
 
 def sampled_continuity(law, w):
-    """Max adjacent-sample jump of t -> (Qt(t) w, w), the weak-continuity probe."""
-    vals = np.einsum("i,mij,j->m", w, law.Qt, w)
+    """Max adjacent-sample jump of t -> (Q(t) w, w), the weak-continuity probe."""
+    vals = np.einsum("i,mij,j->m", w, unpack_symmetric(law.Q_packed), w)
     return float(np.max(np.abs(np.diff(vals))))
 
 

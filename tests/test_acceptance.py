@@ -226,7 +226,7 @@ def test_criterion_07_riccati_synthesis(fb_instance):
     a4 = build_actuator(s4, uniform_mask(s4), M=8)
     law4 = riccati_solve(s4, r4, lam=0.5, actuator=a4, T_h=12.0, dt=DT)
     scalar_gap = max(
-        abs(law4.Qt[0][j, j] - scalar_are_root(0.25 - s4.alphas[j],
+        abs(law4.Q(0)[j, j] - scalar_are_root(0.25 - s4.alphas[j],
                                                a4.gram[j, j], s4.alphas[j]))
         / scalar_are_root(0.25 - s4.alphas[j], a4.gram[j, j], s4.alphas[j])
         for j in range(s4.K))
@@ -234,7 +234,7 @@ def test_criterion_07_riccati_synthesis(fb_instance):
     space, ref, chi, act, law = fb_instance
     res = riccati_residual(space, ref, law, [law.T_h / 8, law.T_h / 4,
                                              law.T_h / 2])["max_rel_residual"]
-    min_eig = min(np.linalg.eigvalsh(law.Qt[m]).min()
+    min_eig = min(np.linalg.eigvalsh(law.Q(m)).min()
                   for m in range(0, law.n_steps + 1, 8))
     gate = law.horizon_gate["rel_change"]
     report(7, scalar_gap <= 1e-6 and res <= 1e-5 and min_eig >= -1e-10

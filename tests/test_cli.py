@@ -120,6 +120,26 @@ class TestRun:
         finite = [d for d in ds if np.isfinite(d)]
         assert all(a >= b * (1 - 1e-10) for a, b in zip(finite, finite[1:]))
 
+    def test_feedback_law_artifact_holds_full_cost_operators(self, small_cfg, tmp_path,
+                                                             monkeypatch):
+        # the law stores packed triangles; the artifact keeps (K, K) matrices
+        _, path = small_cfg
+        laws = []
+
+        def spy(*args, **kwargs):
+            laws.append(riccati_solve(*args, **kwargs))
+            return laws[-1]
+        monkeypatch.setattr(cli, "riccati_solve", spy)
+        assert run("feedback", str(path), str(tmp_path / "o")) == 0
+        law, = laws
+        with np.load(tmp_path / "o" / "feedback_law.npz") as artifact:
+            Qt, stride = artifact["Qt"], int(artifact["stride"])
+        K = len(law.alphas)
+        assert Qt.shape == (law.n_steps // stride + 1, K, K)
+        assert np.array_equal(Qt, Qt.transpose(0, 2, 1))
+        for j, m in enumerate(range(0, law.n_steps + 1, stride)):
+            assert np.array_equal(Qt[j], law.Q(m)), m
+
     def test_seed_override_changes_artifacts(self, small_cfg, tmp_path):
         _, path = small_cfg
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
@@ -162,7 +182,7 @@ class TestRun:
         p = Pipeline(cfg, np.random.default_rng(cfg.seed))
         M, _ = p.control_dim(p.lam_hat)
         K, n_T = cfg.space.K, round(cfg.time.T_h / cfg.time.dt)
-        need = 8 * ((n_T + 1) * K * K + n_T * M * K)
+        need = 8 * ((n_T + 1) * (K * (K + 1) // 2) + n_T * M * K)
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need - 1)
         code = main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err

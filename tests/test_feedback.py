@@ -18,6 +18,7 @@ from nsstab.feedback import (
     optimal_rollout,
     riccati_residual,
     riccati_solve,
+    unpack_symmetric,
 )
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.spectral import ChiMask, build_actuator, build_space
@@ -86,15 +87,15 @@ class TestRiccatiSolve:
         law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=12.0, dt=DT)
         a = space.alphas[0] - 0.25          # positive shifted decay rate
         want = space.alphas[0] / (2.0 * a)
-        assert law.Qt[0][0, 0] == pytest.approx(want, rel=1e-6)
+        assert law.Q(0)[0, 0] == pytest.approx(want, rel=1e-6)
 
     def test_controlled_scalar_matches_are_root(self, scalar_law):
         space, _, act, law = scalar_law
         for j in range(space.K):
             drift = 0.25 - space.alphas[j]
             want = scalar_are_root(drift, act.gram[j, j], space.alphas[j])
-            assert law.Qt[0][j, j] == pytest.approx(want, rel=1e-6)
-        offdiag = law.Qt[0] - np.diag(np.diag(law.Qt[0]))
+            assert law.Q(0)[j, j] == pytest.approx(want, rel=1e-6)
+        offdiag = law.Q(0) - np.diag(np.diag(law.Q(0)))
         assert np.max(np.abs(offdiag)) < 1e-12
 
     def test_lambda_zero_stationary_residual(self, scalar_law):
@@ -102,18 +103,18 @@ class TestRiccatiSolve:
         # equation to round-off plus horizon truncation
         space, ref, act, _ = scalar_law
         law = riccati_solve(space, ref, lam=0.0, actuator=act, T_h=12.0, dt=DT)
-        assert np.max(np.abs(law.Qt[128] - law.Qt[256])) < 1e-9
+        assert np.max(np.abs(law.Q(128) - law.Q(256))) < 1e-9
         rep = riccati_residual(space, ref, law, [1.0, 2.0, 4.0])
         assert rep["max_rel_residual"] <= 1e-8
 
     def test_psd_at_every_sampled_time(self, tg_law):
         *_, law = tg_law
         for m in range(0, law.n_steps + 1, 64):
-            assert np.linalg.eigvalsh(law.Qt[m]).min() >= -1e-10
+            assert np.linalg.eigvalsh(law.Q(m)).min() >= -1e-10
 
     def test_norm_of_shifted_operator_uniform(self, tg_law):
         *_, law = tg_law
-        norms = [np.linalg.norm(law.Qt[m], 2) for m in range(0, law.n_steps, 128)]
+        norms = [np.linalg.norm(law.Q(m), 2) for m in range(0, law.n_steps, 128)]
         assert np.isfinite(norms).all()
         assert max(norms) < 1e3
 
@@ -124,6 +125,26 @@ class TestRiccatiSolve:
         with pytest.raises(RiccatiBlowupError):
             riccati_solve(space, ref, lam=2.0, actuator=act0, T_h=18.0, dt=1.0 / 64)
 
+    def test_non_finite_operator_reports_its_time(self, monkeypatch):
+        # np.linalg.solve returns NaN for a NaN step rather than raising, so
+        # the cap check alone stops the sweep, at the step that went bad
+        space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
+        shifted_system = feedback._shifted_system
+        bad = 40
+
+        def poisoned(*args):
+            system = shifted_system(*args)
+
+            def at(m):
+                F = system(m)
+                if m == bad:
+                    F[0, 1] = np.nan
+                return F
+            return at
+        monkeypatch.setattr(feedback, "_shifted_system", poisoned)
+        with pytest.raises(RiccatiBlowupError, match=f"t={bad / 32:.3f};"):
+            riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
+
     def test_horizon_gate_recorded_and_shrinking(self, scalar_law):
         space, ref, act, _ = scalar_law
         law = riccati_solve(space, ref, lam=0.5, actuator=act, T_h=6.0, dt=1.0 / 64,
@@ -133,7 +154,8 @@ class TestRiccatiSolve:
     def test_matches_two_matrix_model(self, tg_law):
         space, ref, _, act, law = tg_law
         Qt, gains = riccati_two_matrix(space, ref, law.lam, act, law.T_h, law.dt)
-        assert np.linalg.norm(law.Qt - Qt) <= 1e-10 * np.linalg.norm(Qt)
+        got = unpack_symmetric(law.Q_packed)
+        assert np.linalg.norm(got - Qt) <= 1e-10 * np.linalg.norm(Qt)
         assert np.linalg.norm(law.gains - gains) <= 1e-10 * np.linalg.norm(gains)
 
     def test_rejects_bad_horizon(self, scalar_law):
@@ -156,8 +178,8 @@ class TestRiccatiSolve:
                             dt=1.0 / 64, verify_horizon=True)
         double = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0,
                                dt=1.0 / 64)
-        num = np.linalg.norm(double.Qt[0] - law.Qt[0])
-        den = max(np.linalg.norm(double.Qt[0]), 1e-300)
+        num = np.linalg.norm(double.Q(0) - law.Q(0))
+        den = max(np.linalg.norm(double.Q(0)), 1e-300)
         assert law.horizon_gate["rel_change"] == float(num / den)
 
     def test_one_loop_law_equals_two_sweep_oracle(self, monkeypatch):
@@ -177,9 +199,10 @@ class TestRiccatiSolve:
                             dt=1.0 / 64, verify_horizon=True)
         Qt, gains, double_Q0 = riccati_two_sweep(space, ref, 1.0, act, 3.0, 1.0 / 64)
         got_Q0 = returned[-1][0][1]
-        for got, want in ((law.Qt, Qt), (law.gains, gains), (got_Q0, double_Q0)):
+        for got, want in ((unpack_symmetric(law.Q_packed), Qt), (law.gains, gains),
+                          (got_Q0, double_Q0)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        num = np.linalg.norm(got_Q0 - law.Qt[0])
+        num = np.linalg.norm(got_Q0 - law.Q(0))
         assert law.horizon_gate["rel_change"] == float(num / np.linalg.norm(got_Q0))
         num = np.linalg.norm(double_Q0 - Qt[0])
         assert law.horizon_gate["rel_change"] == pytest.approx(
@@ -230,13 +253,37 @@ class TestRiccatiSolve:
         *_, law = tg_law
         assert not hasattr(law, "phi")
         held = sum(v.nbytes for v in vars(law).values() if isinstance(v, np.ndarray))
-        assert held == (law.Qt.nbytes + law.gains.nbytes + law.times.nbytes
+        assert held == (law.Q_packed.nbytes + law.gains.nbytes + law.times.nbytes
                         + law.alphas.nbytes)
-        assert law.n_steps == law.gains.shape[0] == law.Qt.shape[0] - 1
+        assert law.n_steps == law.gains.shape[0] == law.Q_packed.shape[0] - 1
+
+    def test_every_packed_operator_is_exactly_symmetric(self, monkeypatch):
+        # packing keeps the upper triangle only; the sweep's symmetrisation
+        # makes that lossless, so each packed operator must be bitwise
+        # symmetric and unpack back to itself
+        space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
+        packed = []
+        pack = feedback.pack_symmetric
+
+        def spy(P):
+            packed.append(P.copy())
+            return pack(P)
+        monkeypatch.setattr(feedback, "pack_symmetric", spy)
+        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0,
+                            dt=1.0 / 32, verify_horizon=True)
+        assert len(packed) == law.n_steps
+        for m, P in zip(range(law.n_steps - 1, -1, -1), packed):
+            assert np.array_equal(P, P.T), m
+            assert np.array_equal(unpack_symmetric(pack(P)), P), m
+            assert np.array_equal(law.Q(m), P), m
+        assert np.any(packed[-1] - np.diag(np.diag(packed[-1])))
+        skew = np.triu(packed[-1]) + 2.0 * np.tril(packed[-1], -1)
+        assert not np.array_equal(unpack_symmetric(pack(skew)), skew)
 
     def test_gated_synthesis_peaks_near_the_law(self):
         # neither a step stack nor a gate tail stack is ever allocated, so
-        # the traced peak stays within 10% of Qt plus gains
+        # the traced peak stays within 10% of the packed cost operators plus
+        # gains
         space, ref, act = gate_instance()
         tracemalloc.start()
         try:
@@ -245,14 +292,14 @@ class TestRiccatiSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (law.Qt.nbytes + law.gains.nbytes)
+        assert peak <= 1.1 * (law.Q_packed.nbytes + law.gains.nbytes)
 
 
 class TestMemoryGuard:
     def test_refuses_a_law_larger_than_available_memory(self, monkeypatch):
         space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
         n_T = 64
-        need = 8 * ((n_T + 1) * 8 * 8 + n_T * 8 * 8)
+        need = 8 * ((n_T + 1) * 8 * 9 // 2 + n_T * 8 * 8)
         steps = []
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need - 1)
         monkeypatch.setattr(feedback, "cn_step",
@@ -265,7 +312,7 @@ class TestMemoryGuard:
         assert steps == []              # refused before the gate's tail sweep
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need)
         law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
-        assert law.Qt.nbytes + law.gains.nbytes == need
+        assert law.Q_packed.nbytes + law.gains.nbytes == need
 
     def test_probe_reads_meminfo_or_physical_memory(self, monkeypatch):
         avail = feedback.available_memory_bytes()
@@ -306,7 +353,7 @@ class TestGainApply:
         v = rng.standard_normal(space.K)
         t = 3.0
         got = gain_apply(law, t, v)
-        want = -act.mat @ apply_chi_pm(space, chi, act.M, law.Qt[law.index_of(t)] @ v)
+        want = -act.mat @ apply_chi_pm(space, chi, act.M, law.Q(law.index_of(t)) @ v)
         assert np.allclose(got, want, atol=1e-13 * max(1.0, np.abs(want).max()))
 
     def test_frozen_beyond_horizon(self, tg_law, rng):
@@ -323,7 +370,7 @@ class TestGainApply:
         kappa = law.max_gain_norm()
         assert np.isfinite(kappa)
         for m in range(0, law.n_steps, 256):
-            assert np.linalg.norm(law.actuator.gram @ law.Qt[m], 2) <= kappa + 1e-12
+            assert np.linalg.norm(law.actuator.gram @ law.Q(m), 2) <= kappa + 1e-12
 
 
 class TestTimeAxis:
@@ -455,7 +502,7 @@ class TestOptimality:
 
     def test_scaled_cost_operators_trip_the_optimal_cost_check(self, tg_law, rng):
         space, ref, _, _, law = tg_law
-        wrong = dataclasses.replace(law, Qt=law.Qt * (1 + 1e-3))
+        wrong = dataclasses.replace(law, Q_packed=law.Q_packed * (1 + 1e-3))
         rep = optimal_cost_check(ref, wrong, 2.0, rng.standard_normal(space.K))
         assert rep["rollout_rel_gap"] > 1e-6
         assert rep["simulated_rel_gap"] > 1e-4
@@ -468,7 +515,7 @@ class TestOptimality:
     def test_perturbed_controls_never_beat_optimum(self, tg_law, tg_phi, rng):
         space, _, _, _, law = tg_law
         v0 = rng.standard_normal(space.K)
-        value = float(v0 @ (law.Qt[0] @ v0))
+        value = float(v0 @ (law.Q(0) @ v0))
         z_opt, _ = optimal_rollout(law, 0, v0)
         eta_opt = -np.einsum("mij,mj->mi", law.gains, z_opt[:-1])
         eye = np.eye(space.K)
