@@ -25,6 +25,7 @@ from .feedback import (
     dp_check,
     lyapunov_check,
     optimal_cost_check,
+    optimal_rollouts,
     riccati_residual,
     riccati_solve,
 )
@@ -241,13 +242,16 @@ def cmd_feedback(p: Pipeline, out):
     v0 = p.rng.standard_normal(p.space.K)
     interior = [law.T_h / 8, law.T_h / 4, law.T_h / 2]
     sim, cl_rep = closed_loop_linear(p.closed_loop(c.time.n_max), v0)
+    # one rollout pass serves both checks: the DP check's from s = 0 and
+    # the cost check's from s = 1, the same v0
+    dp_rollout, cost_rollout = optimal_rollouts(law, [(0.0, v0), (1.0, v0)])
     report = {
         "lambda": law.lam, "M": law.M, "M_fallback": p.control_dim(p.lam_hat)[1],
         "T_h": law.T_h,
         "horizon_gate": law.horizon_gate,
         "max_gain_norm": law.max_gain_norm(),
-        "dp": dp_check(law, v0, 0.0, splits=[law.T_h / 4, law.T_h / 2]),
-        "optimal_cost": optimal_cost_check(p.reference, law, 1.0, v0),
+        "dp": dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2]),
+        "optimal_cost": optimal_cost_check(p.reference, cost_rollout),
         "riccati_residual": riccati_residual(p.space, p.reference, law, interior),
         "lyapunov": lyapunov_check(sim),
         "closed_loop": cl_rep,

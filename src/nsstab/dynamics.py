@@ -188,7 +188,14 @@ def cn_advance(F: np.ndarray, v: np.ndarray, dt: float, m: int = 0) -> np.ndarra
     """phi v for v (K,) or (K, r) without forming phi:
     (I + h/2 F)^{-1} (v - h/2 F v), one solve with the columns of v."""
     half = 0.5 * dt * F
-    return _cn_solve(_identity(F.shape[0]) + half, v - half @ v, m)
+    return cn_resolvent(F, v - half @ v, dt, m)
+
+
+def cn_resolvent(F: np.ndarray, v: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
+    """(I + h/2 F)^{-1} v for v (K,) or (K, r), one solve with the columns
+    of v: with X = (I + h/2 F)^{-1}, the step is phi = 2 X - I and a
+    forcing f enters as h X f."""
+    return _cn_solve(_identity(F.shape[0]) + 0.5 * dt * F, v, m)
 
 
 @cache
@@ -245,7 +252,8 @@ def cn_steps(F_at, n_steps: int, dt: float, K: int) -> np.ndarray:
 
     Fills phi[m] = cn_step(F_at(m)), one solve per step.  Every step model
     of the package (free, shifted and closed-loop flow) is built by cn_step
-    or advanced by cn_advance, so they all share one discretisation.
+    or advanced by cn_advance and cn_resolvent, so they all share one
+    discretisation.
     """
     phi = np.empty((n_steps, K, K))
     for m in range(n_steps):

@@ -15,15 +15,17 @@ the continuous algebraic Riccati equation exactly (the bilinear-transform
 equivalence of the discrete and continuous equations), so scalar closed
 forms are exact oracles up to horizon truncation.
 
-The law is its cost operators and gains only, 8 ((n_T + 1) K (K + 1)/2
-+ n_T M K) bytes for n_T = T_h / dt steps: each cost operator is exactly
-symmetric and is stored once, as its packed upper triangle (LAPACK's packed
-symmetric storage).  No step matrix is stored: the sweep builds
-each step when it uses it, and the rollouts advance vectors through the
-same step model with one solve per step.  Consecutive steps differ by
-O(h), so the sweep solves only its first step and first gain systems and
-refines every later inverse from its neighbour's with matrix products
-(dynamics.refined_inverse), solving afresh any that does not converge.
+The law is its cost operators alone, 8 (n_T + 1) K (K + 1)/2 bytes for
+n_T = T_h / dt steps: each cost operator is exactly symmetric and is stored
+once, as its packed upper triangle (LAPACK's packed symmetric storage).
+The paper's feedback -chi P_M chi Q(t) v reads nothing else.  No step
+matrix and no discrete gain is stored: the sweep builds each step when it
+uses it, and the verification rollouts advance as one block through the
+same step model, forming each step's gain from Q(m+1) and that step's one
+factorisation.  Consecutive steps differ by O(h), so the sweep solves only
+its first step and first gain systems and refines every later inverse
+from its neighbour's with matrix products (dynamics.refined_inverse),
+solving afresh any that does not converge.
 """
 
 import functools
@@ -38,6 +40,7 @@ from .dynamics import (
     ReferenceTrajectory,
     Trajectory,
     cn_advance,
+    cn_resolvent,
     cn_step,
     refined_inverse,
 )
@@ -49,19 +52,18 @@ DEFAULT_RICCATI_CAP = 1e8
 
 @dataclass
 class FeedbackLaw:
-    """Time-sampled shifted cost operators and optimal gains on [0, T_h].
+    """Time-sampled shifted cost operators on [0, T_h].
 
     Q(m) is PSD and the unshifted cost operator is e^{lam t_m} Q(m); the
     feedback applied to a velocity state is -chi P_M chi Q(t) v (the
     exponential factors cancel in the shifted representation).  Each Q(m)
     is exactly symmetric and is stored once, as the row-major upper
-    triangle Q_packed[m] (pack_symmetric); Q(m) unpacks it.  gains[m]
-    is the discretely optimal control eta_m = -gains[m] z_m of the shifted
-    step z+ = phi_m (z + u) + u, u = h/2 B eta, phi_m = cn_step of
-    shifted_system(m) (see _sweep).  No step matrix is stored: a rollout
-    rebuilds step m from shifted_system, the expression the sweep used.
-    The law exists on [0, T_h] only: reading it at a time outside that
-    range, beyond round-off, raises ValueError.
+    triangle Q_packed[m] (pack_symmetric); Q(m) unpacks it.  The law holds
+    neither step matrices nor discrete gains: optimal_rollouts rebuilds
+    step m from shifted_system, the expression the sweep used, and forms
+    its discretely optimal control from Q(m+1) (see _sweep).  The law
+    exists on [0, T_h] only: reading it at a time outside that range,
+    beyond round-off, raises ValueError.
     """
 
     lam: float
@@ -69,7 +71,6 @@ class FeedbackLaw:
     dt: float
     times: np.ndarray       # (n_T + 1,)
     Q_packed: np.ndarray    # (n_T + 1, K (K + 1)/2): packed upper triangles
-    gains: np.ndarray       # (n_T, M, K): discretely optimal eta_m = -G_m z_m
     actuator: Actuator
     alphas: np.ndarray      # state weight diagonal
     shifted_system: Callable[[int], np.ndarray]     # m -> F_m - (lam/2) I
@@ -77,7 +78,7 @@ class FeedbackLaw:
 
     @property
     def n_steps(self) -> int:
-        return self.gains.shape[0]
+        return self.Q_packed.shape[0] - 1
 
     @property
     def M(self) -> int:
@@ -175,10 +176,9 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
     its [T_h, 2 T_h] steps first, then its value continues beside the law
     in the law's own loop over [0, T_h], from the tail's last step and
     gain-system inverses.  Every step is built once per sweep and none is
-    stored.  A law (Q_packed and gains) larger than the available memory is
-    refused with ConfigError before anything is allocated; the estimate
-    leaves out what later stages build, such as the closed loop's step
-    stack.
+    stored.  A law (Q_packed) larger than the available memory is refused
+    with ConfigError before anything is allocated; the closed loop's step
+    stack has its own guard (nonlinear.closed_loop_steps).
     """
     if lam < 0 or T_h <= 0:
         raise ValueError("lam must be nonnegative and T_h positive")
@@ -186,11 +186,11 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
         raise ValueError("synthesis horizon exceeds the reference horizon")
     n_T = int(round(T_h / dt))
     K, M = space.K, actuator.M
-    need = 8 * ((n_T + 1) * (K * (K + 1) // 2) + n_T * M * K)
+    need = 8 * (n_T + 1) * (K * (K + 1) // 2)
     avail = available_memory_bytes()
     if avail is not None and need > avail:
         raise ConfigError(
-            f"the feedback law (cost operators and gains) needs "
+            f"the feedback law (its cost operators) needs "
             f"{need / 1e6:.1f} MB, more than the {avail / 1e6:.1f} MB "
             f"available; lower space.K or time.T_h, or raise time.dt")
     system = _shifted_system(space.alphas, traj, lam, dt)
@@ -206,12 +206,10 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
         Hee_inv = np.concatenate([Hee_inv, tail_inv])
 
     Q_packed = np.empty((n_T + 1, K * (K + 1) // 2))
-    gains = np.empty((n_T, M, K))
     Q_packed[n_T] = 0.0
-    P, _, _ = _sweep(P, 0, n_T, *args, phi, Hee_inv, Q_packed=Q_packed,
-                     gains=gains)
+    P, _, _ = _sweep(P, 0, n_T, *args, phi, Hee_inv, Q_packed=Q_packed)
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
-                      Q_packed=Q_packed, gains=gains, actuator=actuator,
+                      Q_packed=Q_packed, actuator=actuator,
                       alphas=space.alphas.copy(), shifted_system=system)
     if verify_horizon:
         double_Q0 = P[1]
@@ -229,7 +227,7 @@ def _shifted_system(alphas, traj: ReferenceTrajectory, lam: float, dt: float):
 
 
 def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
-           Q_packed=None, gains=None):
+           Q_packed=None):
     """Backward dynamic program over the steps start .. start+n_steps-1 from
     the stacked terminal cost operators P (r, K, K).
 
@@ -245,14 +243,16 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
     afresh: step m refines (I + h/2 F_m)^{-1} from phi, the step after it
     (None: solve), and each operator's Hee^{-1} from its (r, M, M) value
     Hee_inv at the step after (zero: solve), by dynamics.refined_inverse,
-    which solves any matrix that does not converge.  The gains are
-    G = Hee^{-1} Hze'.  Each P is symmetrised as (P + P')/2, which makes it
-    exactly symmetric (floating-point addition commutes), so packing its
-    upper triangle loses nothing.
+    which solves any matrix that does not converge.  The gain
+    G = Hee^{-1} Hze' serves only to advance P and is dropped with the
+    step; optimal_rollouts forms it again from Q(m+1).  Each P is
+    symmetrised as (P + P')/2, which makes it exactly symmetric
+    (floating-point addition commutes), so packing its upper triangle loses
+    nothing.
 
     Returns the stacked cost operators, the step and the Hee^{-1} stack at
-    the first step; fills Q_packed[m] (packed) and gains[m] (m relative to
-    start) from the first operator when given.
+    the first step; fills Q_packed[m] (packed, m relative to start) from
+    the first operator when given.
     """
     M = B.shape[1]
     half_B = 0.5 * dt * B
@@ -280,7 +280,6 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
                 f"system not stabilizable through M={M} at lambda={lam}")
         if Q_packed is not None:
             Q_packed[m] = pack_symmetric(P[0])
-            gains[m] = G[0]
     return P, phi, Hee_inv
 
 
@@ -335,35 +334,80 @@ def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:
     return trajectory, report
 
 
-def optimal_rollout(law: FeedbackLaw, s_index: int, z0: np.ndarray):
-    """Discretely optimal shifted trajectory from z0 at step s_index and its
-    stage costs; the control of step m is eta_m = -gains[m] z_m.  Step m
-    advances by cn_advance on the law's shifted system, the expression the
-    sweep built it from."""
-    n = law.n_steps - s_index
-    half_B = 0.5 * law.dt * law.actuator.mat
-    z = np.empty((n + 1, len(law.alphas)))
-    costs = np.empty(n)
-    z[0] = z0
-    for j in range(n):
-        m = s_index + j
-        eta = -(law.gains[m] @ z[j])
-        u = half_B @ eta
-        z[j + 1] = cn_advance(law.shifted_system(m), z[j] + u, law.dt, m) + u
-        zbar = 0.5 * (z[j] + z[j + 1])
-        costs[j] = law.dt * (float(law.alphas @ zbar**2) + float(eta @ eta))
-    return z, costs
+@dataclass
+class OptimalRollout:
+    """One start of a shared rollout pass (optimal_rollouts): the
+    discretely optimal shifted trajectory of law from v0 at time s, with
+    step index s_index = law.index_of(s) and n = law.n_steps - s_index
+    steps.  states (n + 1, K) starts at v0, controls (n, M) are the optimal
+    eta_m and costs (n,) the stage costs h (|zbar|_C^2 + |eta_m|^2)."""
+
+    law: FeedbackLaw
+    s: float
+    s_index: int
+    states: np.ndarray
+    controls: np.ndarray
+    costs: np.ndarray
+
+    @property
+    def v0(self) -> np.ndarray:
+        return self.states[0]
 
 
-def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
-    """Dynamic-programming splitting of the optimal cost at sampled times.
+def optimal_rollouts(law: FeedbackLaw, starts) -> list[OptimalRollout]:
+    """The discretely optimal rollouts of law from every start (s, v0) of
+    starts, in one pass: the starts advance together as the columns of one
+    (K, r) block, each joining at its own start step, so every step is
+    built and factored once however many starts share it.
+
+    Step m is built from law.shifted_system(m), the expression the sweep
+    built it from, and its control is formed from Q(m+1) alone.  One solve
+    with the columns [Z, h B] (cn_resolvent) gives X Z and gam = X h B,
+    X = (I + h/2 F_m)^{-1}, so phi Z = 2 X Z - Z; with W = Q(m+1) + h/4 C
+    and Hee = h I + gam' W gam the sweep's gain makes
+    eta = -Hee^{-1} [(W gam)' phi Z + h/4 gam' C Z], and Z+ = phi Z + gam eta.
+    """
+    starts = [(float(s), np.asarray(v0, float)) for s, v0 in starts]
+    first = np.array([law.index_of(s) for s, _ in starts])
+    n_T, K, M, dt = law.n_steps, len(law.alphas), law.M, law.dt
+    states = np.full((len(starts), n_T + 1, K), np.nan)
+    controls = np.full((len(starts), n_T, M), np.nan)
+    costs = np.full((len(starts), n_T), np.nan)
+    for j, (_, v0) in enumerate(starts):
+        states[j, first[j]] = v0
+    hB = dt * law.actuator.mat
+    qc = 0.25 * dt * law.alphas             # (h/4) C, as a diagonal
+    h_eye = dt * np.eye(M)
+    for m in range(first.min(), n_T):
+        live = np.flatnonzero(first <= m)
+        Z = states[live, m].T
+        XZ, gam = np.split(
+            cn_resolvent(law.shifted_system(m), np.hstack([Z, hB]), dt, m),
+            [len(live)], axis=1)
+        phi_Z = 2.0 * XZ - Z
+        W_gam = law.Q(m + 1) @ gam + qc[:, None] * gam
+        Hee = h_eye + gam.T @ W_gam
+        eta = -np.linalg.solve(Hee, W_gam.T @ phi_Z + gam.T @ (qc[:, None] * Z))
+        Z_next = phi_Z + gam @ eta
+        zbar = 0.5 * (Z + Z_next)
+        states[live, m + 1] = Z_next.T
+        controls[live, m] = eta.T
+        costs[live, m] = dt * (law.alphas @ zbar**2 + np.sum(eta**2, axis=0))
+    return [OptimalRollout(law=law, s=s, s_index=int(k), states=states[j, k:],
+                           controls=controls[j, k:], costs=costs[j, k:])
+            for j, ((s, _), k) in enumerate(zip(starts, first))]
+
+
+def dp_check(rollout: OptimalRollout, splits) -> dict:
+    """Dynamic-programming splitting of the optimal cost at sampled times,
+    along a rollout of optimal_rollouts, from its own start (s, v0).
 
     Verifies total = running cost to the split plus the value of the tail
     state; equalities hold to round-off because rollout and recursion share
     the same step model.  A split outside [s, T_h] raises ValueError.
     """
-    s_index = law.index_of(s)
-    z, costs = optimal_rollout(law, s_index, np.asarray(v0, float))
+    law, s, s_index = rollout.law, rollout.s, rollout.s_index
+    z, costs, v0 = rollout.states, rollout.costs, rollout.v0
     total = float(costs.sum())
     value0 = float(v0 @ (law.Q(s_index) @ v0))
     out = {"s": s, "total_cost": total, "value": value0,
@@ -382,9 +426,9 @@ def dp_check(law: FeedbackLaw, v0: np.ndarray, s: float, splits) -> dict:
     return out
 
 
-def optimal_cost_check(traj: ReferenceTrajectory, law: FeedbackLaw, s: float,
-                       w0: np.ndarray) -> dict:
-    """Compare (Q(s) w0, w0) with simulated closed-loop costs on [s, T_h].
+def optimal_cost_check(traj: ReferenceTrajectory, rollout: OptimalRollout) -> dict:
+    """Compare (Q(s) w0, w0) with simulated closed-loop costs on [s, T_h]
+    from the start (s, w0) of a rollout of optimal_rollouts.
 
     The discrete rollout reproduces the value exactly; the continuous-form
     loop (midpoint gain, trapezoidal cost quadrature) agrees to O(dt^2)
@@ -392,11 +436,9 @@ def optimal_cost_check(traj: ReferenceTrajectory, law: FeedbackLaw, s: float,
     The loop streams: each step advances the one state by cn_advance
     and is priced with its own Q_mid, so no step matrix is formed.
     """
-    s_index = law.index_of(s)
-    w0 = np.asarray(w0, float)
+    law, s, s_index, w0 = rollout.law, rollout.s, rollout.s_index, rollout.v0
     value = float(w0 @ (law.Q(s_index) @ w0))
-
-    _, costs = optimal_rollout(law, s_index, w0)
+    costs = rollout.costs
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
 
     dt, lam = law.dt, law.lam

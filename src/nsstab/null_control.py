@@ -132,9 +132,18 @@ def null_coefficients(gramian: np.ndarray, gramian_pinv: np.ndarray, y: np.ndarr
 def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):
     """Ridge problem: |eta|^2 + (1/eps)|Pi_N v(tau+1)|^2.
 
-    Returns (control, endpoint state, adjoint node trajectory); the adjoint
-    starts from the terminal datum -(2/eps) Pi_N v(tau+1) and its stage
-    samples reproduce the control through the actuator transpose exactly.
+    Returns (control, endpoint state, adjoint node trajectory, stage
+    duals); the adjoint starts from the terminal datum
+    -(2/eps) Pi_N v(tau+1) and its stage samples reproduce the control
+    through the actuator transpose exactly.
+
+    The Gramian coefficients u solve (G + eps I) u = y0, so the projected
+    endpoint y0 - G u equals eps u.  Formed by the forward pass, that
+    endpoint carries the pass's rounding amplified by about
+    |y0| / (eps |u|), so u takes one step of iterative refinement against
+    it (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12):
+    u <- u + (G + eps I)^{-1} (Pi_N v_end - eps u), then the control is
+    propagated again.
     """
     if eps <= 0:
         raise ValueError("ridge parameter must be positive")
@@ -142,13 +151,19 @@ def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):
     N, K = bundle.N, bundle.free_map.shape[0]
     prop = bundle.propagator
     y0 = (bundle.free_map @ w0)[:N]
-    u = np.linalg.solve(bundle.gramian + eps * np.eye(N), y0) if N else np.zeros(0)
-    psi = -(bundle.input_rows.T @ u)
-    control = bundle.control_from_stacked(psi)
+    ridge = bundle.gramian + eps * np.eye(N)
 
-    inputs = control.values @ bundle.actuator.mat.T
-    states = prop.forward(w0, inputs)
-    v_end = states[-1]
+    def endpoint(u):
+        control = bundle.control_from_stacked(-(bundle.input_rows.T @ u))
+        inputs = control.values @ bundle.actuator.mat.T
+        return control, prop.forward(w0, inputs)[-1]
+
+    u = np.zeros(0)
+    if N:
+        u = np.linalg.solve(ridge, y0)
+        _, v_end = endpoint(u)
+        u = u + np.linalg.solve(ridge, v_end[:N] - eps * u)
+    control, v_end = endpoint(u)
 
     q1 = np.zeros(K)
     q1[:N] = -(2.0 / eps) * v_end[:N]

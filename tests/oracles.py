@@ -15,7 +15,8 @@ builds a reachability bundle per interval and applies its input rows; the two-ma
 and the stored-step feedback synthesis: `shifted_steps`, the stack of the
 shifted steps, `riccati_two_sweep`, the law's sweep over that stack with
 the horizon gate's tail stack swept apart and then continued over the
-law's stack, and `optimal_rollout_stored`, the rollout over that stack.
+law's stack, and `optimal_rollout_stored`, the rollout over that stack
+with stored gains (an oracle's own: the law stores none).
 
 The checks that no run of the package makes live here too, with the tests
 that use them: the generic equality-constrained solver
@@ -352,9 +353,10 @@ def riccati_two_sweep(space, traj, lam, actuator, T_h, dt, cap=1e8):
     return Qt, gains, sweep_stored(P_tail, phi, *args)
 
 
-def optimal_rollout_stored(law, phi, s_index, z0):
+def optimal_rollout_stored(law, phi, gains, s_index, z0):
     """Optimal shifted trajectory and stage costs from step s_index over the
-    stored shifted stack phi, one product per step."""
+    stored shifted stack phi with the stored gains (eta_m = -gains[m] z_m),
+    one product per step."""
     n = law.n_steps - s_index
     half_B = 0.5 * law.dt * law.actuator.mat
     z = np.empty((n + 1, phi.shape[1]))
@@ -362,7 +364,7 @@ def optimal_rollout_stored(law, phi, s_index, z0):
     z[0] = z0
     for j in range(n):
         m = s_index + j
-        eta = -(law.gains[m] @ z[j])
+        eta = -(gains[m] @ z[j])
         u = half_B @ eta
         z[j + 1] = phi[m] @ (z[j] + u) + u
         zbar = 0.5 * (z[j] + z[j + 1])
@@ -370,15 +372,16 @@ def optimal_rollout_stored(law, phi, s_index, z0):
     return z, costs
 
 
-def optimal_cost_check_stored(space, traj, law, phi, s, w0):
+def optimal_cost_check_stored(space, traj, law, phi, gains, s, w0):
     """The optimal-cost check over stored stacks (the reference for the
-    streamed check): the rollout runs over the shifted stack phi, then the
-    whole closed-loop step stack on [s, T_h] is built, swept and priced."""
+    streamed check): the rollout runs over the shifted stack phi with the
+    stored gains, then the whole closed-loop step stack on [s, T_h] is
+    built, swept and priced."""
     dt, lam = law.dt, law.lam
     s_index = int(round(s / dt))
     w0 = np.asarray(w0, float)
     value = float(w0 @ (law.Q(s_index) @ w0))
-    _, costs = optimal_rollout_stored(law, phi, s_index, w0)
+    _, costs = optimal_rollout_stored(law, phi, gains, s_index, w0)
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
 
     diag_alpha = np.diag(space.alphas)

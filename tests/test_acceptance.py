@@ -18,6 +18,7 @@ from nsstab.feedback import (
     dp_check,
     lyapunov_check,
     optimal_cost_check,
+    optimal_rollouts,
     riccati_residual,
     riccati_solve,
 )
@@ -247,9 +248,10 @@ def test_criterion_07_riccati_synthesis(fb_instance):
 def test_criterion_08_dynamic_programming(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     v0 = rng.standard_normal(space.K)
-    rep = dp_check(law, v0, 0.0, splits=[law.T_h / 4, law.T_h / 2])
+    dp_rollout, cost_rollout = optimal_rollouts(law, [(0.0, v0), (1.0, v0)])
+    rep = dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2])
     split_gap = max(s["rel_gap"] for s in rep["splits"])
-    cost = optimal_cost_check(ref, law, 1.0, v0)
+    cost = optimal_cost_check(ref, cost_rollout)
     report(8, split_gap <= 1e-6 and cost["simulated_rel_gap"] <= 1e-4,
            f"cost splitting at T_h/4, T_h/2: gap {split_gap:.2e} <= 1e-6; "
            f"simulated optimal cost gap {cost['simulated_rel_gap']:.2e} <= 1e-4")

@@ -15,7 +15,7 @@ from nsstab.cli import Pipeline, main, run, write_csv
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
 from nsstab.errors import ConfigError, SchemaError
-from nsstab.feedback import optimal_cost_check, riccati_solve
+from nsstab.feedback import optimal_cost_check, optimal_rollouts, riccati_solve
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.plots import emit_plot
 from nsstab.null_control import build_reachability
@@ -179,16 +179,36 @@ class TestRun:
     def test_law_beyond_available_memory_exit_code(self, small_cfg, tmp_path,
                                                    monkeypatch, capsys):
         cfg, path = small_cfg
-        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
-        M, _ = p.control_dim(p.lam_hat)
         K, n_T = cfg.space.K, round(cfg.time.T_h / cfg.time.dt)
-        need = 8 * ((n_T + 1) * (K * (K + 1) // 2) + n_T * M * K)
+        need = 8 * (n_T + 1) * (K * (K + 1) // 2)
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need - 1)
         code = main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2
         assert f"{need / 1e6:.1f} MB" in err
         assert all(field in err for field in ("space.K", "time.T_h", "time.dt"))
+
+    def test_closed_loop_beyond_available_memory_exit_code(self, small_cfg, tmp_path,
+                                                           monkeypatch, capsys):
+        # the law fits but the closed loop's (n_steps, K, K) step stack does
+        # not: refused before a step is built, naming what sizes the stack
+        cfg, path = small_cfg
+        n_steps = round(min(cfg.time.n_max, cfg.time.T_h - 1) / cfg.time.dt)
+        need = 8 * n_steps * cfg.space.K**2
+        stacks = []
+        cn_steps = nonlinear.cn_steps
+        monkeypatch.setattr(nonlinear, "cn_steps",
+                            lambda *args: stacks.append(args) or cn_steps(*args))
+        monkeypatch.setattr(nonlinear, "available_memory_bytes", lambda: need - 1)
+        code = main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and stacks == []
+        assert f"{need / 1e6:.1f} MB" in err
+        assert all(field in err for field in
+                   ("nonlinear.sim_units", "time.n_max", "space.K"))
+        monkeypatch.setattr(nonlinear, "available_memory_bytes", lambda: need)
+        loop = Pipeline(cfg, np.random.default_rng(cfg.seed)).closed_loop(cfg.time.n_max)
+        assert loop.phi.nbytes == need and len(stacks) == 1
 
     def test_broken_decay_chain_exit_code(self, controlled_cfg, tmp_path, monkeypatch,
                                           capsys):
@@ -525,17 +545,24 @@ class TestOneClosedLoop:
         assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
 
     def test_optimal_cost_check_stores_no_step_stack(self, small_cfg):
+        # the check stays far below one (n_steps, K, K) step stack, and the
+        # rollout pass it reads, which holds its states and controls, far
+        # below one (n_steps, M, K) gain stack
         cfg, _ = small_cfg
         p = Pipeline(cfg, np.random.default_rng(cfg.seed))
         law, space = p.law, p.space
         w0 = p.rng.standard_normal(space.K)
         tracemalloc.start()
         try:
-            optimal_cost_check(p.reference, law, 1.0, w0)
+            (rollout,) = optimal_rollouts(law, [(1.0, w0)])
+            held, pass_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            optimal_cost_check(p.reference, rollout)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < law.n_steps * space.K**2 * 8 / 4
+        assert peak - held < law.n_steps * space.K**2 * 8 / 4
+        assert pass_peak < law.n_steps * law.M * space.K * 8 / 4
 
 
 class TestControlDimension:

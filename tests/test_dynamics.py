@@ -10,6 +10,7 @@ from nsstab.dynamics import (
     bilinear_b,
     build_propagator,
     cn_advance,
+    cn_resolvent,
     cn_step,
     cn_steps,
     linearization_matrix,
@@ -281,7 +282,8 @@ class TestCnSteps:
         with pytest.raises(StepSolveError, match="step 0"):
             cn_steps(lambda m: singular, 4, dt, 3)
         for step in (lambda: cn_step(singular, dt, 5),
-                     lambda: cn_advance(singular, np.ones(3), dt, 5)):
+                     lambda: cn_advance(singular, np.ones(3), dt, 5),
+                     lambda: cn_resolvent(singular, np.ones((3, 2)), dt, 5)):
             with pytest.raises(StepSolveError, match="step 5"):
                 step()
 
@@ -294,6 +296,11 @@ class TestCnSteps:
             for v in (rng.standard_normal(6), rng.standard_normal((6, 2))):
                 want = phi[m] @ v
                 got = cn_advance(F, v, dt)
+                assert got.shape == want.shape
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                # (I + h/2 F)^{-1} = (I + phi)/2
+                want = 0.5 * (v + phi[m] @ v)
+                got = cn_resolvent(F, v, dt)
                 assert got.shape == want.shape
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 

@@ -15,7 +15,7 @@ from nsstab.feedback import (
     dp_check,
     lyapunov_check,
     optimal_cost_check,
-    optimal_rollout,
+    optimal_rollouts,
     riccati_residual,
     riccati_solve,
     unpack_symmetric,
@@ -33,6 +33,7 @@ from oracles import (
     sampled_continuity,
     scalar_are_root,
     shifted_steps,
+    sweep_stored,
     uniform_mask,
 )
 
@@ -70,6 +71,34 @@ def tg_phi(tg_law):
     """The stored shifted step stack of tg_law (the reference path)."""
     space, ref, _, _, law = tg_law
     return shifted_steps(space, ref, law.lam, 0, law.n_steps, law.dt)
+
+
+@pytest.fixture(scope="module")
+def tg_gains(tg_law, tg_phi):
+    """Gains of tg_law's instance from the stored-step sweep, one solve per
+    gain system (the law stores none)."""
+    space, _, _, act, law = tg_law
+    Qt = np.empty((law.n_steps + 1, space.K, space.K))
+    gains = np.empty((law.n_steps, act.M, space.K))
+    sweep_stored(np.zeros((space.K, space.K)), tg_phi, act.mat, law.dt,
+                 space.alphas, law.lam, 1e8, Qt=Qt, gains=gains)
+    return gains
+
+
+def rollout(law, s, v0):
+    """The one-start rollout pass of law from v0 at s."""
+    (one,) = optimal_rollouts(law, [(s, v0)])
+    return one
+
+
+def rollout_controls(law, gains):
+    """(controls the rollout pass forms, -gains[m] z_m): the pass from s = 0
+    over the K unit states, so every column of each gain is applied."""
+    K = len(law.alphas)
+    runs = optimal_rollouts(law, [(0.0, e) for e in np.eye(K)])
+    z = np.stack([r.states[:-1] for r in runs], axis=-1)          # (n_T, K, K)
+    got = np.stack([r.controls for r in runs], axis=-1)           # (n_T, M, K)
+    return got, -np.einsum("mij,mjk->mik", gains, z)
 
 
 def gate_instance(K=24, M=32, T_h=14.0):
@@ -156,7 +185,8 @@ class TestRiccatiSolve:
         Qt, gains = riccati_two_matrix(space, ref, law.lam, act, law.T_h, law.dt)
         got = unpack_symmetric(law.Q_packed)
         assert np.linalg.norm(got - Qt) <= 1e-10 * np.linalg.norm(Qt)
-        assert np.linalg.norm(law.gains - gains) <= 1e-10 * np.linalg.norm(gains)
+        got, want = rollout_controls(law, gains)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_rejects_bad_horizon(self, scalar_law):
         space, ref, act, _ = scalar_law
@@ -199,8 +229,8 @@ class TestRiccatiSolve:
                             dt=1.0 / 64, verify_horizon=True)
         Qt, gains, double_Q0 = riccati_two_sweep(space, ref, 1.0, act, 3.0, 1.0 / 64)
         got_Q0 = returned[-1][0][1]
-        for got, want in ((unpack_symmetric(law.Q_packed), Qt), (law.gains, gains),
-                          (got_Q0, double_Q0)):
+        for got, want in ((unpack_symmetric(law.Q_packed), Qt),
+                          rollout_controls(law, gains), (got_Q0, double_Q0)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         num = np.linalg.norm(got_Q0 - law.Q(0))
         assert law.horizon_gate["rel_change"] == float(num / np.linalg.norm(got_Q0))
@@ -249,13 +279,14 @@ class TestRiccatiSolve:
         assert stacks == []
         assert built == list(range(2 * n_T - 1, -1, -1))
 
-    def test_law_holds_cost_operators_and_gains_only(self, tg_law):
+    def test_law_holds_cost_operators_only(self, tg_law):
         *_, law = tg_law
-        assert not hasattr(law, "phi")
-        held = sum(v.nbytes for v in vars(law).values() if isinstance(v, np.ndarray))
-        assert held == (law.Q_packed.nbytes + law.gains.nbytes + law.times.nbytes
-                        + law.alphas.nbytes)
-        assert law.n_steps == law.gains.shape[0] == law.Q_packed.shape[0] - 1
+        assert not hasattr(law, "phi") and not hasattr(law, "gains")
+        arrays = [v for v in vars(law).values() if isinstance(v, np.ndarray)]
+        assert sum(v.nbytes for v in arrays) == (
+            law.Q_packed.nbytes + law.times.nbytes + law.alphas.nbytes)
+        assert all(v.size != law.n_steps * law.M * len(law.alphas) for v in arrays)
+        assert law.n_steps == law.Q_packed.shape[0] - 1 == len(law.times) - 1
 
     def test_every_packed_operator_is_exactly_symmetric(self, monkeypatch):
         # packing keeps the upper triangle only; the sweep's symmetrisation
@@ -281,9 +312,9 @@ class TestRiccatiSolve:
         assert not np.array_equal(unpack_symmetric(pack(skew)), skew)
 
     def test_gated_synthesis_peaks_near_the_law(self):
-        # neither a step stack nor a gate tail stack is ever allocated, so
-        # the traced peak stays within 10% of the packed cost operators plus
-        # gains
+        # neither a step stack, a gate tail stack nor a gain stack is ever
+        # allocated, so the traced peak stays within 10% of the packed cost
+        # operators
         space, ref, act = gate_instance()
         tracemalloc.start()
         try:
@@ -292,14 +323,14 @@ class TestRiccatiSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (law.Q_packed.nbytes + law.gains.nbytes)
+        assert peak <= 1.1 * law.Q_packed.nbytes
 
 
 class TestMemoryGuard:
     def test_refuses_a_law_larger_than_available_memory(self, monkeypatch):
         space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
         n_T = 64
-        need = 8 * ((n_T + 1) * 8 * 9 // 2 + n_T * 8 * 8)
+        need = 8 * (n_T + 1) * 8 * 9 // 2
         steps = []
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need - 1)
         monkeypatch.setattr(feedback, "cn_step",
@@ -312,7 +343,7 @@ class TestMemoryGuard:
         assert steps == []              # refused before the gate's tail sweep
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need)
         law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
-        assert law.Q_packed.nbytes + law.gains.nbytes == need
+        assert law.Q_packed.nbytes == need
 
     def test_probe_reads_meminfo_or_physical_memory(self, monkeypatch):
         avail = feedback.available_memory_bytes()
@@ -386,15 +417,18 @@ class TestTimeAxis:
     def test_dp_check_rejects_split_outside_window(self, tg_law, rng):
         space, _, _, _, law = tg_law
         v0 = rng.standard_normal(space.K)
+        one = rollout(law, 1.0, v0)
         with pytest.raises(ValueError, match="before s"):
-            dp_check(law, v0, 1.0, splits=[1.0 - law.dt])
+            dp_check(one, splits=[1.0 - law.dt])
         with pytest.raises(ValueError, match="outside the law's horizon"):
-            dp_check(law, v0, 1.0, splits=[law.T_h + law.dt])
+            dp_check(one, splits=[law.T_h + law.dt])
 
     def test_optimal_cost_check_rejects_start_outside_horizon(self, tg_law, rng):
+        # the check prices a rollout's own start, and no rollout starts there
         space, ref, _, _, law = tg_law
+        w0 = rng.standard_normal(space.K)
         with pytest.raises(ValueError, match="outside the law's horizon"):
-            optimal_cost_check(ref, law, law.T_h + 1.0, rng.standard_normal(space.K))
+            optimal_rollouts(law, [(0.0, w0), (law.T_h + 1.0, w0)])
 
 
 class TestClosedLoop:
@@ -441,26 +475,26 @@ class TestOptimality:
         space, _, _, _, law = tg_law
         for s in (0.0, 3.5):
             v0 = rng.standard_normal(space.K)
-            rep = dp_check(law, v0, s, splits=[])
+            rep = dp_check(rollout(law, s, v0), splits=[])
             assert rep["total_vs_value_rel"] <= 1e-12
 
     def test_dp_splitting(self, tg_law, rng):
         space, _, _, _, law = tg_law
         v0 = rng.standard_normal(space.K)
-        rep = dp_check(law, v0, 0.0, splits=[law.T_h / 4.0, law.T_h / 2.0])
+        rep = dp_check(rollout(law, 0.0, v0), splits=[law.T_h / 4.0, law.T_h / 2.0])
         for split in rep["splits"]:
             assert split["rel_gap"] <= 1e-6
 
     def test_wrong_stage_weight_breaks_value(self, tg_law, rng):
         space, _, _, _, law = tg_law
         wrong = dataclasses.replace(law, alphas=2 * law.alphas)
-        rep = dp_check(wrong, rng.standard_normal(space.K), 0.0, splits=[])
+        rep = dp_check(rollout(wrong, 0.0, rng.standard_normal(space.K)), splits=[])
         assert rep["total_vs_value_rel"] > 1e-6
 
     def test_split_at_zero_and_terminal(self, tg_law, rng):
         space, _, _, _, law = tg_law
         v0 = rng.standard_normal(space.K)
-        rep = dp_check(law, v0, 0.0, splits=[0.0, law.T_h])
+        rep = dp_check(rollout(law, 0.0, v0), splits=[0.0, law.T_h])
         # s = 0: identity; s = T_h: running cost equals total (terminal
         # weight vanishes)
         assert rep["splits"][0]["rel_gap"] <= 1e-12
@@ -471,18 +505,19 @@ class TestOptimality:
         gaps = []
         for _ in range(3):
             w0 = rng.standard_normal(space.K)
-            rep = optimal_cost_check(ref, law, 2.0, w0)
+            rep = optimal_cost_check(ref, rollout(law, 2.0, w0))
             assert rep["rollout_rel_gap"] <= 1e-12
             gaps.append(rep["simulated_rel_gap"])
         assert max(gaps) <= 1e-4
 
     @pytest.mark.parametrize("s", [0.0, 1.0, 2.0])
-    def test_streamed_check_equals_stored_stacks(self, tg_law, tg_phi, rng, s):
+    def test_streamed_check_equals_stored_stacks(self, tg_law, tg_phi, tg_gains,
+                                                 rng, s):
         # vector solves against stored-matrix products: equal to round-off
         space, ref, _, _, law = tg_law
         w0 = rng.standard_normal(space.K)
-        got = optimal_cost_check(ref, law, s, w0)
-        want = optimal_cost_check_stored(space, ref, law, tg_phi, s, w0)
+        got = optimal_cost_check(ref, rollout(law, s, w0))
+        want = optimal_cost_check_stored(space, ref, law, tg_phi, tg_gains, s, w0)
         assert got.keys() == want.keys()
         assert got["s"] == want["s"] and got["value"] == want["value"]
         assert got["simulated_cost"] == pytest.approx(want["simulated_cost"], rel=1e-12)
@@ -490,34 +525,66 @@ class TestOptimality:
             assert got[key] == pytest.approx(want[key], abs=1e-12), key
 
     @pytest.mark.parametrize("s", [0.0, 3.5])
-    def test_vector_rollout_equals_stored_rollout(self, tg_law, tg_phi, rng, s):
+    def test_vector_rollout_equals_stored_rollout(self, tg_law, tg_phi, tg_gains,
+                                                  rng, s):
+        # gains formed step by step from Q(m+1) against stored gains
         space, _, _, _, law = tg_law
         z0 = rng.standard_normal(space.K)
-        s_index = law.index_of(s)
-        z, costs = optimal_rollout(law, s_index, z0)
-        z_ref, costs_ref = optimal_rollout_stored(law, tg_phi, s_index, z0)
+        one = rollout(law, s, z0)
+        z, costs = one.states, one.costs
+        z_ref, costs_ref = optimal_rollout_stored(law, tg_phi, tg_gains,
+                                                  law.index_of(s), z0)
         assert z.shape == z_ref.shape and costs.shape == costs_ref.shape
         assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
         assert np.linalg.norm(costs - costs_ref) <= 1e-12 * np.linalg.norm(costs_ref)
 
+    def test_each_start_of_a_shared_pass_equals_its_own_pass(self, tg_law, rng):
+        # the block pass shares each step between starts; every column must
+        # be the rollout of its own (s, v0), in either order of the starts
+        space, _, _, _, law = tg_law
+        starts = [(1.0, rng.standard_normal(space.K)),
+                  (0.0, rng.standard_normal(space.K))]
+        shared = optimal_rollouts(law, starts)
+        for (s, v0), got in zip(starts, shared):
+            want = rollout(law, s, v0)
+            assert (got.s, got.s_index) == (s, law.index_of(s))
+            assert np.array_equal(got.v0, v0)
+            for name in ("states", "controls", "costs"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.shape == b.shape, name
+                assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b), name
+
+    def test_operators_one_node_late_trip_both_rollout_checks(self, tg_law, rng):
+        # Q'(m) = Q(m - 1) (and Q'(0) = Q(0)): each step's gain is formed
+        # from Q(m) and each value read one node late, so the splits and the
+        # rollout from s = 1 no longer price to the value.  From s = 0 the
+        # total only feels the gain error, at second order (~3e-8 here)
+        space, ref, _, _, law = tg_law
+        late = dataclasses.replace(
+            law, Q_packed=np.concatenate([law.Q_packed[:1], law.Q_packed[:-1]]))
+        v0 = rng.standard_normal(space.K)
+        dp_roll, cost_roll = optimal_rollouts(late, [(0.0, v0), (1.0, v0)])
+        dp = dp_check(dp_roll, splits=[late.T_h / 4, late.T_h / 2])
+        assert max(split["rel_gap"] for split in dp["splits"]) > 1e-6
+        assert optimal_cost_check(ref, cost_roll)["rollout_rel_gap"] > 1e-6
+
     def test_scaled_cost_operators_trip_the_optimal_cost_check(self, tg_law, rng):
         space, ref, _, _, law = tg_law
         wrong = dataclasses.replace(law, Q_packed=law.Q_packed * (1 + 1e-3))
-        rep = optimal_cost_check(ref, wrong, 2.0, rng.standard_normal(space.K))
+        rep = optimal_cost_check(ref, rollout(wrong, 2.0, rng.standard_normal(space.K)))
         assert rep["rollout_rel_gap"] > 1e-6
         assert rep["simulated_rel_gap"] > 1e-4
 
     def test_zero_state_cost(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = optimal_cost_check(ref, law, 0.0, np.zeros(space.K))
+        rep = optimal_cost_check(ref, rollout(law, 0.0, np.zeros(space.K)))
         assert rep["value"] == 0.0
 
     def test_perturbed_controls_never_beat_optimum(self, tg_law, tg_phi, rng):
         space, _, _, _, law = tg_law
         v0 = rng.standard_normal(space.K)
         value = float(v0 @ (law.Q(0) @ v0))
-        z_opt, _ = optimal_rollout(law, 0, v0)
-        eta_opt = -np.einsum("mij,mj->mi", law.gains, z_opt[:-1])
+        eta_opt = rollout(law, 0.0, v0).controls
         eye = np.eye(space.K)
         # reference input maps h (I + h/2 F)^{-1} B = h/2 (I + phi) B
         gamma = 0.5 * law.dt * (eye + tg_phi) @ law.actuator.mat

@@ -8,6 +8,7 @@ import pytest
 from nsstab.dynamics import taylor_green_reference, zero_reference
 from nsstab.errors import UnreachableTargetError
 from nsstab.null_control import (
+    ReachabilityBundle,
     epsilon_limit_study,
     kkt_identity_check,
     min_norm_control,
@@ -177,6 +178,19 @@ class TestRegularized:
         w0 = rng.standard_normal(space.K)
         for eps in (1e-2, 1e-4, 1e-6):
             assert kkt_identity_check(broken, w0, eps)["stepwise_max_rel"] > 1e-6
+
+    def test_kkt_rejects_a_perturbed_control(self, tg_setup, rng, monkeypatch):
+        # every control the ridge solve forms is off by a relative 1e-7, in
+        # the refinement's forward pass and in the final one; the refinement
+        # must not absorb that error, so the stepwise identity fails by
+        # about 1e-7 at every eps
+        space, _, _, bundle = tg_setup
+        from_stacked = ReachabilityBundle.control_from_stacked
+        monkeypatch.setattr(ReachabilityBundle, "control_from_stacked",
+                            lambda self, psi: from_stacked(self, (1 + 1e-7) * psi))
+        w0 = rng.standard_normal(space.K)
+        for eps in (1e-2, 1e-4, 1e-6):
+            assert kkt_identity_check(bundle, w0, eps)["stepwise_max_rel"] > 1e-9
 
     def test_identity_scales_quadratically(self, tg_setup, rng):
         space, _, _, bundle = tg_setup
