@@ -64,6 +64,21 @@ def _jsonable(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def write_decay(out, name, trajectory, space, kappa, lam, title):
+    """name.csv, the rows (t, |v|_H, |v|_V, bound) of trajectory against
+    its decay bound sqrt(kappa) |v(t0)|_H e^{-lam (t - t0)/2}, and its plot
+    name.svg; returns the two artifact names."""
+    t = trajectory.times
+    bound = np.sqrt(kappa) * np.linalg.norm(trajectory.states[0]) \
+        * np.exp(-lam * (t - t[0]) / 2.0)
+    table = trajectory.norm_table(space)
+    csv_path = os.path.join(out, f"{name}.csv")
+    write_csv(csv_path, ["t", "v_h", "v_v", "bound_h"],
+              np.column_stack([table[:, :3], bound]))
+    emit_plot(csv_path, "decay", os.path.join(out, f"{name}.svg"), title=title)
+    return [f"{name}.csv", f"{name}.svg"]
+
+
 class Pipeline:
     """Lazily built shared state for the subcommands of one run."""
 
@@ -96,7 +111,7 @@ class Pipeline:
         run."""
         c = self.cfg
         return self._get("search", lambda: CutoffSearch(
-            self.space, self.reference, self.chi, c.control.M_list,
+            self.reference, self.chi, c.control.M_list,
             n_max=c.time.n_max, dt=c.time.dt, slack=c.control.slack,
             pinv_rtol=c.tolerances.pinv_rtol, N_cap=c.control.N_max))
 
@@ -132,9 +147,8 @@ class Pipeline:
             # the last cutoff is chosen: free the search's propagators and
             # sweep before the law is allocated
             self._cache.pop("search", None)
-            return riccati_solve(self.space, self.reference, c.control.lam, act,
-                                 c.time.T_h, c.time.dt,
-                                 cap=c.tolerances.riccati_cap,
+            return riccati_solve(self.reference, c.control.lam, act, c.time.T_h,
+                                 c.time.dt, cap=c.tolerances.riccati_cap,
                                  verify_horizon=True)
         return self._get("law", build)
 
@@ -144,7 +158,7 @@ class Pipeline:
         linear decay run, the nonlinear run, the probe and the basin sweep."""
         n_units = min(n_units, self.law.T_h - 1.0)
         return self._get(("closed_loop", round(n_units, 12)), lambda: closed_loop_steps(
-            self.space, self.reference, self.law, 0.0, n_units))
+            self.law, 0.0, n_units))
 
 
 def cmd_reference(p: Pipeline, out):
@@ -190,11 +204,9 @@ def cmd_null_control(p: Pipeline, out):
     M, M_fallback = p.control_dim(c.control.lam)
     bundle = p.search.reachability(N, M)
     w0 = p.rng.standard_normal(p.space.K)
-    control = min_norm_control(bundle, w0, c.tolerances.pinv_rtol,
-                               c.tolerances.null_tol)
+    control = min_norm_control(bundle, w0, c.tolerances.null_tol)
     kkt = [kkt_identity_check(bundle, w0, eps) for eps in (1e-2, 1e-4, 1e-6)]
-    study = epsilon_limit_study(bundle, w0, np.logspace(-2, -8, 7),
-                                c.tolerances.pinv_rtol)
+    study = epsilon_limit_study(bundle, w0, np.logspace(-2, -8, 7))
     write_json(os.path.join(out, "null_control.json"),
                {"N": N, "M": M, "M_fallback": M_fallback, "kkt_checks": kkt,
                 "epsilon_study": study,
@@ -217,17 +229,10 @@ def cmd_stabilize(p: Pipeline, out):
                    symbolic_threshold=choice.symbolic_threshold)
     if not summary["integer_decay_ok"]:
         raise VerificationError("integer-time decay chain violated")
-    t = run.trajectory.times
-    v0_h = np.linalg.norm(v0)
-    bound = np.sqrt(run.kappa1) * v0_h * np.exp(-c.control.lam * t / 2.0)
-    table = run.trajectory.norm_table(p.space)
-    csv_path = os.path.join(out, "stabilize_decay.csv")
-    write_csv(csv_path, ["t", "v_h", "v_v", "bound_h"],
-              np.column_stack([table[:, :3], bound]))
     write_json(os.path.join(out, "stabilize.json"), summary)
-    emit_plot(csv_path, "decay", os.path.join(out, "stabilize_decay.svg"),
-              title="stabilized decay")
-    return ["stabilize_decay.csv", "stabilize.json", "stabilize_decay.svg"]
+    return ["stabilize.json"] + write_decay(
+        out, "stabilize_decay", run.trajectory, p.space, run.kappa1, c.control.lam,
+        "stabilized decay")
 
 
 def cmd_feedback(p: Pipeline, out):
@@ -251,23 +256,15 @@ def cmd_feedback(p: Pipeline, out):
         "horizon_gate": law.horizon_gate,
         "max_gain_norm": law.max_gain_norm(),
         "dp": dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2]),
-        "optimal_cost": optimal_cost_check(p.reference, cost_rollout),
-        "riccati_residual": riccati_residual(p.space, p.reference, law, interior),
+        "optimal_cost": optimal_cost_check(cost_rollout),
+        "riccati_residual": riccati_residual(law, interior),
         "lyapunov": lyapunov_check(sim),
         "closed_loop": cl_rep,
     }
     write_json(os.path.join(out, "feedback.json"), report)
-    table = sim.norm_table(p.space)
-    v0_h = np.linalg.norm(v0)
-    bound = np.sqrt(max(cl_rep["kappa_h"], 1.0)) * v0_h \
-        * np.exp(-law.lam * (sim.times - sim.times[0]) / 2.0)
-    csv_path = os.path.join(out, "feedback_decay.csv")
-    write_csv(csv_path, ["t", "v_h", "v_v", "bound_h"],
-              np.column_stack([table[:, :3], bound]))
-    emit_plot(csv_path, "decay", os.path.join(out, "feedback_decay.svg"),
-              title="feedback closed-loop decay")
-    return ["feedback_law.npz", "feedback.json", "feedback_decay.csv",
-            "feedback_decay.svg"]
+    return ["feedback_law.npz", "feedback.json"] + write_decay(
+        out, "feedback_decay", sim, p.space, max(cl_rep["kappa_h"], 1.0), law.lam,
+        "feedback closed-loop decay")
 
 
 def cmd_closed_loop(p: Pipeline, out):

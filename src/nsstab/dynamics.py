@@ -351,14 +351,16 @@ def build_propagator(space: SpectralSpace, traj: ReferenceTrajectory,
     return Propagator(tau=tau, dt=dt, phi=phi)
 
 
-def regularity_diagnostics(space: SpectralSpace, traj: ReferenceTrajectory,
-                           tau: float, runs: int, rng, dt: float = 1.0 / 128) -> dict:
-    """Empirical constants for the three smoothing estimates of the linear flow.
+def regularity_diagnostics(traj: ReferenceTrajectory, tau: float, runs: int, rng,
+                           dt: float = 1.0 / 128) -> dict:
+    """Empirical constants for the three smoothing estimates of the flow
+    linearized around traj.
 
     For random (r0, f) batches, reports the max ratio of each estimate's
     left side over its natural data norm; the sqrt(t)-weighted ratio probes
     the parabolic smoothing from H data.
     """
+    space = traj.space
     prop = build_propagator(space, traj, tau, dt)
     inv_alpha = 1.0 / space.alphas
     al, al2 = space.alphas, space.alphas**2

@@ -31,7 +31,6 @@ solving afresh any that does not converge.
 import functools
 import math
 import os
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +44,14 @@ from .dynamics import (
     refined_inverse,
 )
 from .errors import ConfigError, RiccatiBlowupError
-from .spectral import Actuator, SpectralSpace
+from .spectral import Actuator
 
 DEFAULT_RICCATI_CAP = 1e8
 
 
 @dataclass
 class FeedbackLaw:
-    """Time-sampled shifted cost operators on [0, T_h].
+    """Time-sampled shifted cost operators on [0, T_h] around a reference.
 
     Q(m) is PSD and the unshifted cost operator is e^{lam t_m} Q(m); the
     feedback applied to a velocity state is -chi P_M chi Q(t) v (the
@@ -72,9 +71,14 @@ class FeedbackLaw:
     times: np.ndarray       # (n_T + 1,)
     Q_packed: np.ndarray    # (n_T + 1, K (K + 1)/2): packed upper triangles
     actuator: Actuator
-    alphas: np.ndarray      # state weight diagonal
-    shifted_system: Callable[[int], np.ndarray]     # m -> F_m - (lam/2) I
+    reference: ReferenceTrajectory
     horizon_gate: dict | None = None
+
+    def __post_init__(self):
+        # the fixed parts of the two step models, built once, not per step
+        self._diag_alpha = np.diag(self.alphas)
+        self._shift = self._diag_alpha - 0.5 * self.lam * np.eye(len(self.alphas))
+        self._gram = self.actuator.gram
 
     @property
     def n_steps(self) -> int:
@@ -84,9 +88,30 @@ class FeedbackLaw:
     def M(self) -> int:
         return self.actuator.M
 
+    @property
+    def alphas(self) -> np.ndarray:
+        """The state weight diagonal: the Stokes eigenvalues of the space."""
+        return self.reference.space.alphas
+
     def Q(self, m: int) -> np.ndarray:
         """The (K, K) cost operator at node m."""
         return unpack_symmetric(self.Q_packed[m])
+
+    def shifted_system(self, m: int) -> np.ndarray:
+        """diag(alpha) - (lam/2) I + B(u((m + 1/2) h)): the shifted system
+        matrix of step m, the one expression every shifted step is built
+        from."""
+        return self._shift + self.reference.bmat_at((m + 0.5) * self.dt)
+
+    def closed_loop_system(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """(F_m, Q_mid): the continuous-form closed loop over step m,
+        Q_mid = (Q(m) + Q(m+1))/2 (averaged packed, then unpacked) and
+        F_m = diag(alpha) + B(u(t_m + h/2)) + (chi P_M chi) Q_mid.  Source of
+        every closed-loop step and its cost."""
+        q = self.Q_packed
+        Q_mid = unpack_symmetric(0.5 * (q[m] + q[m + 1]))
+        return (self._diag_alpha + self.reference.bmat_at((m + 0.5) * self.dt)
+                + self._gram @ Q_mid), Q_mid
 
     def index_of(self, t: float) -> int:
         x = (t - self.times[0]) / self.dt
@@ -96,8 +121,7 @@ class FeedbackLaw:
 
     def max_gain_norm(self, stride: int = 16) -> float:
         """Measured operator-norm bound of the continuous-form gain."""
-        G = self.actuator.gram
-        return float(max(np.linalg.norm(G @ self.Q(m), 2)
+        return float(max(np.linalg.norm(self._gram @ self.Q(m), 2)
                          for m in range(0, self.n_steps + 1, stride)))
 
 
@@ -163,11 +187,21 @@ def _cgroup_headroom() -> int | None:
         return None
 
 
-def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
-                  actuator: Actuator, T_h: float, dt: float = 1.0 / 128,
+def require_memory(need: int, what: str, remedy: str):
+    """Refuse an allocation of need bytes larger than the available memory
+    with ConfigError, naming what needs it and the fields that size it."""
+    avail = available_memory_bytes()
+    if avail is not None and need > avail:
+        raise ConfigError(
+            f"{what} needs {need / 1e6:.1f} MB, more than the "
+            f"{avail / 1e6:.1f} MB available; {remedy}")
+
+
+def riccati_solve(traj: ReferenceTrajectory, lam: float, actuator: Actuator,
+                  T_h: float, dt: float = 1.0 / 128,
                   cap: float = DEFAULT_RICCATI_CAP,
                   verify_horizon: bool = False) -> FeedbackLaw:
-    """Backward sweep for the shifted cost operator on [0, T_h].
+    """Backward sweep for the shifted cost operator on [0, T_h] around traj.
 
     State weight diag(alpha) (the V-form), control weight identity on the
     control basis.  Divergence past the cap reports the system as not
@@ -185,32 +219,24 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
     if (2.0 if verify_horizon else 1.0) * T_h > traj.horizon + 1e-9:
         raise ValueError("synthesis horizon exceeds the reference horizon")
     n_T = int(round(T_h / dt))
-    K, M = space.K, actuator.M
-    need = 8 * (n_T + 1) * (K * (K + 1) // 2)
-    avail = available_memory_bytes()
-    if avail is not None and need > avail:
-        raise ConfigError(
-            f"the feedback law (its cost operators) needs "
-            f"{need / 1e6:.1f} MB, more than the {avail / 1e6:.1f} MB "
-            f"available; lower space.K or time.T_h, or raise time.dt")
-    system = _shifted_system(space.alphas, traj, lam, dt)
-    args = (system, actuator.mat, dt, space.alphas, lam, cap)
+    K, M = traj.space.K, actuator.M
+    require_memory(8 * (n_T + 1) * (K * (K + 1) // 2),
+                   "the feedback law (its cost operators)",
+                   "lower space.K or time.T_h, or raise time.dt")
+    law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
+                      Q_packed=np.zeros((n_T + 1, K * (K + 1) // 2)),  # Q(T_h) = 0
+                      actuator=actuator, reference=traj)
     # no neighbouring step and no gain-system inverse yet: the first
     # step and each operator's first gain system are solved
     P, phi, Hee_inv = np.zeros((1, K, K)), None, np.zeros((1, M, M))
     if verify_horizon:
         # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps;
         # its last step and gain-system inverse seed the continuation
-        tail, phi, tail_inv = _sweep(P, n_T, n_T, *args, phi, Hee_inv)
+        tail, phi, tail_inv = _sweep(law, P, n_T, n_T, cap, phi, Hee_inv)
         P = np.concatenate([P, tail])
         Hee_inv = np.concatenate([Hee_inv, tail_inv])
 
-    Q_packed = np.empty((n_T + 1, K * (K + 1) // 2))
-    Q_packed[n_T] = 0.0
-    P, _, _ = _sweep(P, 0, n_T, *args, phi, Hee_inv, Q_packed=Q_packed)
-    law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
-                      Q_packed=Q_packed, actuator=actuator,
-                      alphas=space.alphas.copy(), shifted_system=system)
+    P, _, _ = _sweep(law, P, 0, n_T, cap, phi, Hee_inv, Q_packed=law.Q_packed)
     if verify_horizon:
         double_Q0 = P[1]
         num = np.linalg.norm(double_Q0 - law.Q(0))
@@ -219,19 +245,12 @@ def riccati_solve(space: SpectralSpace, traj: ReferenceTrajectory, lam: float,
     return law
 
 
-def _shifted_system(alphas, traj: ReferenceTrajectory, lam: float, dt: float):
-    """m -> diag(alpha) - (lam/2) I + B(u((m + 1/2) h)): the shifted system
-    matrix of step m, the one expression every shifted step is built from."""
-    shift = np.diag(alphas) - 0.5 * lam * np.eye(len(alphas))
-    return lambda m: shift + traj.bmat_at((m + 0.5) * dt)
+def _sweep(law, P, start, n_steps, cap, phi, Hee_inv, Q_packed=None):
+    """Backward dynamic program of law over the steps start .. start+n_steps-1
+    from the stacked terminal cost operators P (r, K, K).
 
-
-def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
-           Q_packed=None):
-    """Backward dynamic program over the steps start .. start+n_steps-1 from
-    the stacked terminal cost operators P (r, K, K).
-
-    Step m is phi = cn_step(system(m)), built here and dropped after use;
+    Step m is phi = cn_step(law.shifted_system(m)), built here and dropped
+    after use;
     the r cost operators advance through it together.  Step
     z+ = phi (z + u) + u with u = h/2 B eta, stage cost
     h (|zbar|_C^2 + |eta|^2) with zbar = (z + z+)/2, C = diag(alphas).  With
@@ -254,13 +273,14 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
     the first step; fills Q_packed[m] (packed, m relative to start) from
     the first operator when given.
     """
+    B, dt, alphas, lam = law.actuator.mat, law.dt, law.alphas, law.lam
     M = B.shape[1]
     half_B = 0.5 * dt * B
     qc = 0.25 * dt * alphas             # (h/4) C, as a diagonal
     QC = np.diag(qc)
     h_eye = dt * np.eye(M)
     for m in range(n_steps - 1, -1, -1):
-        phi = cn_step(system(start + m), dt, start + m, phi)
+        phi = cn_step(law.shifted_system(start + m), dt, start + m, phi)
         gam = phi @ half_B + half_B
         W = P + QC
         S = W @ phi
@@ -281,21 +301,6 @@ def _sweep(P, start, n_steps, system, B, dt, alphas, lam, cap, phi, Hee_inv,
         if Q_packed is not None:
             Q_packed[m] = pack_symmetric(P[0])
     return P, phi, Hee_inv
-
-
-def closed_loop_system(traj: ReferenceTrajectory, law: FeedbackLaw):
-    """m -> (F_m, Q_mid): the continuous-form closed loop over law step m,
-    Q_mid = (Q(m) + Q(m+1))/2 (averaged packed, then unpacked) and
-    F_m = diag(alpha) + B(u(t_m + h/2)) + (chi P_M chi) Q_mid.  Source of
-    every closed-loop step and its cost."""
-    diag_alpha = np.diag(law.alphas)
-    gram = law.actuator.gram
-    q = law.Q_packed
-
-    def at(m):
-        Q_mid = unpack_symmetric(0.5 * (q[m] + q[m + 1]))
-        return diag_alpha + traj.bmat_at((m + 0.5) * law.dt) + gram @ Q_mid, Q_mid
-    return at
 
 
 def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:
@@ -426,7 +431,7 @@ def dp_check(rollout: OptimalRollout, splits) -> dict:
     return out
 
 
-def optimal_cost_check(traj: ReferenceTrajectory, rollout: OptimalRollout) -> dict:
+def optimal_cost_check(rollout: OptimalRollout) -> dict:
     """Compare (Q(s) w0, w0) with simulated closed-loop costs on [s, T_h]
     from the start (s, w0) of a rollout of optimal_rollouts.
 
@@ -442,11 +447,10 @@ def optimal_cost_check(traj: ReferenceTrajectory, rollout: OptimalRollout) -> di
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
 
     dt, lam = law.dt, law.lam
-    system = closed_loop_system(traj, law)
     t_mid = s + dt * np.arange(len(costs)) + 0.5 * dt
     v, cost = w0, 0.0
     for m, tm in zip(range(s_index, law.n_steps), t_mid):
-        F, Q_mid = system(m)
+        F, Q_mid = law.closed_loop_system(m)
         v_next = cn_advance(F, v, dt, m)
         vm = 0.5 * (v_next + v)
         eta = law.actuator.adjoint(Q_mid @ vm)
@@ -477,9 +481,8 @@ def lyapunov_check(sim: Trajectory, samples: int = 64) -> dict:
             if len(drops) else 0.0}
 
 
-def riccati_residual(space: SpectralSpace, traj: ReferenceTrajectory,
-                     law: FeedbackLaw, t_samples) -> dict:
-    """Finite-difference residual of the shifted Riccati equation.
+def riccati_residual(law: FeedbackLaw, t_samples) -> dict:
+    """Finite-difference residual of the shifted Riccati equation of law.
 
         dQ/dt = -lam Q + Q L(u) + L(u)' Q + Q (chi P_M chi) Q - diag(alpha)
 
@@ -487,8 +490,6 @@ def riccati_residual(space: SpectralSpace, traj: ReferenceTrajectory,
     reported number reflects the synthesis accuracy, not the differencing.
     """
     dt, lam = law.dt, law.lam
-    gram = law.actuator.gram
-    diag_alpha = np.diag(space.alphas)
     out = []
     for t in t_samples:
         m = law.index_of(t)
@@ -497,8 +498,8 @@ def riccati_residual(space: SpectralSpace, traj: ReferenceTrajectory,
         Qdot = (law.Q(m - 2) - 8.0 * law.Q(m - 1) + 8.0 * law.Q(m + 1)
                 - law.Q(m + 2)) / (12.0 * dt)
         Q = law.Q(m)
-        Lmat = diag_alpha + traj.bmat_at(law.times[m])
-        terms = [-lam * Q, Q @ Lmat + Lmat.T @ Q, Q @ gram @ Q, -diag_alpha]
+        Lmat = law._diag_alpha + law.reference.bmat_at(law.times[m])
+        terms = [-lam * Q, Q @ Lmat + Lmat.T @ Q, Q @ law._gram @ Q, -law._diag_alpha]
         res = Qdot - sum(terms)
         scale = sum(np.linalg.norm(x) for x in terms) + 1e-300
         out.append(float(np.linalg.norm(res) / scale))

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Propagator, ReferenceTrajectory, Trajectory, bilinear_b, cn_steps
-from .errors import ConfigError, StepSolveError
-from .feedback import FeedbackLaw, available_memory_bytes, closed_loop_system
+from .dynamics import Propagator, Trajectory, bilinear_b, cn_steps
+from .errors import StepSolveError
+from .feedback import FeedbackLaw, require_memory
 from .spectral import SpectralSpace
 
 INNER_TOL = 1e-13
@@ -144,26 +144,21 @@ class ClosedLoopStepper(Propagator):
         return self.run_linear(v0, -bilinear_b(self.space, mids, mids))
 
 
-def closed_loop_steps(space: SpectralSpace, traj: ReferenceTrajectory,
-                      law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
+def closed_loop_steps(law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
     """The law's closed loop on [s, s + n_units], inside its horizon: one
-    Crank-Nicolson step per law step from feedback.closed_loop_system.  A
+    Crank-Nicolson step per law step from law.closed_loop_system.  A
     step stack larger than the available memory is refused with
     ConfigError before anything is allocated."""
-    dt = law.dt
+    space, dt = law.reference.space, law.dt
     s_index = int(round(s / dt))
     n_steps = int(round(n_units / dt))
     if s_index + n_steps > law.n_steps:
         raise ValueError("simulation window exceeds the synthesized horizon")
-    need = 8 * n_steps * space.K**2
-    avail = available_memory_bytes()
-    if avail is not None and need > avail:
-        raise ConfigError(
-            f"the closed loop's step stack needs {need / 1e6:.1f} MB, more "
-            f"than the {avail / 1e6:.1f} MB available; lower nonlinear.sim_units "
-            f"or time.n_max (the simulated window) or space.K")
-    system = closed_loop_system(traj, law)
-    phi = cn_steps(lambda m: system(s_index + m)[0], n_steps, dt, space.K)
+    require_memory(8 * n_steps * space.K**2, "the closed loop's step stack",
+                   "lower nonlinear.sim_units or time.n_max (the simulated "
+                   "window) or space.K")
+    phi = cn_steps(lambda m: law.closed_loop_system(s_index + m)[0], n_steps, dt,
+                   space.K)
     return ClosedLoopStepper(tau=s, dt=dt, phi=phi, space=space, lam=law.lam)
 
 

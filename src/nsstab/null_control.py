@@ -34,9 +34,9 @@ class ControlSignal:
     def l2_norm(self) -> float:
         return float(np.sqrt(self.l2_norm_sq()))
 
-    def weighted_norm_sq(self, rate: float, origin: float = 0.0) -> float:
+    def weighted_norm_sq(self, rate: float) -> float:
         """Squared L2 norm of e^{(rate/2) t} eta, midpoint-sampled weights."""
-        t_mid = self.tau + self.dt * (np.arange(self.values.shape[0]) + 0.5) - origin
+        t_mid = self.tau + self.dt * (np.arange(self.values.shape[0]) + 0.5)
         return float(self.dt * np.sum(np.exp(rate * t_mid)[:, None] * self.values**2))
 
     def table(self) -> np.ndarray:
@@ -51,7 +51,8 @@ class ReachabilityBundle:
 
     input_rows holds sqrt(dt)-scaled rows of the projected input-to-state
     map, so gramian = input_rows @ input_rows.T and squared coefficient
-    norms equal L2-in-time control norms exactly.
+    norms equal L2-in-time control norms exactly.  Its controls use the
+    Gramian's pseudoinverse and rank at the bundle's one cutoff (pinv_psd).
     """
 
     actuator: Actuator
@@ -61,6 +62,7 @@ class ReachabilityBundle:
     free_map: np.ndarray        # (K, K) endpoint map of the uncontrolled flow
     input_rows: np.ndarray      # (N, n_steps * M)
     gramian: np.ndarray         # (N, N) symmetric PSD
+    gramian_pinv: np.ndarray    # (N, N)
     gramian_rank: int
 
     @property
@@ -85,14 +87,14 @@ def build_reachability(actuator: Actuator, stages: np.ndarray,
     for m in range(n_steps):
         rows[:, m * M:(m + 1) * M] = sq * (actuator.mat.T @ stages[m]).T
     gram = rows @ rows.T
-    _, rank = pinv_psd(gram, pinv_rtol)
+    gram_pinv, rank = pinv_psd(gram, pinv_rtol)
     return ReachabilityBundle(actuator=actuator, propagator=propagator,
                               tau=propagator.tau, N=N, free_map=propagator.total,
-                              input_rows=rows, gramian=gram, gramian_rank=rank)
+                              input_rows=rows, gramian=gram, gramian_pinv=gram_pinv,
+                              gramian_rank=rank)
 
 
 def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
-                     pinv_rtol: float = DEFAULT_PINV_RTOL,
                      null_tol: float = DEFAULT_NULL_TOL) -> ControlSignal:
     """Minimal-L2 control forcing the projected endpoint to zero.
 
@@ -102,8 +104,8 @@ def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
     if bundle.N == 0:
         return bundle.control_from_stacked(np.zeros(bundle.input_rows.shape[1]))
     y = (bundle.free_map @ w0)[: bundle.N]
-    Gp, _ = pinv_psd(bundle.gramian, pinv_rtol)
-    g = null_coefficients(bundle.gramian, Gp, y, w0, bundle.actuator.M, null_tol)
+    g = null_coefficients(bundle.gramian, bundle.gramian_pinv, y, w0,
+                          bundle.actuator.M, null_tol)
     return bundle.control_from_stacked(bundle.input_rows.T @ g)
 
 
@@ -197,8 +199,7 @@ def kkt_identity_check(bundle: ReachabilityBundle, w0: np.ndarray, eps: float) -
     }
 
 
-def epsilon_limit_study(bundle: ReachabilityBundle, w0: np.ndarray,
-                        eps_grid, pinv_rtol: float = DEFAULT_PINV_RTOL) -> dict:
+def epsilon_limit_study(bundle: ReachabilityBundle, w0: np.ndarray, eps_grid) -> dict:
     """Track the ridge solutions along a decreasing eps grid.
 
     Reports the gap to the exact minimal-norm control, the projected
@@ -206,7 +207,7 @@ def epsilon_limit_study(bundle: ReachabilityBundle, w0: np.ndarray,
     rate is sqrt(eps); broad Gramian spectra realise it).
     """
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), float)
-    eta_star = min_norm_control(bundle, w0, pinv_rtol)
+    eta_star = min_norm_control(bundle, w0)
     gaps, defects = [], []
     for eps in eps_grid:
         control, v_end, _, _ = regularized_control(bundle, w0, eps)

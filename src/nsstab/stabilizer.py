@@ -24,7 +24,7 @@ from .null_control import (
 )
 from .observability import build_forms, select_m1
 from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
-from .spectral import Actuator, ChiMask, SpectralSpace, build_actuator
+from .spectral import Actuator, ChiMask, build_actuator
 
 
 def null_closed_map(free_map: np.ndarray, endpoints: np.ndarray,
@@ -77,14 +77,13 @@ class CutoffSearch:
     the tables, so no other block sweep of these intervals runs.
     """
 
-    def __init__(self, space: SpectralSpace, traj: ReferenceTrajectory,
-                 chi: ChiMask, M_list, n_max: int = 6, dt: float = 1.0 / 128,
-                 slack: float = 2.0, pinv_rtol: float = DEFAULT_PINV_RTOL,
-                 N_cap: int | None = None):
-        self.space, self.traj, self.chi = space, traj, chi
+    def __init__(self, traj: ReferenceTrajectory, chi: ChiMask, M_list,
+                 n_max: int = 6, dt: float = 1.0 / 128, slack: float = 2.0,
+                 pinv_rtol: float = DEFAULT_PINV_RTOL, N_cap: int | None = None):
+        self.space, self.traj, self.chi = traj.space, traj, chi
         self.M_list, self.dt, self.slack, self.pinv_rtol = M_list, dt, slack, pinv_rtol
-        self.n_top = min(space.K, N_cap) if N_cap else space.K
-        self.propagators = [build_propagator(space, traj, float(n), dt)
+        self.n_top = min(self.space.K, N_cap) if N_cap else self.space.K
+        self.propagators = [build_propagator(self.space, traj, float(n), dt)
                             for n in range(n_max)]
         self.measured: dict = {}
         self.tables: dict = {}      # M -> (gramians (n_int, n_top, n_top),
@@ -155,9 +154,12 @@ class CutoffSearch:
             return None, [float(np.linalg.norm(prop.total, 2)) for prop in props]
         rep = self.observability_report(N)
         if rep["M1"] is None:
+            M, m_max = rep.get("M_extrapolated"), len(self.space.betas)
+            fix = ("the untruncated constant is infinite: raise chi.radius" if M is None
+                   else f"add its extrapolated M1 = {M} to control.M_list"
+                   + (f" and raise space.m_max from {m_max} to {M}" if M > m_max else ""))
             raise ResolutionTooSmallError(
-                f"no listed control dimension observes the first {N} modes; "
-                f"extend M_list beyond {max(self.M_list)}")
+                f"no listed control dimension observes the first {N} modes; {fix}")
         gramians, endpoints = self.tables[rep["M1"]]
         pinvs = [pinv_psd(G[:N, :N], self.pinv_rtol)[0] for G in gramians]
         self.gramian_pinvs[N] = pinvs

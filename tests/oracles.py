@@ -216,7 +216,7 @@ def stabilize_per_bundle(search, choice, v0):
     for n, prop in enumerate(search.propagators):
         if N:
             bundle = bundle_of(prop, act, N, search.pinv_rtol)
-            values = min_norm_control(bundle, v, search.pinv_rtol).values
+            values = min_norm_control(bundle, v).values
             inputs = values @ act.mat.T
         else:
             values, inputs = np.zeros((prop.n_steps, 1)), None

@@ -80,10 +80,10 @@ def fb_instance():
     ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=60.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
     lam = 1.0
-    choice = CutoffSearch(space, ref, chi, M_list=(8, 16, 32, 64, 96, 128),
+    choice = CutoffSearch(ref, chi, M_list=(8, 16, 32, 64, 96, 128),
                           n_max=4, dt=DT).choose(lam * 1.25)
     act = build_actuator(space, chi, choice.M1)
-    law = riccati_solve(space, ref, lam, act, T_h=28.0, dt=DT, verify_horizon=True)
+    law = riccati_solve(ref, lam, act, T_h=28.0, dt=DT, verify_horizon=True)
     return space, ref, chi, act, law
 
 
@@ -167,7 +167,7 @@ def test_criterion_04_null_projection(stab_instance, rng):
 def test_criterion_05_integer_decay_chain(stab_instance, rng):
     space, ref, chi = stab_instance
     lam = 1.0
-    search = CutoffSearch(space, ref, chi, M_list=(8, 16, 32, 64, 96, 128),
+    search = CutoffSearch(ref, chi, M_list=(8, 16, 32, 64, 96, 128),
                           n_max=6, dt=DT)
     choice = search.choose(lam)
     violations = 0
@@ -225,7 +225,7 @@ def test_criterion_07_riccati_synthesis(fb_instance):
     s4 = build_space(nu=1.0, K=4, n=16)
     r4 = zero_reference(s4, horizon=26.0)
     a4 = build_actuator(s4, uniform_mask(s4), M=8)
-    law4 = riccati_solve(s4, r4, lam=0.5, actuator=a4, T_h=12.0, dt=DT)
+    law4 = riccati_solve(r4, lam=0.5, actuator=a4, T_h=12.0, dt=DT)
     scalar_gap = max(
         abs(law4.Q(0)[j, j] - scalar_are_root(0.25 - s4.alphas[j],
                                                a4.gram[j, j], s4.alphas[j]))
@@ -233,8 +233,8 @@ def test_criterion_07_riccati_synthesis(fb_instance):
         for j in range(s4.K))
 
     space, ref, chi, act, law = fb_instance
-    res = riccati_residual(space, ref, law, [law.T_h / 8, law.T_h / 4,
-                                             law.T_h / 2])["max_rel_residual"]
+    res = riccati_residual(law, [law.T_h / 8, law.T_h / 4,
+                                 law.T_h / 2])["max_rel_residual"]
     min_eig = min(np.linalg.eigvalsh(law.Q(m)).min()
                   for m in range(0, law.n_steps + 1, 8))
     gate = law.horizon_gate["rel_change"]
@@ -251,7 +251,7 @@ def test_criterion_08_dynamic_programming(fb_instance, rng):
     dp_rollout, cost_rollout = optimal_rollouts(law, [(0.0, v0), (1.0, v0)])
     rep = dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2])
     split_gap = max(s["rel_gap"] for s in rep["splits"])
-    cost = optimal_cost_check(ref, cost_rollout)
+    cost = optimal_cost_check(cost_rollout)
     report(8, split_gap <= 1e-6 and cost["simulated_rel_gap"] <= 1e-4,
            f"cost splitting at T_h/4, T_h/2: gap {split_gap:.2e} <= 1e-6; "
            f"simulated optimal cost gap {cost['simulated_rel_gap']:.2e} <= 1e-4")
@@ -261,7 +261,7 @@ def test_criterion_09_feedback_decay(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     kappas = []
     for s in (0.0, 2.0):
-        stepper = closed_loop_steps(space, ref, law, s, 6.0)
+        stepper = closed_loop_steps(law, s, 6.0)
         for _ in range(5):
             v0 = rng.standard_normal(space.K)
             tr, _ = closed_loop_linear(stepper, v0)
@@ -279,7 +279,7 @@ def test_criterion_09_feedback_decay(fb_instance, rng):
 def test_criterion_10_lyapunov_monotonicity(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     worst = 0.0
-    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
+    stepper = closed_loop_steps(law, 0.0, 6.0)
     for _ in range(5):
         rep = lyapunov_check(closed_loop_linear(
             stepper, rng.standard_normal(space.K))[0])
@@ -293,7 +293,7 @@ def test_criterion_10_lyapunov_monotonicity(fb_instance, rng):
 def test_criterion_11_nonlinear_decay(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     eps_star, theta_star = 2.0, 2.0          # shipped calibration
-    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
+    stepper = closed_loop_steps(law, 0.0, 6.0)
     thetas = []
     for _ in range(10):
         d = rng.standard_normal(space.K)
@@ -304,7 +304,7 @@ def test_criterion_11_nonlinear_decay(fb_instance, rng):
         thetas.append(rep["theta"])
 
     # quadratic smallness: |nonlinear - linear| scales like |v0|_V^2
-    st1 = closed_loop_steps(space, ref, law, 0.0, 1.0)
+    st1 = closed_loop_steps(law, 0.0, 1.0)
     d = rng.standard_normal(space.K)
     d /= np.sqrt(space.alphas @ d**2)
     scales = np.array([0.01, 0.03, 0.1, 0.3])
@@ -324,7 +324,7 @@ def test_criterion_11_nonlinear_decay(fb_instance, rng):
 def test_criterion_12_contraction(fb_instance, rng):
     space, ref, chi, act, law = fb_instance
     eps_star = 2.0
-    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
+    stepper = closed_loop_steps(law, 0.0, 6.0)
     d = rng.standard_normal(space.K)
     d /= np.sqrt(space.alphas @ d**2)
     probe = contraction_probe(stepper, eps_star * d, rng, pairs=3)

@@ -1,5 +1,6 @@
 """Config round-trip, CLI subcommands, exit codes, artifact schemas."""
 
+import functools
 import json
 import os
 import sys
@@ -191,7 +192,9 @@ class TestRun:
     def test_closed_loop_beyond_available_memory_exit_code(self, small_cfg, tmp_path,
                                                            monkeypatch, capsys):
         # the law fits but the closed loop's (n_steps, K, K) step stack does
-        # not: refused before a step is built, naming what sizes the stack
+        # not: refused before a step is built, naming what sizes the stack.
+        # The law's guard reads the probe first (here: nothing readable),
+        # the closed loop's second
         cfg, path = small_cfg
         n_steps = round(min(cfg.time.n_max, cfg.time.T_h - 1) / cfg.time.dt)
         need = 8 * n_steps * cfg.space.K**2
@@ -199,14 +202,17 @@ class TestRun:
         cn_steps = nonlinear.cn_steps
         monkeypatch.setattr(nonlinear, "cn_steps",
                             lambda *args: stacks.append(args) or cn_steps(*args))
-        monkeypatch.setattr(nonlinear, "available_memory_bytes", lambda: need - 1)
+
+        def probe(*readings):
+            return functools.partial(next, iter(readings))
+        monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need - 1))
         code = main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2 and stacks == []
         assert f"{need / 1e6:.1f} MB" in err
         assert all(field in err for field in
                    ("nonlinear.sim_units", "time.n_max", "space.K"))
-        monkeypatch.setattr(nonlinear, "available_memory_bytes", lambda: need)
+        monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need))
         loop = Pipeline(cfg, np.random.default_rng(cfg.seed)).closed_loop(cfg.time.n_max)
         assert loop.phi.nbytes == need and len(stacks) == 1
 
@@ -506,7 +512,7 @@ class TestSharedIntervalWork:
         choices = [p.choice(cfg.control.lam), p.choice(p.lam_hat)]
         assert len(measured) == len(set(measured))
         for lam, got in zip((cfg.control.lam, p.lam_hat), choices):
-            want = CutoffSearch(p.space, p.reference, p.chi, cfg.control.M_list,
+            want = CutoffSearch(p.reference, p.chi, cfg.control.M_list,
                                 n_max=cfg.time.n_max, dt=cfg.time.dt,
                                 slack=cfg.control.slack,
                                 N_cap=cfg.control.N_max).choose(lam)
@@ -534,7 +540,7 @@ class TestOneClosedLoop:
         assert cfg.time.n_max == cfg.nonlinear.sim_units
         builds = record_calls(monkeypatch, closed_loop_steps)
         assert run("all", str(path), str(tmp_path / "o")) == 0
-        assert [(args[3], args[4]) for args, _ in builds] == [(0.0, cfg.time.n_max)]
+        assert [(args[1], args[2]) for args, _ in builds] == [(0.0, cfg.time.n_max)]
 
     def test_pipeline_holds_one_loop_per_window(self, small_cfg):
         cfg, _ = small_cfg
@@ -557,7 +563,7 @@ class TestOneClosedLoop:
             (rollout,) = optimal_rollouts(law, [(1.0, w0)])
             held, pass_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            optimal_cost_check(p.reference, rollout)
+            optimal_cost_check(rollout)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -614,6 +620,22 @@ class TestControlDimension:
         code = main(["null-control", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "space.m_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("m_max", [160, 98])
+    def test_unobserved_cutoff_names_the_extrapolated_m1(self, tmp_path, capsys,
+                                                         m_max):
+        # no M of (8, 16) observes the first 8 modes; select_m1 extrapolates
+        # M1 = 99, and past space.m_max the table must grow to hold it
+        cfg = ExperimentConfig.load(DEFAULT_CONFIG)
+        cfg.control.M_list = (8, 16)
+        cfg.space.m_max = m_max
+        path = tmp_path / "short.json"
+        save_config(cfg.validate(), path)
+        code = main(["stabilize", "--config", str(path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "first 8 modes" in err and "M1 = 99 to control.M_list" in err
+        assert ("raise space.m_max from 98 to 99" in err) == (m_max == 98)
 
     def test_selected_m1_is_not_a_fallback(self):
         cfg = ExperimentConfig.load(DEFAULT_CONFIG)

@@ -405,7 +405,7 @@ class TestTwoMatrixModel:
 class TestRegularityDiagnostics:
     def test_zero_data(self, small_space, rng):
         ref = zero_reference(small_space, horizon=2.0)
-        prop_report = regularity_diagnostics(small_space, ref, 0.0, runs=2,
+        prop_report = regularity_diagnostics(ref, 0.0, runs=2,
                                              rng=np.random.default_rng(1), dt=1.0 / 32)
         assert prop_report["all_finite"]
 
@@ -433,7 +433,7 @@ class TestRegularityDiagnostics:
     def test_ratios_stable_under_refinement(self, small_space):
         s = small_space
         ref = taylor_green_reference(s, a0=0.4, horizon=2.0)
-        r1 = regularity_diagnostics(s, ref, 0.0, 3, np.random.default_rng(7), dt=1.0 / 32)
-        r2 = regularity_diagnostics(s, ref, 0.0, 3, np.random.default_rng(7), dt=1.0 / 64)
+        r1 = regularity_diagnostics(ref, 0.0, 3, np.random.default_rng(7), dt=1.0 / 32)
+        r2 = regularity_diagnostics(ref, 0.0, 3, np.random.default_rng(7), dt=1.0 / 64)
         for key in ("l1", "l2", "l3"):
             assert r2[key] < 4.0 * r1[key] + 1.0

@@ -1,5 +1,6 @@
 """Weighted LQ synthesis: scalar oracles, DP identities, decay, residuals."""
 
+import copy
 import dataclasses
 import os
 import tracemalloc
@@ -51,7 +52,7 @@ def scalar_law():
     space = build_space(nu=1.0, K=4, n=16)
     ref = zero_reference(space, horizon=24.0)
     act = build_actuator(space, uniform_mask(space), M=8)
-    law = riccati_solve(space, ref, lam=0.5, actuator=act, T_h=12.0, dt=DT)
+    law = riccati_solve(ref, lam=0.5, actuator=act, T_h=12.0, dt=DT)
     return space, ref, act, law
 
 
@@ -62,7 +63,7 @@ def tg_law():
     ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=15.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
     act = build_actuator(space, chi, M=32)
-    law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=14.0, dt=DT)
+    law = riccati_solve(ref, lam=1.0, actuator=act, T_h=14.0, dt=DT)
     return space, ref, chi, act, law
 
 
@@ -113,7 +114,7 @@ class TestRiccatiSolve:
     def test_uncontrolled_stable_mode_lyapunov_limit(self, scalar_law):
         space, ref, _, _ = scalar_law
         act0 = build_actuator(space, zero_mask(space), M=4)
-        law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=12.0, dt=DT)
+        law = riccati_solve(ref, lam=0.5, actuator=act0, T_h=12.0, dt=DT)
         a = space.alphas[0] - 0.25          # positive shifted decay rate
         want = space.alphas[0] / (2.0 * a)
         assert law.Q(0)[0, 0] == pytest.approx(want, rel=1e-6)
@@ -131,9 +132,9 @@ class TestRiccatiSolve:
         # unweighted problem: the converged tail solves the algebraic
         # equation to round-off plus horizon truncation
         space, ref, act, _ = scalar_law
-        law = riccati_solve(space, ref, lam=0.0, actuator=act, T_h=12.0, dt=DT)
+        law = riccati_solve(ref, lam=0.0, actuator=act, T_h=12.0, dt=DT)
         assert np.max(np.abs(law.Q(128) - law.Q(256))) < 1e-9
-        rep = riccati_residual(space, ref, law, [1.0, 2.0, 4.0])
+        rep = riccati_residual(law, [1.0, 2.0, 4.0])
         assert rep["max_rel_residual"] <= 1e-8
 
     def test_psd_at_every_sampled_time(self, tg_law):
@@ -152,31 +153,27 @@ class TestRiccatiSolve:
         ref = zero_reference(space, horizon=20.0)
         act0 = build_actuator(space, zero_mask(space), M=4)
         with pytest.raises(RiccatiBlowupError):
-            riccati_solve(space, ref, lam=2.0, actuator=act0, T_h=18.0, dt=1.0 / 64)
+            riccati_solve(ref, lam=2.0, actuator=act0, T_h=18.0, dt=1.0 / 64)
 
     def test_non_finite_operator_reports_its_time(self, monkeypatch):
         # np.linalg.solve returns NaN for a NaN step rather than raising, so
         # the cap check alone stops the sweep, at the step that went bad
         space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
-        shifted_system = feedback._shifted_system
+        shifted_system = feedback.FeedbackLaw.shifted_system
         bad = 40
 
-        def poisoned(*args):
-            system = shifted_system(*args)
-
-            def at(m):
-                F = system(m)
-                if m == bad:
-                    F[0, 1] = np.nan
-                return F
-            return at
-        monkeypatch.setattr(feedback, "_shifted_system", poisoned)
+        def poisoned(law, m):
+            F = shifted_system(law, m)
+            if m == bad:
+                F[0, 1] = np.nan
+            return F
+        monkeypatch.setattr(feedback.FeedbackLaw, "shifted_system", poisoned)
         with pytest.raises(RiccatiBlowupError, match=f"t={bad / 32:.3f};"):
-            riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
+            riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
 
     def test_horizon_gate_recorded_and_shrinking(self, scalar_law):
         space, ref, act, _ = scalar_law
-        law = riccati_solve(space, ref, lam=0.5, actuator=act, T_h=6.0, dt=1.0 / 64,
+        law = riccati_solve(ref, lam=0.5, actuator=act, T_h=6.0, dt=1.0 / 64,
                             verify_horizon=True)
         assert law.horizon_gate["rel_change"] <= 1e-6
 
@@ -191,9 +188,9 @@ class TestRiccatiSolve:
     def test_rejects_bad_horizon(self, scalar_law):
         space, ref, act, _ = scalar_law
         with pytest.raises(ValueError):
-            riccati_solve(space, ref, lam=0.5, actuator=act, T_h=100.0, dt=DT)
+            riccati_solve(ref, lam=0.5, actuator=act, T_h=100.0, dt=DT)
         with pytest.raises(ValueError, match="horizon"):
-            riccati_solve(space, ref, lam=0.5, actuator=act, T_h=13.0, dt=DT,
+            riccati_solve(ref, lam=0.5, actuator=act, T_h=13.0, dt=DT,
                           verify_horizon=True)
 
     def test_horizon_gate_equals_explicit_doubled_solve(self):
@@ -204,9 +201,9 @@ class TestRiccatiSolve:
         ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=8.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
         act = build_actuator(space, chi, M=16)
-        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=3.0,
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0,
                             dt=1.0 / 64, verify_horizon=True)
-        double = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0,
+        double = riccati_solve(ref, lam=1.0, actuator=act, T_h=6.0,
                                dt=1.0 / 64)
         num = np.linalg.norm(double.Q(0) - law.Q(0))
         den = max(np.linalg.norm(double.Q(0)), 1e-300)
@@ -225,7 +222,7 @@ class TestRiccatiSolve:
             returned.append(sweep(*args, **kwargs))
             return returned[-1]
         monkeypatch.setattr(feedback, "_sweep", spy)
-        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=3.0,
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0,
                             dt=1.0 / 64, verify_horizon=True)
         Qt, gains, double_Q0 = riccati_two_sweep(space, ref, 1.0, act, 3.0, 1.0 / 64)
         got_Q0 = returned[-1][0][1]
@@ -251,7 +248,7 @@ class TestRiccatiSolve:
         monkeypatch.setattr(dynamics, "_cn_solve", solve_spy)
         for _ in range(2):          # a second synthesis starts afresh
             solved.clear()
-            law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=1.0,
+            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=1.0,
                                 dt=DT, verify_horizon=True)
             n_T = law.n_steps
             assert solved == [((12, 12), 2 * n_T - 1), ((1, 16, 16), 2 * n_T - 1),
@@ -273,18 +270,22 @@ class TestRiccatiSolve:
         monkeypatch.setattr(feedback, "cn_step", step_spy)
         monkeypatch.setattr(dynamics, "cn_steps", stack_spy)
         monkeypatch.setattr(feedback, "cn_steps", stack_spy, raising=False)
-        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0,
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0,
                             dt=1.0 / 32, verify_horizon=True)
         n_T = law.n_steps
         assert stacks == []
         assert built == list(range(2 * n_T - 1, -1, -1))
 
     def test_law_holds_cost_operators_only(self, tg_law):
+        # beside its cost operators and times the law holds only the three
+        # (K, K) fixed parts of its step models, and no copy of alpha
         *_, law = tg_law
         assert not hasattr(law, "phi") and not hasattr(law, "gains")
+        assert law.alphas is law.reference.space.alphas
         arrays = [v for v in vars(law).values() if isinstance(v, np.ndarray)]
         assert sum(v.nbytes for v in arrays) == (
-            law.Q_packed.nbytes + law.times.nbytes + law.alphas.nbytes)
+            law.Q_packed.nbytes + law.times.nbytes + law._shift.nbytes
+            + law._diag_alpha.nbytes + law._gram.nbytes)
         assert all(v.size != law.n_steps * law.M * len(law.alphas) for v in arrays)
         assert law.n_steps == law.Q_packed.shape[0] - 1 == len(law.times) - 1
 
@@ -300,7 +301,7 @@ class TestRiccatiSolve:
             packed.append(P.copy())
             return pack(P)
         monkeypatch.setattr(feedback, "pack_symmetric", spy)
-        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0,
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0,
                             dt=1.0 / 32, verify_horizon=True)
         assert len(packed) == law.n_steps
         for m, P in zip(range(law.n_steps - 1, -1, -1), packed):
@@ -318,7 +319,7 @@ class TestRiccatiSolve:
         space, ref, act = gate_instance()
         tracemalloc.start()
         try:
-            law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=14.0,
+            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=14.0,
                                 dt=DT, verify_horizon=True)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -336,13 +337,13 @@ class TestMemoryGuard:
         monkeypatch.setattr(feedback, "cn_step",
                             lambda *a: steps.append(a) or dynamics.cn_step(*a))
         with pytest.raises(ConfigError, match=f"{need / 1e6:.1f} MB") as info:
-            riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0,
+            riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0,
                           dt=1.0 / 32, verify_horizon=True)
         for field in ("space.K", "time.T_h", "time.dt"):
             assert field in str(info.value)
         assert steps == []              # refused before the gate's tail sweep
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need)
-        law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
         assert law.Q_packed.nbytes == need
 
     def test_probe_reads_meminfo_or_physical_memory(self, monkeypatch):
@@ -376,7 +377,7 @@ class TestGainApply:
     def test_zero_mask_zero_gain(self, scalar_law):
         space, ref, _, _ = scalar_law
         act0 = build_actuator(space, zero_mask(space), M=4)
-        law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=4.0, dt=1.0 / 64)
+        law = riccati_solve(ref, lam=0.5, actuator=act0, T_h=4.0, dt=1.0 / 64)
         assert np.allclose(gain_apply(law, 1.0, np.ones(space.K)), 0.0)
 
     def test_matches_dense_composition(self, tg_law, rng):
@@ -434,7 +435,7 @@ class TestTimeAxis:
 class TestClosedLoop:
     def test_zero_initial_state(self, tg_law):
         space, ref, _, _, law = tg_law
-        tr, rep = closed_loop_linear(closed_loop_steps(space, ref, law, 0.0, 2.0),
+        tr, rep = closed_loop_linear(closed_loop_steps(law, 0.0, 2.0),
                                      np.zeros(space.K))
         assert np.allclose(tr.states, 0.0)
         assert rep["kappa_h"] == 0.0
@@ -444,10 +445,10 @@ class TestClosedLoop:
         space = build_space(nu=1.0, K=4, n=16)
         ref = zero_reference(space, horizon=10.0)
         act0 = build_actuator(space, zero_mask(space), M=4)
-        law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=8.0, dt=1.0 / 64)
+        law = riccati_solve(ref, lam=0.5, actuator=act0, T_h=8.0, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
-        tr, _ = closed_loop_linear(closed_loop_steps(space, ref, law, 0.0, 4.0), v0)
+        tr, _ = closed_loop_linear(closed_loop_steps(law, 0.0, 4.0), v0)
         w = np.exp(0.5 * tr.times)
         h2 = np.sum(tr.states**2, axis=1)
         assert np.max(w * h2) <= 1.0 + 1e-10
@@ -456,7 +457,7 @@ class TestClosedLoop:
         space, ref, _, _, law = tg_law
         for s in (0.0, 2.0):
             v0 = rng.standard_normal(space.K)
-            tr, rep = closed_loop_linear(closed_loop_steps(space, ref, law, s, 6.0), v0)
+            tr, rep = closed_loop_linear(closed_loop_steps(law, s, 6.0), v0)
             w = np.exp(law.lam * (tr.times - s))
             h2 = np.sum(tr.states**2, axis=1)
             sup = np.max(w * h2) / (v0 @ v0)
@@ -467,7 +468,7 @@ class TestClosedLoop:
     def test_window_must_fit_horizon(self, tg_law):
         space, ref, _, _, law = tg_law
         with pytest.raises(ValueError):
-            closed_loop_steps(space, ref, law, 10.0, 6.0)
+            closed_loop_steps(law, 10.0, 6.0)
 
 
 class TestOptimality:
@@ -486,8 +487,12 @@ class TestOptimality:
             assert split["rel_gap"] <= 1e-6
 
     def test_wrong_stage_weight_breaks_value(self, tg_law, rng):
-        space, _, _, _, law = tg_law
-        wrong = dataclasses.replace(law, alphas=2 * law.alphas)
+        # the stage weight diag(alpha) is the space's: carried on a space of
+        # doubled alpha, the rollout steps and prices against the wrong one
+        space, ref, _, _, law = tg_law
+        doubled = copy.copy(ref)
+        doubled.space = dataclasses.replace(space, alphas=2 * space.alphas)
+        wrong = dataclasses.replace(law, reference=doubled)
         rep = dp_check(rollout(wrong, 0.0, rng.standard_normal(space.K)), splits=[])
         assert rep["total_vs_value_rel"] > 1e-6
 
@@ -505,7 +510,7 @@ class TestOptimality:
         gaps = []
         for _ in range(3):
             w0 = rng.standard_normal(space.K)
-            rep = optimal_cost_check(ref, rollout(law, 2.0, w0))
+            rep = optimal_cost_check(rollout(law, 2.0, w0))
             assert rep["rollout_rel_gap"] <= 1e-12
             gaps.append(rep["simulated_rel_gap"])
         assert max(gaps) <= 1e-4
@@ -516,7 +521,7 @@ class TestOptimality:
         # vector solves against stored-matrix products: equal to round-off
         space, ref, _, _, law = tg_law
         w0 = rng.standard_normal(space.K)
-        got = optimal_cost_check(ref, rollout(law, s, w0))
+        got = optimal_cost_check(rollout(law, s, w0))
         want = optimal_cost_check_stored(space, ref, law, tg_phi, tg_gains, s, w0)
         assert got.keys() == want.keys()
         assert got["s"] == want["s"] and got["value"] == want["value"]
@@ -566,18 +571,18 @@ class TestOptimality:
         dp_roll, cost_roll = optimal_rollouts(late, [(0.0, v0), (1.0, v0)])
         dp = dp_check(dp_roll, splits=[late.T_h / 4, late.T_h / 2])
         assert max(split["rel_gap"] for split in dp["splits"]) > 1e-6
-        assert optimal_cost_check(ref, cost_roll)["rollout_rel_gap"] > 1e-6
+        assert optimal_cost_check(cost_roll)["rollout_rel_gap"] > 1e-6
 
     def test_scaled_cost_operators_trip_the_optimal_cost_check(self, tg_law, rng):
         space, ref, _, _, law = tg_law
         wrong = dataclasses.replace(law, Q_packed=law.Q_packed * (1 + 1e-3))
-        rep = optimal_cost_check(ref, rollout(wrong, 2.0, rng.standard_normal(space.K)))
+        rep = optimal_cost_check(rollout(wrong, 2.0, rng.standard_normal(space.K)))
         assert rep["rollout_rel_gap"] > 1e-6
         assert rep["simulated_rel_gap"] > 1e-4
 
     def test_zero_state_cost(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = optimal_cost_check(ref, rollout(law, 0.0, np.zeros(space.K)))
+        rep = optimal_cost_check(rollout(law, 0.0, np.zeros(space.K)))
         assert rep["value"] == 0.0
 
     def test_perturbed_controls_never_beat_optimum(self, tg_law, tg_phi, rng):
@@ -603,18 +608,18 @@ class TestLyapunov:
     def test_zero_state(self, tg_law):
         space, ref, _, _, law = tg_law
         rep = lyapunov_check(closed_loop_linear(
-            closed_loop_steps(space, ref, law, 0.0, 2.0), np.zeros(space.K))[0])
+            closed_loop_steps(law, 0.0, 2.0), np.zeros(space.K))[0])
         assert max(rep["phi"]) == 0.0
 
     def test_free_mode_closed_form(self):
         space = build_space(nu=1.0, K=4, n=16)
         ref = zero_reference(space, horizon=16.0)
         act0 = build_actuator(space, zero_mask(space), M=4)
-        law = riccati_solve(space, ref, lam=0.5, actuator=act0, T_h=14.0, dt=1.0 / 64)
+        law = riccati_solve(ref, lam=0.5, actuator=act0, T_h=14.0, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
         rep = lyapunov_check(closed_loop_linear(
-            closed_loop_steps(space, ref, law, 0.0, 12.0), v0)[0], samples=16)
+            closed_loop_steps(law, 0.0, 12.0), v0)[0], samples=16)
         a = space.alphas[0]
         for t, phi in zip(rep["times"], rep["phi"]):
             want = (np.exp(-2 * a * t) - np.exp(-2 * a * 12.0)) / (2 * a)
@@ -623,7 +628,7 @@ class TestLyapunov:
 
     def test_monotone_along_closed_loop(self, tg_law, rng):
         space, ref, _, _, law = tg_law
-        stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
+        stepper = closed_loop_steps(law, 0.0, 6.0)
         for _ in range(3):
             rep = lyapunov_check(closed_loop_linear(
                 stepper, rng.standard_normal(space.K))[0])
@@ -633,7 +638,7 @@ class TestLyapunov:
 class TestRiccatiResidual:
     def test_interior_residual_small(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = riccati_residual(space, ref, law, [2.0, 4.0, 6.0, 8.0])
+        rep = riccati_residual(law, [2.0, 4.0, 6.0, 8.0])
         assert rep["max_rel_residual"] <= 1e-5
 
     def test_late_reference_trips_the_residual(self, tg_law):
@@ -642,15 +647,18 @@ class TestRiccatiResidual:
         space, ref, _, _, law = tg_law
 
         class LateReference:
+            space = ref.space
+
             def bmat_at(self, t):
                 return ref.bmat_at(t + law.dt)
-        rep = riccati_residual(space, LateReference(), law, [2.0, 4.0, 6.0, 8.0])
+        late = dataclasses.replace(law, reference=LateReference())
+        rep = riccati_residual(late, [2.0, 4.0, 6.0, 8.0])
         assert rep["max_rel_residual"] > 1e-5
 
     def test_terminal_layer_large(self, tg_law):
         space, ref, _, _, law = tg_law
-        interior = riccati_residual(space, ref, law, [4.0])["max_rel_residual"]
-        layer = riccati_residual(space, ref, law, [law.T_h - 0.05])["max_rel_residual"]
+        interior = riccati_residual(law, [4.0])["max_rel_residual"]
+        layer = riccati_residual(law, [law.T_h - 0.05])["max_rel_residual"]
         assert layer > 100 * interior
 
     def test_second_order_in_dt(self):
@@ -660,8 +668,8 @@ class TestRiccatiResidual:
         res = []
         for dt in (1.0 / 32, 1.0 / 64):
             ref = taylor_green_reference(space, a0=1.0, a1=0.5, omega=1.0, horizon=9.0)
-            law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=8.0, dt=dt)
-            res.append(riccati_residual(space, ref, law, [2.0, 3.0])["max_rel_residual"])
+            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=8.0, dt=dt)
+            res.append(riccati_residual(law, [2.0, 3.0])["max_rel_residual"])
         assert res[0] / res[1] == pytest.approx(4.0, rel=0.6)
 
 
@@ -674,6 +682,6 @@ class TestContinuity:
         w = rng.standard_normal(space.K)
         jumps = []
         for dt in (1.0 / 32, 1.0 / 64):
-            law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
+            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
             jumps.append(sampled_continuity(law, w))
         assert jumps[0] / jumps[1] == pytest.approx(2.0, rel=0.25)

@@ -28,15 +28,15 @@ def loop_setup():
     ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=15.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
     act = build_actuator(space, chi, M=32)
-    law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=14.0, dt=DT)
-    stepper = closed_loop_steps(space, ref, law, 0.0, 6.0)
+    law = riccati_solve(ref, lam=1.0, actuator=act, T_h=14.0, dt=DT)
+    stepper = closed_loop_steps(law, 0.0, 6.0)
     return space, ref, law, stepper
 
 
 @pytest.fixture(scope="module")
 def short_stepper(loop_setup):
     space, ref, law, _ = loop_setup
-    return closed_loop_steps(space, ref, law, 0.0, 2.0)
+    return closed_loop_steps(law, 0.0, 2.0)
 
 
 def unit_v_direction(space, rng):
@@ -122,7 +122,7 @@ class TestSimulateClosedLoop:
     def test_quadratic_consistency_slope(self, loop_setup, rng):
         # |nonlinear - linear| in C([0,1], H) scales like |v0|_V^2
         space, ref, law, _ = loop_setup
-        st1 = closed_loop_steps(space, ref, law, 0.0, 1.0)
+        st1 = closed_loop_steps(law, 0.0, 1.0)
         d = unit_v_direction(space, rng)
         scales = np.array([0.01, 0.03, 0.1, 0.3])
         gaps = []
@@ -142,8 +142,8 @@ class TestSimulateClosedLoop:
         v0 = 0.5 * unit_v_direction(space, rng)
         ends = []
         for dt in (1.0 / 32, 1.0 / 64, 1.0 / 128):
-            law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
-            tr, _ = simulate_closed_loop(closed_loop_steps(space, ref, law, 0.0, 2.0), v0)
+            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
+            tr, _ = simulate_closed_loop(closed_loop_steps(law, 0.0, 2.0), v0)
             ends.append(tr.states[-1])
         d1 = np.linalg.norm(ends[0] - ends[1])
         d2 = np.linalg.norm(ends[1] - ends[2])
@@ -220,7 +220,7 @@ class TestSharedSteps:
     def test_linear_closed_loop_is_the_stepper_flow(self, loop_setup, rng):
         space, ref, law, stepper = loop_setup
         v0 = rng.standard_normal(space.K)
-        tr, _ = closed_loop_linear(closed_loop_steps(space, ref, law, 0.0, 6.0), v0)
+        tr, _ = closed_loop_linear(closed_loop_steps(law, 0.0, 6.0), v0)
         assert np.array_equal(tr.states, stepper.run_linear(v0).states)
 
     def test_picard_cap_raises(self, loop_setup, rng, monkeypatch):
@@ -277,7 +277,7 @@ class TestBlockStepping:
         space, ref, law, _ = loop_setup
         calls = count_bilinear_calls(monkeypatch)
         n_steps = int(round(1.0 / law.dt))
-        rep = basin_sweep(closed_loop_steps(space, ref, law, 0.0, 1.0),
+        rep = basin_sweep(closed_loop_steps(law, 0.0, 1.0),
                           scales=[0.25, 0.5, 1.0, 1.5, 2.0], directions=4, rng=rng,
                           theta_cap=4.0)
         assert len(rep["outcomes"]) * len(rep["scales"]) == 20
@@ -368,8 +368,8 @@ class TestDuhamel:
         phases = rng.uniform(0, 2 * np.pi, 3)
         c1s = []
         for dt in (1.0 / 64, 1.0 / 128):
-            law = riccati_solve(space, ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
-            st = closed_loop_steps(space, ref, law, 0.0, 4.0)
+            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=6.0, dt=dt)
+            st = closed_loop_steps(law, 0.0, 4.0)
             t_mid = dt * (np.arange(st.n_steps) + 0.5)
             fs = [np.cos(w * t_mid + p)[:, None] * d[None, :]
                   for d, w, p in zip(dirs, freqs, phases)]
@@ -382,13 +382,13 @@ class TestDuhamel:
 class TestBasinSweep:
     def test_scale_zero_decays(self, loop_setup, rng):
         space, ref, law, _ = loop_setup
-        rep = basin_sweep(closed_loop_steps(space, ref, law, 0.0, 3.0),
+        rep = basin_sweep(closed_loop_steps(law, 0.0, 3.0),
                           scales=[0.0, 1.0], directions=2, rng=rng, theta_cap=4.0)
         assert all(row[0] == "decay" for row in rep["outcomes"])
 
     def test_small_scales_all_decay(self, loop_setup, rng):
         space, ref, law, _ = loop_setup
-        rep = basin_sweep(closed_loop_steps(space, ref, law, 0.0, 3.0),
+        rep = basin_sweep(closed_loop_steps(law, 0.0, 3.0),
                           scales=[0.25, 0.5, 1.0], directions=3, rng=rng, theta_cap=4.0)
         assert rep["epsilon_hat"] >= 1.0
         assert all(o == "decay" for row in rep["outcomes"] for o in row)

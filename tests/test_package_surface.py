@@ -5,7 +5,9 @@ name of `nsstab.__all__` resolves to a top-level definition, every public
 top-level function or class of `src/nsstab` is used by the package itself,
 by another module than `__init__.py` or inside its own module, and so is
 every public method and property of its classes.  Code that only the tests
-use lives in `tests/oracles.py`.
+use lives in `tests/oracles.py`.  The feedback law carries the reference
+flow it was synthesized for, and through it the space, so nothing that
+takes the law or a rollout of it is handed either again.
 """
 
 import ast
@@ -147,3 +149,26 @@ def test_allowed_names_exist_and_carry_a_reason():
     for name, reason in ALLOWED_UNUSED.items():
         assert name in defined, name
         assert "ROADMAP item" in reason
+
+
+def test_nothing_built_on_the_law_is_handed_its_reference_again():
+    handed = []
+    for module, tree in modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                if params & {"law", "rollout"} and params & {"traj", "space"}:
+                    handed.append(f"{module}.{node.name}")
+    assert handed == []
+
+
+def test_the_law_holds_no_callable():
+    # the step models are methods of the law over its reference, not
+    # closures stored beside it
+    (law,) = [node for tree in modules().values() for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "FeedbackLaw"]
+    fields = {item.target.id: ast.unparse(item.annotation) for item in law.body
+              if isinstance(item, ast.AnnAssign)}
+    assert "Q_packed" in fields
+    assert [name for name, kind in fields.items() if "Callable" in kind] == []

@@ -30,7 +30,7 @@ def tg_search():
     space = build_space(nu=0.6, K=48, n=16, m_max=160)
     ref = taylor_green_reference(space, a0=1.8, a1=0.9, omega=1.0, horizon=7.0)
     chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
-    search = CutoffSearch(space, ref, chi, M_LIST, n_max=6, dt=DT)
+    search = CutoffSearch(ref, chi, M_LIST, n_max=6, dt=DT)
     return search, search.choose(1.0)
 
 
@@ -103,7 +103,7 @@ class TestChooseN:
         space = build_space(nu=0.6, K=8, n=16)
         ref = zero_reference(space, horizon=7.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.0, rho=0.1)
-        choice = CutoffSearch(space, ref, chi, M_list=(8, 16), n_max=2,
+        choice = CutoffSearch(ref, chi, M_list=(8, 16), n_max=2,
                               dt=1.0 / 64).choose(1.0)
         assert choice.N == 0
         assert choice.contraction <= np.exp(-0.5)
@@ -112,9 +112,20 @@ class TestChooseN:
         space = build_space(nu=0.6, K=8, n=16)
         ref = zero_reference(space, horizon=7.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.0, rho=0.1)
-        search = CutoffSearch(space, ref, chi, M_list=(8, 16, 32), n_max=1, dt=1.0 / 64)
+        search = CutoffSearch(ref, chi, M_list=(8, 16, 32), n_max=1, dt=1.0 / 64)
         with pytest.raises(ResolutionTooSmallError):
             search.choose(30.0)
+
+    def test_unobservable_mask_names_the_mask(self):
+        # a mask that sees nothing leaves no M to extrapolate: the message
+        # names the mask's radius instead of M_list
+        space = build_space(nu=0.2, K=4, n=8)
+        ref = zero_reference(space, horizon=2.0)
+        chi0 = ChiMask(values=np.zeros((space.n, space.n)), center=(0, 0),
+                       radius=0.1, rho=0.1, sup_norm=0.0)
+        search = CutoffSearch(ref, chi0, M_list=(4,), n_max=1, dt=1.0 / 32)
+        with pytest.raises(ResolutionTooSmallError, match="raise chi.radius"):
+            search.choose(1.0)
 
     def test_taylor_green_choice_pinned(self, tg_instance):
         # regression values frozen after the first computation; the search is
@@ -131,7 +142,7 @@ class TestChooseN:
         ref = zero_reference(space, horizon=2.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.0, rho=0.1)
         with pytest.raises(ValueError):
-            CutoffSearch(space, ref, chi, M_list=(8,), n_max=1).choose(0.0)
+            CutoffSearch(ref, chi, M_list=(8,), n_max=1).choose(0.0)
 
 
 def assert_matches_per_bundle(search, choice, v0):
@@ -156,7 +167,7 @@ class TestStabilize:
         space = build_space(nu=0.6, K=8, n=16)
         ref = zero_reference(space, horizon=7.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.0, rho=0.1)
-        search = CutoffSearch(space, ref, chi, M_list=(8, 16), n_max=3, dt=1.0 / 64)
+        search = CutoffSearch(ref, chi, M_list=(8, 16), n_max=3, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
         run = stabilize(search, search.choose(1.0), v0)
@@ -261,7 +272,7 @@ class TestWeightedControlNorm:
         space = build_space(nu=0.6, K=8, n=16)
         ref = zero_reference(space, horizon=7.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.0, rho=0.1)
-        search = CutoffSearch(space, ref, chi, M_list=(8,), n_max=2, dt=1.0 / 64)
+        search = CutoffSearch(ref, chi, M_list=(8,), n_max=2, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
         run = stabilize(search, search.choose(1.0), v0)
