@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
-from .dynamics import Trajectory
 from .errors import ConfigError, NsstabError, VerificationError
 from .feedback import (
     closed_loop_linear,
@@ -59,8 +58,6 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, Trajectory):
-        return {"t0": float(obj.times[0]), "t1": float(obj.times[-1])}
     raise TypeError(f"not serializable: {type(obj)}")
 
 
@@ -71,11 +68,10 @@ def write_decay(out, name, trajectory, space, kappa, lam, title):
     t = trajectory.times
     bound = np.sqrt(kappa) * np.linalg.norm(trajectory.states[0]) \
         * np.exp(-lam * (t - t[0]) / 2.0)
-    table = trajectory.norm_table(space)
-    csv_path = os.path.join(out, f"{name}.csv")
-    write_csv(csv_path, ["t", "v_h", "v_v", "bound_h"],
-              np.column_stack([table[:, :3], bound]))
-    emit_plot(csv_path, "decay", os.path.join(out, f"{name}.svg"), title=title)
+    header = ["t", "v_h", "v_v", "bound_h"]
+    table = np.column_stack([trajectory.norm_table(space)[:, :3], bound])
+    write_csv(os.path.join(out, f"{name}.csv"), header, table)
+    emit_plot("decay", (header, table.T), os.path.join(out, f"{name}.svg"), title)
     return [f"{name}.csv", f"{name}.svg"]
 
 
@@ -164,19 +160,15 @@ class Pipeline:
 def cmd_reference(p: Pipeline, out):
     ref, space = p.reference, p.space
     ts = np.linspace(0.0, min(ref.horizon, 8.0), 129)
-    rows = []
-    for t in ts:
-        u = ref.u_at(t)
-        h, v, _ = space.norms(u)
-        hh = np.linalg.norm(ref.forcing_at(t))
-        rows.append((t, h, v, hh))
-    csv_path = os.path.join(out, "reference.csv")
-    write_csv(csv_path, ["t", "u_h", "u_v", "forcing_h"], rows)
+    header = ["t", "u_h", "u_v", "forcing_h"]
+    table = np.array([(t, *space.norms(ref.u_at(t))[:2],
+                       np.linalg.norm(ref.forcing_at(t))) for t in ts])
+    write_csv(os.path.join(out, "reference.csv"), header, table)
     write_json(os.path.join(out, "reference.json"),
                {"w_norm": ref.w_norm, "horizon": ref.horizon,
                 "preset": p.cfg.reference.preset})
-    emit_plot(csv_path, "line", os.path.join(out, "reference.svg"),
-              title="reference norms")
+    emit_plot("line", (header, table.T), os.path.join(out, "reference.svg"),
+              "reference norms")
     return ["reference.csv", "reference.json", "reference.svg"]
 
 
@@ -185,15 +177,15 @@ def cmd_observability(p: Pipeline, out):
     choice = p.choice(c.control.lam)
     N = min(max(choice.N, 4), p.search.n_top)
     rep = p.search.observability_report(N)
-    payload = {"N": N, "M_list": list(rep["D_table"]),
-               "D_table": {str(m): d for m, d in rep["D_table"].items()},
+    D_table = rep["D_table"]
+    payload = {"N": N, "M_list": list(D_table),
+               "D_table": {str(m): d for m, d in D_table.items()},
                "D_inf": rep["D_inf"], "M1": rep["M1"], "C_h1l2": rep["C_h1l2"]}
     write_json(os.path.join(out, "observability.json"), payload)
-    csv_path = os.path.join(out, "dm_table.csv")
-    write_csv(csv_path, ["M", "D"],
-              [(m, d) for m, d in rep["D_table"].items() if np.isfinite(d)])
-    emit_plot(csv_path, "staircase", os.path.join(out, "dm_staircase.svg"),
-              title="truncated observability constant")
+    write_csv(os.path.join(out, "dm_table.csv"), ["M", "D"],
+              [(m, d) for m, d in D_table.items() if np.isfinite(d)])
+    emit_plot("staircase", (list(D_table), list(D_table.values())),
+              os.path.join(out, "dm_staircase.svg"), "truncated observability constant")
     return ["observability.json", "dm_table.csv", "dm_staircase.svg"]
 
 
@@ -283,11 +275,11 @@ def cmd_closed_loop(p: Pipeline, out):
     if rep["inside_gate"] and not rep["decayed"]:
         raise VerificationError("nonlinear decay violated inside the gate")
     if trajectory is not None:
-        csv_path = os.path.join(out, "closed_loop.csv")
-        write_csv(csv_path, ["t", "v_h", "v_v", "v_dl"],
-                  trajectory.norm_table(p.space))
-        emit_plot(csv_path, "decay", os.path.join(out, "closed_loop.svg"),
-                  title="nonlinear closed loop")
+        header = ["t", "v_h", "v_v", "v_dl"]
+        table = trajectory.norm_table(p.space)
+        write_csv(os.path.join(out, "closed_loop.csv"), header, table)
+        emit_plot("decay", (header, table.T), os.path.join(out, "closed_loop.svg"),
+                  "nonlinear closed loop")
         return ["closed_loop.json", "closed_loop.csv", "closed_loop.svg"]
     return ["closed_loop.json"]
 
@@ -298,10 +290,9 @@ def cmd_basin(p: Pipeline, out):
                       c.nonlinear.basin_directions, p.rng,
                       theta_cap=c.nonlinear.theta_star * 10.0)
     rep["directions"] = c.nonlinear.basin_directions
-    path = os.path.join(out, "basin.json")
-    write_json(path, rep)
-    emit_plot(path, "heatmap", os.path.join(out, "basin.svg"),
-              title="basin of attraction sweep")
+    write_json(os.path.join(out, "basin.json"), rep)
+    emit_plot("heatmap", rep, os.path.join(out, "basin.svg"),
+              "basin of attraction sweep")
     return ["basin.json", "basin.svg"]
 
 

@@ -163,8 +163,7 @@ class ExperimentConfig:
         _require(self.time.n_max <= self.reference.horizon, "time.n_max",
                  "the unit intervals [n, n + 1], n < n_max, must lie within "
                  f"reference.horizon = {self.reference.horizon}")
-        _require(2 * self.time.T_h + 1.0 <= self.reference.horizon
-                 or self.reference.preset == "zero",
+        _require(2 * self.time.T_h + 1.0 <= self.reference.horizon,
                  "reference.horizon",
                  "must cover twice the synthesis horizon plus one unit "
                  "(the doubling gate re-runs at 2*T_h)")
@@ -227,7 +226,10 @@ class ExperimentConfig:
 
     def build_space(self) -> SpectralSpace:
         s = self.space
-        return build_space(nu=s.nu, K=s.K, n=s.grid_n, m_max=s.m_max)
+        try:
+            return build_space(nu=s.nu, K=s.K, n=s.grid_n, m_max=s.m_max)
+        except ValueError as exc:     # validate() leaves only m_max to fail here
+            raise ConfigError(f"space.m_max: {exc}") from None
 
     def build_reference(self, space: SpectralSpace) -> ReferenceTrajectory:
         r = self.reference
@@ -248,5 +250,9 @@ class ExperimentConfig:
         return ReferenceTrajectory(space, shapes, r.horizon)
 
     def build_chi(self, space: SpectralSpace) -> ChiMask:
-        return ChiMask.bump(space, center=self.chi.center,
-                            radius=self.chi.radius, rho=self.chi.sharpness)
+        try:
+            return ChiMask.bump(space, center=self.chi.center,
+                                radius=self.chi.radius, rho=self.chi.sharpness)
+        except ValueError as exc:     # validate() leaves only an empty mask
+            raise ConfigError(f"chi.radius: {exc} (chi.center = "
+                              f"{list(self.chi.center)})") from None

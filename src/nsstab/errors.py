@@ -29,9 +29,5 @@ class StepSolveError(NsstabError):
     """Implicit step system could not be solved."""
 
 
-class SchemaError(NsstabError):
-    """Artifact file does not match the expected schema."""
-
-
 class VerificationError(NsstabError):
     """A run-level correctness assertion failed (exit code 4)."""

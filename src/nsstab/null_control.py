@@ -101,8 +101,6 @@ def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
     Linear in w0.  Raises UnreachableTargetError as null_coefficients does.
     """
     w0 = np.asarray(w0, float)
-    if bundle.N == 0:
-        return bundle.control_from_stacked(np.zeros(bundle.input_rows.shape[1]))
     y = (bundle.free_map @ w0)[: bundle.N]
     g = null_coefficients(bundle.gramian, bundle.gramian_pinv, y, w0,
                           bundle.actuator.M, null_tol)
@@ -160,11 +158,9 @@ def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):
         inputs = control.values @ bundle.actuator.mat.T
         return control, prop.forward(w0, inputs)[-1]
 
-    u = np.zeros(0)
-    if N:
-        u = np.linalg.solve(ridge, y0)
-        _, v_end = endpoint(u)
-        u = u + np.linalg.solve(ridge, v_end[:N] - eps * u)
+    u = np.linalg.solve(ridge, y0)
+    _, v_end = endpoint(u)
+    u = u + np.linalg.solve(ridge, v_end[:N] - eps * u)
     control, v_end = endpoint(u)
 
     q1 = np.zeros(K)

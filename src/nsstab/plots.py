@@ -1,30 +1,17 @@
 """Self-contained SVG plots for the CLI artifacts.
 
 No external renderer: the writers emit hand-built SVG with axes, ticks,
-polylines, step plots, and categorical heatmaps.  Inputs are the CSV/JSON
-artifacts the subcommands produce; a mismatched schema raises SchemaError.
+polylines, step plots, and categorical heatmaps.  Each plot is drawn from
+the same arrays the subcommand writes to its CSV or JSON artifact.
 """
 
-import csv
-import json
+import functools
 import math
-
-from .errors import SchemaError
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 20, 36, 46
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 OUTCOME_COLORS = {"decay": "#2ca02c", "no-decay": "#ff7f0e", "blowup": "#d62728"}
-
-
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        return [], []
-    header, body = rows[0], rows[1:]
-    cols = [[float(r[i]) for r in body] for i in range(len(header))]
-    return header, cols
 
 
 def _ticks(lo, hi, count=5):
@@ -115,24 +102,19 @@ class _Canvas:
             fh.write("\n".join(self.parts))
 
 
-def _empty(path, title):
+def _empty(title):
     cv = _Canvas(title + " (no data)")
     cv.axes(0.0, 1.0, 0.0, 1.0)
-    cv.write(path)
+    return cv
 
 
-def _series_plot(header, cols, out_path, title, log_y):
-    if len(header) < 2:
-        raise SchemaError(f"need a time column plus data columns, got {header}")
-    xs = cols[0]
-    if not xs:
-        _empty(out_path, title)
-        return
+def _series_plot(data, title, log_y):
+    header, cols = data
     finite_vals = [v for col in cols[1:] for v in col
                    if math.isfinite(v) and (not log_y or v > 0)]
     if not finite_vals:
-        _empty(out_path, title)
-        return
+        return _empty(title)
+    xs = cols[0]
     y_lo, y_hi = min(finite_vals), max(finite_vals)
     if log_y:
         y_lo, y_hi = math.log10(y_lo) - 0.2, math.log10(y_hi) + 0.2
@@ -142,17 +124,13 @@ def _series_plot(header, cols, out_path, title, log_y):
         dash = "4,3" if "bound" in name else None
         cv.polyline(xs, col, PALETTE[i % len(PALETTE)], label=name, index=i,
                     dash=dash)
-    cv.write(out_path)
+    return cv
 
 
-def _staircase_plot(header, cols, out_path, title):
-    if header[:2] != ["M", "D"]:
-        raise SchemaError(f"staircase expects columns (M, D), got {header}")
-    ms, ds = cols[0], cols[1]
-    pairs = [(m, d) for m, d in zip(ms, ds) if math.isfinite(d) and d > 0]
+def _staircase_plot(data, title):
+    pairs = [(m, d) for m, d in zip(*data) if math.isfinite(d) and d > 0]
     if not pairs:
-        _empty(out_path, title)
-        return
+        return _empty(title)
     xs, ys = [], []
     for i, (m, d) in enumerate(pairs):
         xs.append(m)
@@ -165,12 +143,10 @@ def _staircase_plot(header, cols, out_path, title):
     cv = _Canvas(title)
     cv.axes(min(xs), max(xs), y_lo, y_hi, log_y=True)
     cv.polyline(xs, ys, PALETTE[0], label="D(M)", index=0)
-    cv.write(out_path)
+    return cv
 
 
-def _heatmap_plot(report, out_path, title):
-    if not {"scales", "outcomes", "epsilon_hat"} <= set(report):
-        raise SchemaError("basin report must carry scales, outcomes, epsilon_hat")
+def _heatmap_plot(report, title):
     scales = report["scales"]
     outcomes = report["outcomes"]
     cv = _Canvas(title)
@@ -179,44 +155,32 @@ def _heatmap_plot(report, out_path, title):
     h = (HEIGHT - MARGIN_T - MARGIN_B) / max(len(outcomes), 1)
     for i, row in enumerate(outcomes):
         for j, outcome in enumerate(row):
-            color = OUTCOME_COLORS.get(outcome)
-            if color is None:
-                raise SchemaError(f"unknown outcome {outcome!r}")
             x0 = MARGIN_L + j * w
             y0 = HEIGHT - MARGIN_B - (i + 1) * h
-            cv.rect(x0, y0, x0 + w, y0 + h, color)
+            cv.rect(x0, y0, x0 + w, y0 + h, OUTCOME_COLORS[outcome])
     for j, s in enumerate(scales):
         cv.text(MARGIN_L + (j + 0.5) * w, HEIGHT - MARGIN_B + 18, f"{s:g}",
                 anchor="middle")
     cv.text(WIDTH - MARGIN_R, MARGIN_T - 6,
             f"epsilon_hat = {report['epsilon_hat']:g}", anchor="end", size=12)
-    cv.write(out_path)
+    return cv
 
 
-def emit_plot(src_path, kind: str, out_path, title: str | None = None):
-    """Render one artifact to a standalone SVG.
+RENDERERS = {
+    "decay": functools.partial(_series_plot, log_y=True),
+    "line": functools.partial(_series_plot, log_y=False),
+    "staircase": _staircase_plot,
+    "heatmap": _heatmap_plot,
+}
 
-    kinds: 'decay' (log-scale lines with dashed bound overlay), 'line',
-    'staircase' (D versus M), 'heatmap' (basin outcome matrix from the
-    report JSON).
+
+def emit_plot(kind: str, data, out_path, title: str):
+    """Render one artifact's data to a standalone SVG at out_path.
+
+    kinds and their data: 'decay' (log-scale lines, a column whose name
+    holds "bound" dashed) and 'line', each (header, columns) with the time
+    column first; 'staircase', (M values, D values), drawn as D versus M
+    over the finite positive D; 'heatmap', the basin report dict with its
+    scales, outcomes and epsilon_hat.
     """
-    title = title or kind
-    if kind in ("decay", "line"):
-        header, cols = _read_csv(src_path)
-        if not header:
-            _empty(out_path, title)
-            return out_path
-        _series_plot(header, cols, out_path, title, log_y=(kind == "decay"))
-    elif kind == "staircase":
-        header, cols = _read_csv(src_path)
-        if not header:
-            _empty(out_path, title)
-            return out_path
-        _staircase_plot(header, cols, out_path, title)
-    elif kind == "heatmap":
-        with open(src_path) as fh:
-            report = json.load(fh)
-        _heatmap_plot(report, out_path, title)
-    else:
-        raise SchemaError(f"unknown plot kind {kind!r}")
-    return out_path
+    RENDERERS[kind](data, title).write(out_path)

@@ -86,7 +86,6 @@ class SpectralSpace:
     betas: np.ndarray       # (m_max,) Laplacian eigenvalues |k|^2, nondecreasing
     # internal padded table (always whole cos/sin pairs) and grid operators
     K_pad: int
-    alphas_pad: np.ndarray
     mode_fields: np.ndarray     # (K_pad, 2*n*n) flattened mode grids
     lap_fields: np.ndarray      # (m_max, 2*n*n)
     deriv_x: np.ndarray         # (K_pad, K_pad) coefficient map of d/dx
@@ -197,7 +196,7 @@ def build_space(nu: float, K: int, n: int, m_max: int | None = None) -> Spectral
         deriv_x[partner, j] = sign * kx
         deriv_y[partner, j] = sign * ky
 
-    alphas_pad = np.array([nu * (kx * kx + ky * ky) for kx, ky, _ in descs])
+    alphas = np.array([nu * (kx * kx + ky * ky) for kx, ky, _ in descs[:K]])
     betas = np.array([float(kx * kx + ky * ky) for kx, ky, _, _ in lap_descs])
 
     space = SpectralSpace(
@@ -205,18 +204,17 @@ def build_space(nu: float, K: int, n: int, m_max: int | None = None) -> Spectral
         K=K,
         n=n,
         modes=tuple(descs[:K]),
-        alphas=alphas_pad[:K].copy(),
+        alphas=alphas,
         lap_modes=tuple(lap_descs),
         betas=betas,
         K_pad=K_pad,
-        alphas_pad=alphas_pad,
         mode_fields=mode_fields,
         lap_fields=lap_fields,
         deriv_x=deriv_x,
         deriv_y=deriv_y,
         quad_w=(TWO_PI / n) ** 2,
     )
-    _freeze(space.alphas, space.alphas_pad, space.mode_fields, space.lap_fields,
+    _freeze(space.alphas, space.mode_fields, space.lap_fields,
             space.deriv_x, space.deriv_y, space.betas)
     return space
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from nsstab import cli, feedback, nonlinear, observability, stabilizer
-from nsstab.cli import Pipeline, main, run, write_csv
+from nsstab.cli import Pipeline, main, run
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
-from nsstab.errors import ConfigError, SchemaError
+from nsstab.errors import ConfigError
 from nsstab.feedback import optimal_cost_check, optimal_rollouts, riccati_solve
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.plots import emit_plot
@@ -164,6 +164,27 @@ class TestRun:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert run("reference", str(tmp_path / "nope.json"), str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("subcommand, overrides, field", [
+        # a chi ball that holds no grid point
+        ("stabilize", {"chi.center": (3.3, 3.3), "chi.radius": 0.05}, "chi.radius"),
+        # more control modes than the grid resolves
+        ("reference", {"space.grid_n": 10, "space.m_max": 161,
+                       "control.M_list": (8, 16)}, "space.m_max"),
+        # the zero flow also runs the doubling gate on [0, 2 T_h]
+        ("feedback", {"reference.preset": "zero", "reference.horizon": 20.0,
+                      "time.T_h": 14.0}, "reference.horizon"),
+    ])
+    def test_config_mistake_exit_code_names_the_field(self, tmp_path, capsys,
+                                                      subcommand, overrides, field):
+        cfg = ExperimentConfig()
+        for dotted, value in overrides.items():
+            section, key = dotted.split(".")
+            setattr(getattr(cfg, section), key, value)
+        path = tmp_path / "cfg.json"
+        save_config(cfg, path)
+        assert run(subcommand, str(path), str(tmp_path / "o")) == 2
+        assert field in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, small_cfg, tmp_path):
         cfg, _ = small_cfg
@@ -645,36 +666,26 @@ class TestControlDimension:
 
 class TestPlots:
     def test_decay_plot_with_bound_overlay(self, tmp_path):
-        csv = tmp_path / "d.csv"
         t = np.linspace(0, 3, 50)
-        write_csv(csv, ["t", "v_h", "bound_h"],
-                  np.column_stack([t, np.exp(-t), 2 * np.exp(-0.8 * t)]))
-        out = emit_plot(csv, "decay", tmp_path / "d.svg")
+        emit_plot("decay", (["t", "v_h", "bound_h"],
+                            [t, np.exp(-t), 2 * np.exp(-0.8 * t)]),
+                  tmp_path / "d.svg", "decay")
         text = (tmp_path / "d.svg").read_text()
         assert text.startswith("<svg")
         assert "stroke-dasharray" in text        # the bound is dashed
         assert text.count("polyline") >= 2
 
-    def test_empty_csv_gives_empty_axes(self, tmp_path):
-        csv = tmp_path / "e.csv"
-        csv.write_text("t,v_h\n")
-        emit_plot(csv, "decay", tmp_path / "e.svg")
+    def test_empty_data_gives_empty_axes(self, tmp_path):
+        emit_plot("decay", (["t", "v_h"], [[], []]), tmp_path / "e.svg", "decay")
         assert "(no data)" in (tmp_path / "e.svg").read_text()
-
-    def test_schema_mismatch_raises(self, tmp_path):
-        csv = tmp_path / "s.csv"
-        write_csv(csv, ["a", "b"], [(1.0, 2.0)])
-        with pytest.raises(SchemaError):
-            emit_plot(csv, "staircase", tmp_path / "s.svg")
-        with pytest.raises(SchemaError):
-            emit_plot(csv, "nonsense", tmp_path / "s.svg")
+        # a D(M) table with no finite entry draws no staircase
+        emit_plot("staircase", ([8, 16], [np.inf, np.inf]), tmp_path / "s.svg", "D(M)")
+        assert "(no data)" in (tmp_path / "s.svg").read_text()
 
     def test_heatmap_from_basin_report(self, tmp_path):
         rep = {"scales": [0.5, 1.0], "epsilon_hat": 1.0,
                "outcomes": [["decay", "no-decay"], ["decay", "blowup"]]}
-        path = tmp_path / "b.json"
-        path.write_text(json.dumps(rep))
-        emit_plot(path, "heatmap", tmp_path / "b.svg")
+        emit_plot("heatmap", rep, tmp_path / "b.svg", "basin")
         text = (tmp_path / "b.svg").read_text()
         assert "epsilon_hat = 1" in text
         assert text.count("<rect") >= 4

@@ -172,3 +172,19 @@ def test_the_law_holds_no_callable():
               if isinstance(item, ast.AnnAssign)}
     assert "Q_packed" in fields
     assert [name for name, kind in fields.items() if "Callable" in kind] == []
+
+
+def test_plots_draw_from_the_arrays_in_hand():
+    # the CLI alone knows each artifact's layout: plots.py reads no file back
+    tree = modules()["plots"]
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    assert imported.isdisjoint({"csv", "json"})
+    modes = [ast.literal_eval(call.args[1]) if len(call.args) > 1 else "r"
+             for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == "open"]
+    assert modes and all("w" in mode for mode in modes)

@@ -33,3 +33,11 @@ def test_every_traced_layer_resolves():
     unresolved = {prefix for prefix, mod_name, path, _ in tracer.TARGETS
                   if tracer.find_target(mod_name, path)[1] is None}
     assert unresolved == RETIRED
+
+
+def test_every_artifact_writer_resolves():
+    # the cli.io spans and the artifact bytes come from these wrappers alone
+    tracer = load_tracer()
+    unresolved = [f"{mod_name}.{attr}" for mod_name, attr, _ in tracer.IO_TARGETS
+                  if tracer.find_target(mod_name, attr)[1] is None]
+    assert unresolved == []
