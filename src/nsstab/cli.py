@@ -218,7 +218,9 @@ def cmd_stabilize(p: Pipeline, out):
     summary.update(contraction=choice.contraction,
                    contraction_target=float(np.exp(-choice.lam / 2.0)),
                    per_interval=choice.per_interval,
-                   symbolic_threshold=choice.symbolic_threshold)
+                   symbolic_threshold=choice.symbolic_threshold,
+                   tried_cutoffs=[[N, max(p.search.measured[N][1])]
+                                  for N in range(choice.N + 1)])
     if not summary["integer_decay_ok"]:
         raise VerificationError("integer-time decay chain violated")
     write_json(os.path.join(out, "stabilize.json"), summary)

@@ -2,7 +2,7 @@
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -19,6 +19,21 @@ from .spectral import ChiMask, SpectralSpace, build_space
 def _require(cond: bool, path: str, msg: str):
     if not cond:
         raise ConfigError(f"{path}: {msg}")
+
+
+def _typed(path: str, value, default):
+    """value, read from JSON, checked against the type of its field's
+    default: an int field takes an integer, a float field any number, a
+    tuple field a list of such entries (returned as a tuple), and no bool
+    is a number."""
+    if isinstance(default, tuple):
+        _require(isinstance(value, (list, tuple)), path, f"must be a list, not {value!r}")
+        return tuple(_typed(f"{path}[{i}]", v, default[0]) for i, v in enumerate(value))
+    kinds, kind = {int: (int, "an integer"), float: ((int, float), "a number"),
+                   str: (str, "a string"), list: (list, "a list")}[type(default)]
+    _require(isinstance(value, kinds) and not isinstance(value, bool), path,
+             f"must be {kind}, not {value!r}")
+    return value
 
 
 @dataclass
@@ -90,7 +105,7 @@ class ControlConfig:
         _require(all(m >= 1 for m in self.M_list), "control.M_list",
                  "entries must be positive")
         _require(self.N_max >= 1, "control.N_max", "must be at least 1")
-        _require(self.slack >= 1.0, "control.slack", "must be at least 1")
+        _require(self.slack > 1.0, "control.slack", "must exceed 1")
 
 
 @dataclass
@@ -192,25 +207,19 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        known = {"space": SpaceConfig, "reference": ReferenceConfig,
-                 "chi": ChiConfig, "control": ControlConfig, "time": TimeConfig,
-                 "tolerances": ToleranceConfig, "nonlinear": NonlinearConfig}
-        kwargs = {}
+        cfg = ExperimentConfig()
         for key, val in d.items():
-            if key in known:
-                cls = known[key]
-                try:
-                    kwargs[key] = cls(**val)
-                except TypeError as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
-            elif key in ("seed", "output_dir"):
-                kwargs[key] = val
-            else:
-                raise ConfigError(f"{key}: unknown configuration section")
-        cfg = ExperimentConfig(**kwargs)
-        cfg.chi.center = tuple(cfg.chi.center)
-        cfg.control.M_list = tuple(cfg.control.M_list)
-        cfg.nonlinear.basin_scales = tuple(cfg.nonlinear.basin_scales)
+            _require(key in {f.name for f in fields(cfg)}, key,
+                     "unknown configuration section")
+            section = getattr(cfg, key)
+            if not is_dataclass(section):               # seed, output_dir
+                setattr(cfg, key, _typed(key, val, section))
+                continue
+            _require(isinstance(val, dict), key, f"must be an object, not {val!r}")
+            for name, value in val.items():
+                path = f"{key}.{name}"
+                _require(name in {f.name for f in fields(section)}, path, "unknown field")
+                setattr(section, name, _typed(path, value, getattr(section, name)))
         return cfg
 
     @staticmethod

@@ -147,14 +147,14 @@ def h1_l2_ratio(forms: ObservabilityForms, rtol: float = DEFAULT_PINV_RTOL) -> f
 
 def select_m1(forms: ObservabilityForms, slack: float = 2.0,
               rtol: float = DEFAULT_PINV_RTOL) -> dict:
-    """Smallest listed M with D(M) <= slack * D(inf).
+    """Smallest listed M with D(M) <= slack * D(inf), slack > 1.
 
     slack = 2 mirrors the factor the truncation proof absorbs.  When no
     listed M qualifies, extrapolates the needed M from the requirement
     beta_M >= slack * C_h1l2 using the empirical beta trend and flags it.
     """
-    if slack < 1.0:
-        raise ValueError("slack must be >= 1")
+    if not slack > 1.0:
+        raise ValueError("slack must exceed 1")
     d_inf = full_constant(forms, rtol)
     table = {M: truncated_constant(forms, M, rtol) for M in forms.M_list}
     report = {"D_inf": d_inf, "D_table": table, "slack": slack,
@@ -172,7 +172,7 @@ def select_m1(forms: ObservabilityForms, slack: float = 2.0,
     c = report["C_h1l2"]
     betas = forms.betas
     density = len(betas) / betas[-1]
-    factor = slack / max(slack - 1.0, 1e-6)
+    factor = slack / (slack - 1.0)
     report.update(M1=None, extrapolated=True,
                   M_extrapolated=int(np.ceil(density * factor * c)))
     return report

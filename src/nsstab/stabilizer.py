@@ -4,9 +4,10 @@ Applies the minimal-norm null-projection control anew on every unit
 interval, so the projection onto the leading modes vanishes at integer
 times and the complement is damped by the spectral gap.  The cutoff N is
 chosen empirically: the smallest one whose measured one-interval closed
-map contracts by e^{-lambda/2} in the H norm (the symbolic eigenvalue
-threshold is evaluated with measured constants and reported alongside it
-in stabilize.json).
+map contracts by e^{-lambda/2} in the H norm, found by trying N = 0, 1,
+2, ... in order, since that contraction is not monotone in N (the symbolic
+eigenvalue threshold is evaluated with measured constants and reported
+alongside it in stabilize.json).
 """
 
 from dataclasses import dataclass, field
@@ -57,12 +58,12 @@ class CutoffSearch:
     measurement (M1 report and per-interval closed-map norms) does not
     depend on lambda, so choosing for several rates measures each N once.
 
-    The cutoffs are searched up to n_top = min(K, N_cap).  The columns of a
-    smaller cutoff are the leading columns of a larger one, so the first
-    measurement runs one adjoint sweep per unit interval over the n_top
-    leading directions and keeps, per interval, for every listed M that some
-    cutoff selects as M1, the Gramian of those directions and their endpoint
-    responses (`tables`).  Each cutoff is then measured on leading blocks
+    The cutoffs are tried in order, N = 0, 1, ..., n_top = min(K, N_cap).
+    The columns of a smaller cutoff are the leading columns of a larger one,
+    so the first measurement runs one adjoint sweep per unit interval over
+    the n_top leading directions and keeps, per interval, for every listed M
+    that some cutoff selects as M1, the Gramian of those directions and
+    their endpoint responses (`tables`).  Each cutoff is then measured on leading blocks
     of these tables, with the M1 report that select_m1 gives on the leading
     blocks of the interval-0 observability forms (`observability_report`);
     the forms themselves are not kept, but the interval-0 stage duals they
@@ -169,40 +170,23 @@ class CutoffSearch:
         return rep, factors
 
     def choose(self, lam: float) -> CutoffChoice:
-        """Smallest cutoff with measured one-interval contraction <= e^{-lam/2}.
-
-        Doubles the candidate cutoff until the contraction test passes, then
-        binary-refines downwards.  Raises ResolutionTooSmallError when even
-        the capped truncation cannot deliver the requested rate.
+        """The first cutoff N = 0, 1, ..., n_top whose measured one-interval
+        contraction is <= e^{-lam/2}; the contraction is not monotone in N,
+        so every smaller cutoff is tried first.  Raises
+        ResolutionTooSmallError when none delivers the requested rate.
         """
         if lam <= 0:
             raise ValueError("decay rate lambda must be positive")
         space, n_top = self.space, self.n_top
         target = float(np.exp(-lam / 2.0))
-
-        def passes(N):
-            return max(self.measure(N)[1]) <= target
-
-        candidates = [0, 1]
-        while candidates[-1] < n_top:
-            candidates.append(min(2 * candidates[-1], n_top))
-        success = next((N for N in candidates if passes(N)), None)
-        if success is None:
+        for N in range(n_top + 1):
+            rep, factors = self.measure(N)
+            if max(factors) <= target:
+                break
+        else:
             raise ResolutionTooSmallError(
                 f"no cutoff up to {n_top} achieves the one-interval factor "
                 f"{target:.3e} for lambda={lam}; raise K or lower lambda")
-        lo = candidates[candidates.index(success) - 1] if success else 0
-        # smallest passing cutoff in (lo, success]; contraction treated as
-        # monotone in N, which the doubling scan already vetted at the ends
-        hi = success
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if passes(mid):
-                hi = mid
-            else:
-                lo = mid
-        N = hi if success else 0
-        rep, factors = self.measure(N)
 
         alpha_next = float(space.alphas[N]) if N < space.K else float("inf")
         symbolic = {

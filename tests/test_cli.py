@@ -174,6 +174,8 @@ class TestRun:
         # the zero flow also runs the doubling gate on [0, 2 T_h]
         ("feedback", {"reference.preset": "zero", "reference.horizon": 20.0,
                       "time.T_h": 14.0}, "reference.horizon"),
+        # the extrapolated M1 divides by slack - 1
+        ("stabilize", {"control.slack": 1.0}, "control.slack"),
     ])
     def test_config_mistake_exit_code_names_the_field(self, tmp_path, capsys,
                                                       subcommand, overrides, field):
@@ -185,6 +187,23 @@ class TestRun:
         save_config(cfg, path)
         assert run(subcommand, str(path), str(tmp_path / "o")) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("control", "M_list", 5),
+        ("chi", "center", 3),
+        ("space", "K", "24"),
+        ("time", "dt", None),
+        (None, "seed", "7"),
+        ("nonlinear", "basin_scales", [1, "x"]),
+    ])
+    def test_config_value_of_wrong_type_exit_code_names_the_field(
+            self, tmp_path, capsys, section, key, value):
+        data = json.loads(DEFAULT_CONFIG.read_text())
+        (data[section] if section else data)[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run("basin", str(path), str(tmp_path / "o")) == 2
+        assert ".".join(filter(None, (section, key))) in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, small_cfg, tmp_path):
         cfg, _ = small_cfg
@@ -315,6 +334,24 @@ class TestRun:
         # the null control leaves at most null_tol * |v0| of the leading modes,
         # and |v0| of a standard normal K = 12 vector is a few units
         assert 0.0 <= rep["projection_defect_max"] < 1e-7
+
+    @pytest.mark.parametrize("lam, N, M1", [(1.5, 18, 64), (2.7, 28, 96)])
+    def test_stabilize_picks_the_smallest_passing_cutoff(self, tmp_path, lam, N, M1):
+        # the interval instance: its contraction is not monotone in N (0.752
+        # at N = 16, 0.430 at 18, 0.258 at 28, 0.266 at 32), so a doubling
+        # scan with bisection picks N = 26 at lambda = 1.5 and none at 2.7
+        cfg = ExperimentConfig.load(DEFAULT_CONFIG)
+        cfg.space.K, cfg.time.n_max, cfg.control.lam = 48, 12, lam
+        path = tmp_path / "interval.json"
+        save_config(cfg.validate(), path)
+        assert run("stabilize", str(path), str(tmp_path / "o")) == 0
+        rep = json.loads((tmp_path / "o" / "stabilize.json").read_text())
+        assert (rep["N"], rep["M1"]) == (N, M1)
+        assert rep["contraction"] <= rep["contraction_target"]
+        tried = rep["tried_cutoffs"]
+        assert [n for n, _ in tried] == list(range(N + 1))
+        assert all(f > rep["contraction_target"] for _, f in tried[:-1])
+        assert tried[-1][1] == rep["contraction"]
 
     def test_main_entrypoint(self, small_cfg, tmp_path):
         _, path = small_cfg
@@ -642,11 +679,12 @@ class TestControlDimension:
         assert code == 2
         assert "space.m_max" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("m_max", [160, 98])
+    @pytest.mark.parametrize("m_max", [160, 86])
     def test_unobserved_cutoff_names_the_extrapolated_m1(self, tmp_path, capsys,
                                                          m_max):
-        # no M of (8, 16) observes the first 8 modes; select_m1 extrapolates
-        # M1 = 99, and past space.m_max the table must grow to hold it
+        # cutoffs are tried in order, and N = 5 is the first that no M of
+        # (8, 16) observes; select_m1 extrapolates M1 = 87, and past
+        # space.m_max the table must grow to hold it
         cfg = ExperimentConfig.load(DEFAULT_CONFIG)
         cfg.control.M_list = (8, 16)
         cfg.space.m_max = m_max
@@ -655,8 +693,8 @@ class TestControlDimension:
         code = main(["stabilize", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 3
-        assert "first 8 modes" in err and "M1 = 99 to control.M_list" in err
-        assert ("raise space.m_max from 98 to 99" in err) == (m_max == 98)
+        assert "first 5 modes" in err and "M1 = 87 to control.M_list" in err
+        assert ("raise space.m_max from 86 to 87" in err) == (m_max == 86)
 
     def test_selected_m1_is_not_a_fallback(self):
         cfg = ExperimentConfig.load(DEFAULT_CONFIG)

@@ -175,13 +175,17 @@ class TestSelectM1:
         assert all(m is not None for m in m1s)   # recorded, not asserted monotone
 
     def test_extrapolation_path_when_nothing_qualifies(self, obs_setup):
+        # D(32) = 92.9 exceeds 1.5 D(inf) = 70.9, and smaller M do worse
         _, _, _, forms = obs_setup
-        rep = select_m1(forms, slack=1.0)
-        if rep["M1"] is None:
-            assert rep["extrapolated"]
-            assert rep["M_extrapolated"] > max(forms.M_list)
+        rep = select_m1(forms, slack=1.5)
+        assert rep["M1"] is None and rep["extrapolated"]
+        density = len(forms.betas) / forms.betas[-1]
+        factor = 1.5 / (1.5 - 1.0)
+        assert rep["M_extrapolated"] == int(np.ceil(density * factor * rep["C_h1l2"]))
+        assert rep["M_extrapolated"] > max(forms.M_list)
 
     def test_rejects_bad_slack(self, obs_setup):
         _, _, _, forms = obs_setup
-        with pytest.raises(ValueError):
-            select_m1(forms, slack=0.5)
+        for slack in (0.5, 1.0):
+            with pytest.raises(ValueError, match="slack must exceed 1"):
+                select_m1(forms, slack=slack)

@@ -17,7 +17,7 @@ SRC = Path(__file__).parent.parent / "src" / "nsstab"
 
 # public definitions no run uses yet, each with the reason it stays
 ALLOWED_UNUSED = {
-    "regularity_diagnostics": "ROADMAP item 3: the smoothing constants of the "
+    "regularity_diagnostics": "ROADMAP item 2: the smoothing constants of the "
                               "linearized flow, to be reported by the runs",
 }
 

@@ -137,6 +137,37 @@ class TestChooseN:
         assert len(choice.per_interval) == 6
         assert set(choice.symbolic_threshold) == {"alpha_next", "e_lambda", "C_chi_prime"}
 
+    # one-interval factors per cutoff N = 0..8 against the target e^{-1/2}
+    # = 0.607 at lambda = 1; a doubling scan (N = 0, 1, 2, 4, 8) with a
+    # bisection returns 8 on the first table and raises on the second
+    @pytest.mark.parametrize("factors, want", [
+        ([0.9, 0.9, 0.9, 0.5, 0.9, 0.9, 0.9, 0.9, 0.5], 3),
+        ([0.9, 0.9, 0.9, 0.5, 0.9, 0.9, 0.9, 0.9, 0.9], 3),
+        ([0.9, 0.9, 0.7, 0.6, 0.5, 0.4, 0.9, 0.3, 0.2], 3),
+        ([0.5, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9, 0.9], 0),
+        ([0.9] * 9, None),
+    ])
+    def test_cutoffs_tried_in_order(self, monkeypatch, factors, want):
+        space = build_space(nu=0.6, K=8, n=16)
+        ref = zero_reference(space, horizon=2.0)
+        chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.0, rho=0.1)
+        search = CutoffSearch(ref, chi, M_list=(8,), n_max=1, dt=1.0 / 64)
+        tried = []
+
+        def measure(self, N):
+            tried.append(N)
+            return None, [factors[N]]
+
+        monkeypatch.setattr(CutoffSearch, "measure", measure)
+        if want is None:
+            with pytest.raises(ResolutionTooSmallError, match="no cutoff up to 8"):
+                search.choose(1.0)
+            assert tried == list(range(9))
+        else:
+            choice = search.choose(1.0)
+            assert (choice.N, choice.contraction) == (want, factors[want])
+            assert tried == list(range(want + 1))
+
     def test_rejects_nonpositive_lambda(self):
         space = build_space(nu=0.6, K=4, n=16)
         ref = zero_reference(space, horizon=2.0)
