@@ -198,7 +198,7 @@ def cmd_null_control(p: Pipeline, out):
     w0 = p.rng.standard_normal(p.space.K)
     control = min_norm_control(bundle, w0, c.tolerances.null_tol)
     kkt = [kkt_identity_check(bundle, w0, eps) for eps in (1e-2, 1e-4, 1e-6)]
-    study = epsilon_limit_study(bundle, w0, np.logspace(-2, -8, 7))
+    study = epsilon_limit_study(bundle, w0, np.logspace(-2, -8, 7), control)
     write_json(os.path.join(out, "null_control.json"),
                {"N": N, "M": M, "M_fallback": M_fallback, "kkt_checks": kkt,
                 "epsilon_study": study,

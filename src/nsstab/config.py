@@ -70,11 +70,17 @@ class ReferenceConfig:
             _require(len(self.modes) > 0, "reference.modes",
                      "explicit preset needs at least one mode")
             for i, m in enumerate(self.modes):
-                _require(set(m) >= {"k", "phase", "weight", "a0"},
-                         f"reference.modes[{i}]",
-                         "needs k, phase, weight, a0 fields")
-                _require(m["phase"] in ("cos", "sin"),
-                         f"reference.modes[{i}].phase", "must be cos or sin")
+                path = f"reference.modes[{i}]"
+                _require(isinstance(m, dict) and set(m) >= {"k", "phase", "weight", "a0"},
+                         path, "needs k, phase, weight, a0 fields")
+                _require(m["phase"] in ("cos", "sin"), f"{path}.phase",
+                         "must be cos or sin")
+                _require(len(_typed(f"{path}.k", m["k"], (0,))) == 2, f"{path}.k",
+                         "must be a list of two integers")
+                for name in ("weight", "a0", "a1", "omega"):
+                    if name in m:
+                        _require(np.isfinite(_typed(f"{path}.{name}", m[name], 0.0)),
+                                 f"{path}.{name}", "must be finite")
 
 
 @dataclass
@@ -207,6 +213,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        _require(isinstance(d, dict), "top level", f"must be an object, not {d!r}")
         cfg = ExperimentConfig()
         for key, val in d.items():
             _require(key in {f.name for f in fields(cfg)}, key,

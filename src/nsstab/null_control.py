@@ -47,51 +47,41 @@ class ControlSignal:
 
 @dataclass
 class ReachabilityBundle:
-    """Endpoint maps of one interval: free flow, input map, projected Gramian.
+    """One interval seen at cutoff N: the stage duals S_m (K, N) of the
+    adjoint block sweep of the first N unit directions, the projected
+    Gramian and its pseudoinverse (pinv_psd).
 
-    input_rows holds sqrt(dt)-scaled rows of the projected input-to-state
-    map, so gramian = input_rows @ input_rows.T and squared coefficient
-    norms equal L2-in-time control norms exactly.  Its controls use the
-    Gramian's pseudoinverse and rank at the bundle's one cutoff (pinv_psd).
+    The control of Gramian coefficients g is eta_m = (actuator^T S_m) g;
+    its projected endpoint from rest is gramian @ g and its squared L2
+    norm is g . gramian g, in exact discrete algebra.
     """
 
     actuator: Actuator
     propagator: Propagator
-    tau: float
-    N: int
-    free_map: np.ndarray        # (K, K) endpoint map of the uncontrolled flow
-    input_rows: np.ndarray      # (N, n_steps * M)
+    stages: np.ndarray          # (n_steps, K, N)
     gramian: np.ndarray         # (N, N) symmetric PSD
     gramian_pinv: np.ndarray    # (N, N)
-    gramian_rank: int
 
     @property
-    def n_steps(self) -> int:
-        return self.propagator.n_steps
+    def N(self) -> int:
+        return self.stages.shape[-1]
 
-    def control_from_stacked(self, psi: np.ndarray) -> ControlSignal:
-        vals = psi.reshape(self.n_steps, self.actuator.M) / np.sqrt(self.propagator.dt)
-        return ControlSignal(tau=self.tau, dt=self.propagator.dt, values=vals)
+    def control(self, g: np.ndarray) -> ControlSignal:
+        values = (self.actuator.mat.T @ self.stages) @ g
+        return ControlSignal(tau=self.propagator.tau, dt=self.propagator.dt, values=values)
 
 
 def build_reachability(actuator: Actuator, stages: np.ndarray,
                        propagator: Propagator,
                        pinv_rtol: float = DEFAULT_PINV_RTOL) -> ReachabilityBundle:
-    """Assemble the endpoint maps of the propagator's interval from the stage
-    duals of its adjoint block sweep of the first N unit directions (stages
-    of shape (n_steps, K, N)), the array the run's cutoff search keeps of
-    interval 0."""
-    n_steps, M, N = propagator.n_steps, actuator.M, stages.shape[-1]
-    rows = np.zeros((N, n_steps * M))
-    sq = np.sqrt(propagator.dt)
-    for m in range(n_steps):
-        rows[:, m * M:(m + 1) * M] = sq * (actuator.mat.T @ stages[m]).T
-    gram = rows @ rows.T
-    gram_pinv, rank = pinv_psd(gram, pinv_rtol)
-    return ReachabilityBundle(actuator=actuator, propagator=propagator,
-                              tau=propagator.tau, N=N, free_map=propagator.total,
-                              input_rows=rows, gramian=gram, gramian_pinv=gram_pinv,
-                              gramian_rank=rank)
+    """The propagator's bundle on the stage duals (n_steps, K, N) of its
+    adjoint block sweep of the first N unit directions, kept as given (the
+    run's cutoff search hands it a view of its interval-0 sweep), with the
+    Gramian dt * sum_m (actuator^T S_m)^T (actuator^T S_m)."""
+    gains = (actuator.mat.T @ stages).reshape(-1, stages.shape[-1])
+    gram = propagator.dt * (gains.T @ gains)
+    return ReachabilityBundle(actuator=actuator, propagator=propagator, stages=stages,
+                              gramian=gram, gramian_pinv=pinv_psd(gram, pinv_rtol)[0])
 
 
 def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
@@ -101,10 +91,10 @@ def min_norm_control(bundle: ReachabilityBundle, w0: np.ndarray,
     Linear in w0.  Raises UnreachableTargetError as null_coefficients does.
     """
     w0 = np.asarray(w0, float)
-    y = (bundle.free_map @ w0)[: bundle.N]
+    y = (bundle.propagator.total @ w0)[: bundle.N]
     g = null_coefficients(bundle.gramian, bundle.gramian_pinv, y, w0,
                           bundle.actuator.M, null_tol)
-    return bundle.control_from_stacked(bundle.input_rows.T @ g)
+    return bundle.control(g)
 
 
 def null_coefficients(gramian: np.ndarray, gramian_pinv: np.ndarray, y: np.ndarray,
@@ -114,7 +104,7 @@ def null_coefficients(gramian: np.ndarray, gramian_pinv: np.ndarray, y: np.ndarr
     cancels the free endpoint's projection y = (A w0)[:N], given G and its
     pseudoinverse G^+ = pinv_psd(G).
 
-    The control is the input map's transpose applied to g.  Raises
+    The control is ReachabilityBundle.control(g).  Raises
     UnreachableTargetError when y has mass outside the Gramian range beyond
     null_tol * |w0|, which signals that the control dimension M is too
     small for this N.
@@ -148,13 +138,12 @@ def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):
     if eps <= 0:
         raise ValueError("ridge parameter must be positive")
     w0 = np.asarray(w0, float)
-    N, K = bundle.N, bundle.free_map.shape[0]
-    prop = bundle.propagator
-    y0 = (bundle.free_map @ w0)[:N]
+    N, prop = bundle.N, bundle.propagator
+    y0 = (prop.total @ w0)[:N]
     ridge = bundle.gramian + eps * np.eye(N)
 
     def endpoint(u):
-        control = bundle.control_from_stacked(-(bundle.input_rows.T @ u))
+        control = bundle.control(-u)
         inputs = control.values @ bundle.actuator.mat.T
         return control, prop.forward(w0, inputs)[-1]
 
@@ -163,7 +152,7 @@ def regularized_control(bundle: ReachabilityBundle, w0: np.ndarray, eps: float):
     u = u + np.linalg.solve(ridge, v_end[:N] - eps * u)
     control, v_end = endpoint(u)
 
-    q1 = np.zeros(K)
+    q1 = np.zeros_like(w0)
     q1[:N] = -(2.0 / eps) * v_end[:N]
     nodes, stages = prop.adjoint_block(q1)
     q_traj = Trajectory(times=prop.times, states=nodes)
@@ -195,23 +184,23 @@ def kkt_identity_check(bundle: ReachabilityBundle, w0: np.ndarray, eps: float) -
     }
 
 
-def epsilon_limit_study(bundle: ReachabilityBundle, w0: np.ndarray, eps_grid) -> dict:
+def epsilon_limit_study(bundle: ReachabilityBundle, w0: np.ndarray, eps_grid,
+                        eta_star: ControlSignal) -> dict:
     """Track the ridge solutions along a decreasing eps grid.
 
-    Reports the gap to the exact minimal-norm control, the projected
-    endpoint defect, and the log-log slope of the defect (the worst-case
-    rate is sqrt(eps); broad Gramian spectra realise it).
+    Reports the gap to eta_star, the exact minimal-norm control of w0
+    (min_norm_control), the projected endpoint defect, and the log-log
+    slope of the defect (the worst-case rate is sqrt(eps); broad Gramian
+    spectra realise it).
     """
     eps_grid = np.asarray(sorted(eps_grid, reverse=True), float)
-    eta_star = min_norm_control(bundle, w0)
     gaps, defects = [], []
     for eps in eps_grid:
         control, v_end, _, _ = regularized_control(bundle, w0, eps)
         diff = control.values - eta_star.values
         gaps.append(np.sqrt(bundle.propagator.dt * np.sum(diff**2)))
         defects.append(np.linalg.norm(v_end[: bundle.N]))
-    defects = np.array(defects)
-    gaps = np.array(gaps)
+    defects, gaps = np.array(defects), np.array(gaps)
     slope = float("nan")
     positive = defects > 0
     if positive.sum() >= 2:

@@ -28,13 +28,13 @@ from .quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from .spectral import Actuator, ChiMask, build_actuator
 
 
-def null_closed_map(free_map: np.ndarray, endpoints: np.ndarray,
+def null_closed_map(total: np.ndarray, endpoints: np.ndarray,
                     gramian_pinv: np.ndarray) -> np.ndarray:
-    """A - E G^+ A[:N]: the free endpoint map A corrected by the minimal-norm
-    null control, given the endpoint responses E (K, N) to the N
-    leading-direction controls and the pseudoinverse G^+ (N, N) of their
-    Gramian."""
-    return free_map - endpoints @ (gramian_pinv @ free_map[: gramian_pinv.shape[0]])
+    """A - E G^+ A[:N]: the free endpoint map A = total (Propagator.total)
+    corrected by the minimal-norm null control, given the endpoint
+    responses E (K, N) to the N leading-direction controls and the
+    pseudoinverse G^+ (N, N) of their Gramian."""
+    return total - endpoints @ (gramian_pinv @ total[: gramian_pinv.shape[0]])
 
 
 @dataclass
@@ -44,7 +44,6 @@ class CutoffChoice:
     lam: float                      # the decay rate the cutoff was chosen for
     contraction: float              # max one-interval factor over the horizon
     per_interval: list
-    observability: dict | None
     symbolic_threshold: dict = field(default_factory=dict)
 
 
@@ -114,8 +113,8 @@ class CutoffSearch:
 
     def reachability(self, N: int, M: int) -> ReachabilityBundle:
         """Interval 0's reachability bundle on the first N directions,
-        1 <= N <= n_top, with the actuator of M, from the leading N columns
-        of the sweep's interval-0 stage duals."""
+        1 <= N <= n_top, with the actuator of M: a view of the leading N
+        columns of the sweep's interval-0 stage duals."""
         self._swept(N)
         return build_reachability(self.actuator(M), self._stages0[..., :N],
                                   self.propagators[0], self.pinv_rtol)
@@ -197,7 +196,7 @@ class CutoffSearch:
         }
         return CutoffChoice(N=N, M1=(rep["M1"] if rep else None), lam=lam,
                             contraction=max(factors), per_interval=factors,
-                            observability=rep, symbolic_threshold=symbolic)
+                            symbolic_threshold=symbolic)
 
 
 @dataclass

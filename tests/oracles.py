@@ -8,7 +8,8 @@ earlier forms of package routines, kept as they were:
 bundle, and `closed_interval_map_loop`, its one-column-at-a-time form;
 `cutoff_measure_per_n`, the cutoff measurement that builds everything
 afresh for each N; `stabilize_per_bundle`, the interval concatenation that
-builds a reachability bundle per interval and applies its input rows; the two-matrix Crank-Nicolson step model
+builds a reachability bundle per interval and applies its minimal-norm
+control; the two-matrix Crank-Nicolson step model
 (`cn_steps_two_matrix` and the sweeps over its stacks), which stores
 (I + h/2 F)^{-1} beside phi and applies both;
 `optimal_cost_check_stored`, the optimal-cost check over stored stacks;
@@ -24,7 +25,8 @@ that use them: the generic equality-constrained solver
 KKT residual and linearity probe; the grid-quadrature forms of the control
 basis (`analyze_laplacian`, `synthesize_laplacian`, `grid_inner`,
 `apply_chi_pm`); the linearization applied by two advection calls
-(`linearized_apply`); the feedback forcing `gain_apply` and the
+(`linearized_apply`); the stacked input map of one interval, formed
+forward (`stacked_input_map`); the feedback forcing `gain_apply` and the
 weak-continuity probe `sampled_continuity`; and the discrete
 variation-of-constants identity `duhamel_bound_check`.  `forms_on`,
 `bundle_on` and `bundle_of` build the interval forms and reachability
@@ -161,31 +163,43 @@ def smoothing_ratio_l2(alpha, n_quad=20000):
 
 def closed_interval_map(bundle, pinv_rtol=DEFAULT_PINV_RTOL):
     """Dense endpoint map w0 -> v(tau+1) under the minimal-norm null control
-    of one reachability bundle: all N leading-direction controls (the rows
-    of input_rows) drive one block forward from rest."""
-    A, N = bundle.free_map, bundle.N
+    of one reachability bundle: all N leading-direction controls (the
+    actuator images of the bundle's stage duals) drive one block forward
+    from rest."""
+    A, N = bundle.propagator.total, bundle.N
     if N == 0:
         return A
-    prop, act = bundle.propagator, bundle.actuator
-    values = bundle.input_rows.reshape(N, prop.n_steps, act.M) / np.sqrt(prop.dt)
-    inputs = act.mat @ values.transpose(1, 2, 0)         # (n_steps, K, N)
-    E = prop.forward(np.zeros((A.shape[0], N)), inputs)[-1]
+    act = bundle.actuator
+    inputs = act.mat @ (act.mat.T @ bundle.stages)       # (n_steps, K, N)
+    E = bundle.propagator.forward(np.zeros((A.shape[0], N)), inputs)[-1]
     return null_closed_map(A, E, pinv_psd(bundle.gramian, pinv_rtol)[0])
 
 
 def closed_interval_map_loop(bundle, pinv_rtol):
     """Closed one-interval map with one single-vector forward pass per
     leading direction (the reference for the block forward)."""
-    A = bundle.free_map
+    A = bundle.propagator.total
     if bundle.N == 0:
         return A
     Gp, _ = pinv_psd(bundle.gramian, pinv_rtol)
     E = np.empty((A.shape[0], bundle.N))
+    mat = bundle.actuator.mat
     for a in range(bundle.N):
-        control = bundle.control_from_stacked(bundle.input_rows[a])
-        inputs = control.values @ bundle.actuator.mat.T
+        inputs = (bundle.stages[:, :, a] @ mat) @ mat.T
         E[:, a] = bundle.propagator.forward(np.zeros(A.shape[0]), inputs)[-1]
     return A - E @ (Gp @ A[: bundle.N])
+
+
+def stacked_input_map(bundle):
+    """(N, n_steps * M) map from the step-major stacked control coefficients
+    to the projected endpoint from rest: one block forward pass of every
+    unit (step, mode) control, sharing no stage dual with the bundle."""
+    prop, mat = bundle.propagator, bundle.actuator.mat
+    n_steps, (K, M) = prop.n_steps, mat.shape
+    inputs = np.zeros((n_steps, K, n_steps * M))
+    for m in range(n_steps):
+        inputs[m, :, m * M:(m + 1) * M] = mat
+    return prop.forward(np.zeros((K, n_steps * M)), inputs)[-1][: bundle.N]
 
 
 def cutoff_measure_per_n(search, N):
@@ -207,7 +221,7 @@ def cutoff_measure_per_n(search, N):
 def stabilize_per_bundle(search, choice, v0):
     """(states (n_int * n_steps + 1, K), per-interval control values) of the
     interval concatenation at choice, with a reachability bundle built on
-    every interval of the search and the control taken from its input rows
+    every interval of the search and the control taken from its stage duals
     (the reference for the search-read stabilize)."""
     space, N = search.space, choice.N
     act = build_actuator(space, search.chi, choice.M1) if N else None

@@ -43,6 +43,7 @@ from oracles import (
     heat_decay_R,
     scalar_are_root,
     solve_constrained_min,
+    stacked_input_map,
     uniform_mask,
 )
 
@@ -146,17 +147,18 @@ def test_criterion_04_null_projection(stab_instance, rng):
         end = bundle.propagator.forward(w0, eta.values @ act.mat.T)[-1]
         worst = max(worst, np.linalg.norm(end[:N]) / np.linalg.norm(w0))
 
-    # oracle agreement at K = 16: generic QP on the stacked decision vector
+    # oracle agreement at K = 16: generic QP on the stacked decision vector,
+    # its endpoint map formed forward from every unit control
     space16 = build_space(nu=0.2, K=16, n=16)
     ref16 = taylor_green_reference(space16, a0=0.8, a1=0.4, omega=1.0, horizon=2.0)
     chi16 = ChiMask.bump(space16, center=(np.pi, np.pi), radius=2.4, rho=0.1)
     act16 = build_actuator(space16, chi16, M=8)
     b16 = bundle_on(space16, ref16, 0.0, act16, N=4, dt=1.0 / 64)
     w0 = rng.standard_normal(space16.K)
+    B16 = stacked_input_map(b16)
     x, _ = solve_constrained_min(QuadraticProgram(
-        np.eye(b16.input_rows.shape[1]), b16.input_rows,
-        -(b16.free_map @ w0)[:4]))
-    want = b16.control_from_stacked(x).values
+        np.eye(B16.shape[1]), B16, -(b16.propagator.total @ w0)[:4]))
+    want = x.reshape(b16.propagator.n_steps, act16.M)
     got = min_norm_control(b16, w0).values
     qp_gap = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
     report(4, worst <= 1e-8 and qp_gap <= 1e-9,

@@ -205,6 +205,30 @@ class TestRun:
         assert run("basin", str(path), str(tmp_path / "o")) == 2
         assert ".".join(filter(None, (section, key))) in capsys.readouterr().err
 
+    def test_config_not_an_object_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[]")
+        assert run("reference", str(bad), str(tmp_path / "o")) == 2
+        assert "top level: must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", [0, 1.5]),
+        ("weight", "x"),
+        ("a0", None),
+        ("a1", [0.1]),
+        ("omega", True),
+    ])
+    def test_reference_mode_of_wrong_type_exit_code_names_the_field(
+            self, tmp_path, capsys, key, value):
+        data = json.loads(DEFAULT_CONFIG.read_text())
+        mode = {"k": [0, 1], "phase": "sin", "weight": 2.0, "a0": 0.5, "a1": 0.1,
+                "omega": 1.0}
+        data["reference"].update(preset="modes", modes=[dict(mode, **{key: value})])
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run("reference", str(path), str(tmp_path / "o")) == 2
+        assert f"reference.modes[0].{key}" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, small_cfg, tmp_path):
         cfg, _ = small_cfg
         cfg.control.lam = 25.0        # unreachable decay rate at this K
@@ -492,14 +516,24 @@ class TestSharedIntervalWork:
             got = search.reachability(N, M)
             want = bundle_on(p.space, p.reference, 0.0, build_actuator(p.space, p.chi, M),
                              N, cfg.time.dt, cfg.tolerances.pinv_rtol)
-            assert (got.N, got.actuator.M, got.gramian_rank) == (N, M, want.gramian_rank)
-            for name in ("input_rows", "gramian"):
+            rtol = cfg.tolerances.pinv_rtol
+            assert (got.N, got.actuator.M) == (N, M)
+            assert pinv_psd(got.gramian, rtol)[1] == pinv_psd(want.gramian, rtol)[1]
+            for name in ("stages", "gramian"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b)), name
         assert search.reachability(choice.N, choice.M1).actuator \
             is search.actuator(choice.M1)
         with pytest.raises(ValueError, match="outside"):
             search.reachability(search.n_top + 1, choice.M1)
+
+    def test_search_reachability_is_a_view_of_the_sweep(self, controlled_cfg):
+        cfg, _ = controlled_cfg
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        choice = p.choice(cfg.control.lam)
+        bundle = p.search.reachability(choice.N, choice.M1)
+        assert bundle.N == choice.N
+        assert np.shares_memory(bundle.stages, p.search._stages0)
 
     def test_stabilize_builds_no_reachability_bundle(self, controlled_cfg, tmp_path,
                                                      monkeypatch):

@@ -15,6 +15,7 @@ from nsstab.null_control import (
     regularized_control,
 )
 from nsstab.observability import truncated_constant
+from nsstab.quadmin import DEFAULT_PINV_RTOL, pinv_psd
 from nsstab.spectral import ChiMask, build_actuator, build_space
 
 from oracles import (
@@ -22,6 +23,7 @@ from oracles import (
     bundle_on,
     forms_on,
     solve_constrained_min,
+    stacked_input_map,
     uniform_mask,
 )
 
@@ -47,7 +49,7 @@ class TestBuildReachability:
         act0 = build_actuator(space, chi0, M=8)
         b = bundle_on(space, ref, 0.0, act0, N=4, dt=DT)
         assert np.allclose(b.gramian, 0.0)
-        assert b.gramian_rank == 0
+        assert pinv_psd(b.gramian, DEFAULT_PINV_RTOL)[1] == 0
 
     def test_single_mode_single_step_closed_form(self):
         # one step over the interval: G = dt * (e^{-alpha * dt * 0 ... }) --
@@ -67,21 +69,22 @@ class TestBuildReachability:
     def test_superposition_of_endpoint_maps(self, tg_setup, rng):
         space, ref, act, bundle = tg_setup
         w0 = rng.standard_normal(space.K)
-        eta = rng.standard_normal((bundle.n_steps, act.M))
+        eta = rng.standard_normal((bundle.propagator.n_steps, act.M))
         inputs = eta @ act.mat.T
         full = bundle.propagator.forward(w0, inputs)
-        free_end = bundle.free_map @ w0
+        free_end = bundle.propagator.total @ w0
         ctrl = bundle.propagator.forward(np.zeros(space.K), inputs)
         assert np.allclose(full[-1], free_end + ctrl[-1], atol=1e-12)
 
-    def test_input_rows_match_forward_columns(self, tg_setup, rng):
-        # adjoint-swept rows must equal the forward-propagated input map
+    def test_control_reaches_its_gramian_endpoint(self, tg_setup, rng):
+        # duality: the control formed from the adjoint stage duals, driven
+        # forward from rest, reaches the projected endpoint G g
         space, ref, act, bundle = tg_setup
-        psi = rng.standard_normal(bundle.input_rows.shape[1])
-        control = bundle.control_from_stacked(psi)
+        g = rng.standard_normal(bundle.N)
+        control = bundle.control(g)
         end = bundle.propagator.forward(np.zeros(space.K), control.values @ act.mat.T)[-1]
-        want = end[: bundle.N]
-        got = bundle.input_rows @ psi
+        got = end[: bundle.N]
+        want = bundle.gramian @ g
         assert np.allclose(got, want, atol=1e-12 * max(1.0, np.abs(want).max()))
 
 
@@ -109,16 +112,15 @@ class TestMinNorm:
         assert np.max(np.abs(combo - split)) <= 1e-9 * max(1e-300, np.max(np.abs(split)))
 
     def test_matches_generic_qp_oracle(self, tg_setup, rng):
-        # stack the decision vector (all step controls) and solve with the
-        # generic equality-constrained solver
+        # stack the decision vector (all step controls), take its endpoint
+        # map from a forward pass of every unit control, and solve with the
+        # generic equality-constrained solver (|x|^2 is the L2 norm / dt)
         space, ref, act, bundle = tg_setup
         w0 = rng.standard_normal(space.K)
-        n_dec = bundle.input_rows.shape[1]
-        J = bundle.propagator.dt * np.eye(n_dec) / bundle.propagator.dt  # identity: psi scaling
-        A = bundle.input_rows
-        y = -(bundle.free_map @ w0)[: bundle.N]
-        x, _ = solve_constrained_min(QuadraticProgram(J, A, y))
-        want = bundle.control_from_stacked(x).values
+        A = stacked_input_map(bundle)
+        y = -(bundle.propagator.total @ w0)[: bundle.N]
+        x, _ = solve_constrained_min(QuadraticProgram(np.eye(A.shape[1]), A, y))
+        want = x.reshape(bundle.propagator.n_steps, act.M)
         got = min_norm_control(bundle, w0).values
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
@@ -151,7 +153,7 @@ class TestRegularized:
         w0 = rng.standard_normal(space.K)
         control, v_end, _, _ = regularized_control(bundle, w0, eps=1e12)
         assert np.max(np.abs(control.values)) < 1e-9
-        assert np.allclose(v_end, bundle.free_map @ w0, atol=1e-9)
+        assert np.allclose(v_end, bundle.propagator.total @ w0, atol=1e-9)
 
     def test_zero_state(self, tg_setup):
         space, _, _, bundle = tg_setup
@@ -168,7 +170,7 @@ class TestRegularized:
             assert rep["identity_rel_gap"] <= 1e-8
 
     def test_kkt_detects_perturbed_actuator(self, tg_setup, rng):
-        # the bundle's rows pair the adjoint with the built actuator; one
+        # the bundle's Gramian pairs the adjoint with the built actuator; one
         # changed entry makes the forward input and the pairing disagree
         space, _, act, bundle = tg_setup
         mat = act.mat.copy()
@@ -185,9 +187,9 @@ class TestRegularized:
         # must not absorb that error, so the stepwise identity fails by
         # about 1e-7 at every eps
         space, _, _, bundle = tg_setup
-        from_stacked = ReachabilityBundle.control_from_stacked
-        monkeypatch.setattr(ReachabilityBundle, "control_from_stacked",
-                            lambda self, psi: from_stacked(self, (1 + 1e-7) * psi))
+        control = ReachabilityBundle.control
+        monkeypatch.setattr(ReachabilityBundle, "control",
+                            lambda self, g: control(self, (1 + 1e-7) * g))
         w0 = rng.standard_normal(space.K)
         for eps in (1e-2, 1e-4, 1e-6):
             assert kkt_identity_check(bundle, w0, eps)["stepwise_max_rel"] > 1e-9
@@ -248,14 +250,16 @@ def broad_bundle():
 class TestEpsilonLimit:
     def test_zero_state_all_zero(self, tg_setup):
         space, _, _, bundle = tg_setup
-        rep = epsilon_limit_study(bundle, np.zeros(space.K), [1e-2, 1e-4])
+        w0 = np.zeros(space.K)
+        rep = epsilon_limit_study(bundle, w0, [1e-2, 1e-4], min_norm_control(bundle, w0))
         assert max(rep["control_gap"]) == 0.0
         assert max(rep["endpoint_defect"]) == 0.0
 
     def test_monotone_convergence_and_slope(self, broad_bundle, rng):
         space, bundle = broad_bundle
         w0 = rng.standard_normal(space.K)
-        rep = epsilon_limit_study(bundle, w0, np.logspace(-2, -8, 7))
+        rep = epsilon_limit_study(bundle, w0, np.logspace(-2, -8, 7),
+                                  min_norm_control(bundle, w0))
         assert rep["defect_monotone"]
         assert rep["gap_monotone"]
         assert 0.3 <= rep["defect_slope"] <= 0.7
@@ -270,6 +274,22 @@ class TestEpsilonLimit:
     def test_small_eps_close_to_min_norm(self, tg_setup, rng):
         space, _, _, bundle = tg_setup
         w0 = rng.standard_normal(space.K)
-        rep = epsilon_limit_study(bundle, w0, [1e-10])
+        rep = epsilon_limit_study(bundle, w0, [1e-10], min_norm_control(bundle, w0))
         rel = rep["control_gap"][0] / max(rep["min_norm_value"], 1e-300)
         assert rel <= 1e-4
+
+    def test_reads_the_control_it_is_given(self):
+        # an M = 1 actuator leaves 0.39 |w0| of four modes unreachable: the
+        # minimal-norm control exists only under a loosened null_tol, and
+        # the study takes that control instead of forming one at 1e-8
+        space = build_space(nu=0.1, K=16, n=16)
+        ref = zero_reference(space, horizon=2.0)
+        chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=1.2, rho=0.1)
+        bundle = bundle_on(space, ref, 0.0, build_actuator(space, chi, M=1), N=4, dt=DT)
+        w0 = np.ones(space.K)
+        with pytest.raises(UnreachableTargetError):
+            min_norm_control(bundle, w0)
+        eta_star = min_norm_control(bundle, w0, null_tol=0.9)
+        rep = epsilon_limit_study(bundle, w0, [1e-2, 1e-4], eta_star)
+        assert rep["min_norm_value"] == eta_star.l2_norm()
+        assert len(rep["control_gap"]) == 2
