@@ -4,7 +4,8 @@
 
 Subcommands: reference, observability, null-control, stabilize, feedback,
 closed-loop, basin, all.  Every run writes a manifest with the config hash,
-library versions, seed, and wall time.  Exit codes: 0 success, 2 config
+library versions, seed, and wall time, plus the horizon-gate worker's timings
+where the run read the gate.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 assertion failure.
 """
 
@@ -21,7 +22,9 @@ from .config import ExperimentConfig
 from .errors import ConfigError, NsstabError, VerificationError
 from .feedback import (
     closed_loop_linear,
+    doubled_horizon_value,
     dp_check,
+    horizon_gate,
     lyapunov_check,
     optimal_cost_check,
     optimal_rollouts,
@@ -75,13 +78,41 @@ def write_decay(out, name, trajectory, space, kappa, lam, title):
     return [f"{name}.csv", f"{name}.svg"]
 
 
+# The horizon gate's worker runs doubled_horizon_value on the pickled
+# arguments it reads from stdin.  It reads the whole job before it imports
+# anything, so the parent's write never waits on an import, then writes back
+# one pickle: (Q_2T(0), seconds of its sweep), or the exception raised, its
+# worker-side traceback attached as a note.
+GATE_WORKER = f"""\
+import sys
+job = sys.stdin.buffer.read()
+import pickle
+import time
+import traceback
+try:
+    from {doubled_horizon_value.__module__} import {doubled_horizon_value.__name__} as gate
+    args = pickle.loads(job)
+    start = time.perf_counter()
+    result = (gate(*args), time.perf_counter() - start)
+except Exception as exc:
+    exc.add_note("in the horizon-gate worker:\\n" + traceback.format_exc())
+    result = exc
+sys.stdout.buffer.write(pickle.dumps(result))
+"""
+
+
 class Pipeline:
-    """Lazily built shared state for the subcommands of one run."""
+    """Lazily built shared state for the subcommands of one run.
+
+    It owns the horizon gate's worker process (start_gate); close() ends it.
+    """
 
     def __init__(self, cfg: ExperimentConfig, rng):
         self.cfg = cfg
         self.rng = rng
         self._cache = {}
+        self._gate = None
+        self.gate_timings = None
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -134,19 +165,75 @@ class Pipeline:
         return self.cfg.control.lam * self.cfg.control.lambda_hat_factor
 
     @property
-    def law(self):
-        c = self.cfg
-
+    def actuator(self):
         def build():
             M, _ = self.control_dim(self.lam_hat)
             act = self.search.actuator(M)
             # the last cutoff is chosen: free the search's propagators and
             # sweep before the law is allocated
             self._cache.pop("search", None)
-            return riccati_solve(self.reference, c.control.lam, act, c.time.T_h,
-                                 c.time.dt, cap=c.tolerances.riccati_cap,
-                                 verify_horizon=True)
-        return self._get("law", build)
+            return act
+        return self._get("actuator", build)
+
+    @property
+    def law(self):
+        c = self.cfg
+        return self._get("law", lambda: riccati_solve(
+            self.reference, c.control.lam, self.actuator, c.time.T_h, c.time.dt,
+            cap=c.tolerances.riccati_cap))
+
+    def start_gate(self):
+        """Start the worker process that sweeps the doubled horizon
+        (feedback.doubled_horizon_value) beside this process's law sweep.
+        The worker imports this process's own nsstab; its result is read by
+        gate_value."""
+        import pickle
+        import subprocess
+
+        c = self.cfg
+        job = pickle.dumps((self.reference, c.control.lam, self.actuator,
+                            c.time.T_h, c.time.dt, c.tolerances.riccati_cap))
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+        self._gate = subprocess.Popen([sys.executable, "-c", GATE_WORKER],
+                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                      env=dict(os.environ, PYTHONPATH=path))
+        try:
+            self._gate.stdin.write(job)
+        except BrokenPipeError:
+            pass                # the worker is gone: gate_value names its exit code
+        self._gate.stdin.close()
+
+    def gate_value(self):
+        """Q_2T(0) of the started gate: blocks until the worker ends and
+        re-raises the exception it raised.  A worker that ends without a
+        result raises NsstabError naming its exit code."""
+        import pickle
+
+        start = time.perf_counter()
+        with self._gate.stdout:
+            data = self._gate.stdout.read()
+        code = self._gate.wait()
+        wait_s = time.perf_counter() - start
+        if code != 0 or not data:
+            raise NsstabError(f"the horizon-gate worker ended without a result "
+                              f"(exit code {code})")
+        result = pickle.loads(data)
+        if isinstance(result, BaseException):
+            raise result
+        double_Q0, worker_s = result
+        self.gate_timings = {"worker_s": round(worker_s, 3),
+                             "wait_s": round(wait_s, 3)}
+        return double_Q0
+
+    def close(self):
+        """End the gate's worker: one whose result was read has exited;
+        any other is killed.  Either way it is waited for."""
+        if self._gate is not None:
+            if self._gate.returncode is None:
+                self._gate.kill()
+            self._gate.wait()
+            self._gate.stdout.close()
 
     def closed_loop(self, n_units):
         """The law's closed loop on [0, min(n_units, T_h - 1)], one unit clear
@@ -231,6 +318,7 @@ def cmd_stabilize(p: Pipeline, out):
 
 def cmd_feedback(p: Pipeline, out):
     c = p.cfg
+    p.start_gate()          # the doubled horizon sweeps while the law is built
     law = p.law
     stride = max(1, law.n_steps // 64)
     nodes = range(0, law.n_steps + 1, stride)
@@ -247,7 +335,6 @@ def cmd_feedback(p: Pipeline, out):
     report = {
         "lambda": law.lam, "M": law.M, "M_fallback": p.control_dim(p.lam_hat)[1],
         "T_h": law.T_h,
-        "horizon_gate": law.horizon_gate,
         "max_gain_norm": law.max_gain_norm(),
         "dp": dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2]),
         "optimal_cost": optimal_cost_check(cost_rollout),
@@ -255,6 +342,8 @@ def cmd_feedback(p: Pipeline, out):
         "lyapunov": lyapunov_check(sim),
         "closed_loop": cl_rep,
     }
+    # read last, so that the worker sweeps beside all of the above
+    report["horizon_gate"] = horizon_gate(law, p.gate_value())
     write_json(os.path.join(out, "feedback.json"), report)
     return ["feedback_law.npz", "feedback.json"] + write_decay(
         out, "feedback_decay", sim, p.space, max(cl_rep["kappa_h"], 1.0), law.lam,
@@ -312,6 +401,7 @@ COMMANDS = {
 def run(subcommand: str, config_path: str, out_dir: str | None = None,
         seed: int | None = None) -> int:
     started = time.time()
+    pipeline = None
     try:
         cfg = ExperimentConfig.load(config_path)
         if seed is not None:
@@ -325,7 +415,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
         artifacts = []
         for name in names:
             artifacts += COMMANDS[name](pipeline, out)
-        write_json(os.path.join(out, "manifest.json"), {
+        manifest = {
             "subcommand": subcommand,
             "config_hash": cfg.config_hash(),
             "seed": cfg.seed,
@@ -334,7 +424,10 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
                          "python": sys.version.split()[0]},
             "wall_time_s": round(time.time() - started, 3),
             "artifacts": sorted(artifacts),
-        })
+        }
+        if pipeline.gate_timings is not None:
+            manifest["horizon_gate"] = pipeline.gate_timings
+        write_json(os.path.join(out, "manifest.json"), manifest)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -345,6 +438,9 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
     except NsstabError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if pipeline is not None:
+            pipeline.close()
 
 
 def main(argv=None) -> int:

@@ -23,9 +23,9 @@ def _require(cond: bool, path: str, msg: str):
 
 def _typed(path: str, value, default):
     """value, read from JSON, checked against the type of its field's
-    default: an int field takes an integer, a float field any number, a
-    tuple field a list of such entries (returned as a tuple), and no bool
-    is a number."""
+    default: an int field takes an integer, a float field any number within
+    float range (returned as a float), a tuple field a list of such entries
+    (returned as a tuple), and no bool is a number."""
     if isinstance(default, tuple):
         _require(isinstance(value, (list, tuple)), path, f"must be a list, not {value!r}")
         return tuple(_typed(f"{path}[{i}]", v, default[0]) for i, v in enumerate(value))
@@ -33,6 +33,12 @@ def _typed(path: str, value, default):
                    str: (str, "a string"), list: (list, "a list")}[type(default)]
     _require(isinstance(value, kinds) and not isinstance(value, bool), path,
              f"must be {kind}, not {value!r}")
+    if isinstance(default, float):
+        try:
+            return float(value)
+        except OverflowError:       # an integer beyond float range
+            raise ConfigError(f"{path}: must lie within float range, not an "
+                              f"integer of {len(str(abs(value)))} digits") from None
     return value
 
 

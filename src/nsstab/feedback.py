@@ -3,8 +3,9 @@
 Works in the shifted variable z = e^{(lam/2)t} v, whose drift gains lam/2
 and whose quadratic cost loses the exponential weight, so every stored
 matrix stays O(1) regardless of the horizon.  The infinite-horizon cost
-operator is approximated on [0, T_h] with terminal value zero and a
-doubling convergence gate.
+operator is approximated on [0, T_h] with terminal value zero; the doubling
+gate compares its Q(0) with that of the synthesis on [0, 2 T_h]
+(doubled_horizon_value), a separate sweep that stores nothing.
 
 The backward sweep is the discrete dynamic program for the Crank-Nicolson
 one-step model with midpoint-sampled stage cost.  Two consequences drive
@@ -22,8 +23,8 @@ The paper's feedback -chi P_M chi Q(t) v reads nothing else.  No step
 matrix and no discrete gain is stored: the sweep builds each step when it
 uses it, and the verification rollouts advance as one block through the
 same step model, forming each step's gain from Q(m+1) and that step's one
-factorisation.  Consecutive steps differ by O(h), so the sweep solves only
-its first step and first gain systems and refines every later inverse
+factorisation.  Consecutive steps differ by O(h), so a sweep solves only
+its first step and first gain system and refines every later inverse
 from its neighbour's with matrix products (dynamics.refined_inverse),
 solving afresh any that does not converge.
 """
@@ -72,7 +73,6 @@ class FeedbackLaw:
     Q_packed: np.ndarray    # (n_T + 1, K (K + 1)/2): packed upper triangles
     actuator: Actuator
     reference: ReferenceTrajectory
-    horizon_gate: dict | None = None
 
     def __post_init__(self):
         # the fixed parts of the two step models, built once, not per step
@@ -199,108 +199,117 @@ def require_memory(need: int, what: str, remedy: str):
 
 def riccati_solve(traj: ReferenceTrajectory, lam: float, actuator: Actuator,
                   T_h: float, dt: float = 1.0 / 128,
-                  cap: float = DEFAULT_RICCATI_CAP,
-                  verify_horizon: bool = False) -> FeedbackLaw:
+                  cap: float = DEFAULT_RICCATI_CAP) -> FeedbackLaw:
     """Backward sweep for the shifted cost operator on [0, T_h] around traj.
 
     State weight diag(alpha) (the V-form), control weight identity on the
     control basis.  Divergence past the cap reports the system as not
-    stabilizable through this actuator.  With verify_horizon, also sweeps
-    the doubled horizon 2*T_h and records the relative change of Q(0):
-    its [T_h, 2 T_h] steps first, then its value continues beside the law
-    in the law's own loop over [0, T_h], from the tail's last step and
-    gain-system inverses.  Every step is built once per sweep and none is
-    stored.  A law (Q_packed) larger than the available memory is refused
-    with ConfigError before anything is allocated; the closed loop's step
-    stack has its own guard (nonlinear.closed_loop_steps).
+    stabilizable through this actuator.  Every step is built once and none
+    is stored.  A law (Q_packed) larger than the available memory is
+    refused with ConfigError before anything is allocated; the closed
+    loop's step stack has its own guard (nonlinear.closed_loop_steps).
     """
-    if lam < 0 or T_h <= 0:
-        raise ValueError("lam must be nonnegative and T_h positive")
-    if (2.0 if verify_horizon else 1.0) * T_h > traj.horizon + 1e-9:
-        raise ValueError("synthesis horizon exceeds the reference horizon")
+    _check_horizon(traj, lam, T_h)
     n_T = int(round(T_h / dt))
-    K, M = traj.space.K, actuator.M
+    K = traj.space.K
     require_memory(8 * (n_T + 1) * (K * (K + 1) // 2),
                    "the feedback law (its cost operators)",
                    "lower space.K or time.T_h, or raise time.dt")
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
                       Q_packed=np.zeros((n_T + 1, K * (K + 1) // 2)),  # Q(T_h) = 0
                       actuator=actuator, reference=traj)
-    # no neighbouring step and no gain-system inverse yet: the first
-    # step and each operator's first gain system are solved
-    P, phi, Hee_inv = np.zeros((1, K, K)), None, np.zeros((1, M, M))
-    if verify_horizon:
-        # value at T_h of the doubled horizon, from its [T_h, 2 T_h] steps;
-        # its last step and gain-system inverse seed the continuation
-        tail, phi, tail_inv = _sweep(law, P, n_T, n_T, cap, phi, Hee_inv)
-        P = np.concatenate([P, tail])
-        Hee_inv = np.concatenate([Hee_inv, tail_inv])
-
-    P, _, _ = _sweep(law, P, 0, n_T, cap, phi, Hee_inv, Q_packed=law.Q_packed)
-    if verify_horizon:
-        double_Q0 = P[1]
-        num = np.linalg.norm(double_Q0 - law.Q(0))
-        den = max(np.linalg.norm(double_Q0), 1e-300)
-        law.horizon_gate = {"T_h": T_h, "rel_change": float(num / den)}
+    _sweep(law, cap, law.Q_packed)
     return law
 
 
-def _sweep(law, P, start, n_steps, cap, phi, Hee_inv, Q_packed=None):
-    """Backward dynamic program of law over the steps start .. start+n_steps-1
-    from the stacked terminal cost operators P (r, K, K).
+def doubled_horizon_value(traj: ReferenceTrajectory, lam: float,
+                          actuator: Actuator, T_h: float, dt: float = 1.0 / 128,
+                          cap: float = DEFAULT_RICCATI_CAP) -> np.ndarray:
+    """Q(0) (K, K) of the synthesis on [0, 2 T_h], the value the horizon
+    gate compares with the law's Q(0).
+
+    One sweep of 2 n_T steps from zero, n_T = T_h / dt, that stores no cost
+    operator: the same sweep as riccati_solve(traj, lam, actuator, 2 T_h,
+    dt, cap), so its Q(0) bit for bit.  Raises ValueError where 2 T_h
+    exceeds the reference horizon and RiccatiBlowupError at the cap.
+    """
+    _check_horizon(traj, lam, 2.0 * T_h)
+    n = 2 * int(round(T_h / dt))
+    # the doubled synthesis's step model; its zero-width Q_packed holds
+    # nothing, as the sweep keeps only its running cost operator
+    model = FeedbackLaw(lam=lam, T_h=n * dt, dt=dt, times=dt * np.arange(n + 1),
+                        Q_packed=np.zeros((n + 1, 0)), actuator=actuator,
+                        reference=traj)
+    return _sweep(model, cap)
+
+
+def horizon_gate(law: FeedbackLaw, double_Q0: np.ndarray) -> dict:
+    """The doubling gate of law: the relative change of Q(0) from law to
+    the synthesis on [0, 2 T_h] whose Q(0) is double_Q0."""
+    num = np.linalg.norm(double_Q0 - law.Q(0))
+    den = max(np.linalg.norm(double_Q0), 1e-300)
+    return {"T_h": law.T_h, "rel_change": float(num / den)}
+
+
+def _check_horizon(traj: ReferenceTrajectory, lam: float, T_h: float):
+    if lam < 0 or T_h <= 0:
+        raise ValueError("lam must be nonnegative and T_h positive")
+    if T_h > traj.horizon + 1e-9:
+        raise ValueError(f"synthesis horizon {T_h} exceeds the reference "
+                         f"horizon {traj.horizon}")
+
+
+def _sweep(law, cap, Q_packed=None):
+    """Backward dynamic program of law over its steps n_T - 1 .. 0 from the
+    terminal cost operator zero; returns the cost operator P at node 0.
 
     Step m is phi = cn_step(law.shifted_system(m)), built here and dropped
-    after use;
-    the r cost operators advance through it together.  Step
-    z+ = phi (z + u) + u with u = h/2 B eta, stage cost
+    after use.  Step z+ = phi (z + u) + u with u = h/2 B eta, stage cost
     h (|zbar|_C^2 + |eta|^2) with zbar = (z + z+)/2, C = diag(alphas).  With
     gam = phi h/2 B + h/2 B, W = P + h/4 C and S = W phi the blocks are
     Hzz = phi' S + h/4 (C + C phi + phi' C), Hze = S' gam + h/4 C gam and
-    Hee = h I + gam' W gam: two K^3 products per step and operator.
+    Hee = h I + gam' W gam: two K^3 products per step.
 
-    Neighbouring steps differ by O(h), so neither inverse is solved
-    afresh: step m refines (I + h/2 F_m)^{-1} from phi, the step after it
-    (None: solve), and each operator's Hee^{-1} from its (r, M, M) value
-    Hee_inv at the step after (zero: solve), by dynamics.refined_inverse,
-    which solves any matrix that does not converge.  The gain
-    G = Hee^{-1} Hze' serves only to advance P and is dropped with the
-    step; optimal_rollouts forms it again from Q(m+1).  Each P is
-    symmetrised as (P + P')/2, which makes it exactly symmetric
+    Neighbouring steps differ by O(h), so only the first step and the first
+    gain system are solved: step m refines (I + h/2 F_m)^{-1} from the step
+    after it, and Hee^{-1} from its value at the step after, by
+    dynamics.refined_inverse, which solves any matrix that does not
+    converge.  The gain G = Hee^{-1} Hze' serves only to advance P and is
+    dropped with the step; optimal_rollouts forms it again from Q(m+1).
+    Each P is symmetrised as (P + P')/2, which makes it exactly symmetric
     (floating-point addition commutes), so packing its upper triangle loses
-    nothing.
-
-    Returns the stacked cost operators, the step and the Hee^{-1} stack at
-    the first step; fills Q_packed[m] (packed, m relative to start) from
-    the first operator when given.
+    nothing.  Fills Q_packed[m] (packed) when given.
     """
     B, dt, alphas, lam = law.actuator.mat, law.dt, law.alphas, law.lam
-    M = B.shape[1]
+    K, M = B.shape
     half_B = 0.5 * dt * B
     qc = 0.25 * dt * alphas             # (h/4) C, as a diagonal
     QC = np.diag(qc)
     h_eye = dt * np.eye(M)
-    for m in range(n_steps - 1, -1, -1):
-        phi = cn_step(law.shifted_system(start + m), dt, start + m, phi)
+    # no neighbouring step and no gain-system inverse yet: both are solved
+    P, phi, Hee_inv = np.zeros((K, K)), None, np.zeros((M, M))
+    for m in range(law.n_steps - 1, -1, -1):
+        phi = cn_step(law.shifted_system(m), dt, m, phi)
         gam = phi @ half_B + half_B
         W = P + QC
         S = W @ phi
         C_phi = qc[:, None] * phi
         Hzz = phi.T @ S + (QC + C_phi + C_phi.T)
-        Hze = S.transpose(0, 2, 1) @ gam + qc[:, None] * gam
+        Hze = S.T @ gam + qc[:, None] * gam
         Hee = h_eye + gam.T @ (W @ gam)
-        Hee_inv = refined_inverse(Hee, Hee_inv, start + m)
-        G = Hee_inv @ Hze.transpose(0, 2, 1)
+        Hee_inv = refined_inverse(Hee, Hee_inv, m)
+        G = Hee_inv @ Hze.T
         P = Hzz - Hze @ G
-        P = 0.5 * (P + P.transpose(0, 2, 1))
-        # max row sum of |P|: the inf-norm of each operator; written as
-        # "not <=" so that a NaN or inf in P fails it too
+        P = 0.5 * (P + P.T)
+        # max row sum of |P|: its inf-norm; written as "not <=" so that a
+        # NaN or inf in P fails it too
         if not np.abs(P).sum(axis=-1).max() <= cap:
             raise RiccatiBlowupError(
-                f"cost operator exceeded cap {cap:.1e} at t={(start + m) * dt:.3f}; "
+                f"cost operator exceeded cap {cap:.1e} at t={m * dt:.3f}; "
                 f"system not stabilizable through M={M} at lambda={lam}")
         if Q_packed is not None:
-            Q_packed[m] = pack_symmetric(P[0])
-    return P, phi, Hee_inv
+            Q_packed[m] = pack_symmetric(P)
+    return P
 
 
 def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:

@@ -3,7 +3,10 @@
 import functools
 import json
 import os
+import signal
+import subprocess
 import sys
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -15,8 +18,14 @@ from nsstab import cli, feedback, nonlinear, observability, stabilizer
 from nsstab.cli import Pipeline, main, run
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
-from nsstab.errors import ConfigError
-from nsstab.feedback import optimal_cost_check, optimal_rollouts, riccati_solve
+from nsstab.errors import ConfigError, RiccatiBlowupError, VerificationError
+from nsstab.feedback import (
+    doubled_horizon_value,
+    horizon_gate,
+    optimal_cost_check,
+    optimal_rollouts,
+    riccati_solve,
+)
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.plots import emit_plot
 from nsstab.null_control import build_reachability
@@ -100,6 +109,7 @@ class TestRun:
         assert manifest["config_hash"]
         assert manifest["versions"]["nsstab"]
         assert manifest["wall_time_s"] >= 0
+        assert set(manifest["horizon_gate"]) == {"worker_s", "wait_s"}
 
     def test_determinism_byte_identical(self, small_cfg, tmp_path):
         _, path = small_cfg
@@ -228,6 +238,29 @@ class TestRun:
         path.write_text(json.dumps(data))
         assert run("reference", str(path), str(tmp_path / "o")) == 2
         assert f"reference.modes[0].{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [
+        ("reference", "a0"),
+        ("time", "T_h"),
+        ("tolerances", "riccati_cap"),
+        ("reference", "modes"),
+    ])
+    def test_integer_beyond_float_range_exit_code_names_the_field(
+            self, tmp_path, capsys, section, key):
+        # JSON integers are unbounded; a float field refuses one that no
+        # float holds
+        data = json.loads(DEFAULT_CONFIG.read_text())
+        if key == "modes":
+            data["reference"].update(preset="modes", modes=[
+                {"k": [0, 1], "phase": "sin", "weight": 10**400, "a0": 0.5}])
+            field = "reference.modes[0].weight"
+        else:
+            data[section][key] = 10**400
+            field = f"{section}.{key}"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        assert run("reference", str(path), str(tmp_path / "o")) == 2
+        assert f"{field}: must lie within float range" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, small_cfg, tmp_path):
         cfg, _ = small_cfg
@@ -383,6 +416,143 @@ class TestRun:
                      "--out", str(tmp_path / "m")])
         assert code == 0
         assert (tmp_path / "m" / "reference.svg").exists()
+
+
+def spawned(monkeypatch):
+    """The list of every process started through subprocess.Popen from now
+    on, each recorded as it starts."""
+    procs = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            procs.append(self)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return procs
+
+
+def assert_no_child_left(procs):
+    """Every recorded process was waited for, and this process has no child,
+    running or unreaped."""
+    assert all(p.returncode is not None for p in procs)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a gate worker that takes its job and then never answers
+SILENT_WORKER = "import sys, time\nsys.stdin.buffer.read()\ntime.sleep(600)\n"
+
+
+def failing(error):
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+    return fail
+
+
+class TestHorizonGateWorker:
+    @pytest.mark.parametrize("subcommand, gated", [
+        ("feedback", True), ("stabilize", False), ("closed-loop", False)])
+    def test_only_the_feedback_report_starts_the_gate(self, small_cfg, tmp_path,
+                                                      monkeypatch, subcommand, gated):
+        # the worker's Q_2T(0) is the in-process sweep's, bit for bit, and
+        # the manifest carries its timings; closed-loop builds the law but
+        # sweeps no doubled horizon
+        cfg, path = small_cfg
+        procs = spawned(monkeypatch)
+        out = tmp_path / "o"
+        assert run(subcommand, str(path), str(out)) == 0
+        assert len(procs) == gated
+        assert_no_child_left(procs)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert ("horizon_gate" in manifest) == gated
+        if not gated:
+            return
+        timings = manifest["horizon_gate"]
+        assert set(timings) == {"worker_s", "wait_s"}
+        assert timings["worker_s"] > 0 and timings["wait_s"] >= 0
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        want = horizon_gate(p.law, doubled_horizon_value(
+            p.reference, cfg.control.lam, p.actuator, cfg.time.T_h, cfg.time.dt,
+            cfg.tolerances.riccati_cap))
+        assert json.loads((out / "feedback.json").read_text())["horizon_gate"] == want
+
+    def test_gate_beyond_the_cap_exits_3(self, small_cfg, tmp_path, monkeypatch,
+                                         capsys):
+        # at T_h = 2 the law's cost operators stay below 1.19 in the
+        # inf-norm and the doubled horizon's reach 1.55: the cap between
+        # stops the worker alone, and its error is the run's
+        cfg, _ = small_cfg
+        cfg.time.T_h, cfg.tolerances.riccati_cap = 2.0, 1.35
+        path = tmp_path / "capped.json"
+        save_config(cfg.validate(), path)
+        procs = spawned(monkeypatch)
+        out = tmp_path / "o"
+        assert run("feedback", str(path), str(out)) == 3
+        assert "cost operator exceeded cap 1.4e+00" in capsys.readouterr().err
+        assert not (out / "feedback.json").exists()
+        assert procs[0].returncode == 0
+        assert_no_child_left(procs)
+
+    def test_law_failure_does_not_wait_for_the_gate(self, small_cfg, tmp_path,
+                                                    monkeypatch):
+        _, path = small_cfg
+        monkeypatch.setattr(cli, "GATE_WORKER", SILENT_WORKER)
+        monkeypatch.setattr(cli, "riccati_solve", failing(RiccatiBlowupError))
+        procs = spawned(monkeypatch)
+        started = time.perf_counter()
+        assert run("feedback", str(path), str(tmp_path / "o")) == 3
+        assert time.perf_counter() - started < 60
+        assert procs[0].returncode == -signal.SIGKILL
+        assert_no_child_left(procs)
+
+    def test_worker_killed_from_outside_exits_3(self, small_cfg, tmp_path,
+                                                monkeypatch, capsys):
+        _, path = small_cfg
+        procs = spawned(monkeypatch)
+
+        def kill_then_solve(*args, **kwargs):
+            os.kill(procs[0].pid, signal.SIGKILL)
+            return riccati_solve(*args, **kwargs)
+        monkeypatch.setattr(cli, "riccati_solve", kill_then_solve)
+        out = tmp_path / "o"
+        assert run("feedback", str(path), str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"horizon-gate worker ended without a result (exit code " \
+               f"{-signal.SIGKILL})" in err
+        assert not (out / "feedback.json").exists()
+        assert_no_child_left(procs)
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_no_child_outlives_the_run(self, small_cfg, tmp_path, monkeypatch, code):
+        # each exit after the worker started: success, the law refused for
+        # memory, the law's sweep failing and a check failing before the
+        # gate is read
+        _, path = small_cfg
+        if code == 2:
+            monkeypatch.setattr(feedback, "available_memory_bytes", lambda: 0)
+        if code == 3:
+            monkeypatch.setattr(cli, "riccati_solve", failing(RiccatiBlowupError))
+        if code == 4:
+            monkeypatch.setattr(cli, "closed_loop_linear", failing(VerificationError))
+        procs = spawned(monkeypatch)
+        assert run("feedback", str(path), str(tmp_path / "o")) == code
+        assert len(procs) == 1
+        assert_no_child_left(procs)
+
+    def test_dev_mode_run_leaves_no_resource_warning(self, small_cfg, tmp_path):
+        # an unclosed pipe or a worker never waited for is a ResourceWarning,
+        # an error under -W error::ResourceWarning
+        _, path = small_cfg
+        src = str(Path(cli.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+             "nsstab.cli", "feedback", "--config", str(path),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
 
 def record_calls(monkeypatch, func):

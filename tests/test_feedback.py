@@ -13,7 +13,9 @@ from nsstab.dynamics import taylor_green_reference, zero_reference
 from nsstab.errors import ConfigError, RiccatiBlowupError
 from nsstab.feedback import (
     closed_loop_linear,
+    doubled_horizon_value,
     dp_check,
+    horizon_gate,
     lyapunov_check,
     optimal_cost_check,
     optimal_rollouts,
@@ -154,6 +156,10 @@ class TestRiccatiSolve:
         act0 = build_actuator(space, zero_mask(space), M=4)
         with pytest.raises(RiccatiBlowupError):
             riccati_solve(ref, lam=2.0, actuator=act0, T_h=18.0, dt=1.0 / 64)
+        # the doubled horizon crosses the cap where the law's does not
+        riccati_solve(ref, lam=2.0, actuator=act0, T_h=9.0, dt=1.0 / 64)
+        with pytest.raises(RiccatiBlowupError, match="cap"):
+            doubled_horizon_value(ref, 2.0, act0, 9.0, 1.0 / 64)
 
     def test_non_finite_operator_reports_its_time(self, monkeypatch):
         # np.linalg.solve returns NaN for a NaN step rather than raising, so
@@ -173,9 +179,10 @@ class TestRiccatiSolve:
 
     def test_horizon_gate_recorded_and_shrinking(self, scalar_law):
         space, ref, act, _ = scalar_law
-        law = riccati_solve(ref, lam=0.5, actuator=act, T_h=6.0, dt=1.0 / 64,
-                            verify_horizon=True)
-        assert law.horizon_gate["rel_change"] <= 1e-6
+        law = riccati_solve(ref, lam=0.5, actuator=act, T_h=6.0, dt=1.0 / 64)
+        gate = horizon_gate(law, doubled_horizon_value(ref, 0.5, act, 6.0, 1.0 / 64))
+        assert gate["T_h"] == 6.0
+        assert gate["rel_change"] <= 1e-6
 
     def test_matches_two_matrix_model(self, tg_law):
         space, ref, _, act, law = tg_law
@@ -190,54 +197,43 @@ class TestRiccatiSolve:
         with pytest.raises(ValueError):
             riccati_solve(ref, lam=0.5, actuator=act, T_h=100.0, dt=DT)
         with pytest.raises(ValueError, match="horizon"):
-            riccati_solve(ref, lam=0.5, actuator=act, T_h=13.0, dt=DT,
-                          verify_horizon=True)
+            doubled_horizon_value(ref, 0.5, act, 13.0, DT)
 
     def test_horizon_gate_equals_explicit_doubled_solve(self):
-        # the gate reuses the law's own steps on [0, T_h] and refines them
-        # from the tail's last step and gain-system inverse, so it must
-        # agree exactly with a separate synthesis on [0, 2 T_h]
+        # the gate's value is the sweep of a synthesis on [0, 2 T_h] that
+        # stores nothing, so it must agree exactly with that synthesis
         space = build_space(nu=0.6, K=12, n=16)
         ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=8.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
         act = build_actuator(space, chi, M=16)
-        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0,
-                            dt=1.0 / 64, verify_horizon=True)
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0, dt=1.0 / 64)
         double = riccati_solve(ref, lam=1.0, actuator=act, T_h=6.0,
                                dt=1.0 / 64)
+        double_Q0 = doubled_horizon_value(ref, 1.0, act, 3.0, 1.0 / 64)
+        assert np.array_equal(double_Q0, double.Q(0))
         num = np.linalg.norm(double.Q(0) - law.Q(0))
         den = max(np.linalg.norm(double.Q(0)), 1e-300)
-        assert law.horizon_gate["rel_change"] == float(num / den)
+        assert horizon_gate(law, double_Q0)["rel_change"] == float(num / den)
 
-    def test_one_loop_law_equals_two_sweep_oracle(self, monkeypatch):
-        # law and gate continuation advance together through steps built in
-        # the loop; the stored-stack path of one solve per step and per gain
-        # system agrees to round-off (the loop refines both inverses from
-        # the neighbouring step's instead)
+    def test_one_loop_law_equals_two_sweep_oracle(self):
+        # law and gate each advance through steps built in their one loop;
+        # the stored-stack path of one solve per step and per gain system
+        # agrees to round-off (the loops refine both inverses from the
+        # neighbouring step's instead)
         space, ref, act = gate_instance(K=12, M=16, T_h=3.0)
-        returned = []
-        sweep = feedback._sweep
-
-        def spy(*args, **kwargs):
-            returned.append(sweep(*args, **kwargs))
-            return returned[-1]
-        monkeypatch.setattr(feedback, "_sweep", spy)
-        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0,
-                            dt=1.0 / 64, verify_horizon=True)
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0, dt=1.0 / 64)
+        got_Q0 = doubled_horizon_value(ref, 1.0, act, 3.0, 1.0 / 64)
         Qt, gains, double_Q0 = riccati_two_sweep(space, ref, 1.0, act, 3.0, 1.0 / 64)
-        got_Q0 = returned[-1][0][1]
         for got, want in ((unpack_symmetric(law.Q_packed), Qt),
                           rollout_controls(law, gains), (got_Q0, double_Q0)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        num = np.linalg.norm(got_Q0 - law.Q(0))
-        assert law.horizon_gate["rel_change"] == float(num / np.linalg.norm(got_Q0))
         num = np.linalg.norm(double_Q0 - Qt[0])
-        assert law.horizon_gate["rel_change"] == pytest.approx(
+        assert horizon_gate(law, got_Q0)["rel_change"] == pytest.approx(
             float(num / np.linalg.norm(double_Q0)), rel=1e-12)
 
     def test_solves_only_the_first_step_of_a_gated_synthesis(self, monkeypatch):
         # every later step refines the neighbouring step's inverse; the gain
-        # systems are solved once per cost operator, at its first step
+        # system is solved once per sweep, at its first step
         space, ref, act = gate_instance(K=12, M=16, T_h=1.0)
         solved = []
         cn_solve = dynamics._cn_solve
@@ -248,17 +244,19 @@ class TestRiccatiSolve:
         monkeypatch.setattr(dynamics, "_cn_solve", solve_spy)
         for _ in range(2):          # a second synthesis starts afresh
             solved.clear()
-            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=1.0,
-                                dt=DT, verify_horizon=True)
+            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=1.0, dt=DT)
             n_T = law.n_steps
-            assert solved == [((12, 12), 2 * n_T - 1), ((1, 16, 16), 2 * n_T - 1),
-                              ((2, 16, 16), n_T - 1)]
+            assert solved == [((12, 12), n_T - 1), ((16, 16), n_T - 1)]
+            solved.clear()
+            doubled_horizon_value(ref, 1.0, act, 1.0, DT)
+            assert solved == [((12, 12), 2 * n_T - 1), ((16, 16), 2 * n_T - 1)]
 
     def test_builds_each_step_once_per_sweep_and_stores_none(self, monkeypatch):
         space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
-        built, stacks = [], []
+        built, stacks, packed = [], [], []
         cn_step = feedback.cn_step
         cn_steps = dynamics.cn_steps
+        pack = feedback.pack_symmetric
 
         def step_spy(F, dt, m=0, near=None):
             built.append(m)
@@ -270,11 +268,16 @@ class TestRiccatiSolve:
         monkeypatch.setattr(feedback, "cn_step", step_spy)
         monkeypatch.setattr(dynamics, "cn_steps", stack_spy)
         monkeypatch.setattr(feedback, "cn_steps", stack_spy, raising=False)
-        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0,
-                            dt=1.0 / 32, verify_horizon=True)
+        monkeypatch.setattr(feedback, "pack_symmetric",
+                            lambda P: packed.append(P) or pack(P))
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
         n_T = law.n_steps
-        assert stacks == []
+        assert built == list(range(n_T - 1, -1, -1))
+        assert len(packed) == n_T
+        built.clear(), packed.clear()
+        doubled_horizon_value(ref, 1.0, act, 2.0, 1.0 / 32)
         assert built == list(range(2 * n_T - 1, -1, -1))
+        assert stacks == packed == []
 
     def test_law_holds_cost_operators_only(self, tg_law):
         # beside its cost operators and times the law holds only the three
@@ -301,8 +304,7 @@ class TestRiccatiSolve:
             packed.append(P.copy())
             return pack(P)
         monkeypatch.setattr(feedback, "pack_symmetric", spy)
-        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0,
-                            dt=1.0 / 32, verify_horizon=True)
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
         assert len(packed) == law.n_steps
         for m, P in zip(range(law.n_steps - 1, -1, -1), packed):
             assert np.array_equal(P, P.T), m
@@ -313,18 +315,23 @@ class TestRiccatiSolve:
         assert not np.array_equal(unpack_symmetric(pack(skew)), skew)
 
     def test_gated_synthesis_peaks_near_the_law(self):
-        # neither a step stack, a gate tail stack nor a gain stack is ever
-        # allocated, so the traced peak stays within 10% of the packed cost
-        # operators
+        # neither a step stack nor a gain stack is ever allocated, so the
+        # law's traced peak stays within 10% of its packed cost operators,
+        # and that of the gate's doubled sweep, which stores none, below a
+        # tenth of them (a twentieth of its own packed operators)
         space, ref, act = gate_instance()
-        tracemalloc.start()
-        try:
-            law = riccati_solve(ref, lam=1.0, actuator=act, T_h=14.0,
-                                dt=DT, verify_horizon=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * law.Q_packed.nbytes
+
+        def traced(synthesis):
+            tracemalloc.start()
+            try:
+                return (synthesis(ref, 1.0, act, 14.0, DT),
+                        tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        law, law_peak = traced(riccati_solve)
+        _, gate_peak = traced(doubled_horizon_value)
+        assert law_peak <= 1.1 * law.Q_packed.nbytes
+        assert gate_peak <= 0.1 * law.Q_packed.nbytes
 
 
 class TestMemoryGuard:
@@ -337,11 +344,10 @@ class TestMemoryGuard:
         monkeypatch.setattr(feedback, "cn_step",
                             lambda *a: steps.append(a) or dynamics.cn_step(*a))
         with pytest.raises(ConfigError, match=f"{need / 1e6:.1f} MB") as info:
-            riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0,
-                          dt=1.0 / 32, verify_horizon=True)
+            riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
         for field in ("space.K", "time.T_h", "time.dt"):
             assert field in str(info.value)
-        assert steps == []              # refused before the gate's tail sweep
+        assert steps == []              # refused before any step is built
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need)
         law = riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
         assert law.Q_packed.nbytes == need
