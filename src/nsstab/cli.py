@@ -4,8 +4,8 @@
 
 Subcommands: reference, observability, null-control, stabilize, feedback,
 closed-loop, basin, all.  Every run writes a manifest with the config hash,
-library versions, seed, and wall time, plus the horizon-gate worker's timings
-where the run read the gate.  Exit codes: 0 success, 2 config
+library versions, seed, wall time and peak memory, plus the horizon-gate
+worker's timings where the run read the gate.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 assertion failure.
 """
 
@@ -28,6 +28,7 @@ from .feedback import (
     lyapunov_check,
     optimal_cost_check,
     optimal_rollouts,
+    peak_rss_mb,
     riccati_residual,
     riccati_solve,
 )
@@ -81,8 +82,8 @@ def write_decay(out, name, trajectory, space, kappa, lam, title):
 # The horizon gate's worker runs doubled_horizon_value on the pickled
 # arguments it reads from stdin.  It reads the whole job before it imports
 # anything, so the parent's write never waits on an import, then writes back
-# one pickle: (Q_2T(0), seconds of its sweep), or the exception raised, its
-# worker-side traceback attached as a note.
+# one pickle: (Q_2T(0), seconds of its sweep, its own peak resident set in
+# MB), or the exception raised, its worker-side traceback attached as a note.
 GATE_WORKER = f"""\
 import sys
 job = sys.stdin.buffer.read()
@@ -90,10 +91,11 @@ import pickle
 import time
 import traceback
 try:
-    from {doubled_horizon_value.__module__} import {doubled_horizon_value.__name__} as gate
+    from {doubled_horizon_value.__module__} import (
+        {doubled_horizon_value.__name__} as gate, {peak_rss_mb.__name__} as peak)
     args = pickle.loads(job)
     start = time.perf_counter()
-    result = (gate(*args), time.perf_counter() - start)
+    result = (gate(*args), time.perf_counter() - start, peak())
 except Exception as exc:
     exc.add_note("in the horizon-gate worker:\\n" + traceback.format_exc())
     result = exc
@@ -105,6 +107,9 @@ class Pipeline:
     """Lazily built shared state for the subcommands of one run.
 
     It owns the horizon gate's worker process (start_gate); close() ends it.
+    Its first closed loop restricts the law to the head that every
+    closed-loop window a command reads lies in (closed_loop), releasing the
+    law's tail.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng):
@@ -113,6 +118,7 @@ class Pipeline:
         self._cache = {}
         self._gate = None
         self.gate_timings = None
+        self.children_peak_mb = 0.0     # the gate worker's own, once read
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -221,7 +227,7 @@ class Pipeline:
         result = pickle.loads(data)
         if isinstance(result, BaseException):
             raise result
-        double_Q0, worker_s = result
+        double_Q0, worker_s, self.children_peak_mb = result
         self.gate_timings = {"worker_s": round(worker_s, 3),
                              "wait_s": round(wait_s, 3)}
         return double_Q0
@@ -235,13 +241,26 @@ class Pipeline:
             self._gate.wait()
             self._gate.stdout.close()
 
-    def closed_loop(self, n_units):
-        """The law's closed loop on [0, min(n_units, T_h - 1)], one unit clear
-        of the terminal layer; built once per window and shared by the
-        linear decay run, the nonlinear run, the probe and the basin sweep."""
-        n_units = min(n_units, self.law.T_h - 1.0)
-        return self._get(("closed_loop", round(n_units, 12)), lambda: closed_loop_steps(
-            self.law, 0.0, n_units))
+    def closed_loop_spans(self) -> dict:
+        """The closed-loop windows [0, span] the commands read, spans in
+        units, one unit clear of the law's terminal layer: "linear", the
+        decay run of feedback (time.n_max units), and "nonlinear", the runs
+        of closed-loop and basin (nonlinear.sim_units)."""
+        c = self.cfg
+        return {window: min(units, c.time.T_h - 1.0) for window, units in
+                (("linear", c.time.n_max), ("nonlinear", c.nonlinear.sim_units))}
+
+    def closed_loop(self, window: str):
+        """The law's closed loop over the named window (closed_loop_spans),
+        built once per span and shared by the linear decay run, the
+        nonlinear run, the probe and the basin sweep.  The first one
+        restricts the law to the head that holds every span, so the law's
+        full horizon must be read before it: a later read raises."""
+        spans = self.closed_loop_spans()
+        self._get("law_head", lambda: self.law.restrict(max(spans.values())))
+        span = spans[window]
+        return self._get(("closed_loop", round(span, 12)),
+                         lambda: closed_loop_steps(self.law, 0.0, span))
 
 
 def cmd_reference(p: Pipeline, out):
@@ -317,7 +336,6 @@ def cmd_stabilize(p: Pipeline, out):
 
 
 def cmd_feedback(p: Pipeline, out):
-    c = p.cfg
     p.start_gate()          # the doubled horizon sweeps while the law is built
     law = p.law
     stride = max(1, law.n_steps // 64)
@@ -328,7 +346,6 @@ def cmd_feedback(p: Pipeline, out):
                         lam=law.lam, M=law.M, T_h=law.T_h, stride=stride)
     v0 = p.rng.standard_normal(p.space.K)
     interior = [law.T_h / 8, law.T_h / 4, law.T_h / 2]
-    sim, cl_rep = closed_loop_linear(p.closed_loop(c.time.n_max), v0)
     # one rollout pass serves both checks: the DP check's from s = 0 and
     # the cost check's from s = 1, the same v0
     dp_rollout, cost_rollout = optimal_rollouts(law, [(0.0, v0), (1.0, v0)])
@@ -339,9 +356,11 @@ def cmd_feedback(p: Pipeline, out):
         "dp": dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2]),
         "optimal_cost": optimal_cost_check(cost_rollout),
         "riccati_residual": riccati_residual(law, interior),
-        "lyapunov": lyapunov_check(sim),
-        "closed_loop": cl_rep,
     }
+    # every reader of the full horizon is done: the closed loop restricts
+    # the law to its head
+    sim, cl_rep = closed_loop_linear(p.closed_loop("linear"), v0)
+    report.update(lyapunov=lyapunov_check(sim), closed_loop=cl_rep)
     # read last, so that the worker sweeps beside all of the above
     report["horizon_gate"] = horizon_gate(law, p.gate_value())
     write_json(os.path.join(out, "feedback.json"), report)
@@ -355,7 +374,7 @@ def cmd_closed_loop(p: Pipeline, out):
     d = p.rng.standard_normal(p.space.K)
     d /= np.sqrt(p.space.alphas @ d**2)
     v0 = c.nonlinear.eps_star * d
-    stepper = p.closed_loop(c.nonlinear.sim_units)
+    stepper = p.closed_loop("nonlinear")
     trajectory, rep = simulate_closed_loop(stepper, v0, eps_gate=c.nonlinear.eps_star,
                                            theta_cap=c.nonlinear.theta_star)
     probe = contraction_probe(stepper, v0, p.rng, pairs=2)
@@ -377,7 +396,7 @@ def cmd_closed_loop(p: Pipeline, out):
 
 def cmd_basin(p: Pipeline, out):
     c = p.cfg
-    rep = basin_sweep(p.closed_loop(c.nonlinear.sim_units), c.nonlinear.basin_scales,
+    rep = basin_sweep(p.closed_loop("nonlinear"), c.nonlinear.basin_scales,
                       c.nonlinear.basin_directions, p.rng,
                       theta_cap=c.nonlinear.theta_star * 10.0)
     rep["directions"] = c.nonlinear.basin_directions
@@ -400,7 +419,7 @@ COMMANDS = {
 
 def run(subcommand: str, config_path: str, out_dir: str | None = None,
         seed: int | None = None) -> int:
-    started = time.time()
+    started = time.perf_counter()
     pipeline = None
     try:
         cfg = ExperimentConfig.load(config_path)
@@ -422,7 +441,9 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
             "versions": {"nsstab": __version__,
                          "numpy": np.__version__,
                          "python": sys.version.split()[0]},
-            "wall_time_s": round(time.time() - started, 3),
+            "wall_time_s": round(time.perf_counter() - started, 3),
+            "peak_rss_mb": {"cli": peak_rss_mb(),
+                            "children": pipeline.children_peak_mb},
             "artifacts": sorted(artifacts),
         }
         if pipeline.gate_timings is not None:

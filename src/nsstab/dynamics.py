@@ -16,24 +16,38 @@ from .errors import StepSolveError
 from .spectral import SpectralSpace
 
 
+ADVECTION_CHUNK = 128     # rows of a block evaluated per synthesis
+
+
 def bilinear_b(space: SpectralSpace, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
     """Leray-projected advection Leray((u . grad) v) truncated to K modes.
 
     cu and cv are (..., K) stacks of one shape; the result has their leading
-    shape.  The whole stack takes one synthesis of u, dv/dx and dv/dy and one
-    analysis, so a block of states costs one call.
+    shape.  Each chunk of up to ADVECTION_CHUNK states takes one synthesis
+    of u, dv/dx and dv/dy and one analysis, so a long stack's grids never
+    exist for the whole stack at once.
     """
     cu, cv = np.asarray(cu, float), np.asarray(cv, float)
     lead = cu.shape[:-1]
-    cup = space.pad(cu.reshape(-1, space.K))
-    cvp = space.pad(cv.reshape(-1, space.K))
+    cu, cv = cu.reshape(-1, space.K), cv.reshape(-1, space.K)
+    out = np.empty(cu.shape)
+    for i in range(0, len(cu), ADVECTION_CHUNK):
+        rows = slice(i, i + ADVECTION_CHUNK)
+        out[rows] = _advection(space, cu[rows], cv[rows])
+    return out.reshape(lead + (space.K,))
+
+
+def _advection(space: SpectralSpace, cu: np.ndarray, cv: np.ndarray) -> np.ndarray:
+    """bilinear_b of (B, K) blocks cu and cv in one synthesis and one
+    analysis."""
+    cup, cvp = space.pad(cu), space.pad(cv)
     B, n2 = cup.shape[0], space.n * space.n
     grids = np.concatenate([cup, cvp @ space.deriv_x.T, cvp @ space.deriv_y.T]) \
         @ space.mode_fields
     u, dvx, dvy = grids.reshape(3, B, 2, n2)
     w = u[:, 0:1] * dvx + u[:, 1:2] * dvy
     out = space.quad_w * (w.reshape(B, 2 * n2) @ space.mode_fields.T)
-    return out[:, : space.K].reshape(lead + (space.K,))
+    return out[:, : space.K]
 
 
 def linearization_matrix(space: SpectralSpace, cu: np.ndarray) -> np.ndarray:

@@ -26,7 +26,9 @@ same step model, forming each step's gain from Q(m+1) and that step's one
 factorisation.  Consecutive steps differ by O(h), so a sweep solves only
 its first step and first gain system and refines every later inverse
 from its neighbour's with matrix products (dynamics.refined_inverse),
-solving afresh any that does not converge.
+solving afresh any that does not converge.  A law whose full horizon has
+been read can be restricted to its head (FeedbackLaw.restrict), which
+releases its tail's cost operators in place.
 """
 
 import functools
@@ -44,7 +46,7 @@ from .dynamics import (
     cn_step,
     refined_inverse,
 )
-from .errors import ConfigError, RiccatiBlowupError
+from .errors import ConfigError, ReleaseError, RiccatiBlowupError
 from .spectral import Actuator
 
 DEFAULT_RICCATI_CAP = 1e8
@@ -63,14 +65,16 @@ class FeedbackLaw:
     step m from shifted_system, the expression the sweep used, and forms
     its discretely optimal control from Q(m+1) (see _sweep).  The law
     exists on [0, T_h] only: reading it at a time outside that range,
-    beyond round-off, raises ValueError.
+    beyond round-off, raises ValueError.  Once restricted to its head
+    (restrict), it keeps its horizon, times and n_steps, and a read past
+    the head raises ValueError too.
     """
 
     lam: float
     T_h: float
     dt: float
     times: np.ndarray       # (n_T + 1,)
-    Q_packed: np.ndarray    # (n_T + 1, K (K + 1)/2): packed upper triangles
+    Q_packed: np.ndarray    # (head + 1, K (K + 1)/2): packed upper triangles
     actuator: Actuator
     reference: ReferenceTrajectory
 
@@ -82,6 +86,12 @@ class FeedbackLaw:
 
     @property
     def n_steps(self) -> int:
+        return len(self.times) - 1
+
+    @property
+    def head(self) -> int:
+        """The last node whose cost operator the law keeps: n_steps, or
+        the end of the head it was restricted to."""
         return self.Q_packed.shape[0] - 1
 
     @property
@@ -95,7 +105,7 @@ class FeedbackLaw:
 
     def Q(self, m: int) -> np.ndarray:
         """The (K, K) cost operator at node m."""
-        return unpack_symmetric(self.Q_packed[m])
+        return unpack_symmetric(self.Q_packed[self._kept(m)])
 
     def shifted_system(self, m: int) -> np.ndarray:
         """diag(alpha) - (lam/2) I + B(u((m + 1/2) h)): the shifted system
@@ -109,7 +119,7 @@ class FeedbackLaw:
         F_m = diag(alpha) + B(u(t_m + h/2)) + (chi P_M chi) Q_mid.  Source of
         every closed-loop step and its cost."""
         q = self.Q_packed
-        Q_mid = unpack_symmetric(0.5 * (q[m] + q[m + 1]))
+        Q_mid = unpack_symmetric(0.5 * (q[m] + q[self._kept(m + 1)]))
         return (self._diag_alpha + self.reference.bmat_at((m + 0.5) * self.dt)
                 + self._gram @ Q_mid), Q_mid
 
@@ -117,7 +127,33 @@ class FeedbackLaw:
         x = (t - self.times[0]) / self.dt
         if not -1e-9 <= x <= self.n_steps + 1e-9:
             raise ValueError(f"t={t} lies outside the law's horizon [0, {self.T_h}]")
-        return int(round(x))
+        return self._kept(int(round(x)))
+
+    def _kept(self, m: int) -> int:
+        """m, refused with ValueError where restrict released node m."""
+        if m > self.head:
+            raise ValueError(f"node {m} (t={m * self.dt:.6g}) lies past the "
+                             f"law's head [0, {self.head * self.dt:.6g}]: its "
+                             f"cost operator was released")
+        return m
+
+    def restrict(self, T: float):
+        """Keep the cost operators of the head [0, T] alone, T rounded to a
+        node: the tail's are released in place (ndarray.resize), not
+        copied, so the law never coexists with a copy of its head.  Any
+        later read past the head, such as max_gain_norm or a rollout to
+        T_h, raises ValueError.  A head past the kept one is refused with
+        ValueError, and the release, while any view of Q_packed is alive,
+        with ReleaseError."""
+        k = int(round(T / self.dt))
+        if not 0 <= k <= self.head:
+            raise ValueError(f"head [0, {T}] is not inside the law's kept "
+                             f"span [0, {self.head * self.dt:.6g}]")
+        try:
+            self.Q_packed.resize((k + 1, self.Q_packed.shape[1]))
+        except ValueError as exc:
+            raise ReleaseError(f"the law's tail past t={T} cannot be released "
+                               f"in place: {exc}") from exc
 
     def max_gain_norm(self, stride: int = 16) -> float:
         """Measured operator-norm bound of the continuous-form gain."""
@@ -185,6 +221,21 @@ def _cgroup_headroom() -> int | None:
         return None if limit == "max" else max(int(limit) - used, 0)
     except (OSError, ValueError):
         return None
+
+
+def peak_rss_mb() -> float | None:
+    """This process's peak resident set in MB: VmHWM of /proc/self/status,
+    or None where that cannot be read.  It counts from the process's own
+    exec; ru_maxrss carries over the high-water mark of the image that exec
+    replaced, such as a large parent's when a child is spawned."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return round(int(line.split()[1]) / 1024.0, 1)
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
 
 
 def require_memory(need: int, what: str, remedy: str):

@@ -145,15 +145,17 @@ class ClosedLoopStepper(Propagator):
 
 
 def closed_loop_steps(law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
-    """The law's closed loop on [s, s + n_units], inside its horizon: one
-    Crank-Nicolson step per law step from law.closed_loop_system.  A
+    """The law's closed loop on [s, s + n_units], inside its horizon (its
+    head, once restricted): one Crank-Nicolson step per law step from
+    law.closed_loop_system.  A
     step stack larger than the available memory is refused with
     ConfigError before anything is allocated."""
     space, dt = law.reference.space, law.dt
     s_index = int(round(s / dt))
     n_steps = int(round(n_units / dt))
-    if s_index + n_steps > law.n_steps:
-        raise ValueError("simulation window exceeds the synthesized horizon")
+    if s_index + n_steps > law.head:
+        raise ValueError("simulation window exceeds the synthesized horizon "
+                         "or the law's head")
     require_memory(8 * n_steps * space.K**2, "the closed loop's step stack",
                    "lower nonlinear.sim_units or time.n_max (the simulated "
                    "window) or space.K")

@@ -24,7 +24,9 @@ from nsstab.feedback import (
     horizon_gate,
     optimal_cost_check,
     optimal_rollouts,
+    riccati_residual,
     riccati_solve,
+    unpack_symmetric,
 )
 from nsstab.nonlinear import closed_loop_steps
 from nsstab.plots import emit_plot
@@ -110,6 +112,43 @@ class TestRun:
         assert manifest["versions"]["nsstab"]
         assert manifest["wall_time_s"] >= 0
         assert set(manifest["horizon_gate"]) == {"worker_s", "wait_s"}
+        # the gate's worker reports its own peak with its result
+        peaks = manifest["peak_rss_mb"]
+        assert set(peaks) == {"cli", "children"}
+        assert peaks["cli"] > 0 and peaks["children"] > 0
+
+    def test_peak_memory_of_a_run_without_children(self, small_cfg, tmp_path):
+        _, path = small_cfg
+        out = tmp_path / "o"
+        assert cli_process("stabilize", path, out).returncode == 0
+        peaks = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        assert peaks["cli"] > 0 and peaks["children"] == 0
+
+    def test_worker_peak_is_its_own(self, small_cfg, tmp_path):
+        # a process's ru_maxrss starts from the high-water mark of the
+        # process that spawned it; the worker's figure must not: spawned
+        # from a process that touched 96 MB, it reads far below that
+        _, path = small_cfg
+        block = np.ones(96 * 2**20 // 8)
+        del block
+        out = tmp_path / "o"
+        assert run("feedback", str(path), str(out)) == 0
+        peaks = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        assert peaks["cli"] >= 96
+        assert 0 < peaks["children"] < peaks["cli"] - 48
+
+    def test_wall_time_ignores_a_clock_step(self, small_cfg, tmp_path, monkeypatch):
+        # the wall clock steps back by 1e9 s after its first read
+        _, path = small_cfg
+        reads = []
+
+        def stepping_clock():
+            reads.append(None)
+            return 2e9 if len(reads) == 1 else 1e9
+        monkeypatch.setattr(time, "time", stepping_clock)
+        out = tmp_path / "o"
+        assert run("reference", str(path), str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["wall_time_s"] >= 0
 
     def test_determinism_byte_identical(self, small_cfg, tmp_path):
         _, path = small_cfg
@@ -133,23 +172,26 @@ class TestRun:
 
     def test_feedback_law_artifact_holds_full_cost_operators(self, small_cfg, tmp_path,
                                                              monkeypatch):
-        # the law stores packed triangles; the artifact keeps (K, K) matrices
-        _, path = small_cfg
-        laws = []
+        # the law stores packed triangles; the artifact keeps (K, K) matrices.
+        # The run restricts the law to its head later, so its full horizon
+        # is captured as the sweep left it
+        cfg, path = small_cfg
+        sweeps = []
 
         def spy(*args, **kwargs):
-            laws.append(riccati_solve(*args, **kwargs))
-            return laws[-1]
+            law = riccati_solve(*args, **kwargs)
+            sweeps.append((law.n_steps, law.Q_packed.copy()))
+            return law
         monkeypatch.setattr(cli, "riccati_solve", spy)
         assert run("feedback", str(path), str(tmp_path / "o")) == 0
-        law, = laws
+        (n_steps, Q_packed), = sweeps
         with np.load(tmp_path / "o" / "feedback_law.npz") as artifact:
             Qt, stride = artifact["Qt"], int(artifact["stride"])
-        K = len(law.alphas)
-        assert Qt.shape == (law.n_steps // stride + 1, K, K)
+        K = cfg.space.K
+        assert Qt.shape == (n_steps // stride + 1, K, K)
         assert np.array_equal(Qt, Qt.transpose(0, 2, 1))
-        for j, m in enumerate(range(0, law.n_steps + 1, stride)):
-            assert np.array_equal(Qt[j], law.Q(m)), m
+        for j, m in enumerate(range(0, n_steps + 1, stride)):
+            assert np.array_equal(Qt[j], unpack_symmetric(Q_packed[m])), m
 
     def test_seed_override_changes_artifacts(self, small_cfg, tmp_path):
         _, path = small_cfg
@@ -310,7 +352,7 @@ class TestRun:
         assert all(field in err for field in
                    ("nonlinear.sim_units", "time.n_max", "space.K"))
         monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need))
-        loop = Pipeline(cfg, np.random.default_rng(cfg.seed)).closed_loop(cfg.time.n_max)
+        loop = Pipeline(cfg, np.random.default_rng(cfg.seed)).closed_loop("linear")
         assert loop.phi.nbytes == need and len(stacks) == 1
 
     def test_broken_decay_chain_exit_code(self, controlled_cfg, tmp_path, monkeypatch,
@@ -541,18 +583,26 @@ class TestHorizonGateWorker:
 
     def test_dev_mode_run_leaves_no_resource_warning(self, small_cfg, tmp_path):
         # an unclosed pipe or a worker never waited for is a ResourceWarning,
-        # an error under -W error::ResourceWarning
+        # an error under -W error::ResourceWarning; all and closed-loop also
+        # restrict the law
         _, path = small_cfg
-        src = str(Path(cli.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
-             "nsstab.cli", "feedback", "--config", str(path),
-             "--out", str(tmp_path / "o")],
-            capture_output=True, text=True, env=env, timeout=600)
-        assert proc.returncode == 0
-        assert proc.stderr == ""
+        for subcommand in ("feedback", "all", "closed-loop"):
+            proc = cli_process(subcommand, path, tmp_path / subcommand, "-X", "dev",
+                               "-W", "error::ResourceWarning")
+            assert proc.returncode == 0, subcommand
+            assert proc.stderr == "", subcommand
+
+
+def cli_process(subcommand, config, out, *flags):
+    """nsstab.cli subcommand run as its own Python process with the
+    interpreter flags given, this checkout's package first on its path."""
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "nsstab.cli", subcommand,
+         "--config", str(config), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=600)
 
 
 def record_calls(monkeypatch, func):
@@ -806,11 +856,17 @@ class TestOneClosedLoop:
 
     def test_pipeline_holds_one_loop_per_window(self, small_cfg):
         cfg, _ = small_cfg
+        cfg.nonlinear.sim_units = 2.0
         p = Pipeline(cfg, np.random.default_rng(cfg.seed))
-        loop = p.closed_loop(3.0)
-        assert p.closed_loop(3.0) is loop
-        assert p.closed_loop(2.0) is not loop
+        assert p.closed_loop_spans() == {"linear": 3.0, "nonlinear": 2.0}
+        loop = p.closed_loop("linear")
+        assert p.closed_loop("linear") is loop
+        short = p.closed_loop("nonlinear")
+        assert short is not loop
         assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
+        assert short.n_steps == 2 * 128
+        # the law keeps the head that holds both windows
+        assert p.law.head == 3 * 128
 
     def test_optimal_cost_check_stores_no_step_stack(self, small_cfg):
         # the check stays far below one (n_steps, K, K) step stack, and the
@@ -831,6 +887,35 @@ class TestOneClosedLoop:
             tracemalloc.stop()
         assert peak - held < law.n_steps * space.K**2 * 8 / 4
         assert pass_peak < law.n_steps * law.M * space.K * 8 / 4
+
+    @pytest.mark.parametrize("subcommand", ["feedback", "closed-loop"])
+    def test_closed_loop_is_built_from_the_law_head(self, small_cfg, tmp_path,
+                                                    monkeypatch, subcommand):
+        # no closed-loop step is built while the law holds its full horizon:
+        # by then it keeps [0, min(max(n_max, sim_units), T_h - 1)] alone
+        cfg, path = small_cfg
+        rows = []
+
+        def spy(law, s, n_units):
+            rows.append(law.Q_packed.shape[0])
+            return closed_loop_steps(law, s, n_units)
+        monkeypatch.setattr(cli, "closed_loop_steps", spy)
+        assert run(subcommand, str(path), str(tmp_path / "o")) == 0
+        head = min(max(cfg.time.n_max, cfg.nonlinear.sim_units), cfg.time.T_h - 1.0)
+        assert rows == [round(head / cfg.time.dt) + 1]
+        assert rows[0] < round(cfg.time.T_h / cfg.time.dt) + 1
+
+    def test_reports_keep_the_full_horizon(self, small_cfg, tmp_path):
+        # the readers of the whole law report as on a law never restricted
+        cfg, path = small_cfg
+        out = tmp_path / "o"
+        assert run("feedback", str(path), str(out)) == 0
+        rep = json.loads((out / "feedback.json").read_text())
+        assert rep["T_h"] == rep["horizon_gate"]["T_h"] == cfg.time.T_h
+        law = Pipeline(cfg, np.random.default_rng(cfg.seed)).law
+        assert rep["max_gain_norm"] == law.max_gain_norm()
+        assert rep["riccati_residual"] == riccati_residual(
+            law, [cfg.time.T_h / 8, cfg.time.T_h / 4, cfg.time.T_h / 2])
 
 
 class TestControlDimension:

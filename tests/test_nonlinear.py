@@ -1,9 +1,11 @@
 """Nonlinear closed loop: contraction probe, Duhamel identity, basin sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nsstab import nonlinear
+from nsstab import dynamics, nonlinear
 from nsstab.dynamics import Propagator, Trajectory, bilinear_b, taylor_green_reference
 from nsstab.errors import StepSolveError
 from nsstab.feedback import closed_loop_linear, riccati_solve
@@ -305,6 +307,25 @@ class TestBatchedAdvection:
                              zip(cu.reshape(-1, K), cv.reshape(-1, K))])
             assert got.shape == shape
             assert max_rel(got.reshape(-1, K), want) <= 1e-13
+
+    def test_long_block_runs_in_bounded_chunks(self, rng):
+        # the probe's block, 768 midpoints, agrees with per-state calls and
+        # never holds the grids of the whole block at once
+        space = build_space(nu=0.6, K=24, n=16)
+        cu, cv = rng.standard_normal((2, 768, space.K))
+        want = np.array([bilinear_b(space, u, v) for u, v in zip(cu, cv)])
+
+        def traced_peak(evaluate):
+            tracemalloc.start()
+            try:
+                got = evaluate(space, cu, cv)
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        got, peak = traced_peak(bilinear_b)
+        whole, whole_peak = traced_peak(dynamics._advection)
+        assert max_rel(got, want) <= 1e-13 and max_rel(whole, want) <= 1e-13
+        assert peak < whole_peak / 3
 
     def test_odd_truncation_matches_convolution_oracle(self, rng):
         space = build_space(nu=0.6, K=23, n=16)
