@@ -4,12 +4,13 @@
 
 Subcommands: reference, observability, null-control, stabilize, feedback,
 closed-loop, basin, all.  Every run writes a manifest with the config hash,
-library versions, seed, wall time and peak memory, plus the horizon-gate
-worker's timings where the run read the gate.  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 assertion failure.
+library versions, seed, wall time and peak memory, plus the timings of each
+worker the run started: the horizon gate's and the closed loop's.  Exit
+codes: 0 success, 2 config error, 3 numerical failure, 4 assertion failure.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -79,46 +80,144 @@ def write_decay(out, name, trajectory, space, kappa, lam, title):
     return [f"{name}.csv", f"{name}.svg"]
 
 
-# The horizon gate's worker runs doubled_horizon_value on the pickled
-# arguments it reads from stdin.  It reads the whole job before it imports
-# anything, so the parent's write never waits on an import, then writes back
-# one pickle: (Q_2T(0), seconds of its sweep, its own peak resident set in
-# MB), or the exception raised, its worker-side traceback attached as a note.
-GATE_WORKER = f"""\
+# A worker runs one job: a module-level function, named by the __spec__ of
+# its defining module and its qualified name, and the function's arguments.
+# The job comes on stdin as a count of parts, their sizes and the parts: a
+# pickle (protocol 5) and the array buffers it holds out of band.  The worker
+# reads all of it before it imports anything, so the parent's write never
+# waits on an import, and unpickles the arrays in place over the buffers it
+# read.  It writes back one pickle per result: ("part", item) for each item
+# the function yields, if it returns a generator, then ("value", the value
+# or the generator's return value, seconds of the job, its own peak
+# resident set in MB), or ("error", the exception raised, the worker-side
+# traceback attached as a note).  argv[1] names the worker in that note.
+WORKER = f"""\
 import sys
-job = sys.stdin.buffer.read()
+stdin = sys.stdin.buffer
+def read(n):
+    buf = bytearray(n)
+    view, got = memoryview(buf), 0
+    while got < n:
+        k = stdin.readinto(view[got:])
+        if not k:
+            sys.exit("the job ended early")
+        got += k
+    return buf
+count = memoryview(read(8)).cast("Q")[0]
+parts = [read(n) for n in memoryview(read(8 * count)).cast("Q")]
+import importlib
 import pickle
 import time
 import traceback
+import types
+def send(*message):
+    sys.stdout.buffer.write(pickle.dumps(message, protocol=5))
+    sys.stdout.buffer.flush()
 try:
-    from {doubled_horizon_value.__module__} import (
-        {doubled_horizon_value.__name__} as gate, {peak_rss_mb.__name__} as peak)
-    args = pickle.loads(job)
+    module, name, args = pickle.loads(parts[0], buffers=parts[1:])
+    from {peak_rss_mb.__module__} import {peak_rss_mb.__name__} as peak
+    job = getattr(importlib.import_module(module), name)
     start = time.perf_counter()
-    result = (gate(*args), time.perf_counter() - start, peak())
+    value = job(*args)
+    while isinstance(value, types.GeneratorType):
+        try:
+            send("part", next(value))
+        except StopIteration as stop:
+            value = stop.value
+    send("value", value, time.perf_counter() - start, peak())
 except Exception as exc:
-    exc.add_note("in the horizon-gate worker:\\n" + traceback.format_exc())
-    result = exc
-sys.stdout.buffer.write(pickle.dumps(result))
+    exc.add_note(f"in the {{sys.argv[1]}} worker:\\n" + traceback.format_exc())
+    send("error", exc)
 """
+
+
+class Worker:
+    """One job run in its own Python process, which imports this process's
+    own nsstab (see WORKER): fn(*args), fn a module-level function.  The
+    job's arrays are written to the worker straight from their memory, so
+    no pickled copy of them is made.
+
+    take() reads the job's results in order: each item of a generator
+    job, then its return value (a plain function's value alone).  The
+    value brings the worker's timings and own peak resident set.  close()
+    ends the process.
+    """
+
+    def __init__(self, label: str, fn, *args):
+        import pickle
+        import struct
+        import subprocess
+
+        self.label = label
+        self.timings = None     # {"worker_s", "wait_s"}, once the value is read
+        self.peak_mb = 0.0      # the worker's own, likewise
+        self._wait_s = 0.0
+        buffers = []
+        job = pickle.dumps((fn.__globals__["__spec__"].name, fn.__qualname__, args),
+                           protocol=5, buffer_callback=buffers.append)
+        parts = [memoryview(job)] + [b.raw() for b in buffers]
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+        self._proc = subprocess.Popen([sys.executable, "-c", WORKER, label],
+                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                      env=dict(os.environ, PYTHONPATH=path))
+        try:
+            with self._proc.stdin as pipe:
+                pipe.write(struct.pack(f"{len(parts) + 1}Q", len(parts),
+                                       *(part.nbytes for part in parts)))
+                for part in parts:
+                    pipe.write(part)
+        except BrokenPipeError:
+            pass                # the worker is gone: take() names its exit code
+
+    def take(self):
+        """The job's next result; blocks until it arrives.  Re-raises the
+        exception the job raised.  A worker that ends before its next
+        result raises NsstabError naming its exit code."""
+        import pickle
+
+        start = time.perf_counter()
+        try:
+            kind, *message = pickle.load(self._proc.stdout)
+        except (EOFError, pickle.UnpicklingError):
+            raise NsstabError(f"the {self.label} worker ended without a result "
+                              f"(exit code {self._proc.wait()})") from None
+        finally:
+            self._wait_s += time.perf_counter() - start
+        if kind == "error":
+            raise message[0]
+        if kind == "value":
+            value, worker_s, self.peak_mb = message
+            self.timings = {"worker_s": round(worker_s, 3),
+                            "wait_s": round(self._wait_s, 3)}
+            return value
+        return message[0]
+
+    def close(self):
+        """End the worker: one whose value was read exits by itself; any
+        other is killed.  Either way it is waited for."""
+        if self.timings is None:
+            self._proc.kill()
+        self._proc.wait()
+        self._proc.stdout.close()
 
 
 class Pipeline:
     """Lazily built shared state for the subcommands of one run.
 
-    It owns the horizon gate's worker process (start_gate); close() ends it.
-    Its first closed loop restricts the law to the head that every
-    closed-loop window a command reads lies in (closed_loop), releasing the
-    law's tail.
+    It owns the run's workers (start_gate, start_closed_loop), keyed by
+    the manifest entry of their timings; close() ends them.  commands
+    names the run's subcommands: the closed-loop ones among them run in
+    the closed-loop worker.
     """
 
-    def __init__(self, cfg: ExperimentConfig, rng):
+    def __init__(self, cfg: ExperimentConfig, rng, commands=()):
         self.cfg = cfg
         self.rng = rng
+        self.closed_loop_commands = [c for c in commands if c in CLOSED_LOOP_BODIES]
         self._cache = {}
-        self._gate = None
-        self.gate_timings = None
-        self.children_peak_mb = 0.0     # the gate worker's own, once read
+        self.workers = {}
+        self._turns = 0         # closed-loop results not yet taken
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -189,57 +288,44 @@ class Pipeline:
             cap=c.tolerances.riccati_cap))
 
     def start_gate(self):
-        """Start the worker process that sweeps the doubled horizon
-        (feedback.doubled_horizon_value) beside this process's law sweep.
-        The worker imports this process's own nsstab; its result is read by
-        gate_value."""
-        import pickle
-        import subprocess
-
+        """Start the worker that sweeps the doubled horizon
+        (feedback.doubled_horizon_value) beside this process's law sweep;
+        its one result is taken from workers["horizon_gate"]."""
         c = self.cfg
-        job = pickle.dumps((self.reference, c.control.lam, self.actuator,
-                            c.time.T_h, c.time.dt, c.tolerances.riccati_cap))
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
-        self._gate = subprocess.Popen([sys.executable, "-c", GATE_WORKER],
-                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                      env=dict(os.environ, PYTHONPATH=path))
-        try:
-            self._gate.stdin.write(job)
-        except BrokenPipeError:
-            pass                # the worker is gone: gate_value names its exit code
-        self._gate.stdin.close()
+        self.workers["horizon_gate"] = Worker(
+            "horizon-gate", doubled_horizon_value, self.reference, c.control.lam,
+            self.actuator, c.time.T_h, c.time.dt, c.tolerances.riccati_cap)
 
-    def gate_value(self):
-        """Q_2T(0) of the started gate: blocks until the worker ends and
-        re-raises the exception it raised.  A worker that ends without a
-        result raises NsstabError naming its exit code."""
-        import pickle
+    def start_closed_loop(self, out, v0=None):
+        """Start the worker that runs the closed-loop half of the run
+        (closed_loop_job) on the law's head: feedback's decay run from v0
+        where v0 is given, then each closed-loop command's body.  It
+        continues this run's generator from its state now; closed_loop_turn
+        takes its results."""
+        self._turns = (v0 is not None) + len(self.closed_loop_commands)
+        self.workers["closed_loop_worker"] = Worker(
+            "closed-loop", closed_loop_job, self.cfg, self.rng, self.closed_loop_head(),
+            v0, out, self.closed_loop_commands)
 
-        start = time.perf_counter()
-        with self._gate.stdout:
-            data = self._gate.stdout.read()
-        code = self._gate.wait()
-        wait_s = time.perf_counter() - start
-        if code != 0 or not data:
-            raise NsstabError(f"the horizon-gate worker ended without a result "
-                              f"(exit code {code})")
-        result = pickle.loads(data)
-        if isinstance(result, BaseException):
-            raise result
-        double_Q0, worker_s, self.children_peak_mb = result
-        self.gate_timings = {"worker_s": round(worker_s, 3),
-                             "wait_s": round(wait_s, 3)}
-        return double_Q0
+    def closed_loop_turn(self, out):
+        """The closed-loop worker's next result, the worker started here
+        if it is not yet: the decay run's, then each closed-loop command's
+        in turn; an exception the job raised is raised at its turn.  After
+        the last result the run's generator takes the state the worker
+        left it in."""
+        if "closed_loop_worker" not in self.workers:
+            self.start_closed_loop(out)
+        worker = self.workers["closed_loop_worker"]
+        result = worker.take()
+        self._turns -= 1
+        if not self._turns:
+            self.rng.bit_generator.state = worker.take()
+        return result
 
     def close(self):
-        """End the gate's worker: one whose result was read has exited;
-        any other is killed.  Either way it is waited for."""
-        if self._gate is not None:
-            if self._gate.returncode is None:
-                self._gate.kill()
-            self._gate.wait()
-            self._gate.stdout.close()
+        """End every worker started."""
+        for worker in self.workers.values():
+            worker.close()
 
     def closed_loop_spans(self) -> dict:
         """The closed-loop windows [0, span] the commands read, spans in
@@ -250,17 +336,36 @@ class Pipeline:
         return {window: min(units, c.time.T_h - 1.0) for window, units in
                 (("linear", c.time.n_max), ("nonlinear", c.nonlinear.sim_units))}
 
+    def closed_loop_head(self):
+        """The law on the head that holds every closed-loop window
+        (closed_loop_spans), all a closed loop reads: a view of the law's
+        cost operators, so nothing is copied.  It keeps the law's horizon,
+        and a read past its head raises ValueError."""
+        k = int(round(max(self.closed_loop_spans().values()) / self.cfg.time.dt))
+        return dataclasses.replace(self.law, Q_packed=self.law.Q_packed[:k + 1])
+
     def closed_loop(self, window: str):
         """The law's closed loop over the named window (closed_loop_spans),
         built once per span and shared by the linear decay run, the
-        nonlinear run, the probe and the basin sweep.  The first one
-        restricts the law to the head that holds every span, so the law's
-        full horizon must be read before it: a later read raises."""
-        spans = self.closed_loop_spans()
-        self._get("law_head", lambda: self.law.restrict(max(spans.values())))
-        span = spans[window]
+        nonlinear run, the probe and the basin sweep."""
+        span = self.closed_loop_spans()[window]
         return self._get(("closed_loop", round(span, 12)),
                          lambda: closed_loop_steps(self.law, 0.0, span))
+
+
+def closed_loop_job(cfg, rng, law, v0, out, commands):
+    """The closed-loop half of a run, the closed-loop worker's job: on the
+    law's head, feedback's decay run from v0 where v0 is given, then the
+    body of each named command in order, each writing its own artifacts.
+    Yields each one's result as it ends, and returns the state rng is left
+    in."""
+    p = Pipeline(cfg, rng)
+    p._cache.update(law=law, reference=law.reference, space=law.reference.space)
+    if v0 is not None:
+        yield feedback_decay(p, out, v0)
+    for name in commands:
+        yield CLOSED_LOOP_BODIES[name](p, out)
+    return rng.bit_generator.state
 
 
 def cmd_reference(p: Pipeline, out):
@@ -338,13 +443,16 @@ def cmd_stabilize(p: Pipeline, out):
 def cmd_feedback(p: Pipeline, out):
     p.start_gate()          # the doubled horizon sweeps while the law is built
     law = p.law
+    v0 = p.rng.standard_normal(p.space.K)
+    # the decay run, and the run's closed-loop commands after it, run on the
+    # law's head in the closed-loop worker beside the readers of the whole law
+    p.start_closed_loop(out, v0)
     stride = max(1, law.n_steps // 64)
     nodes = range(0, law.n_steps + 1, stride)
     np.savez_compressed(os.path.join(out, "feedback_law.npz"),
                         times=law.times[::stride],
                         Qt=np.stack([law.Q(m) for m in nodes]),
                         lam=law.lam, M=law.M, T_h=law.T_h, stride=stride)
-    v0 = p.rng.standard_normal(p.space.K)
     interior = [law.T_h / 8, law.T_h / 4, law.T_h / 2]
     # one rollout pass serves both checks: the DP check's from s = 0 and
     # the cost check's from s = 1, the same v0
@@ -357,19 +465,33 @@ def cmd_feedback(p: Pipeline, out):
         "optimal_cost": optimal_cost_check(cost_rollout),
         "riccati_residual": riccati_residual(law, interior),
     }
-    # every reader of the full horizon is done: the closed loop restricts
-    # the law to its head
-    sim, cl_rep = closed_loop_linear(p.closed_loop("linear"), v0)
-    report.update(lyapunov=lyapunov_check(sim), closed_loop=cl_rep)
-    # read last, so that the worker sweeps beside all of the above
-    report["horizon_gate"] = horizon_gate(law, p.gate_value())
+    decay, artifacts = p.closed_loop_turn(out)
+    report.update(decay)
+    # the gate is read last, so that its worker sweeps beside all of the above
+    report["horizon_gate"] = horizon_gate(law, p.workers["horizon_gate"].take())
     write_json(os.path.join(out, "feedback.json"), report)
-    return ["feedback_law.npz", "feedback.json"] + write_decay(
-        out, "feedback_decay", sim, p.space, max(cl_rep["kappa_h"], 1.0), law.lam,
-        "feedback closed-loop decay")
+    return ["feedback_law.npz", "feedback.json"] + artifacts
+
+
+def feedback_decay(p: Pipeline, out, v0):
+    """feedback's decay run from v0 on the law's closed loop: its reports
+    for feedback.json, and the artifacts it writes."""
+    sim, cl_rep = closed_loop_linear(p.closed_loop("linear"), v0)
+    artifacts = write_decay(out, "feedback_decay", sim, p.space,
+                            max(cl_rep["kappa_h"], 1.0), p.law.lam,
+                            "feedback closed-loop decay")
+    return {"lyapunov": lyapunov_check(sim), "closed_loop": cl_rep}, artifacts
 
 
 def cmd_closed_loop(p: Pipeline, out):
+    return p.closed_loop_turn(out)
+
+
+def cmd_basin(p: Pipeline, out):
+    return p.closed_loop_turn(out)
+
+
+def closed_loop_body(p: Pipeline, out):
     c = p.cfg
     d = p.rng.standard_normal(p.space.K)
     d /= np.sqrt(p.space.alphas @ d**2)
@@ -394,7 +516,7 @@ def cmd_closed_loop(p: Pipeline, out):
     return ["closed_loop.json"]
 
 
-def cmd_basin(p: Pipeline, out):
+def basin_body(p: Pipeline, out):
     c = p.cfg
     rep = basin_sweep(p.closed_loop("nonlinear"), c.nonlinear.basin_scales,
                       c.nonlinear.basin_directions, p.rng,
@@ -416,6 +538,13 @@ COMMANDS = {
     "basin": cmd_basin,
 }
 
+# The bodies of the closed-loop commands, run by the closed-loop worker: the
+# CLI process takes each one's result at the command's turn.
+CLOSED_LOOP_BODIES = {
+    "closed-loop": closed_loop_body,
+    "basin": basin_body,
+}
+
 
 def run(subcommand: str, config_path: str, out_dir: str | None = None,
         seed: int | None = None) -> int:
@@ -429,11 +558,14 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
         out = out_dir or cfg.output_dir
         os.makedirs(out, exist_ok=True)
         rng = np.random.default_rng(cfg.seed)
-        pipeline = Pipeline(cfg, rng)
         names = ([subcommand] if subcommand != "all" else list(COMMANDS))
+        pipeline = Pipeline(cfg, rng, names)
         artifacts = []
         for name in names:
             artifacts += COMMANDS[name](pipeline, out)
+        # each worker's own peak, sent with its value
+        peaks = [worker.peak_mb for worker in pipeline.workers.values()]
+        children = None if None in peaks else max(peaks, default=0.0)
         manifest = {
             "subcommand": subcommand,
             "config_hash": cfg.config_hash(),
@@ -442,12 +574,11 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
                          "numpy": np.__version__,
                          "python": sys.version.split()[0]},
             "wall_time_s": round(time.perf_counter() - started, 3),
-            "peak_rss_mb": {"cli": peak_rss_mb(),
-                            "children": pipeline.children_peak_mb},
+            "peak_rss_mb": {"cli": peak_rss_mb(), "children": children},
             "artifacts": sorted(artifacts),
         }
-        if pipeline.gate_timings is not None:
-            manifest["horizon_gate"] = pipeline.gate_timings
+        for key, worker in pipeline.workers.items():
+            manifest[key] = worker.timings
         write_json(os.path.join(out, "manifest.json"), manifest)
         return 0
     except ConfigError as exc:

@@ -25,10 +25,6 @@ class RiccatiBlowupError(NsstabError):
     """Backward cost-operator sweep exceeded its cap; system not stabilizable at this M."""
 
 
-class ReleaseError(NsstabError):
-    """A feedback law's tail could not be released in place: a view of its cost operators is alive."""
-
-
 class StepSolveError(NsstabError):
     """Implicit step system could not be solved."""
 

@@ -26,9 +26,7 @@ same step model, forming each step's gain from Q(m+1) and that step's one
 factorisation.  Consecutive steps differ by O(h), so a sweep solves only
 its first step and first gain system and refines every later inverse
 from its neighbour's with matrix products (dynamics.refined_inverse),
-solving afresh any that does not converge.  A law whose full horizon has
-been read can be restricted to its head (FeedbackLaw.restrict), which
-releases its tail's cost operators in place.
+solving afresh any that does not converge.
 """
 
 import functools
@@ -46,7 +44,7 @@ from .dynamics import (
     cn_step,
     refined_inverse,
 )
-from .errors import ConfigError, ReleaseError, RiccatiBlowupError
+from .errors import ConfigError, RiccatiBlowupError
 from .spectral import Actuator
 
 DEFAULT_RICCATI_CAP = 1e8
@@ -65,9 +63,9 @@ class FeedbackLaw:
     step m from shifted_system, the expression the sweep used, and forms
     its discretely optimal control from Q(m+1) (see _sweep).  The law
     exists on [0, T_h] only: reading it at a time outside that range,
-    beyond round-off, raises ValueError.  Once restricted to its head
-    (restrict), it keeps its horizon, times and n_steps, and a read past
-    the head raises ValueError too.
+    beyond round-off, raises ValueError.  A law on its head alone, whose
+    Q_packed holds the first head + 1 cost operators, keeps its horizon,
+    times and n_steps, and a read past the head raises ValueError too.
     """
 
     lam: float
@@ -91,7 +89,7 @@ class FeedbackLaw:
     @property
     def head(self) -> int:
         """The last node whose cost operator the law keeps: n_steps, or
-        the end of the head it was restricted to."""
+        the end of its head."""
         return self.Q_packed.shape[0] - 1
 
     @property
@@ -130,30 +128,12 @@ class FeedbackLaw:
         return self._kept(int(round(x)))
 
     def _kept(self, m: int) -> int:
-        """m, refused with ValueError where restrict released node m."""
+        """m, refused with ValueError past the law's head."""
         if m > self.head:
             raise ValueError(f"node {m} (t={m * self.dt:.6g}) lies past the "
-                             f"law's head [0, {self.head * self.dt:.6g}]: its "
-                             f"cost operator was released")
+                             f"law's head [0, {self.head * self.dt:.6g}]: it keeps "
+                             f"no cost operator there")
         return m
-
-    def restrict(self, T: float):
-        """Keep the cost operators of the head [0, T] alone, T rounded to a
-        node: the tail's are released in place (ndarray.resize), not
-        copied, so the law never coexists with a copy of its head.  Any
-        later read past the head, such as max_gain_norm or a rollout to
-        T_h, raises ValueError.  A head past the kept one is refused with
-        ValueError, and the release, while any view of Q_packed is alive,
-        with ReleaseError."""
-        k = int(round(T / self.dt))
-        if not 0 <= k <= self.head:
-            raise ValueError(f"head [0, {T}] is not inside the law's kept "
-                             f"span [0, {self.head * self.dt:.6g}]")
-        try:
-            self.Q_packed.resize((k + 1, self.Q_packed.shape[1]))
-        except ValueError as exc:
-            raise ReleaseError(f"the law's tail past t={T} cannot be released "
-                               f"in place: {exc}") from exc
 
     def max_gain_norm(self, stride: int = 16) -> float:
         """Measured operator-norm bound of the continuous-form gain."""

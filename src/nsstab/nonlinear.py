@@ -146,10 +146,9 @@ class ClosedLoopStepper(Propagator):
 
 def closed_loop_steps(law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
     """The law's closed loop on [s, s + n_units], inside its horizon (its
-    head, once restricted): one Crank-Nicolson step per law step from
-    law.closed_loop_system.  A
-    step stack larger than the available memory is refused with
-    ConfigError before anything is allocated."""
+    head): one Crank-Nicolson step per law step from
+    law.closed_loop_system.  A step stack larger than the available memory
+    is refused with ConfigError before anything is allocated."""
     space, dt = law.reference.space, law.dt
     s_index = int(round(s / dt))
     n_steps = int(round(n_units / dt))

@@ -3,11 +3,13 @@
 import functools
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import time
 import tracemalloc
+import types
 import weakref
 from pathlib import Path
 
@@ -38,6 +40,38 @@ from nsstab.stabilizer import CutoffSearch
 from oracles import bundle_on, forms_on, save_config
 
 DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
+
+
+class InProcessWorker:
+    """cli.Worker's contract in this process: the job's arguments cross a
+    pickle round trip, and take() runs the job up to its next result, so
+    its results come in order and its exception is raised at its turn."""
+
+    def __init__(self, label, fn, *args):
+        self.label, self.timings, self.peak_mb = label, None, 0.0
+        self._results = self._run(fn, pickle.loads(pickle.dumps(args, protocol=5)))
+
+    def _run(self, fn, args):
+        start = time.perf_counter()
+        value = fn(*args)
+        if isinstance(value, types.GeneratorType):
+            value = yield from value
+        self.timings = {"worker_s": round(time.perf_counter() - start, 3),
+                        "wait_s": 0.0}
+        yield value
+
+    def take(self):
+        return next(self._results)
+
+    def close(self):
+        self._results.close()
+
+
+@pytest.fixture()
+def in_process_workers(monkeypatch):
+    """Run every worker's job in this process (InProcessWorker), so a patch
+    of the code a job runs reaches it."""
+    monkeypatch.setattr(cli, "Worker", InProcessWorker)
 
 
 class TestConfig:
@@ -311,7 +345,8 @@ class TestRun:
         save_config(cfg, path)
         assert run("stabilize", str(path), str(tmp_path / "o")) == 3
 
-    def test_picard_cap_exit_code(self, small_cfg, tmp_path, monkeypatch):
+    def test_picard_cap_exit_code(self, small_cfg, tmp_path, monkeypatch,
+                                  in_process_workers):
         _, path = small_cfg
         monkeypatch.setattr(nonlinear, "INNER_CAP", 1)
         assert run("closed-loop", str(path), str(tmp_path / "o")) == 3
@@ -329,7 +364,8 @@ class TestRun:
         assert all(field in err for field in ("space.K", "time.T_h", "time.dt"))
 
     def test_closed_loop_beyond_available_memory_exit_code(self, small_cfg, tmp_path,
-                                                           monkeypatch, capsys):
+                                                           monkeypatch, capsys,
+                                                           in_process_workers):
         # the law fits but the closed loop's (n_steps, K, K) step stack does
         # not: refused before a step is built, naming what sizes the stack.
         # The law's guard reads the probe first (here: nothing readable),
@@ -373,24 +409,30 @@ class TestRun:
         assert not (out / "stabilize.json").exists()
 
     def test_growth_inside_the_gate_exit_code(self, small_cfg, tmp_path, monkeypatch,
-                                              capsys):
+                                              capsys, in_process_workers):
         # a nonlinear run that grows like e^t from data inside the shipped
         # gate is not decayed there, and the run fails
         _, path = small_cfg
-        run_nonlinear = nonlinear.ClosedLoopStepper.run_nonlinear
-
-        def growing(self, v0):
-            trajectory, blowup_t = run_nonlinear(self, v0)
-            t = trajectory.times - trajectory.times[0]
-            trajectory.states = trajectory.states * np.exp(t)[:, None]
-            return trajectory, blowup_t
-        monkeypatch.setattr(nonlinear.ClosedLoopStepper, "run_nonlinear", growing)
+        grow_nonlinear_runs(monkeypatch)
         out = tmp_path / "o"
         code = main(["closed-loop", "--config", str(path), "--out", str(out)])
         assert code == 4
         assert "nonlinear decay violated inside the gate" in capsys.readouterr().err
         rep = json.loads((out / "closed_loop.json").read_text())
         assert rep["inside_gate"] and not rep["decayed"]
+
+    def test_decay_violation_in_all_keeps_the_feedback_report(
+            self, small_cfg, tmp_path, monkeypatch, capsys, in_process_workers):
+        # the closed-loop worker stops at the failure, which is raised at
+        # closed-loop's turn, after feedback.json is written
+        _, path = small_cfg
+        grow_nonlinear_runs(monkeypatch)
+        out = tmp_path / "o"
+        assert run("all", str(path), str(out)) == 4
+        assert "nonlinear decay violated inside the gate" in capsys.readouterr().err
+        assert json.loads((out / "feedback.json").read_text())["horizon_gate"]
+        assert not json.loads((out / "closed_loop.json").read_text())["decayed"]
+        assert not (out / "basin.json").exists()
 
     def test_synthesis_horizon_leaves_a_closed_loop_step(self, small_cfg, tmp_path,
                                                          capsys):
@@ -481,7 +523,7 @@ def assert_no_child_left(procs):
         os.waitpid(-1, os.WNOHANG)
 
 
-# a gate worker that takes its job and then never answers
+# a worker that takes its job and then never answers
 SILENT_WORKER = "import sys, time\nsys.stdin.buffer.read()\ntime.sleep(600)\n"
 
 
@@ -491,27 +533,50 @@ def failing(error):
     return fail
 
 
+def grow_nonlinear_runs(monkeypatch):
+    """Make every nonlinear run grow like e^t from its start."""
+    run_nonlinear = nonlinear.ClosedLoopStepper.run_nonlinear
+
+    def growing(self, v0):
+        trajectory, blowup_t = run_nonlinear(self, v0)
+        t = trajectory.times - trajectory.times[0]
+        trajectory.states = trajectory.states * np.exp(t)[:, None]
+        return trajectory, blowup_t
+    monkeypatch.setattr(nonlinear.ClosedLoopStepper, "run_nonlinear", growing)
+
+
+def worker_labels(procs):
+    """The worker each recorded process runs, by the label it is started with."""
+    return [proc.args[-1] for proc in procs]
+
+
 class TestHorizonGateWorker:
     @pytest.mark.parametrize("subcommand, gated", [
-        ("feedback", True), ("stabilize", False), ("closed-loop", False)])
+        ("feedback", True), ("stabilize", False), ("closed-loop", False),
+        ("basin", False), ("all", True)])
     def test_only_the_feedback_report_starts_the_gate(self, small_cfg, tmp_path,
                                                       monkeypatch, subcommand, gated):
         # the worker's Q_2T(0) is the in-process sweep's, bit for bit, and
         # the manifest carries its timings; closed-loop builds the law but
-        # sweeps no doubled horizon
+        # sweeps no doubled horizon.  The gate starts first, then the
+        # closed loop's worker where the run reads a closed loop, and the
+        # manifest carries that worker's timings too
         cfg, path = small_cfg
         procs = spawned(monkeypatch)
         out = tmp_path / "o"
         assert run(subcommand, str(path), str(out)) == 0
-        assert len(procs) == gated
+        looped = subcommand != "stabilize"
+        assert worker_labels(procs) == ["horizon-gate"] * gated + ["closed-loop"] * looped
         assert_no_child_left(procs)
         manifest = json.loads((out / "manifest.json").read_text())
         assert ("horizon_gate" in manifest) == gated
+        assert ("closed_loop_worker" in manifest) == looped
+        for key in {"horizon_gate", "closed_loop_worker"} & set(manifest):
+            timings = manifest[key]
+            assert set(timings) == {"worker_s", "wait_s"}
+            assert timings["worker_s"] > 0 and timings["wait_s"] >= 0
         if not gated:
             return
-        timings = manifest["horizon_gate"]
-        assert set(timings) == {"worker_s", "wait_s"}
-        assert timings["worker_s"] > 0 and timings["wait_s"] >= 0
         p = Pipeline(cfg, np.random.default_rng(cfg.seed))
         want = horizon_gate(p.law, doubled_horizon_value(
             p.reference, cfg.control.lam, p.actuator, cfg.time.T_h, cfg.time.dt,
@@ -538,12 +603,13 @@ class TestHorizonGateWorker:
     def test_law_failure_does_not_wait_for_the_gate(self, small_cfg, tmp_path,
                                                     monkeypatch):
         _, path = small_cfg
-        monkeypatch.setattr(cli, "GATE_WORKER", SILENT_WORKER)
+        monkeypatch.setattr(cli, "WORKER", SILENT_WORKER)
         monkeypatch.setattr(cli, "riccati_solve", failing(RiccatiBlowupError))
         procs = spawned(monkeypatch)
         started = time.perf_counter()
         assert run("feedback", str(path), str(tmp_path / "o")) == 3
         assert time.perf_counter() - started < 60
+        assert worker_labels(procs) == ["horizon-gate"]
         assert procs[0].returncode == -signal.SIGKILL
         assert_no_child_left(procs)
 
@@ -566,27 +632,129 @@ class TestHorizonGateWorker:
 
     @pytest.mark.parametrize("code", [0, 2, 3, 4])
     def test_no_child_outlives_the_run(self, small_cfg, tmp_path, monkeypatch, code):
-        # each exit after the worker started: success, the law refused for
-        # memory, the law's sweep failing and a check failing before the
-        # gate is read
+        # each exit after the gate started: success, the law refused for
+        # memory, the law's sweep failing (neither starts the closed loop's
+        # worker) and a check failing before the gate is read
         _, path = small_cfg
         if code == 2:
             monkeypatch.setattr(feedback, "available_memory_bytes", lambda: 0)
         if code == 3:
             monkeypatch.setattr(cli, "riccati_solve", failing(RiccatiBlowupError))
         if code == 4:
-            monkeypatch.setattr(cli, "closed_loop_linear", failing(VerificationError))
+            monkeypatch.setattr(cli, "dp_check", failing(VerificationError))
         procs = spawned(monkeypatch)
         assert run("feedback", str(path), str(tmp_path / "o")) == code
-        assert len(procs) == 1
+        started = ["horizon-gate"] if code in (2, 3) else ["horizon-gate", "closed-loop"]
+        assert worker_labels(procs) == started
         assert_no_child_left(procs)
+
+    @pytest.mark.parametrize("code", [0, 2, 3, 4])
+    def test_all_reaps_both_workers(self, small_cfg, tmp_path, monkeypatch, code):
+        # every exit after both workers started: success, a config error
+        # and a check failing in this process, and the gate's sweep failing
+        # in its worker while the closed loop's may still run
+        cfg, path = small_cfg
+        if code == 2:
+            monkeypatch.setattr(cli, "riccati_residual", failing(ConfigError))
+        if code == 3:
+            cfg.time.T_h, cfg.tolerances.riccati_cap = 2.0, 1.35
+            save_config(cfg.validate(), path)
+        if code == 4:
+            monkeypatch.setattr(cli, "dp_check", failing(VerificationError))
+        procs = spawned(monkeypatch)
+        assert run("all", str(path), str(tmp_path / "o")) == code
+        assert worker_labels(procs) == ["horizon-gate", "closed-loop"]
+        assert_no_child_left(procs)
+
+    def test_closed_loop_worker_killed_from_outside_exits_3(self, small_cfg, tmp_path,
+                                                            monkeypatch, capsys):
+        _, path = small_cfg
+        procs = []
+
+        class KilledAtStart(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                procs.append(self)
+                self.kill()
+        monkeypatch.setattr(subprocess, "Popen", KilledAtStart)
+        out = tmp_path / "o"
+        assert run("closed-loop", str(path), str(out)) == 3
+        assert f"the closed-loop worker ended without a result (exit code " \
+               f"{-signal.SIGKILL})" in capsys.readouterr().err
+        assert not (out / "closed_loop.json").exists()
+        assert worker_labels(procs) == ["closed-loop"]
+        assert_no_child_left(procs)
+
+    def test_job_arrays_are_not_copied(self, monkeypatch):
+        # a job's arrays are written to the worker from their own memory:
+        # starting a job on 8 MB allocates far less than 8 MB here, and the
+        # worker computes on the bytes it was sent
+        procs = spawned(monkeypatch)
+        block = np.arange(2**20, dtype=float).reshape(1024, 1024)
+        tracemalloc.start()
+        try:
+            worker = cli.Worker("test", feedback.pack_symmetric, block)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        try:
+            assert np.array_equal(worker.take(), feedback.pack_symmetric(block))
+        finally:
+            worker.close()
+        assert peak < block.nbytes / 8
+        assert worker.timings["worker_s"] >= 0 and worker.peak_mb > 0
+        assert_no_child_left(procs)
+
+    def test_closed_loop_runs_under_a_profile_hook(self, small_cfg, tmp_path):
+        # a profiler's hook holds references to the frames it sees
+        _, path = small_cfg
+        sys.setprofile(lambda *args: None)
+        try:
+            code = run("closed-loop", str(path), str(tmp_path / "o"))
+        finally:
+            sys.setprofile(None)
+        assert code == 0
+
+    def test_run_under_cprofile(self, small_cfg, tmp_path):
+        # under python -m cProfile -m nsstab.cli, __main__ is neither the
+        # CLI's module nor cProfile's, and each worker still finds its job
+        _, path = small_cfg
+        out = tmp_path / "o"
+        proc = cli_process("all", path, out, "-m", "cProfile", "-o",
+                           str(tmp_path / "all.prof"))
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert set(json.loads((out / "manifest.json").read_text())) >= {
+            "horizon_gate", "closed_loop_worker"}
+
+    def test_closed_loop_leaves_the_generator_as_in_process(self, small_cfg, tmp_path,
+                                                            monkeypatch):
+        # the worker continues the run's generator and hands its state back:
+        # the state and the artifacts are those of the body run in process
+        cfg, path = small_cfg
+        pipelines = []
+
+        class Recorded(Pipeline):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pipelines.append(self)
+        monkeypatch.setattr(cli, "Pipeline", Recorded)
+        out, here = tmp_path / "o", tmp_path / "here"
+        assert run("closed-loop", str(path), str(out)) == 0
+        here.mkdir()
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        artifacts = cli.closed_loop_body(p, str(here))
+        state = pipelines[0].rng.bit_generator.state
+        assert state == p.rng.bit_generator.state
+        assert state != np.random.default_rng(cfg.seed).bit_generator.state
+        assert "closed_loop.csv" in artifacts
+        for name in artifacts:
+            assert (out / name).read_bytes() == (here / name).read_bytes(), name
 
     def test_dev_mode_run_leaves_no_resource_warning(self, small_cfg, tmp_path):
         # an unclosed pipe or a worker never waited for is a ResourceWarning,
-        # an error under -W error::ResourceWarning; all and closed-loop also
-        # restrict the law
+        # an error under -W error::ResourceWarning
         _, path = small_cfg
-        for subcommand in ("feedback", "all", "closed-loop"):
+        for subcommand in ("feedback", "all", "closed-loop", "basin"):
             proc = cli_process(subcommand, path, tmp_path / subcommand, "-X", "dev",
                                "-W", "error::ResourceWarning")
             assert proc.returncode == 0, subcommand
@@ -803,7 +971,7 @@ class TestSharedIntervalWork:
         assert len(forms) == 1
 
     def test_feedback_integrates_closed_loop_once(self, small_cfg, tmp_path,
-                                                  monkeypatch):
+                                                  monkeypatch, in_process_workers):
         # one build for the decay run and its Lyapunov functional; the
         # optimal-cost simulation streams its steps instead
         _, path = small_cfg
@@ -846,7 +1014,8 @@ class TestSharedIntervalWork:
 
 
 class TestOneClosedLoop:
-    def test_all_builds_the_closed_loop_once(self, small_cfg, tmp_path, monkeypatch):
+    def test_all_builds_the_closed_loop_once(self, small_cfg, tmp_path, monkeypatch,
+                                             in_process_workers):
         # feedback, closed-loop and basin share the (0, n) window
         cfg, path = small_cfg
         assert cfg.time.n_max == cfg.nonlinear.sim_units
@@ -865,8 +1034,9 @@ class TestOneClosedLoop:
         assert short is not loop
         assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
         assert short.n_steps == 2 * 128
-        # the law keeps the head that holds both windows
-        assert p.law.head == 3 * 128
+        # the closed loop's worker gets the head that holds both windows
+        head = p.closed_loop_head()
+        assert head.head == 3 * 128 and np.shares_memory(head.Q_packed, p.law.Q_packed)
 
     def test_optimal_cost_check_stores_no_step_stack(self, small_cfg):
         # the check stays far below one (n_steps, K, K) step stack, and the
@@ -890,9 +1060,10 @@ class TestOneClosedLoop:
 
     @pytest.mark.parametrize("subcommand", ["feedback", "closed-loop"])
     def test_closed_loop_is_built_from_the_law_head(self, small_cfg, tmp_path,
-                                                    monkeypatch, subcommand):
-        # no closed-loop step is built while the law holds its full horizon:
-        # by then it keeps [0, min(max(n_max, sim_units), T_h - 1)] alone
+                                                    monkeypatch, subcommand,
+                                                    in_process_workers):
+        # no closed-loop step is built from the law's full horizon: the
+        # closed loop's job holds [0, min(max(n_max, sim_units), T_h - 1)]
         cfg, path = small_cfg
         rows = []
 
@@ -906,7 +1077,7 @@ class TestOneClosedLoop:
         assert rows[0] < round(cfg.time.T_h / cfg.time.dt) + 1
 
     def test_reports_keep_the_full_horizon(self, small_cfg, tmp_path):
-        # the readers of the whole law report as on a law never restricted
+        # the readers of the whole law report on its full horizon
         cfg, path = small_cfg
         out = tmp_path / "o"
         assert run("feedback", str(path), str(out)) == 0

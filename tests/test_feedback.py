@@ -10,7 +10,7 @@ import pytest
 
 from nsstab import dynamics, feedback
 from nsstab.dynamics import taylor_green_reference, zero_reference
-from nsstab.errors import ConfigError, ReleaseError, RiccatiBlowupError
+from nsstab.errors import ConfigError, RiccatiBlowupError
 from nsstab.feedback import (
     closed_loop_linear,
     doubled_horizon_value,
@@ -441,38 +441,17 @@ class TestTimeAxis:
 class TestRestriction:
     @pytest.fixture()
     def law(self):
+        # the law on its head [0, 1] alone, a view of its first cost
+        # operators, as the closed-loop worker gets it
         _, ref, act = gate_instance(K=12, M=16, T_h=3.0)
-        return riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0, dt=1.0 / 64)
-
-    def test_head_is_released_in_place(self, law):
-        # the tail is released by resizing Q_packed, so no copy of the head
-        # is made: traced from the law's allocation on, the restriction
-        # frees the tail's bytes and its peak stays below the head's bytes
-        k = 64
-        head = law.Q_packed[: k + 1].copy()
-        tail_bytes = law.Q_packed.nbytes - head.nbytes
-        tracemalloc.start()
-        try:
-            law.Q_packed = law.Q_packed.copy()      # an allocation traced here
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            law.restrict(1.0)
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert before - after > 0.9 * tail_bytes
-        assert peak - before < 0.25 * head.nbytes
-        assert law.Q_packed.shape == head.shape and law.Q_packed.base is None
-        assert np.array_equal(law.Q_packed, head)
-        assert law.head == k
-        # the horizon stays the synthesis's
-        assert law.n_steps == 192 and law.T_h == 3.0 and len(law.times) == 193
-        law.restrict(1.0)               # the same head again changes nothing
-        assert np.array_equal(law.Q_packed, head)
+        full = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0, dt=1.0 / 64)
+        return dataclasses.replace(full, Q_packed=full.Q_packed[:65])
 
     def test_reading_past_the_head_raises(self, law, rng):
-        law.restrict(1.0)
         v0 = rng.standard_normal(len(law.alphas))
+        # the horizon stays the synthesis's
+        assert law.head == 64
+        assert law.n_steps == 192 and law.T_h == 3.0 and len(law.times) == 193
         assert law.index_of(1.0) == 64
         assert np.array_equal(law.Q(64), unpack_symmetric(law.Q_packed[64]))
         closed_loop_steps(law, 0.0, 1.0)
@@ -481,7 +460,7 @@ class TestRestriction:
                 law.index_of(t)
         with pytest.raises(ValueError, match="outside the law's horizon"):
             law.index_of(3.0 + law.dt)
-        # every reader of the full horizon fails loudly once it is released
+        # every reader of the full horizon fails loudly on the head alone
         for read in (lambda: law.Q(65), lambda: law.closed_loop_system(64),
                      law.max_gain_norm,
                      lambda: optimal_rollouts(law, [(0.0, v0)]),
@@ -490,18 +469,6 @@ class TestRestriction:
                 read()
         with pytest.raises(ValueError, match="exceeds the synthesized horizon"):
             closed_loop_steps(law, 0.0, 1.0 + law.dt)
-        with pytest.raises(ValueError, match="not inside the law's kept span"):
-            law.restrict(2.0)
-
-    def test_refuses_while_a_view_is_alive(self, law):
-        full = law.Q_packed.copy()
-        view = law.Q_packed[0]
-        with pytest.raises(ReleaseError, match="cannot resize"):
-            law.restrict(1.0)
-        assert np.array_equal(law.Q_packed, full) and law.head == 192
-        del view
-        law.restrict(1.0)
-        assert law.head == 64
 
 
 class TestClosedLoop:
