@@ -457,13 +457,18 @@ def cmd_feedback(p: Pipeline, out):
     # one rollout pass serves both checks: the DP check's from s = 0 and
     # the cost check's from s = 1, the same v0
     dp_rollout, cost_rollout = optimal_rollouts(law, [(0.0, v0), (1.0, v0)])
+    cost = optimal_cost_check(cost_rollout)
+    # how the law's sweep, the rollout pass and the cost check obtained
+    # their step inverses: one update, two, or a solve
+    passes = (law.step_inverses, dp_rollout.step_inverses, cost["step_inverses"])
     report = {
         "lambda": law.lam, "M": law.M, "M_fallback": p.control_dim(p.lam_hat)[1],
         "T_h": law.T_h,
         "max_gain_norm": law.max_gain_norm(),
         "dp": dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2]),
-        "optimal_cost": optimal_cost_check(cost_rollout),
+        "optimal_cost": cost,
         "riccati_residual": riccati_residual(law, interior),
+        "step_inverses": {k: sum(c[k] for c in passes) for k in passes[0]},
     }
     decay, artifacts = p.closed_loop_turn(out)
     report.update(decay)

@@ -5,6 +5,12 @@ it coincides with the exact truncated convolution sum.  Linear propagation
 uses Crank-Nicolson on the full frozen-midpoint system matrix; the adjoint
 propagator is the literal transpose of the forward step matrices, which
 makes every discrete duality identity exact in floating-point algebra.
+
+The free flow's propagators solve each step (cn_steps).  The sequential
+passes of the feedback walk thousands of consecutive steps, so they take
+each step's inverse (I + h/2 F)^{-1} from an InversePath instead: predicted
+from the inverses before it along the pass and refined by one Newton-Schulz
+update, with two updates or a solve where that does not converge.
 """
 
 from dataclasses import dataclass
@@ -181,35 +187,12 @@ def taylor_green_reference(space: SpectralSpace, a0: float, a1: float = 0.0,
     return ReferenceTrajectory(space, [(taylor_green_coefficients(space), sched)], horizon)
 
 
-def cn_step(F: np.ndarray, dt: float, m: int = 0,
-            near: np.ndarray | None = None) -> np.ndarray:
+def cn_step(F: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
     """Crank-Nicolson transition phi = (I + h/2 F)^{-1} (I - h/2 F) of the
-    system matrix F of step m, from one solve.
-
-    near, the transition of a neighbouring step, makes it
-    phi = 2 X - I with X = (I + h/2 F)^{-1} refined from (I + near)/2 by
-    refined_inverse, which falls back to a solve where that does not
-    converge.  Without near, the step is the one solve.
-    """
+    system matrix F of step m, from one solve."""
     half = 0.5 * dt * F
     eye = _identity(F.shape[0])
-    if near is None:
-        return _cn_solve(eye + half, eye - half, m)
-    return 2.0 * refined_inverse(eye + half, 0.5 * (eye + near), m) - eye
-
-
-def cn_advance(F: np.ndarray, v: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
-    """phi v for v (K,) or (K, r) without forming phi:
-    (I + h/2 F)^{-1} (v - h/2 F v), one solve with the columns of v."""
-    half = 0.5 * dt * F
-    return cn_resolvent(F, v - half @ v, dt, m)
-
-
-def cn_resolvent(F: np.ndarray, v: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
-    """(I + h/2 F)^{-1} v for v (K,) or (K, r), one solve with the columns
-    of v: with X = (I + h/2 F)^{-1}, the step is phi = 2 X - I and a
-    forcing f enters as h X f."""
-    return _cn_solve(_identity(F.shape[0]) + 0.5 * dt * F, v, m)
+    return _cn_solve(eye + half, eye - half, m)
 
 
 @cache
@@ -227,47 +210,83 @@ def _cn_solve(lhs, rhs, m):
         raise StepSolveError(f"implicit step {m} is singular") from exc
 
 
-REFINE_STEPS = 2        # Newton-Schulz updates per refined inverse
 REFINE_TOL = 1e-8       # residual before the last update that is accepted
 
 
-def refined_inverse(A: np.ndarray, X0: np.ndarray, m: int = 0) -> np.ndarray:
-    """A^{-1} for A (n, n) or a stack (r, n, n), refined from X0, the inverse
-    of a nearby matrix, by REFINE_STEPS Newton-Schulz updates
-    X <- X + X R, R = I - A X.
+class InversePath:
+    """Inverses of the consecutive matrices A_m of one pass, taken in
+    either direction, each predicted from the inverses before it.
 
-    Each update squares the residual: I - A (X + X R) = R^2.  A matrix whose
-    residual before the last update is at most REFINE_TOL is accepted, so
-    its error is at round-off.  Every other matrix of the stack (one whose
-    starting residual exceeds 1/2 in the inf-norm, as X0 = 0 always does,
-    or one that misses REFINE_TOL) is solved afresh by _cn_solve, which
-    raises StepSolveError naming step m where A is singular.
+    Consecutive matrices of a pass differ by O(h), so their inverses lie on
+    a smooth path.  The first matrix is solved.  The second starts from
+    the first's inverse, the third from the linear prediction 2 X1 - X2
+    and every later one from the quadratic prediction 3 (X1 - X2) + X3,
+    X1 the newest inverse.  A Newton-Schulz update
+    X <- X + X R, R = I - A X, squares the residual, so a prediction whose
+    residual |R|_inf is at most REFINE_TOL takes one update (two K x K
+    products in all) and its error is at round-off.  Otherwise one whose
+    residual is at most 1/2 takes two updates if the residual before the
+    second is at most REFINE_TOL, and every other matrix is solved afresh by
+    _cn_solve, which raises StepSolveError naming step m where A is
+    singular.  counts records how each inverse was obtained: "one", "two"
+    or "solved".
     """
-    eye = _identity(A.shape[-1])
-    X, R = X0, eye - A @ X0
-    ok = _inf_norm(R) <= 0.5
-    for _ in range(REFINE_STEPS - 1):
-        X = X + X @ R
-        R = eye - A @ X
-    ok &= _inf_norm(R) <= REFINE_TOL
-    X = X + X @ R
-    if ok.all():
+
+    def __init__(self):
+        self._recent = []           # the last three inverses, newest first
+        self.counts = {"one": 0, "two": 0, "solved": 0}
+
+    def inverse(self, A: np.ndarray, m: int) -> np.ndarray:
+        """A^{-1} for the next matrix A (n, n) of the pass, its step m."""
+        eye = _identity(A.shape[0])
+        X, how = self._predicted(), "solved"
+        if X is not None:
+            R = eye - A @ X
+            res = _inf_norm(R)
+            if res <= REFINE_TOL:
+                how = "one"
+            elif res <= 0.5:
+                X = X + X @ R
+                R = eye - A @ X
+                if _inf_norm(R) <= REFINE_TOL:
+                    how = "two"
+        if how == "solved":
+            X = _cn_solve(A, eye, m)
+        else:
+            X = X + X @ R           # the last update
+        self.counts[how] += 1
+        self._recent = [X] + self._recent[:2]
         return X
-    return np.where(ok[..., None, None], X, _cn_solve(A, eye, m))
+
+    def step(self, F: np.ndarray, dt: float, m: int) -> np.ndarray:
+        """X = (I + h/2 F)^{-1} of the pass's Crank-Nicolson step m with
+        system matrix F: the step is phi = 2 X - I, and a forcing f enters
+        as h X f."""
+        return self.inverse(_identity(F.shape[0]) + 0.5 * dt * F, m)
+
+    def _predicted(self):
+        r = self._recent
+        if len(r) == 3:
+            return 3.0 * (r[0] - r[1]) + r[2]
+        if len(r) == 2:
+            return 2.0 * r[0] - r[1]
+        return r[0] if r else None
 
 
 def _inf_norm(R):
-    # max row sum of |R| for each matrix of a stack
-    return np.abs(R).sum(axis=-1).max(axis=-1)
+    # max row sum of |R|; a NaN in R makes it NaN, which fails every
+    # "<=" test, so that matrix is solved
+    return np.abs(R).sum(axis=1).max()
 
 
 def cn_steps(F_at, n_steps: int, dt: float, K: int) -> np.ndarray:
     """Crank-Nicolson step stack for the per-step system matrices F_at(m).
 
-    Fills phi[m] = cn_step(F_at(m)), one solve per step.  Every step model
-    of the package (free, shifted and closed-loop flow) is built by cn_step
-    or advanced by cn_advance and cn_resolvent, so they all share one
-    discretisation.
+    Fills phi[m] = cn_step(F_at(m)), one solve per step.  The free flow's
+    propagators are built so; the sequential passes of the feedback (the
+    Riccati sweeps, the rollouts, the cost check and the closed loop) take
+    each step's (I + h/2 F)^{-1} from an InversePath, so every step model of
+    the package shares one discretisation.
     """
     phi = np.empty((n_steps, K, K))
     for m in range(n_steps):

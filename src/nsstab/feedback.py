@@ -22,28 +22,24 @@ once, as its packed upper triangle (LAPACK's packed symmetric storage).
 The paper's feedback -chi P_M chi Q(t) v reads nothing else.  No step
 matrix and no discrete gain is stored: the sweep builds each step when it
 uses it, and the verification rollouts advance as one block through the
-same step model, forming each step's gain from Q(m+1) and that step's one
-factorisation.  Consecutive steps differ by O(h), so a sweep solves only
-its first step and first gain system and refines every later inverse
-from its neighbour's with matrix products (dynamics.refined_inverse),
-solving afresh any that does not converge.
+same step model, forming each step's gain from Q(m+1).  Consecutive steps
+differ by O(h), so every pass (the sweeps, the rollouts and the cost check)
+takes its step inverses, and a sweep its gain-system inverses, from a
+dynamics.InversePath: it solves the pass's first matrix and predicts every
+later inverse from the ones before it, refined by one Newton-Schulz update
+(two, or a solve, where that does not converge).  The law, the rollouts
+and the cost check's report carry the counts of their step path
+(step_inverses).
 """
 
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (
-    ReferenceTrajectory,
-    Trajectory,
-    cn_advance,
-    cn_resolvent,
-    cn_step,
-    refined_inverse,
-)
+from .dynamics import InversePath, ReferenceTrajectory, Trajectory
 from .errors import ConfigError, RiccatiBlowupError
 from .spectral import Actuator
 
@@ -66,6 +62,8 @@ class FeedbackLaw:
     beyond round-off, raises ValueError.  A law on its head alone, whose
     Q_packed holds the first head + 1 cost operators, keeps its horizon,
     times and n_steps, and a read past the head raises ValueError too.
+    step_inverses counts how its sweep obtained each step inverse
+    (InversePath.counts).
     """
 
     lam: float
@@ -75,6 +73,7 @@ class FeedbackLaw:
     Q_packed: np.ndarray    # (head + 1, K (K + 1)/2): packed upper triangles
     actuator: Actuator
     reference: ReferenceTrajectory
+    step_inverses: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # the fixed parts of the two step models, built once, not per step
@@ -249,7 +248,7 @@ def riccati_solve(traj: ReferenceTrajectory, lam: float, actuator: Actuator,
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
                       Q_packed=np.zeros((n_T + 1, K * (K + 1) // 2)),  # Q(T_h) = 0
                       actuator=actuator, reference=traj)
-    _sweep(law, cap, law.Q_packed)
+    _, law.step_inverses = _sweep(law, cap, law.Q_packed)
     return law
 
 
@@ -271,7 +270,7 @@ def doubled_horizon_value(traj: ReferenceTrajectory, lam: float,
     model = FeedbackLaw(lam=lam, T_h=n * dt, dt=dt, times=dt * np.arange(n + 1),
                         Q_packed=np.zeros((n + 1, 0)), actuator=actuator,
                         reference=traj)
-    return _sweep(model, cap)
+    return _sweep(model, cap)[0]
 
 
 def horizon_gate(law: FeedbackLaw, double_Q0: np.ndarray) -> dict:
@@ -292,22 +291,24 @@ def _check_horizon(traj: ReferenceTrajectory, lam: float, T_h: float):
 
 def _sweep(law, cap, Q_packed=None):
     """Backward dynamic program of law over its steps n_T - 1 .. 0 from the
-    terminal cost operator zero; returns the cost operator P at node 0.
+    terminal cost operator zero; returns the cost operator P at node 0 and
+    the counts of its step path (InversePath.counts).
 
-    Step m is phi = cn_step(law.shifted_system(m)), built here and dropped
-    after use.  Step z+ = phi (z + u) + u with u = h/2 B eta, stage cost
+    Step m is phi = 2 X - I, X = (I + h/2 F_m)^{-1} with F_m =
+    law.shifted_system(m), built here and dropped after use.  Step
+    z+ = phi (z + u) + u with u = h/2 B eta, stage cost
     h (|zbar|_C^2 + |eta|^2) with zbar = (z + z+)/2, C = diag(alphas).  With
     gam = phi h/2 B + h/2 B, W = P + h/4 C and S = W phi the blocks are
     Hzz = phi' S + h/4 (C + C phi + phi' C), Hze = S' gam + h/4 C gam and
     Hee = h I + gam' W gam: two K^3 products per step.
 
-    Neighbouring steps differ by O(h), so only the first step and the first
-    gain system are solved: step m refines (I + h/2 F_m)^{-1} from the step
-    after it, and Hee^{-1} from its value at the step after, by
-    dynamics.refined_inverse, which solves any matrix that does not
-    converge.  The gain G = Hee^{-1} Hze' serves only to advance P and is
-    dropped with the step; optimal_rollouts forms it again from Q(m+1).
-    Each P is symmetrised as (P + P')/2, which makes it exactly symmetric
+    Neighbouring steps differ by O(h), so X and Hee^{-1} each come from an
+    InversePath along the sweep: only the first step and the first gain
+    system are solved, and every later inverse is predicted from the ones
+    after it and refined by one Newton-Schulz update (two, or a solve, where
+    that does not converge).  The gain G = Hee^{-1} Hze' serves only to
+    advance P and is dropped with the step; optimal_rollouts forms it again
+    from Q(m+1).  Each P is symmetrised as (P + P')/2, which makes it exactly symmetric
     (floating-point addition commutes), so packing its upper triangle loses
     nothing.  Fills Q_packed[m] (packed) when given.
     """
@@ -316,11 +317,11 @@ def _sweep(law, cap, Q_packed=None):
     half_B = 0.5 * dt * B
     qc = 0.25 * dt * alphas             # (h/4) C, as a diagonal
     QC = np.diag(qc)
-    h_eye = dt * np.eye(M)
-    # no neighbouring step and no gain-system inverse yet: both are solved
-    P, phi, Hee_inv = np.zeros((K, K)), None, np.zeros((M, M))
+    h_eye, eye = dt * np.eye(M), np.eye(K)
+    steps, gains = InversePath(), InversePath()
+    P = np.zeros((K, K))
     for m in range(law.n_steps - 1, -1, -1):
-        phi = cn_step(law.shifted_system(m), dt, m, phi)
+        phi = 2.0 * steps.step(law.shifted_system(m), dt, m) - eye
         gam = phi @ half_B + half_B
         W = P + QC
         S = W @ phi
@@ -328,8 +329,7 @@ def _sweep(law, cap, Q_packed=None):
         Hzz = phi.T @ S + (QC + C_phi + C_phi.T)
         Hze = S.T @ gam + qc[:, None] * gam
         Hee = h_eye + gam.T @ (W @ gam)
-        Hee_inv = refined_inverse(Hee, Hee_inv, m)
-        G = Hee_inv @ Hze.T
+        G = gains.inverse(Hee, m) @ Hze.T
         P = Hzz - Hze @ G
         P = 0.5 * (P + P.T)
         # max row sum of |P|: its inf-norm; written as "not <=" so that a
@@ -340,7 +340,7 @@ def _sweep(law, cap, Q_packed=None):
                 f"system not stabilizable through M={M} at lambda={lam}")
         if Q_packed is not None:
             Q_packed[m] = pack_symmetric(P)
-    return P
+    return P, steps.counts
 
 
 def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:
@@ -385,7 +385,9 @@ class OptimalRollout:
     discretely optimal shifted trajectory of law from v0 at time s, with
     step index s_index = law.index_of(s) and n = law.n_steps - s_index
     steps.  states (n + 1, K) starts at v0, controls (n, M) are the optimal
-    eta_m and costs (n,) the stage costs h (|zbar|_C^2 + |eta_m|^2)."""
+    eta_m and costs (n,) the stage costs h (|zbar|_C^2 + |eta_m|^2).
+    step_inverses counts how the pass obtained each step inverse; the
+    rollouts of one pass share it."""
 
     law: FeedbackLaw
     s: float
@@ -393,6 +395,7 @@ class OptimalRollout:
     states: np.ndarray
     controls: np.ndarray
     costs: np.ndarray
+    step_inverses: dict
 
     @property
     def v0(self) -> np.ndarray:
@@ -403,13 +406,13 @@ def optimal_rollouts(law: FeedbackLaw, starts) -> list[OptimalRollout]:
     """The discretely optimal rollouts of law from every start (s, v0) of
     starts, in one pass: the starts advance together as the columns of one
     (K, r) block, each joining at its own start step, so every step is
-    built and factored once however many starts share it.
+    built and inverted once however many starts share it.
 
     Step m is built from law.shifted_system(m), the expression the sweep
-    built it from, and its control is formed from Q(m+1) alone.  One solve
-    with the columns [Z, h B] (cn_resolvent) gives X Z and gam = X h B,
-    X = (I + h/2 F_m)^{-1}, so phi Z = 2 X Z - Z; with W = Q(m+1) + h/4 C
-    and Hee = h I + gam' W gam the sweep's gain makes
+    built it from, and its control is formed from Q(m+1) alone.  Its
+    inverse X = (I + h/2 F_m)^{-1} comes from the pass's InversePath, so no
+    step is solved past the first: phi Z = 2 X Z - Z and gam = X h B; with
+    W = Q(m+1) + h/4 C and Hee = h I + gam' W gam the sweep's gain makes
     eta = -Hee^{-1} [(W gam)' phi Z + h/4 gam' C Z], and Z+ = phi Z + gam eta.
     """
     starts = [(float(s), np.asarray(v0, float)) for s, v0 in starts]
@@ -423,13 +426,13 @@ def optimal_rollouts(law: FeedbackLaw, starts) -> list[OptimalRollout]:
     hB = dt * law.actuator.mat
     qc = 0.25 * dt * law.alphas             # (h/4) C, as a diagonal
     h_eye = dt * np.eye(M)
+    path = InversePath()
     for m in range(first.min(), n_T):
         live = np.flatnonzero(first <= m)
         Z = states[live, m].T
-        XZ, gam = np.split(
-            cn_resolvent(law.shifted_system(m), np.hstack([Z, hB]), dt, m),
-            [len(live)], axis=1)
-        phi_Z = 2.0 * XZ - Z
+        X = path.step(law.shifted_system(m), dt, m)
+        phi_Z = 2.0 * (X @ Z) - Z
+        gam = X @ hB
         W_gam = law.Q(m + 1) @ gam + qc[:, None] * gam
         Hee = h_eye + gam.T @ W_gam
         eta = -np.linalg.solve(Hee, W_gam.T @ phi_Z + gam.T @ (qc[:, None] * Z))
@@ -439,7 +442,8 @@ def optimal_rollouts(law: FeedbackLaw, starts) -> list[OptimalRollout]:
         controls[live, m] = eta.T
         costs[live, m] = dt * (law.alphas @ zbar**2 + np.sum(eta**2, axis=0))
     return [OptimalRollout(law=law, s=s, s_index=int(k), states=states[j, k:],
-                           controls=controls[j, k:], costs=costs[j, k:])
+                           controls=controls[j, k:], costs=costs[j, k:],
+                           step_inverses=path.counts)
             for j, ((s, _), k) in enumerate(zip(starts, first))]
 
 
@@ -478,8 +482,10 @@ def optimal_cost_check(rollout: OptimalRollout) -> dict:
     The discrete rollout reproduces the value exactly; the continuous-form
     loop (midpoint gain, trapezoidal cost quadrature) agrees to O(dt^2)
     with a quadratically small sensitivity to the gain representation.
-    The loop streams: each step advances the one state by cn_advance
-    and is priced with its own Q_mid, so no step matrix is formed.
+    The loop streams: each step advances the one state by phi v = 2 X v - v,
+    X = (I + h/2 F_m)^{-1} from the pass's InversePath, and is priced with
+    its own Q_mid, so no step matrix is stored and none is solved past the
+    first.  The report's step_inverses counts how each X was obtained.
     """
     law, s, s_index, w0 = rollout.law, rollout.s, rollout.s_index, rollout.v0
     value = float(w0 @ (law.Q(s_index) @ w0))
@@ -488,10 +494,10 @@ def optimal_cost_check(rollout: OptimalRollout) -> dict:
 
     dt, lam = law.dt, law.lam
     t_mid = s + dt * np.arange(len(costs)) + 0.5 * dt
-    v, cost = w0, 0.0
+    v, cost, path = w0, 0.0, InversePath()
     for m, tm in zip(range(s_index, law.n_steps), t_mid):
         F, Q_mid = law.closed_loop_system(m)
-        v_next = cn_advance(F, v, dt, m)
+        v_next = 2.0 * (path.step(F, dt, m) @ v) - v
         vm = 0.5 * (v_next + v)
         eta = law.actuator.adjoint(Q_mid @ vm)
         cost += dt * np.exp(lam * (tm - s)) * (float(law.alphas @ vm**2)
@@ -499,7 +505,8 @@ def optimal_cost_check(rollout: OptimalRollout) -> dict:
         v = v_next
     sim_gap = abs(cost - value) / (abs(value) + 1e-300)
     return {"s": s, "value": value, "rollout_rel_gap": float(rollout_gap),
-            "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap)}
+            "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap),
+            "step_inverses": path.counts}
 
 
 def lyapunov_check(sim: Trajectory, samples: int = 64) -> dict:

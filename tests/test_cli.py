@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nsstab import cli, feedback, nonlinear, observability, stabilizer
+from nsstab import cli, dynamics, feedback, nonlinear, observability, stabilizer
 from nsstab.cli import Pipeline, main, run
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
@@ -373,10 +373,10 @@ class TestRun:
         cfg, path = small_cfg
         n_steps = round(min(cfg.time.n_max, cfg.time.T_h - 1) / cfg.time.dt)
         need = 8 * n_steps * cfg.space.K**2
-        stacks = []
-        cn_steps = nonlinear.cn_steps
-        monkeypatch.setattr(nonlinear, "cn_steps",
-                            lambda *args: stacks.append(args) or cn_steps(*args))
+        stacks = []             # the closed loops' step paths
+        inverse_path = nonlinear.InversePath
+        monkeypatch.setattr(nonlinear, "InversePath",
+                            lambda: stacks.append(inverse_path()) or stacks[-1])
 
         def probe(*readings):
             return functools.partial(next, iter(readings))
@@ -390,6 +390,24 @@ class TestRun:
         monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need))
         loop = Pipeline(cfg, np.random.default_rng(cfg.seed)).closed_loop("linear")
         assert loop.phi.nbytes == need and len(stacks) == 1
+
+    @pytest.mark.parametrize("refine_tol", [dynamics.REFINE_TOL, 0.0])
+    def test_feedback_report_counts_step_inverses(self, small_cfg, tmp_path,
+                                                  monkeypatch, refine_tol):
+        # feedback.json counts how the law's sweep, the rollout pass from 0
+        # and the cost check from 1 obtained each step inverse; each solves
+        # only its first.  Where no residual passes, every one is solved
+        cfg, path = small_cfg
+        monkeypatch.setattr(dynamics, "REFINE_TOL", refine_tol)
+        assert run("feedback", str(path), str(tmp_path / "o")) == 0
+        rep = json.loads((tmp_path / "o" / "feedback.json").read_text())
+        counts = rep["step_inverses"]
+        n_T, n_unit = round(cfg.time.T_h / cfg.time.dt), round(1.0 / cfg.time.dt)
+        assert set(counts) == {"one", "two", "solved"}
+        assert sum(counts.values()) == 3 * n_T - n_unit
+        assert counts["solved"] == (3 if refine_tol else 3 * n_T - n_unit)
+        assert rep["optimal_cost"]["step_inverses"]["solved"] == (
+            1 if refine_tol else n_T - n_unit)
 
     def test_broken_decay_chain_exit_code(self, controlled_cfg, tmp_path, monkeypatch,
                                           capsys):

@@ -8,13 +8,11 @@ from nsstab.dynamics import (
     AmplitudeSchedule,
     ReferenceTrajectory,
     bilinear_b,
+    InversePath,
     build_propagator,
-    cn_advance,
-    cn_resolvent,
     cn_step,
     cn_steps,
     linearization_matrix,
-    refined_inverse,
     regularity_diagnostics,
     taylor_green_coefficients,
     taylor_green_reference,
@@ -282,8 +280,7 @@ class TestCnSteps:
         with pytest.raises(StepSolveError, match="step 0"):
             cn_steps(lambda m: singular, 4, dt, 3)
         for step in (lambda: cn_step(singular, dt, 5),
-                     lambda: cn_advance(singular, np.ones(3), dt, 5),
-                     lambda: cn_resolvent(singular, np.ones((3, 2)), dt, 5)):
+                     lambda: InversePath().step(singular, dt, 5)):
             with pytest.raises(StepSolveError, match="step 5"):
                 step()
 
@@ -291,21 +288,21 @@ class TestCnSteps:
         dt = 1.0 / 32
         Fs = rng.standard_normal((3, 6, 6))
         phi = cn_steps(lambda m: Fs[m], 3, dt, 6)
+        path = InversePath()
         for m, F in enumerate(Fs):
             assert np.array_equal(phi[m], cn_step(F, dt))
+            # (I + h/2 F)^{-1} = (I + phi)/2
+            X = path.step(F, dt, m)
             for v in (rng.standard_normal(6), rng.standard_normal((6, 2))):
-                want = phi[m] @ v
-                got = cn_advance(F, v, dt)
-                assert got.shape == want.shape
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-                # (I + h/2 F)^{-1} = (I + phi)/2
                 want = 0.5 * (v + phi[m] @ v)
-                got = cn_resolvent(F, v, dt)
-                assert got.shape == want.shape
+                got = X @ v
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                want = phi[m] @ v
+                got = 2.0 * got - v
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
-class TestRefinedInverse:
+class TestInversePath:
     @pytest.fixture
     def solves(self, monkeypatch):
         """Steps m of the solves made through dynamics._cn_solve."""
@@ -319,55 +316,115 @@ class TestRefinedInverse:
         return made
 
     @staticmethod
-    def step_matrix(rng, K=16, dt=1.0 / 128):
-        return np.eye(K) + 0.5 * dt * rng.standard_normal((K, K))
+    def walk(path, mats):
+        """Each inverse of mats along path, with how it was obtained."""
+        inverses, kinds = [], []
+        for m, A in enumerate(mats):
+            before = dict(path.counts)
+            inverses.append(path.inverse(A, m))
+            kinds += [k for k in path.counts if path.counts[k] != before[k]]
+        assert len(kinds) == len(mats)
+        return inverses, kinds
 
-    def test_nearby_warm_start_refines_to_round_off(self, rng, solves):
-        A = self.step_matrix(rng)
-        X0 = np.linalg.inv(A + 1e-6 * rng.standard_normal(A.shape))
-        assert 1e-6 < np.abs(np.eye(16) - A @ X0).sum(axis=1).max() < 1e-4
-        X = refined_inverse(A, X0, 3)
-        assert np.abs(np.eye(16) - A @ X).sum(axis=1).max() <= 1e-13
-        want = np.linalg.solve(A, np.eye(16))
-        assert np.linalg.norm(X - want) <= 1e-13 * np.linalg.norm(want)
-        assert solves == []
+    @staticmethod
+    def on_parabola(rng, n, d, e, K=16, dt=1.0 / 128):
+        """Matrices whose inverses are X0 + m D + m^2 E, |D|, |E| ~ d, e."""
+        X0 = np.linalg.inv(np.eye(K) + 0.5 * dt * rng.standard_normal((K, K)))
+        D, E = rng.standard_normal((2, K, K)) / K
+        return [np.linalg.inv(X0 + m * d * D + m * m * e * E) for m in range(n)]
 
-    def test_far_or_slow_warm_starts_fall_back_to_the_solve(self, rng, solves):
-        A = self.step_matrix(rng)
-        inv = np.linalg.solve(A, np.eye(16))
-        # residual 0.6 I: over 1/2, refinement is not tried
-        # residual 0.3 I: 0.09 before the last update, misses REFINE_TOL
-        for X0 in (0.4 * inv, 0.7 * inv, np.zeros_like(A)):
-            solves.clear()
-            X = refined_inverse(A, X0, 4)
-            assert solves == [4]
-            assert np.array_equal(X, inv)
+    def test_smooth_path_matches_the_solve(self, rng, solves):
+        dt, K = 1.0 / 128, 16
+        # a system matrix that drifts by about |F|/8 per unit time
+        F0, F1, F2 = rng.standard_normal((3, K, K))
+        mats = [np.eye(K) + 0.5 * dt * (F0 + (t * F1 + t * t * F2) / 8)
+                for t in dt * np.arange(40)]
+        inverses, kinds = self.walk(InversePath(), mats)
+        assert solves == [0]
+        assert kinds[3:] == ["one"] * 37
+        for A, X in zip(mats, inverses):
+            want = np.linalg.solve(A, np.eye(K))
+            assert np.linalg.norm(X - want) <= 1e-13 * np.linalg.norm(want)
 
-    def test_fallback_is_decided_per_matrix_of_a_stack(self, rng, solves):
-        A = np.stack([self.step_matrix(rng), self.step_matrix(rng)])
-        inv = np.linalg.solve(A, np.eye(16))
-        X = refined_inverse(A, np.stack([np.zeros((16, 16)), inv[1]]), 2)
-        assert solves == [2]
-        assert np.array_equal(X[0], inv[0])
-        assert np.linalg.norm(X[1] - inv[1]) <= 1e-13 * np.linalg.norm(inv[1])
-
-    def test_singular_step_on_the_warm_path_raises(self, rng):
-        dt = 1.0 / 16
-        singular = -(2.0 / dt) * np.eye(3)      # I + h/2 F = 0
-        near = cn_step(rng.standard_normal((3, 3)), dt)
-        with pytest.raises(StepSolveError, match="step 6"):
-            cn_step(singular, dt, 6, near)
-        with pytest.raises(StepSolveError, match="step 6"):
-            refined_inverse(np.zeros((2, 3, 3)), np.eye(3) + np.zeros((2, 3, 3)), 6)
-
-    def test_warm_step_equals_the_solved_step(self, rng):
+    def test_step_inverse_equals_the_solved_step(self, rng):
         dt = 1.0 / 128
         F0, dF = rng.standard_normal((2, 12, 12))
-        near = cn_step(F0, dt)
-        F = F0 + dt * dF
-        want = cn_step(F, dt)
-        got = cn_step(F, dt, 0, near)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        path = InversePath()
+        for m in range(6):
+            F = F0 + m * dt * dF
+            want = cn_step(F, dt)
+            got = 2.0 * path.step(F, dt, m) - np.eye(12)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_neighbour_then_linear_then_quadratic_prediction(self, rng, solves):
+        # a constant path is met exactly by the neighbour, a line of
+        # inverses by the linear prediction from the third matrix on, and
+        # a parabola by the quadratic prediction from the fourth on; each
+        # start short of that takes two updates
+        mats = self.on_parabola(rng, 8, 0.0, 0.0)
+        assert self.walk(InversePath(), mats)[1] == ["solved"] + ["one"] * 7
+        mats = self.on_parabola(rng, 8, 1e-5, 0.0)
+        assert self.walk(InversePath(), mats)[1] == ["solved", "two"] + ["one"] * 6
+        solves.clear()
+        mats = self.on_parabola(rng, 8, 1e-5, 1e-6)
+        inverses, kinds = self.walk(InversePath(), mats)
+        assert kinds == ["solved", "two", "two"] + ["one"] * 5
+        assert solves == [0]
+        for A, X in zip(mats, inverses):
+            assert np.abs(np.eye(16) - A @ X).sum(axis=1).max() <= 1e-13
+
+    @pytest.mark.parametrize("under, kind", [(True, "one"), (False, "two")],
+                             ids=["under", "over"])
+    def test_one_update_only_under_refine_tol(self, rng, under, kind):
+        # the second matrix is scale A, so the neighbour's residual is
+        # |1 - scale|: just under or just over REFINE_TOL = 1e-8
+        assert dynamics.REFINE_TOL == 1e-8
+        scale = 1.0 - (0.9e-8 if under else 1.1e-8)
+        A = np.eye(16) + rng.standard_normal((16, 16)) / 256
+        inverses, kinds = self.walk(InversePath(), [A, scale * A])
+        assert kinds == ["solved", kind]
+        want = np.linalg.solve(scale * A, np.eye(16))
+        assert np.linalg.norm(inverses[1] - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("jump, kind", [(5e-5, "two"), (0.4, "solved"),
+                                            (0.6, "solved"), (-0.6, "solved")])
+    def test_a_jump_falls_back_to_two_updates_or_the_solve(self, rng, solves,
+                                                           jump, kind):
+        # residual 5e-5: 2.5e-9 before the second update, within REFINE_TOL;
+        # residual 0.4: under 1/2, but 0.16 before the second update misses
+        # it; residual 0.6: over 1/2, no update is tried
+        A = np.eye(16) + rng.standard_normal((16, 16)) / 256
+        inverses, kinds = self.walk(InversePath(), [A, (1.0 + jump) * A])
+        assert kinds == ["solved", kind]
+        want = np.linalg.solve((1.0 + jump) * A, np.eye(16))
+        if kind == "solved":
+            assert solves == [0, 1] and np.array_equal(inverses[1], want)
+        else:
+            assert solves == [0]
+            assert np.linalg.norm(inverses[1] - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_fallback_is_decided_per_matrix_of_a_path(self, rng, solves):
+        # after a jump every prediction that reaches back past it is
+        # solved; once three inverses lie past it, one update serves again
+        A = np.eye(16) + rng.standard_normal((16, 16)) / 256
+        mats = [A, 1.4 * A, 1.4 * A, 1.4 * A, 1.4 * A, 1.4 * A]
+        inverses, kinds = self.walk(InversePath(), mats)
+        assert kinds == ["solved"] * 4 + ["one"] * 2 and solves == [0, 1, 2, 3]
+        want = np.linalg.solve(1.4 * A, np.eye(16))
+        assert np.linalg.norm(inverses[-1] - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_singular_matrix_raises_naming_its_step(self, rng):
+        A = np.eye(3) + rng.standard_normal((3, 3)) / 64
+        with pytest.raises(StepSolveError, match="step 6"):
+            InversePath().inverse(np.zeros((3, 3)), 6)
+        path = InversePath()
+        path.inverse(A, 0)
+        singular = A.copy()
+        singular[1] = 0.0
+        with pytest.raises(StepSolveError, match="step 7"):
+            path.inverse(np.zeros((3, 3)), 7)
+        with pytest.raises(StepSolveError, match="step 8"):
+            path.inverse(singular, 8)
 
 
 class TestTwoMatrixModel:

@@ -254,18 +254,18 @@ class TestRiccatiSolve:
     def test_builds_each_step_once_per_sweep_and_stores_none(self, monkeypatch):
         space, ref, act = gate_instance(K=8, M=8, T_h=2.0)
         built, stacks, packed = [], [], []
-        cn_step = feedback.cn_step
+        step = dynamics.InversePath.step
         cn_steps = dynamics.cn_steps
         pack = feedback.pack_symmetric
 
-        def step_spy(F, dt, m=0, near=None):
+        def step_spy(path, F, dt, m):
             built.append(m)
-            return cn_step(F, dt, m, near)
+            return step(path, F, dt, m)
 
         def stack_spy(*args):
             stacks.append(args)
             return cn_steps(*args)
-        monkeypatch.setattr(feedback, "cn_step", step_spy)
+        monkeypatch.setattr(dynamics.InversePath, "step", step_spy)
         monkeypatch.setattr(dynamics, "cn_steps", stack_spy)
         monkeypatch.setattr(feedback, "cn_steps", stack_spy, raising=False)
         monkeypatch.setattr(feedback, "pack_symmetric",
@@ -278,6 +278,41 @@ class TestRiccatiSolve:
         doubled_horizon_value(ref, 1.0, act, 2.0, 1.0 / 32)
         assert built == list(range(2 * n_T - 1, -1, -1))
         assert stacks == packed == []
+
+    @pytest.mark.parametrize("dt", [DT, 1.0 / 32])
+    def test_sweeps_take_one_update_past_their_first_steps(self, monkeypatch, dt):
+        # counts, not timings, guard the gain: at dt = 1/128 each step of
+        # the law's and the gate's sweeps past their first three takes one
+        # Newton-Schulz update; at dt = 1/32 the gain systems move faster,
+        # and only the terminal layer's first three of a sweep are solved
+        space, ref, act = gate_instance(K=12, M=16, T_h=1.0)
+        paths = []
+
+        class Kinds(dynamics.InversePath):
+            """An InversePath that records how each inverse was obtained."""
+
+            def __init__(self):
+                super().__init__()
+                self.kinds = []
+                paths.append(self)
+
+            def inverse(self, A, m):
+                before = dict(self.counts)
+                X = super().inverse(A, m)
+                self.kinds += [k for k in self.counts if self.counts[k] != before[k]]
+                return X
+        monkeypatch.setattr(feedback, "InversePath", Kinds)
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=1.0, dt=dt)
+        doubled_horizon_value(ref, 1.0, act, 1.0, dt)
+        n_T = law.n_steps
+        (law_steps, law_gains), (gate_steps, gate_gains) = paths[:2], paths[2:]
+        assert law.step_inverses == law_steps.counts
+        for path, n in ((law_steps, n_T), (law_gains, n_T),
+                        (gate_steps, 2 * n_T), (gate_gains, 2 * n_T)):
+            assert len(path.kinds) == n and path.kinds[0] == "solved"
+            if dt == DT:
+                assert path.kinds[3:] == ["one"] * (n - 3)
+            assert "solved" not in path.kinds[3:]
 
     def test_law_holds_cost_operators_only(self, tg_law):
         # beside its cost operators and times the law holds only the three
@@ -340,9 +375,10 @@ class TestMemoryGuard:
         n_T = 64
         need = 8 * (n_T + 1) * 8 * 9 // 2
         steps = []
+        step = dynamics.InversePath.step
         monkeypatch.setattr(feedback, "available_memory_bytes", lambda: need - 1)
-        monkeypatch.setattr(feedback, "cn_step",
-                            lambda *a: steps.append(a) or dynamics.cn_step(*a))
+        monkeypatch.setattr(dynamics.InversePath, "step",
+                            lambda *a: steps.append(a) or step(*a))
         with pytest.raises(ConfigError, match=f"{need / 1e6:.1f} MB") as info:
             riccati_solve(ref, lam=1.0, actuator=act, T_h=2.0, dt=1.0 / 32)
         for field in ("space.K", "time.T_h", "time.dt"):
@@ -562,7 +598,9 @@ class TestOptimality:
         w0 = rng.standard_normal(space.K)
         got = optimal_cost_check(rollout(law, s, w0))
         want = optimal_cost_check_stored(space, ref, law, tg_phi, tg_gains, s, w0)
-        assert got.keys() == want.keys()
+        # the streamed check also counts how it obtained each step inverse
+        assert got.keys() == want.keys() | {"step_inverses"}
+        assert sum(got["step_inverses"].values()) == law.n_steps - law.index_of(s)
         assert got["s"] == want["s"] and got["value"] == want["value"]
         assert got["simulated_cost"] == pytest.approx(want["simulated_cost"], rel=1e-12)
         for key in ("rollout_rel_gap", "simulated_rel_gap"):
