@@ -152,6 +152,7 @@ class Worker:
         self.timings = None     # {"worker_s", "wait_s"}, once the value is read
         self.peak_mb = 0.0      # the worker's own, likewise
         self._wait_s = 0.0
+        self._ended = False     # its value or its error was read
         buffers = []
         job = pickle.dumps((fn.__globals__["__spec__"].name, fn.__qualname__, args),
                            protocol=5, buffer_callback=buffers.append)
@@ -184,6 +185,7 @@ class Worker:
                               f"(exit code {self._proc.wait()})") from None
         finally:
             self._wait_s += time.perf_counter() - start
+        self._ended = kind != "part"
         if kind == "error":
             raise message[0]
         if kind == "value":
@@ -194,9 +196,9 @@ class Worker:
         return message[0]
 
     def close(self):
-        """End the worker: one whose value was read exits by itself; any
-        other is killed.  Either way it is waited for."""
-        if self.timings is None:
+        """End the worker: one whose value or error was read exits by
+        itself; any other is killed.  Either way it is waited for."""
+        if not self._ended:
             self._proc.kill()
         self._proc.wait()
         self._proc.stdout.close()

@@ -6,11 +6,12 @@ uses Crank-Nicolson on the full frozen-midpoint system matrix; the adjoint
 propagator is the literal transpose of the forward step matrices, which
 makes every discrete duality identity exact in floating-point algebra.
 
-The free flow's propagators solve each step (cn_steps).  The sequential
-passes of the feedback walk thousands of consecutive steps, so they take
-each step's inverse (I + h/2 F)^{-1} from an InversePath instead: predicted
-from the inverses before it along the pass and refined by one Newton-Schulz
-update, with two updates or a solve where that does not converge.
+Every Crank-Nicolson step takes its inverse (I + h/2 F)^{-1} from an
+InversePath along its pass: the free flow's step stacks (cn_steps), the
+closed loop's, and the feedback's sweeps, rollouts and cost check.  Each
+inverse is predicted from the ones before it and refined by one
+Newton-Schulz update, with two updates or a solve where that does not
+converge; a pass solves only its first step.
 """
 
 from dataclasses import dataclass
@@ -187,14 +188,6 @@ def taylor_green_reference(space: SpectralSpace, a0: float, a1: float = 0.0,
     return ReferenceTrajectory(space, [(taylor_green_coefficients(space), sched)], horizon)
 
 
-def cn_step(F: np.ndarray, dt: float, m: int = 0) -> np.ndarray:
-    """Crank-Nicolson transition phi = (I + h/2 F)^{-1} (I - h/2 F) of the
-    system matrix F of step m, from one solve."""
-    half = 0.5 * dt * F
-    eye = _identity(F.shape[0])
-    return _cn_solve(eye + half, eye - half, m)
-
-
 @cache
 def _identity(K: int) -> np.ndarray:
     # one read-only identity per size: the step loops build thousands of steps
@@ -282,15 +275,16 @@ def _inf_norm(R):
 def cn_steps(F_at, n_steps: int, dt: float, K: int) -> np.ndarray:
     """Crank-Nicolson step stack for the per-step system matrices F_at(m).
 
-    Fills phi[m] = cn_step(F_at(m)), one solve per step.  The free flow's
-    propagators are built so; the sequential passes of the feedback (the
-    Riccati sweeps, the rollouts, the cost check and the closed loop) take
-    each step's (I + h/2 F)^{-1} from an InversePath, so every step model of
-    the package shares one discretisation.
+    Fills phi[m] = 2 X_m - I with X_m = (I + h/2 F_at(m))^{-1} from one
+    InversePath along the stack, so only step 0 is solved.  The free flow's
+    propagators and the closed loop are built so, and the feedback's
+    sequential passes take each step's X from an InversePath of their own:
+    every step model of the package shares one discretisation.
     """
     phi = np.empty((n_steps, K, K))
+    path, eye = InversePath(), _identity(K)
     for m in range(n_steps):
-        phi[m] = cn_step(F_at(m), dt, m)
+        phi[m] = 2.0 * path.step(F_at(m), dt, m) - eye
     return phi
 
 
@@ -305,11 +299,12 @@ class Propagator:
                 = phi_m (v_m + h/2 f_m) + h/2 f_m,
         phi_m = (I + h/2 F_m)^{-1} (I - h/2 F_m),
 
-    F_m = diag(alpha) + B(u(t_m + h/2)) for the free flow.  The second form
-    uses (I + h/2 F_m)^{-1} = (I + phi_m)/2, so phi is the only stored
-    matrix, and the adjoint sweep applies the transpose of exactly the map
-    forward applies: <v(tau+1), q1> - <w0, q(tau)> telescopes exactly
-    against the stage-sampled control duality term.
+    F_m = diag(alpha) + B(u(t_m + h/2)) for the free flow.  cn_steps
+    builds phi_m = 2 X_m - I from X_m = (I + h/2 F_m)^{-1}, and the second
+    form uses X_m = (I + phi_m)/2, so phi is the only stored matrix, and
+    the adjoint sweep applies the transpose of exactly the map forward
+    applies: <v(tau+1), q1> - <w0, q(tau)> telescopes exactly against the
+    stage-sampled control duality term.
     """
 
     tau: float

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import InversePath, Propagator, Trajectory, bilinear_b
+from .dynamics import Propagator, Trajectory, bilinear_b, cn_steps
 from .errors import StepSolveError
 from .feedback import FeedbackLaw, require_memory
 from .spectral import SpectralSpace
@@ -146,9 +146,8 @@ class ClosedLoopStepper(Propagator):
 
 def closed_loop_steps(law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopStepper:
     """The law's closed loop on [s, s + n_units], inside its horizon (its
-    head): one Crank-Nicolson step per law step from
-    law.closed_loop_system, phi = 2 X - I with X = (I + h/2 F)^{-1} from an
-    InversePath along the window, so only its first step is solved.  A step
+    head): one Crank-Nicolson step per law step of law.closed_loop_system,
+    stacked by cn_steps, so only the window's first step is solved.  A step
     stack larger than the available memory is refused with ConfigError
     before anything is allocated."""
     space, dt = law.reference.space, law.dt
@@ -160,10 +159,8 @@ def closed_loop_steps(law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopS
     require_memory(8 * n_steps * space.K**2, "the closed loop's step stack",
                    "lower nonlinear.sim_units or time.n_max (the simulated "
                    "window) or space.K")
-    phi = np.empty((n_steps, space.K, space.K))
-    path, eye = InversePath(), np.eye(space.K)
-    for m in range(n_steps):
-        phi[m] = 2.0 * path.step(law.closed_loop_system(s_index + m)[0], dt, m) - eye
+    phi = cn_steps(lambda m: law.closed_loop_system(s_index + m)[0],
+                   n_steps, dt, space.K)
     return ClosedLoopStepper(tau=s, dt=dt, phi=phi, space=space, lam=law.lam)
 
 

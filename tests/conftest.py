@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from nsstab import dynamics
 from nsstab.config import ExperimentConfig
 from nsstab.spectral import ChiMask, build_space
 from oracles import save_config
@@ -50,3 +51,27 @@ def small_cfg(tmp_path):
     path = tmp_path / "cfg.json"
     save_config(cfg, path)
     return cfg, path
+
+
+@pytest.fixture()
+def inverse_paths(monkeypatch):
+    """record(module) patches module's InversePath: each path the module
+    makes from then on is appended to the list record returns, and keeps
+    in its `kinds` how it obtained each inverse ("one", "two", "solved")."""
+    def record(module):
+        paths = []
+
+        class Kinds(dynamics.InversePath):
+            def __init__(self):
+                super().__init__()
+                self.kinds = []
+                paths.append(self)
+
+            def inverse(self, A, m):
+                before = dict(self.counts)
+                X = super().inverse(A, m)
+                self.kinds += [k for k in self.counts if self.counts[k] != before[k]]
+                return X
+        monkeypatch.setattr(module, "InversePath", Kinds)
+        return paths
+    return record

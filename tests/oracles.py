@@ -9,8 +9,9 @@ bundle, and `closed_interval_map_loop`, its one-column-at-a-time form;
 `cutoff_measure_per_n`, the cutoff measurement that builds everything
 afresh for each N; `stabilize_per_bundle`, the interval concatenation that
 builds a reachability bundle per interval and applies its minimal-norm
-control; the two-matrix Crank-Nicolson step model
-(`cn_steps_two_matrix` and the sweeps over its stacks), which stores
+control; the step stack of one linear solve per step (`cn_steps_solved`),
+which builds the stored stacks below; the two-matrix Crank-Nicolson step
+model (`cn_steps_two_matrix` and the sweeps over its stacks), which stores
 (I + h/2 F)^{-1} beside phi and applies both;
 `optimal_cost_check_stored`, the optimal-cost check over stored stacks;
 and the stored-step feedback synthesis: `shifted_steps`, the stack of the
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nsstab.dynamics import Propagator, bilinear_b, build_propagator, cn_steps
+from nsstab.dynamics import Propagator, bilinear_b, build_propagator
 from nsstab.errors import RiccatiBlowupError
 from nsstab.feedback import unpack_symmetric
 from nsstab.nonlinear import zlambda_norm
@@ -241,6 +242,17 @@ def stabilize_per_bundle(search, choice, v0):
     return np.vstack(states), controls
 
 
+def cn_steps_solved(F_at, n_steps, dt, K):
+    """Step stack phi[m] = (I + h/2 F_m)^{-1} (I - h/2 F_m), one linear
+    solve per step."""
+    eye = np.eye(K)
+    phi = np.empty((n_steps, K, K))
+    for m in range(n_steps):
+        half = 0.5 * dt * F_at(m)
+        phi[m] = np.linalg.solve(eye + half, eye - half)
+    return phi
+
+
 def cn_steps_two_matrix(F_at, n_steps, dt, K):
     """(plus_inv, phi) stacks: plus_inv[m] = (I + h/2 F_m)^{-1} by explicit
     inversion and phi[m] = plus_inv[m] (I - h/2 F_m)."""
@@ -318,8 +330,8 @@ def shifted_steps(space, traj, lam, start, n_steps, dt):
     """Stored transitions phi of the steps start .. start+n_steps-1 of the
     shifted system matrix F - (lam/2) I."""
     shift = np.diag(space.alphas) - 0.5 * lam * np.eye(space.K)
-    return cn_steps(lambda m: shift + traj.bmat_at((start + m + 0.5) * dt),
-                    n_steps, dt, space.K)
+    return cn_steps_solved(lambda m: shift + traj.bmat_at((start + m + 0.5) * dt),
+                           n_steps, dt, space.K)
 
 
 def sweep_stored(P, phi, B, dt, alphas, lam, cap, Qt=None, gains=None):
@@ -405,8 +417,8 @@ def optimal_cost_check_stored(space, traj, law, phi, gains, s, w0):
         m = s_index + j
         Q_mid = 0.5 * (law.Q(m) + law.Q(m + 1))
         return diag_alpha + traj.bmat_at((m + 0.5) * dt) + gram @ Q_mid
-    steps = Propagator(s, dt, cn_steps(F_at, int(round((law.T_h - s) / dt)), dt,
-                                       space.K))
+    steps = Propagator(s, dt, cn_steps_solved(F_at, int(round((law.T_h - s) / dt)),
+                                              dt, space.K))
     states = steps.forward(w0)
     mids = 0.5 * (states[1:] + states[:-1])
     t_mid = steps.times[:-1] + 0.5 * dt

@@ -373,10 +373,10 @@ class TestRun:
         cfg, path = small_cfg
         n_steps = round(min(cfg.time.n_max, cfg.time.T_h - 1) / cfg.time.dt)
         need = 8 * n_steps * cfg.space.K**2
-        stacks = []             # the closed loops' step paths
-        inverse_path = nonlinear.InversePath
-        monkeypatch.setattr(nonlinear, "InversePath",
-                            lambda: stacks.append(inverse_path()) or stacks[-1])
+        stacks = []             # the closed loops' step stacks
+        monkeypatch.setattr(nonlinear, "cn_steps",
+                            lambda *args: stacks.append(dynamics.cn_steps(*args))
+                            or stacks[-1])
 
         def probe(*readings):
             return functools.partial(next, iter(readings))
@@ -389,7 +389,7 @@ class TestRun:
                    ("nonlinear.sim_units", "time.n_max", "space.K"))
         monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need))
         loop = Pipeline(cfg, np.random.default_rng(cfg.seed)).closed_loop("linear")
-        assert loop.phi.nbytes == need and len(stacks) == 1
+        assert loop.phi.nbytes == need and len(stacks) == 1 and loop.phi is stacks[0]
 
     @pytest.mark.parametrize("refine_tol", [dynamics.REFINE_TOL, 0.0])
     def test_feedback_report_counts_step_inverses(self, small_cfg, tmp_path,
@@ -605,11 +605,14 @@ class TestHorizonGateWorker:
                                          capsys):
         # at T_h = 2 the law's cost operators stay below 1.19 in the
         # inf-norm and the doubled horizon's reach 1.55: the cap between
-        # stops the worker alone, and its error is the run's
+        # stops the worker alone, and its error is the run's.  A worker
+        # that sent its error exits by itself, however long its exit
+        # takes: it is waited for, not killed
         cfg, _ = small_cfg
         cfg.time.T_h, cfg.tolerances.riccati_cap = 2.0, 1.35
         path = tmp_path / "capped.json"
         save_config(cfg.validate(), path)
+        monkeypatch.setattr(cli, "WORKER", cli.WORKER + "time.sleep(0.5)\n")
         procs = spawned(monkeypatch)
         out = tmp_path / "o"
         assert run("feedback", str(path), str(out)) == 3

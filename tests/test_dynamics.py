@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from nsstab import dynamics
+from nsstab.cli import Pipeline
 from nsstab.dynamics import (
     AmplitudeSchedule,
     ReferenceTrajectory,
     bilinear_b,
     InversePath,
     build_propagator,
-    cn_step,
     cn_steps,
     linearization_matrix,
     regularity_diagnostics,
@@ -33,6 +33,25 @@ from oracles import (
 
 def rel_diff(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Steps m of the solves made through dynamics._cn_solve."""
+    made = []
+    cn_solve = dynamics._cn_solve
+
+    def spy(lhs, rhs, m):
+        made.append(m)
+        return cn_solve(lhs, rhs, m)
+    monkeypatch.setattr(dynamics, "_cn_solve", spy)
+    return made
+
+
+def solved_step(F, dt):
+    """phi = (I + h/2 F)^{-1} (I - h/2 F) from one linear solve."""
+    eye = np.eye(F.shape[0])
+    return np.linalg.solve(eye + 0.5 * dt * F, eye - 0.5 * dt * F)
 
 
 class TestBilinear:
@@ -279,10 +298,10 @@ class TestCnSteps:
         singular = -(2.0 / dt) * np.eye(3)      # I + h/2 F = 0
         with pytest.raises(StepSolveError, match="step 0"):
             cn_steps(lambda m: singular, 4, dt, 3)
-        for step in (lambda: cn_step(singular, dt, 5),
-                     lambda: InversePath().step(singular, dt, 5)):
-            with pytest.raises(StepSolveError, match="step 5"):
-                step()
+        with pytest.raises(StepSolveError, match="step 2"):
+            cn_steps(lambda m: singular if m == 2 else np.zeros((3, 3)), 4, dt, 3)
+        with pytest.raises(StepSolveError, match="step 5"):
+            InversePath().step(singular, dt, 5)
 
     def test_one_engine_for_stacks_steps_and_vectors(self, rng):
         dt = 1.0 / 32
@@ -290,31 +309,46 @@ class TestCnSteps:
         phi = cn_steps(lambda m: Fs[m], 3, dt, 6)
         path = InversePath()
         for m, F in enumerate(Fs):
-            assert np.array_equal(phi[m], cn_step(F, dt))
-            # (I + h/2 F)^{-1} = (I + phi)/2
             X = path.step(F, dt, m)
+            assert np.array_equal(phi[m], 2.0 * X - np.eye(6))
+            solved = solved_step(F, dt)
+            assert np.linalg.norm(phi[m] - solved) <= 1e-13 * np.linalg.norm(solved)
+            # (I + h/2 F)^{-1} = (I + phi)/2
             for v in (rng.standard_normal(6), rng.standard_normal((6, 2))):
                 want = 0.5 * (v + phi[m] @ v)
                 got = X @ v
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
-                want = phi[m] @ v
+                want = solved @ v
                 got = 2.0 * got - v
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+class TestFreeFlowStepCounts:
+    """Counts, not timings, guard the free flow's step stacks: each
+    propagator solves its first step only."""
+
+    def test_propagator_takes_one_update_past_its_first_steps(self, small_space,
+                                                              inverse_paths, solves):
+        paths = inverse_paths(dynamics)
+        ref = taylor_green_reference(small_space, a0=1.2, a1=0.6, omega=0.5,
+                                     horizon=2.0)
+        dt = 1.0 / 128
+        for tau in (0.0, 1.0):
+            solves.clear(), paths.clear()
+            prop = build_propagator(small_space, ref, tau, dt)
+            (path,) = paths
+            assert solves == [0]
+            assert len(path.kinds) == prop.n_steps and path.kinds[0] == "solved"
+            assert path.kinds[3:] == ["one"] * (prop.n_steps - 3)
+
+    def test_cutoff_search_solves_one_step_per_unit_interval(self, small_cfg, solves):
+        cfg, _ = small_cfg
+        search = Pipeline(cfg, np.random.default_rng(cfg.seed)).search
+        assert len(search.propagators) == cfg.time.n_max
+        assert solves == [0] * cfg.time.n_max
+
+
 class TestInversePath:
-    @pytest.fixture
-    def solves(self, monkeypatch):
-        """Steps m of the solves made through dynamics._cn_solve."""
-        made = []
-        cn_solve = dynamics._cn_solve
-
-        def spy(lhs, rhs, m):
-            made.append(m)
-            return cn_solve(lhs, rhs, m)
-        monkeypatch.setattr(dynamics, "_cn_solve", spy)
-        return made
-
     @staticmethod
     def walk(path, mats):
         """Each inverse of mats along path, with how it was obtained."""
@@ -352,7 +386,7 @@ class TestInversePath:
         path = InversePath()
         for m in range(6):
             F = F0 + m * dt * dF
-            want = cn_step(F, dt)
+            want = solved_step(F, dt)
             got = 2.0 * path.step(F, dt, m) - np.eye(12)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 

@@ -280,28 +280,13 @@ class TestRiccatiSolve:
         assert stacks == packed == []
 
     @pytest.mark.parametrize("dt", [DT, 1.0 / 32])
-    def test_sweeps_take_one_update_past_their_first_steps(self, monkeypatch, dt):
+    def test_sweeps_take_one_update_past_their_first_steps(self, inverse_paths, dt):
         # counts, not timings, guard the gain: at dt = 1/128 each step of
         # the law's and the gate's sweeps past their first three takes one
         # Newton-Schulz update; at dt = 1/32 the gain systems move faster,
         # and only the terminal layer's first three of a sweep are solved
         space, ref, act = gate_instance(K=12, M=16, T_h=1.0)
-        paths = []
-
-        class Kinds(dynamics.InversePath):
-            """An InversePath that records how each inverse was obtained."""
-
-            def __init__(self):
-                super().__init__()
-                self.kinds = []
-                paths.append(self)
-
-            def inverse(self, A, m):
-                before = dict(self.counts)
-                X = super().inverse(A, m)
-                self.kinds += [k for k in self.counts if self.counts[k] != before[k]]
-                return X
-        monkeypatch.setattr(feedback, "InversePath", Kinds)
+        paths = inverse_paths(feedback)
         law = riccati_solve(ref, lam=1.0, actuator=act, T_h=1.0, dt=dt)
         doubled_horizon_value(ref, 1.0, act, 1.0, dt)
         n_T = law.n_steps
