@@ -3,10 +3,13 @@
     nsstab <subcommand> --config <path> [--out <dir>] [--seed <int>]
 
 Subcommands: reference, observability, null-control, stabilize, feedback,
-closed-loop, basin, all.  Every run writes a manifest with the config hash,
-library versions, seed, wall time and peak memory, plus the timings of each
-worker the run started: the horizon gate's and the closed loop's.  Exit
-codes: 0 success, 2 config error, 3 numerical failure, 4 assertion failure.
+closed-loop, basin, all.  A run that reads the feedback law starts one
+worker process (Worker), which runs the run's jobs in turn: the horizon
+gate's sweep of [T_h, 2 T_h] beside this process's law sweep, then the
+closed loop.  Every run writes a manifest with the config hash, library
+versions, seed, wall time and peak memory (its own and the worker's), plus
+the timings of each job the worker ran.  Exit codes: 0 success, 2 config
+error, 3 numerical failure, 4 assertion failure.
 """
 
 import argparse
@@ -20,10 +23,11 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig
+from .dynamics import regularity_diagnostics
 from .errors import ConfigError, NsstabError, VerificationError
 from .feedback import (
     closed_loop_linear,
-    doubled_horizon_value,
+    doubled_tail_value,
     dp_check,
     horizon_gate,
     lyapunov_check,
@@ -66,6 +70,10 @@ def _jsonable(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+# the random (r0, f) batches of stabilize.json's regularity report
+REGULARITY_RUNS = 4
+
+
 def write_decay(out, name, trajectory, space, kappa, lam, title):
     """name.csv, the rows (t, |v|_H, |v|_V, bound) of trajectory against
     its decay bound sqrt(kappa) |v(t0)|_H e^{-lam (t - t0)/2}, and its plot
@@ -80,31 +88,42 @@ def write_decay(out, name, trajectory, space, kappa, lam, title):
     return [f"{name}.csv", f"{name}.svg"]
 
 
-# A worker runs one job: a module-level function, named by the __spec__ of
-# its defining module and its qualified name, and the function's arguments.
-# The job comes on stdin as a count of parts, their sizes and the parts: a
-# pickle (protocol 5) and the array buffers it holds out of band.  The worker
-# reads all of it before it imports anything, so the parent's write never
-# waits on an import, and unpickles the arrays in place over the buffers it
-# read.  It writes back one pickle per result: ("part", item) for each item
-# the function yields, if it returns a generator, then ("value", the value
-# or the generator's return value, seconds of the job, its own peak
-# resident set in MB), or ("error", the exception raised, the worker-side
-# traceback attached as a note).  argv[1] names the worker in that note.
+# A worker runs jobs in turn until its stdin ends.  A job is a module-level
+# function, named by the __spec__ of its defining module and its qualified
+# name, and the function's arguments.  It comes on stdin as a count of parts,
+# their sizes and the parts: the job's label, a pickle (protocol 5) and the
+# array buffers it holds out of band.  The worker reads all of its first job
+# before it imports anything, so the parent's write never waits on an import,
+# and unpickles the arrays in place over the buffers it read.  It writes back
+# one pickle per result: ("part", item) for each item the function yields, if
+# it returns a generator, then ("value", the value or the generator's return
+# value, seconds of the job, its own peak resident set in MB), or ("error",
+# the exception raised, the worker-side traceback attached as a note naming
+# the job's label).  It reads the next job only after it has sent every
+# result of the one before, and the parent submits a job only after it has
+# taken every result of the one before, so neither ever writes into a full
+# pipe that the other is not reading.
 WORKER = f"""\
 import sys
 stdin = sys.stdin.buffer
-def read(n):
+def read(n, between_jobs=False):
     buf = bytearray(n)
     view, got = memoryview(buf), 0
     while got < n:
         k = stdin.readinto(view[got:])
         if not k:
+            if between_jobs and not got:
+                return None
             sys.exit("the job ended early")
         got += k
     return buf
-count = memoryview(read(8)).cast("Q")[0]
-parts = [read(n) for n in memoryview(read(8 * count)).cast("Q")]
+def next_job():
+    head = read(8, between_jobs=True)
+    if head is None:
+        return None
+    count = memoryview(head).cast("Q")[0]
+    return [read(n) for n in memoryview(read(8 * count)).cast("Q")]
+parts = next_job()
 import importlib
 import pickle
 import time
@@ -113,68 +132,90 @@ import types
 def send(*message):
     sys.stdout.buffer.write(pickle.dumps(message, protocol=5))
     sys.stdout.buffer.flush()
-try:
-    module, name, args = pickle.loads(parts[0], buffers=parts[1:])
-    from {peak_rss_mb.__module__} import {peak_rss_mb.__name__} as peak
-    job = getattr(importlib.import_module(module), name)
-    start = time.perf_counter()
-    value = job(*args)
-    while isinstance(value, types.GeneratorType):
-        try:
-            send("part", next(value))
-        except StopIteration as stop:
-            value = stop.value
-    send("value", value, time.perf_counter() - start, peak())
-except Exception as exc:
-    exc.add_note(f"in the {{sys.argv[1]}} worker:\\n" + traceback.format_exc())
-    send("error", exc)
+while parts is not None:
+    label = parts[0].decode()
+    try:
+        module, name, args = pickle.loads(parts[1], buffers=parts[2:])
+        from {peak_rss_mb.__module__} import {peak_rss_mb.__name__} as peak
+        job = getattr(importlib.import_module(module), name)
+        start = time.perf_counter()
+        value = job(*args)
+        while isinstance(value, types.GeneratorType):
+            try:
+                send("part", next(value))
+            except StopIteration as stop:
+                value = stop.value
+        send("value", value, time.perf_counter() - start, peak())
+    except Exception as exc:
+        exc.add_note(f"in the {{label}} worker:\\n" + traceback.format_exc())
+        send("error", exc)
+    # the job's arguments and results go before the next job is read
+    parts = args = value = None
+    parts = next_job()
 """
 
 
 class Worker:
-    """One job run in its own Python process, which imports this process's
-    own nsstab (see WORKER): fn(*args), fn a module-level function.  The
-    job's arrays are written to the worker straight from their memory, so
-    no pickled copy of them is made.
+    """A Python process, started here at the first job, that runs jobs in
+    turn and imports this process's own nsstab (see WORKER).  submit()
+    sends it a job, fn(*args) with fn a module-level function, under a
+    label that names it in the job's errors.  The job's arrays are written
+    to the worker straight from their memory, so no pickled copy of them is
+    made.
 
-    take() reads the job's results in order: each item of a generator
-    job, then its return value (a plain function's value alone).  The
-    value brings the worker's timings and own peak resident set.  close()
-    ends the process.
+    take() reads the current job's results in order: each item of a
+    generator job, then its return value (a plain function's value alone).
+    Each value brings the job's timings, kept in timings under its label,
+    and the worker's own peak resident set so far.  A job is submitted only
+    once every result of the one before was taken.  close() ends the
+    process.
     """
 
-    def __init__(self, label: str, fn, *args):
+    def __init__(self):
+        self.label = None       # the job submitted last
+        self.timings = {}       # {label: {"worker_s", "wait_s"}}, once its value is read
+        self.peak_mb = 0.0      # the worker's own, as its last value reported it
+        self._wait_s = 0.0
+        self._ended = True      # every submitted job's value or error was read
+        self._proc = None
+
+    def submit(self, label: str, fn, *args):
+        """Send the job fn(*args) under label, starting the process at the
+        first job.  Raises RuntimeError while a result of the job before is
+        still to be taken."""
         import pickle
         import struct
         import subprocess
 
-        self.label = label
-        self.timings = None     # {"worker_s", "wait_s"}, once the value is read
-        self.peak_mb = 0.0      # the worker's own, likewise
-        self._wait_s = 0.0
-        self._ended = False     # its value or its error was read
+        if not self._ended:
+            raise RuntimeError(f"the {self.label} job has results still to be taken")
+        if self._proc is None:
+            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+            path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+            self._proc = subprocess.Popen([sys.executable, "-c", WORKER],
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                          env=dict(os.environ, PYTHONPATH=path))
+        self.label, self._wait_s, self._ended = label, 0.0, False
         buffers = []
         job = pickle.dumps((fn.__globals__["__spec__"].name, fn.__qualname__, args),
                            protocol=5, buffer_callback=buffers.append)
-        parts = [memoryview(job)] + [b.raw() for b in buffers]
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
-        self._proc = subprocess.Popen([sys.executable, "-c", WORKER, label],
-                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                      env=dict(os.environ, PYTHONPATH=path))
+        parts = ([memoryview(label.encode()), memoryview(job)]
+                 + [b.raw() for b in buffers])
         try:
-            with self._proc.stdin as pipe:
-                pipe.write(struct.pack(f"{len(parts) + 1}Q", len(parts),
-                                       *(part.nbytes for part in parts)))
-                for part in parts:
-                    pipe.write(part)
+            pipe = self._proc.stdin
+            pipe.write(struct.pack(f"{len(parts) + 1}Q", len(parts),
+                                   *(part.nbytes for part in parts)))
+            for part in parts:
+                pipe.write(part)
+            pipe.flush()
         except BrokenPipeError:
             pass                # the worker is gone: take() names its exit code
 
     def take(self):
-        """The job's next result; blocks until it arrives.  Re-raises the
-        exception the job raised.  A worker that ends before its next
-        result raises NsstabError naming its exit code."""
+        """The current job's next result; blocks until it arrives.
+        Re-raises the exception the job raised.  A worker that ends before
+        its next result raises NsstabError naming the job and the exit
+        code."""
         import pickle
 
         start = time.perf_counter()
@@ -190,16 +231,23 @@ class Worker:
             raise message[0]
         if kind == "value":
             value, worker_s, self.peak_mb = message
-            self.timings = {"worker_s": round(worker_s, 3),
-                            "wait_s": round(self._wait_s, 3)}
+            self.timings[self.label] = {"worker_s": round(worker_s, 3),
+                                        "wait_s": round(self._wait_s, 3)}
             return value
         return message[0]
 
     def close(self):
-        """End the worker: one whose value or error was read exits by
-        itself; any other is killed.  Either way it is waited for."""
+        """End the worker, if it was started: where every submitted job's
+        value or error was read, its stdin is closed and it exits by
+        itself; otherwise it is killed.  Either way it is waited for."""
+        if self._proc is None:
+            return
         if not self._ended:
             self._proc.kill()
+        try:
+            self._proc.stdin.close()
+        except BrokenPipeError:
+            pass
         self._proc.wait()
         self._proc.stdout.close()
 
@@ -207,10 +255,10 @@ class Worker:
 class Pipeline:
     """Lazily built shared state for the subcommands of one run.
 
-    It owns the run's workers (start_gate, start_closed_loop), keyed by
-    the manifest entry of their timings; close() ends them.  commands
-    names the run's subcommands: the closed-loop ones among them run in
-    the closed-loop worker.
+    It owns the run's one worker, which starts at its first job
+    (start_gate, start_closed_loop); close() ends it.  commands names the run's
+    subcommands: the closed-loop ones among them run in the worker's
+    closed-loop job.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng, commands=()):
@@ -218,7 +266,7 @@ class Pipeline:
         self.rng = rng
         self.closed_loop_commands = [c for c in commands if c in CLOSED_LOOP_BODIES]
         self._cache = {}
-        self.workers = {}
+        self.worker = Worker()
         self._turns = 0         # closed-loop results not yet taken
 
     def _get(self, key, builder):
@@ -290,44 +338,39 @@ class Pipeline:
             cap=c.tolerances.riccati_cap))
 
     def start_gate(self):
-        """Start the worker that sweeps the doubled horizon
-        (feedback.doubled_horizon_value) beside this process's law sweep;
-        its one result is taken from workers["horizon_gate"]."""
+        """Submit the horizon gate's job, the sweep of [T_h, 2 T_h]
+        (feedback.doubled_tail_value), which runs beside this process's law
+        sweep; its one result is D."""
         c = self.cfg
-        self.workers["horizon_gate"] = Worker(
-            "horizon-gate", doubled_horizon_value, self.reference, c.control.lam,
-            self.actuator, c.time.T_h, c.time.dt, c.tolerances.riccati_cap)
+        self.worker.submit("horizon-gate", doubled_tail_value, self.reference,
+                           c.control.lam, self.actuator, c.time.T_h, c.time.dt,
+                           c.tolerances.riccati_cap)
 
     def start_closed_loop(self, out, v0=None):
-        """Start the worker that runs the closed-loop half of the run
-        (closed_loop_job) on the law's head: feedback's decay run from v0
-        where v0 is given, then each closed-loop command's body.  It
-        continues this run's generator from its state now; closed_loop_turn
-        takes its results."""
+        """Submit the closed-loop half of the run (closed_loop_job) on the
+        law's head: feedback's decay run from v0 where v0 is given, then
+        each closed-loop command's body.  It continues this run's generator
+        from its state now; closed_loop_turn takes its results."""
         self._turns = (v0 is not None) + len(self.closed_loop_commands)
-        self.workers["closed_loop_worker"] = Worker(
-            "closed-loop", closed_loop_job, self.cfg, self.rng, self.closed_loop_head(),
-            v0, out, self.closed_loop_commands)
+        self.worker.submit("closed-loop", closed_loop_job, self.cfg, self.rng,
+                           self.closed_loop_head(), v0, out, self.closed_loop_commands)
 
     def closed_loop_turn(self, out):
-        """The closed-loop worker's next result, the worker started here
-        if it is not yet: the decay run's, then each closed-loop command's
-        in turn; an exception the job raised is raised at its turn.  After
-        the last result the run's generator takes the state the worker
-        left it in."""
-        if "closed_loop_worker" not in self.workers:
+        """The closed-loop job's next result, the job submitted here if it
+        is not yet: the decay run's, then each closed-loop command's in
+        turn; an exception the job raised is raised at its turn.  After the
+        last result the run's generator takes the state the job left it
+        in."""
+        if self.worker.label != "closed-loop":
             self.start_closed_loop(out)
-        worker = self.workers["closed_loop_worker"]
-        result = worker.take()
+        result = self.worker.take()
         self._turns -= 1
         if not self._turns:
-            self.rng.bit_generator.state = worker.take()
+            self.rng.bit_generator.state = self.worker.take()
         return result
 
     def close(self):
-        """End every worker started."""
-        for worker in self.workers.values():
-            worker.close()
+        self.worker.close()
 
     def closed_loop_spans(self) -> dict:
         """The closed-loop windows [0, span] the commands read, spans in
@@ -356,7 +399,7 @@ class Pipeline:
 
 
 def closed_loop_job(cfg, rng, law, v0, out, commands):
-    """The closed-loop half of a run, the closed-loop worker's job: on the
+    """The closed-loop half of a run, the worker's closed-loop job: on the
     law's head, feedback's decay run from v0 where v0 is given, then the
     body of each named command in order, each writing its own artifacts.
     Yields each one's result as it ends, and returns the state rng is left
@@ -434,6 +477,11 @@ def cmd_stabilize(p: Pipeline, out):
                    symbolic_threshold=choice.symbolic_threshold,
                    tried_cutoffs=[[N, max(p.search.measured[N][1])]
                                   for N in range(choice.N + 1)])
+    # the smoothing constants of the linearized flow on the search's first
+    # interval, from data of their own stream, so no draw of p.rng moves
+    summary["regularity"] = regularity_diagnostics(
+        p.space, p.search.propagators[0], REGULARITY_RUNS,
+        np.random.default_rng(np.random.SeedSequence(c.seed).spawn(1)[0]))
     if not summary["integer_decay_ok"]:
         raise VerificationError("integer-time decay chain violated")
     write_json(os.path.join(out, "stabilize.json"), summary)
@@ -443,18 +491,22 @@ def cmd_stabilize(p: Pipeline, out):
 
 
 def cmd_feedback(p: Pipeline, out):
-    p.start_gate()          # the doubled horizon sweeps while the law is built
+    p.start_gate()          # [T_h, 2 T_h] sweeps in the worker while the law is built
     law = p.law
     v0 = p.rng.standard_normal(p.space.K)
+    gate = horizon_gate(law, p.worker.take(), p.cfg.tolerances.riccati_cap)
     # the decay run, and the run's closed-loop commands after it, run on the
-    # law's head in the closed-loop worker beside the readers of the whole law
+    # law's head in the worker beside the readers of the whole law
     p.start_closed_loop(out, v0)
     stride = max(1, law.n_steps // 64)
-    nodes = range(0, law.n_steps + 1, stride)
-    np.savez_compressed(os.path.join(out, "feedback_law.npz"),
-                        times=law.times[::stride],
-                        Qt=np.stack([law.Q(m) for m in nodes]),
-                        lam=law.lam, M=law.M, T_h=law.T_h, stride=stride)
+    # the sampled nodes, unpacked into one array and written uncompressed
+    times = law.times[::stride]
+    Qt = np.empty((len(times), p.space.K, p.space.K))
+    for i in range(len(times)):
+        Qt[i] = law.Q(i * stride)
+    np.savez(os.path.join(out, "feedback_law.npz"), times=times, Qt=Qt,
+             lam=law.lam, M=law.M, T_h=law.T_h, stride=stride)
+    del Qt                  # before the rollout pass allocates its blocks
     interior = [law.T_h / 8, law.T_h / 4, law.T_h / 2]
     # one rollout pass serves both checks: the DP check's from s = 0 and
     # the cost check's from s = 1, the same v0
@@ -471,11 +523,10 @@ def cmd_feedback(p: Pipeline, out):
         "optimal_cost": cost,
         "riccati_residual": riccati_residual(law, interior),
         "step_inverses": {k: sum(c[k] for c in passes) for k in passes[0]},
+        "horizon_gate": gate,
     }
     decay, artifacts = p.closed_loop_turn(out)
     report.update(decay)
-    # the gate is read last, so that its worker sweeps beside all of the above
-    report["horizon_gate"] = horizon_gate(law, p.workers["horizon_gate"].take())
     write_json(os.path.join(out, "feedback.json"), report)
     return ["feedback_law.npz", "feedback.json"] + artifacts
 
@@ -545,12 +596,15 @@ COMMANDS = {
     "basin": cmd_basin,
 }
 
-# The bodies of the closed-loop commands, run by the closed-loop worker: the
-# CLI process takes each one's result at the command's turn.
+# The bodies of the closed-loop commands, run by the worker's closed-loop
+# job: the CLI process takes each one's result at the command's turn.
 CLOSED_LOOP_BODIES = {
     "closed-loop": closed_loop_body,
     "basin": basin_body,
 }
+
+# The manifest entry of each worker job's timings, by the job's label.
+JOB_ENTRIES = {"horizon-gate": "horizon_gate", "closed-loop": "closed_loop_worker"}
 
 
 def run(subcommand: str, config_path: str, out_dir: str | None = None,
@@ -570,9 +624,7 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
         artifacts = []
         for name in names:
             artifacts += COMMANDS[name](pipeline, out)
-        # each worker's own peak, sent with its value
-        peaks = [worker.peak_mb for worker in pipeline.workers.values()]
-        children = None if None in peaks else max(peaks, default=0.0)
+        worker = pipeline.worker
         manifest = {
             "subcommand": subcommand,
             "config_hash": cfg.config_hash(),
@@ -581,11 +633,12 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
                          "numpy": np.__version__,
                          "python": sys.version.split()[0]},
             "wall_time_s": round(time.perf_counter() - started, 3),
-            "peak_rss_mb": {"cli": peak_rss_mb(), "children": children},
+            # the worker's own peak, sent with its last value
+            "peak_rss_mb": {"cli": peak_rss_mb(), "children": worker.peak_mb},
             "artifacts": sorted(artifacts),
         }
-        for key, worker in pipeline.workers.items():
-            manifest[key] = worker.timings
+        for label, timings in worker.timings.items():
+            manifest[JOB_ENTRIES[label]] = timings
         write_json(os.path.join(out, "manifest.json"), manifest)
         return 0
     except ConfigError as exc:

@@ -379,17 +379,17 @@ def build_propagator(space: SpectralSpace, traj: ReferenceTrajectory,
     return Propagator(tau=tau, dt=dt, phi=phi)
 
 
-def regularity_diagnostics(traj: ReferenceTrajectory, tau: float, runs: int, rng,
-                           dt: float = 1.0 / 128) -> dict:
+def regularity_diagnostics(space: SpectralSpace, prop: Propagator, runs: int,
+                           rng) -> dict:
     """Empirical constants for the three smoothing estimates of the flow
-    linearized around traj.
+    linearized around a reference, over the interval of its propagator
+    prop (build_propagator) on space.
 
     For random (r0, f) batches, reports the max ratio of each estimate's
     left side over its natural data norm; the sqrt(t)-weighted ratio probes
     the parabolic smoothing from H data.
     """
-    space = traj.space
-    prop = build_propagator(space, traj, tau, dt)
+    tau, dt = prop.tau, prop.dt
     inv_alpha = 1.0 / space.alphas
     al, al2 = space.alphas, space.alphas**2
     ratios = {"l1": [], "l2": [], "l3": []}

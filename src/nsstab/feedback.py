@@ -4,8 +4,18 @@ Works in the shifted variable z = e^{(lam/2)t} v, whose drift gains lam/2
 and whose quadratic cost loses the exponential weight, so every stored
 matrix stays O(1) regardless of the horizon.  The infinite-horizon cost
 operator is approximated on [0, T_h] with terminal value zero; the doubling
-gate compares its Q(0) with that of the synthesis on [0, 2 T_h]
-(doubled_horizon_value), a separate sweep that stores nothing.
+gate compares its Q(0) with that of the synthesis on [0, 2 T_h].  That
+synthesis differs from the law only in its terminal value at T_h,
+D = Q_2T(T_h) (doubled_tail_value, a sweep of [T_h, 2 T_h] alone that
+stores nothing), and two solutions of one Riccati difference equation with
+different terminal values differ by
+
+    Q_2T(0) - Q(0) = Lam0' (I + D W)^{-1} D Lam0,
+
+Lam0 the law's closed-loop transition over [0, T_h] and W the closed
+loop's gain-weighted reachability Gramian (Bittanti, Laub & Willems, The
+Riccati Equation, 1991).  The law's sweep carries both (FeedbackLaw.
+transition, FeedbackLaw.gramian), so [0, T_h] is swept once per run.
 
 The backward sweep is the discrete dynamic program for the Crank-Nicolson
 one-step model with midpoint-sampled stage cost.  Two consequences drive
@@ -63,7 +73,8 @@ class FeedbackLaw:
     Q_packed holds the first head + 1 cost operators, keeps its horizon,
     times and n_steps, and a read past the head raises ValueError too.
     step_inverses counts how its sweep obtained each step inverse
-    (InversePath.counts).
+    (InversePath.counts).  transition and gramian are the horizon gate's
+    Lam0 and W (see _sweep), (K, K) each.
     """
 
     lam: float
@@ -74,6 +85,8 @@ class FeedbackLaw:
     actuator: Actuator
     reference: ReferenceTrajectory
     step_inverses: dict = field(default_factory=dict)
+    transition: np.ndarray | None = None    # Lam0: the closed loop's z(0) -> z(T_h)
+    gramian: np.ndarray | None = None       # W
 
     def __post_init__(self):
         # the fixed parts of the two step models, built once, not per step
@@ -248,37 +261,72 @@ def riccati_solve(traj: ReferenceTrajectory, lam: float, actuator: Actuator,
     law = FeedbackLaw(lam=lam, T_h=T_h, dt=dt, times=dt * np.arange(n_T + 1),
                       Q_packed=np.zeros((n_T + 1, K * (K + 1) // 2)),  # Q(T_h) = 0
                       actuator=actuator, reference=traj)
-    _, law.step_inverses = _sweep(law, cap, law.Q_packed)
+    _, law.step_inverses, (law.transition, law.gramian) = _sweep(
+        law, cap, law.Q_packed, carry=True)
     return law
 
 
-def doubled_horizon_value(traj: ReferenceTrajectory, lam: float,
-                          actuator: Actuator, T_h: float, dt: float = 1.0 / 128,
-                          cap: float = DEFAULT_RICCATI_CAP) -> np.ndarray:
-    """Q(0) (K, K) of the synthesis on [0, 2 T_h], the value the horizon
-    gate compares with the law's Q(0).
+def doubled_tail_value(traj: ReferenceTrajectory, lam: float,
+                       actuator: Actuator, T_h: float, dt: float = 1.0 / 128,
+                       cap: float = DEFAULT_RICCATI_CAP) -> np.ndarray:
+    """D = Q_2T(T_h) (K, K): the cost operator at T_h of the synthesis on
+    [0, 2 T_h], the terminal value horizon_gate continues the law with.
 
-    One sweep of 2 n_T steps from zero, n_T = T_h / dt, that stores no cost
-    operator: the same sweep as riccati_solve(traj, lam, actuator, 2 T_h,
-    dt, cap), so its Q(0) bit for bit.  Raises ValueError where 2 T_h
-    exceeds the reference horizon and RiccatiBlowupError at the cap.
+    One sweep of that synthesis's steps 2 n_T - 1 .. n_T from zero,
+    n_T = T_h / dt, that stores no cost operator: the same steps as
+    riccati_solve(traj, lam, actuator, 2 T_h, dt, cap) takes first, so its
+    Q(T_h) bit for bit.  Raises ValueError where 2 T_h exceeds the
+    reference horizon and RiccatiBlowupError at the cap.
     """
     _check_horizon(traj, lam, 2.0 * T_h)
-    n = 2 * int(round(T_h / dt))
+    n_T = int(round(T_h / dt))
     # the doubled synthesis's step model; its zero-width Q_packed holds
     # nothing, as the sweep keeps only its running cost operator
-    model = FeedbackLaw(lam=lam, T_h=n * dt, dt=dt, times=dt * np.arange(n + 1),
-                        Q_packed=np.zeros((n + 1, 0)), actuator=actuator,
+    model = FeedbackLaw(lam=lam, T_h=2 * n_T * dt, dt=dt,
+                        times=dt * np.arange(2 * n_T + 1),
+                        Q_packed=np.zeros((2 * n_T + 1, 0)), actuator=actuator,
                         reference=traj)
-    return _sweep(model, cap)[0]
+    return _sweep(model, cap, first=n_T)[0]
 
 
-def horizon_gate(law: FeedbackLaw, double_Q0: np.ndarray) -> dict:
+def doubled_horizon_increment(law: FeedbackLaw, D: np.ndarray) -> np.ndarray:
+    """Q_2T(0) - Q(0) (K, K): how far the synthesis on [0, 2 T_h], whose
+    value at T_h is D (doubled_tail_value), lies above law at 0,
+
+        Lam0' (I + D W)^{-1} D Lam0,
+
+    with Lam0 = law.transition and W = law.gramian.  I + D W is invertible
+    for D and W PSD.  Symmetrised as the sweep's operators are."""
+    Lam0 = law.transition
+    dQ = Lam0.T @ np.linalg.solve(np.eye(len(D)) + D @ law.gramian, D @ Lam0)
+    return 0.5 * (dQ + dQ.T)
+
+
+def horizon_gate(law: FeedbackLaw, D: np.ndarray,
+                 cap: float = DEFAULT_RICCATI_CAP) -> dict:
     """The doubling gate of law: the relative change of Q(0) from law to
-    the synthesis on [0, 2 T_h] whose Q(0) is double_Q0."""
-    num = np.linalg.norm(double_Q0 - law.Q(0))
-    den = max(np.linalg.norm(double_Q0), 1e-300)
-    return {"T_h": law.T_h, "rel_change": float(num / den)}
+    the synthesis on [0, 2 T_h] whose value at T_h is D, formed from their
+    difference dQ (doubled_horizon_increment).  Where Q_2T(0) is not finite
+    or exceeds cap in the inf-norm, RiccatiBlowupError reports the doubled
+    synthesis not stabilizable, as its own sweep would at node 0.
+
+    Beside rel_change it reports the spectral norms of Lam0, W and D, which
+    bound the change a priori: |dQ|_2 <= |Lam0|_2^2 |D|_2."""
+    finite = bool(np.isfinite(D).all())
+    dQ = doubled_horizon_increment(law, D) if finite else np.full_like(D, np.nan)
+    double_Q0 = law.Q(0) + dQ
+    # written as "not <=" so that a NaN or inf fails it too, as in _sweep
+    if not np.abs(double_Q0).sum(axis=-1).max() <= cap:
+        raise RiccatiBlowupError(
+            f"cost operator exceeded cap {cap:.1e} at t=0.000 of the synthesis "
+            f"on [0, {2 * law.T_h:g}]; system not stabilizable through "
+            f"M={law.M} at lambda={law.lam}")
+    return {"T_h": law.T_h,
+            "rel_change": float(np.linalg.norm(dQ)
+                                / max(np.linalg.norm(double_Q0), 1e-300)),
+            "transition_norm": float(np.linalg.norm(law.transition, 2)),
+            "gramian_norm": float(np.linalg.norm(law.gramian, 2)),
+            "tail_value_norm": float(np.linalg.norm(D, 2))}
 
 
 def _check_horizon(traj: ReferenceTrajectory, lam: float, T_h: float):
@@ -289,10 +337,11 @@ def _check_horizon(traj: ReferenceTrajectory, lam: float, T_h: float):
                          f"horizon {traj.horizon}")
 
 
-def _sweep(law, cap, Q_packed=None):
-    """Backward dynamic program of law over its steps n_T - 1 .. 0 from the
-    terminal cost operator zero; returns the cost operator P at node 0 and
-    the counts of its step path (InversePath.counts).
+def _sweep(law, cap, Q_packed=None, first=0, carry=False):
+    """Backward dynamic program of law over its steps n_T - 1 .. first
+    from the terminal cost operator zero; returns the cost operator P at
+    node first, the counts of its step path (InversePath.counts) and, with
+    carry, the horizon gate's (Lam0, W) (else None).
 
     Step m is phi = 2 X - I, X = (I + h/2 F_m)^{-1} with F_m =
     law.shifted_system(m), built here and dropped after use.  Step
@@ -311,6 +360,12 @@ def _sweep(law, cap, Q_packed=None):
     from Q(m+1).  Each P is symmetrised as (P + P')/2, which makes it exactly symmetric
     (floating-point addition commutes), so packing its upper triangle loses
     nothing.  Fills Q_packed[m] (packed) when given.
+
+    The carry follows the closed loop A_m = phi - gam G of the sweep:
+    Lam_m = Lam_{m+1} A_m from Lam_{n_T} = I, and
+    W = sum_m Lam_{m+1} gam Hee^{-1} gam' Lam_{m+1}', with the Hee^{-1} the
+    gain path returned: one more K^3 product and a few K^2 M products per
+    step.
     """
     B, dt, alphas, lam = law.actuator.mat, law.dt, law.alphas, law.lam
     K, M = B.shape
@@ -320,7 +375,8 @@ def _sweep(law, cap, Q_packed=None):
     h_eye, eye = dt * np.eye(M), np.eye(K)
     steps, gains = InversePath(), InversePath()
     P = np.zeros((K, K))
-    for m in range(law.n_steps - 1, -1, -1):
+    Lam, Gram = eye, np.zeros((K, K))
+    for m in range(law.n_steps - 1, first - 1, -1):
         phi = 2.0 * steps.step(law.shifted_system(m), dt, m) - eye
         gam = phi @ half_B + half_B
         W = P + QC
@@ -329,7 +385,12 @@ def _sweep(law, cap, Q_packed=None):
         Hzz = phi.T @ S + (QC + C_phi + C_phi.T)
         Hze = S.T @ gam + qc[:, None] * gam
         Hee = h_eye + gam.T @ (W @ gam)
-        G = gains.inverse(Hee, m) @ Hze.T
+        Hee_inv = gains.inverse(Hee, m)
+        G = Hee_inv @ Hze.T
+        if carry:
+            Lam_gam = Lam @ gam
+            Gram += (Lam_gam @ Hee_inv) @ Lam_gam.T
+            Lam = Lam @ phi - Lam_gam @ G
         P = Hzz - Hze @ G
         P = 0.5 * (P + P.T)
         # max row sum of |P|: its inf-norm; written as "not <=" so that a
@@ -340,7 +401,7 @@ def _sweep(law, cap, Q_packed=None):
                 f"system not stabilizable through M={M} at lambda={lam}")
         if Q_packed is not None:
             Q_packed[m] = pack_symmetric(P)
-    return P, steps.counts
+    return P, steps.counts, (Lam, 0.5 * (Gram + Gram.T)) if carry else None
 
 
 def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:

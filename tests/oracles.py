@@ -362,10 +362,11 @@ def sweep_stored(P, phi, B, dt, alphas, lam, cap, Qt=None, gains=None):
 
 
 def riccati_two_sweep(space, traj, lam, actuator, T_h, dt, cap=1e8):
-    """(Qt, gains, double_Q0) of the stored-step synthesis on [0, T_h]:
-    the [T_h, 2 T_h] tail stack is built and swept first, then the law's
-    stack phi on [0, T_h] is swept once for the law and once more from the
-    tail's value, giving the doubled horizon's Qt(0)."""
+    """(Qt, gains, P_tail, double_Q0) of the stored-step synthesis on
+    [0, T_h]: the [T_h, 2 T_h] tail stack is built and swept first, giving
+    the doubled horizon's value P_tail at T_h, then the law's stack phi on
+    [0, T_h] is swept once for the law and once more from P_tail, giving the
+    doubled horizon's Qt(0)."""
     n_T = int(round(T_h / dt))
     K, M = space.K, actuator.M
     args = (actuator.mat, dt, space.alphas, lam, cap)
@@ -376,7 +377,7 @@ def riccati_two_sweep(space, traj, lam, actuator, T_h, dt, cap=1e8):
     gains = np.empty((n_T, M, K))
     Qt[n_T] = 0.0
     sweep_stored(np.zeros((K, K)), phi, *args, Qt=Qt, gains=gains)
-    return Qt, gains, sweep_stored(P_tail, phi, *args)
+    return Qt, gains, P_tail, sweep_stored(P_tail, phi, *args)
 
 
 def optimal_rollout_stored(law, phi, gains, s_index, z0):

@@ -15,7 +15,7 @@ from nsstab.config import ExperimentConfig
 from nsstab.dynamics import build_propagator, taylor_green_reference, zero_reference
 from nsstab.feedback import (
     closed_loop_linear,
-    doubled_horizon_value,
+    doubled_tail_value,
     dp_check,
     horizon_gate,
     lyapunov_check,
@@ -241,8 +241,8 @@ def test_criterion_07_riccati_synthesis(fb_instance):
                                  law.T_h / 2])["max_rel_residual"]
     min_eig = min(np.linalg.eigvalsh(law.Q(m)).min()
                   for m in range(0, law.n_steps + 1, 8))
-    gate = horizon_gate(law, doubled_horizon_value(ref, law.lam, act, law.T_h,
-                                                    DT))["rel_change"]
+    gate = horizon_gate(law, doubled_tail_value(ref, law.lam, act, law.T_h,
+                                                 DT))["rel_change"]
     report(7, scalar_gap <= 1e-6 and res <= 1e-5 and min_eig >= -1e-10
            and gate <= 1e-6,
            f"scalar ARE gap {scalar_gap:.2e} <= 1e-6; interior residual "

@@ -22,7 +22,7 @@ from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
 from nsstab.errors import ConfigError, RiccatiBlowupError, VerificationError
 from nsstab.feedback import (
-    doubled_horizon_value,
+    doubled_tail_value,
     horizon_gate,
     optimal_cost_check,
     optimal_rollouts,
@@ -43,28 +43,35 @@ DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 
 
 class InProcessWorker:
-    """cli.Worker's contract in this process: the job's arguments cross a
-    pickle round trip, and take() runs the job up to its next result, so
-    its results come in order and its exception is raised at its turn."""
+    """cli.Worker's contract in this process: each submitted job's
+    arguments cross a pickle round trip, and take() runs the job submitted
+    last up to its next result, so its results come in order and its
+    exception is raised at its turn."""
 
-    def __init__(self, label, fn, *args):
-        self.label, self.timings, self.peak_mb = label, None, 0.0
-        self._results = self._run(fn, pickle.loads(pickle.dumps(args, protocol=5)))
+    def __init__(self):
+        self.label, self.timings, self.peak_mb = None, {}, 0.0
+        self._results = None
 
-    def _run(self, fn, args):
+    def submit(self, label, fn, *args):
+        self.label = label
+        self._results = self._run(label, fn,
+                                  pickle.loads(pickle.dumps(args, protocol=5)))
+
+    def _run(self, label, fn, args):
         start = time.perf_counter()
         value = fn(*args)
         if isinstance(value, types.GeneratorType):
             value = yield from value
-        self.timings = {"worker_s": round(time.perf_counter() - start, 3),
-                        "wait_s": 0.0}
+        self.timings[label] = {"worker_s": round(time.perf_counter() - start, 3),
+                               "wait_s": 0.0}
         yield value
 
     def take(self):
         return next(self._results)
 
     def close(self):
-        self._results.close()
+        if self._results is not None:
+            self._results.close()
 
 
 @pytest.fixture()
@@ -146,7 +153,7 @@ class TestRun:
         assert manifest["versions"]["nsstab"]
         assert manifest["wall_time_s"] >= 0
         assert set(manifest["horizon_gate"]) == {"worker_s", "wait_s"}
-        # the gate's worker reports its own peak with its result
+        # the worker reports its own peak with its results
         peaks = manifest["peak_rss_mb"]
         assert set(peaks) == {"cli", "children"}
         assert peaks["cli"] > 0 and peaks["children"] > 0
@@ -441,7 +448,7 @@ class TestRun:
 
     def test_decay_violation_in_all_keeps_the_feedback_report(
             self, small_cfg, tmp_path, monkeypatch, capsys, in_process_workers):
-        # the closed-loop worker stops at the failure, which is raised at
+        # the closed-loop job stops at the failure, which is raised at
         # closed-loop's turn, after feedback.json is written
         _, path = small_cfg
         grow_nonlinear_runs(monkeypatch)
@@ -493,6 +500,30 @@ class TestRun:
         # the null control leaves at most null_tol * |v0| of the leading modes,
         # and |v0| of a standard normal K = 12 vector is a few units
         assert 0.0 <= rep["projection_defect_max"] < 1e-7
+
+    def test_stabilize_reports_the_regularity_of_the_first_interval(
+            self, controlled_cfg, tmp_path, monkeypatch):
+        # the smoothing constants come from the search's interval-0
+        # propagator and a generator of their own, seeded from the config
+        # seed: the run's generator is left as a run without the report
+        # leaves it, so no later draw moves
+        cfg, path = controlled_cfg
+        out = tmp_path / "o"
+        assert run("stabilize", str(path), str(out)) == 0
+        rep = json.loads((out / "stabilize.json").read_text())["regularity"]
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        own = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+        want = dynamics.regularity_diagnostics(p.space, p.search.propagators[0],
+                                               cli.REGULARITY_RUNS, own)
+        assert rep == want
+        assert rep["runs"] == cli.REGULARITY_RUNS and rep["all_finite"]
+        states = []
+        for report in (cli.regularity_diagnostics, lambda *args: {}):
+            monkeypatch.setattr(cli, "regularity_diagnostics", report)
+            p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+            cli.cmd_stabilize(p, str(tmp_path))
+            states.append(p.rng.bit_generator.state)
+        assert states[0] == states[1]
 
     @pytest.mark.parametrize("lam, N, M1", [(1.5, 18, 64), (2.7, 28, 96)])
     def test_stabilize_picks_the_smallest_passing_cutoff(self, tmp_path, lam, N, M1):
@@ -563,9 +594,17 @@ def grow_nonlinear_runs(monkeypatch):
     monkeypatch.setattr(nonlinear.ClosedLoopStepper, "run_nonlinear", growing)
 
 
-def worker_labels(procs):
-    """The worker each recorded process runs, by the label it is started with."""
-    return [proc.args[-1] for proc in procs]
+def submitted(monkeypatch):
+    """The list of the labels of every job submitted to a cli.Worker from
+    now on, in order."""
+    labels = []
+    submit = cli.Worker.submit
+
+    def recorded(self, label, fn, *args):
+        labels.append(label)
+        return submit(self, label, fn, *args)
+    monkeypatch.setattr(cli.Worker, "submit", recorded)
+    return labels
 
 
 class TestHorizonGateWorker:
@@ -574,17 +613,19 @@ class TestHorizonGateWorker:
         ("basin", False), ("all", True)])
     def test_only_the_feedback_report_starts_the_gate(self, small_cfg, tmp_path,
                                                       monkeypatch, subcommand, gated):
-        # the worker's Q_2T(0) is the in-process sweep's, bit for bit, and
-        # the manifest carries its timings; closed-loop builds the law but
-        # sweeps no doubled horizon.  The gate starts first, then the
-        # closed loop's worker where the run reads a closed loop, and the
-        # manifest carries that worker's timings too
+        # the gate's D is the in-process sweep's, bit for bit, so its report
+        # is too, and the manifest carries the gate job's timings;
+        # closed-loop builds the law but sweeps no doubled horizon.  A run
+        # that reads the law starts one worker: the gate's job first, then
+        # the closed loop's, whose timings the manifest carries too
         cfg, path = small_cfg
         procs = spawned(monkeypatch)
+        jobs = submitted(monkeypatch)
         out = tmp_path / "o"
         assert run(subcommand, str(path), str(out)) == 0
         looped = subcommand != "stabilize"
-        assert worker_labels(procs) == ["horizon-gate"] * gated + ["closed-loop"] * looped
+        assert len(procs) == looped
+        assert jobs == ["horizon-gate"] * gated + ["closed-loop"] * looped
         assert_no_child_left(procs)
         manifest = json.loads((out / "manifest.json").read_text())
         assert ("horizon_gate" in manifest) == gated
@@ -596,28 +637,33 @@ class TestHorizonGateWorker:
         if not gated:
             return
         p = Pipeline(cfg, np.random.default_rng(cfg.seed))
-        want = horizon_gate(p.law, doubled_horizon_value(
+        cap = cfg.tolerances.riccati_cap
+        want = horizon_gate(p.law, doubled_tail_value(
             p.reference, cfg.control.lam, p.actuator, cfg.time.T_h, cfg.time.dt,
-            cfg.tolerances.riccati_cap))
+            cap), cap)
         assert json.loads((out / "feedback.json").read_text())["horizon_gate"] == want
 
     def test_gate_beyond_the_cap_exits_3(self, small_cfg, tmp_path, monkeypatch,
                                          capsys):
         # at T_h = 2 the law's cost operators stay below 1.19 in the
-        # inf-norm and the doubled horizon's reach 1.55: the cap between
-        # stops the worker alone, and its error is the run's.  A worker
-        # that sent its error exits by itself, however long its exit
-        # takes: it is waited for, not killed
+        # inf-norm, the tail value D's below 1.10, and the doubled
+        # synthesis's reach 1.55, at node 0: the cap between passes both
+        # sweeps and stops the gate the CLI forms from D, before the closed
+        # loop's job is submitted.  A worker that sent every result exits by
+        # itself once its stdin closes, however long its exit takes: it is
+        # waited for, not killed
         cfg, _ = small_cfg
         cfg.time.T_h, cfg.tolerances.riccati_cap = 2.0, 1.35
         path = tmp_path / "capped.json"
         save_config(cfg.validate(), path)
         monkeypatch.setattr(cli, "WORKER", cli.WORKER + "time.sleep(0.5)\n")
         procs = spawned(monkeypatch)
+        jobs = submitted(monkeypatch)
         out = tmp_path / "o"
         assert run("feedback", str(path), str(out)) == 3
         assert "cost operator exceeded cap 1.4e+00" in capsys.readouterr().err
         assert not (out / "feedback.json").exists()
+        assert len(procs) == 1 and jobs == ["horizon-gate"]
         assert procs[0].returncode == 0
         assert_no_child_left(procs)
 
@@ -627,10 +673,11 @@ class TestHorizonGateWorker:
         monkeypatch.setattr(cli, "WORKER", SILENT_WORKER)
         monkeypatch.setattr(cli, "riccati_solve", failing(RiccatiBlowupError))
         procs = spawned(monkeypatch)
+        jobs = submitted(monkeypatch)
         started = time.perf_counter()
         assert run("feedback", str(path), str(tmp_path / "o")) == 3
         assert time.perf_counter() - started < 60
-        assert worker_labels(procs) == ["horizon-gate"]
+        assert len(procs) == 1 and jobs == ["horizon-gate"]
         assert procs[0].returncode == -signal.SIGKILL
         assert_no_child_left(procs)
 
@@ -653,9 +700,10 @@ class TestHorizonGateWorker:
 
     @pytest.mark.parametrize("code", [0, 2, 3, 4])
     def test_no_child_outlives_the_run(self, small_cfg, tmp_path, monkeypatch, code):
-        # each exit after the gate started: success, the law refused for
-        # memory, the law's sweep failing (neither starts the closed loop's
-        # worker) and a check failing before the gate is read
+        # each exit after the gate's job was submitted: success, the law
+        # refused for memory, the law's sweep failing (neither submits the
+        # closed loop's job) and a check failing before the closed loop's
+        # results are taken
         _, path = small_cfg
         if code == 2:
             monkeypatch.setattr(feedback, "available_memory_bytes", lambda: 0)
@@ -664,16 +712,18 @@ class TestHorizonGateWorker:
         if code == 4:
             monkeypatch.setattr(cli, "dp_check", failing(VerificationError))
         procs = spawned(monkeypatch)
+        jobs = submitted(monkeypatch)
         assert run("feedback", str(path), str(tmp_path / "o")) == code
         started = ["horizon-gate"] if code in (2, 3) else ["horizon-gate", "closed-loop"]
-        assert worker_labels(procs) == started
+        assert len(procs) == 1 and jobs == started
         assert_no_child_left(procs)
 
     @pytest.mark.parametrize("code", [0, 2, 3, 4])
     def test_all_reaps_both_workers(self, small_cfg, tmp_path, monkeypatch, code):
-        # every exit after both workers started: success, a config error
-        # and a check failing in this process, and the gate's sweep failing
-        # in its worker while the closed loop's may still run
+        # every exit of all after its worker started: success, a config
+        # error and a check failing in this process after both jobs were
+        # submitted, and the doubled synthesis past the cap, refused before
+        # the closed loop's job is submitted
         cfg, path = small_cfg
         if code == 2:
             monkeypatch.setattr(cli, "riccati_residual", failing(ConfigError))
@@ -683,8 +733,10 @@ class TestHorizonGateWorker:
         if code == 4:
             monkeypatch.setattr(cli, "dp_check", failing(VerificationError))
         procs = spawned(monkeypatch)
+        jobs = submitted(monkeypatch)
         assert run("all", str(path), str(tmp_path / "o")) == code
-        assert worker_labels(procs) == ["horizon-gate", "closed-loop"]
+        started = ["horizon-gate"] if code == 3 else ["horizon-gate", "closed-loop"]
+        assert len(procs) == 1 and jobs == started
         assert_no_child_left(procs)
 
     def test_closed_loop_worker_killed_from_outside_exits_3(self, small_cfg, tmp_path,
@@ -703,7 +755,7 @@ class TestHorizonGateWorker:
         assert f"the closed-loop worker ended without a result (exit code " \
                f"{-signal.SIGKILL})" in capsys.readouterr().err
         assert not (out / "closed_loop.json").exists()
-        assert worker_labels(procs) == ["closed-loop"]
+        assert len(procs) == 1
         assert_no_child_left(procs)
 
     def test_job_arrays_are_not_copied(self, monkeypatch):
@@ -714,7 +766,8 @@ class TestHorizonGateWorker:
         block = np.arange(2**20, dtype=float).reshape(1024, 1024)
         tracemalloc.start()
         try:
-            worker = cli.Worker("test", feedback.pack_symmetric, block)
+            worker = cli.Worker()
+            worker.submit("test", feedback.pack_symmetric, block)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -723,7 +776,30 @@ class TestHorizonGateWorker:
         finally:
             worker.close()
         assert peak < block.nbytes / 8
-        assert worker.timings["worker_s"] >= 0 and worker.peak_mb > 0
+        assert worker.timings["test"]["worker_s"] >= 0 and worker.peak_mb > 0
+        assert_no_child_left(procs)
+
+    def test_one_worker_runs_its_jobs_in_turn(self, monkeypatch):
+        # a job's error ends that job, not the worker: the next job runs in
+        # the same process.  No job is submitted while a result of the one
+        # before is still to be taken, and a worker whose every job ended
+        # exits by itself once its stdin closes
+        procs = spawned(monkeypatch)
+        block = np.arange(16, dtype=float).reshape(4, 4)
+        worker = cli.Worker()
+        try:
+            worker.submit("first", feedback.pack_symmetric, np.zeros(3))
+            with pytest.raises(IndexError) as info:
+                worker.take()
+            assert any("in the first worker" in note for note in info.value.__notes__)
+            worker.submit("second", feedback.pack_symmetric, block)
+            with pytest.raises(RuntimeError, match="the second job has results"):
+                worker.submit("third", feedback.pack_symmetric, block)
+            assert np.array_equal(worker.take(), feedback.pack_symmetric(block))
+        finally:
+            worker.close()
+        assert len(procs) == 1 and procs[0].returncode == 0
+        assert set(worker.timings) == {"second"}
         assert_no_child_left(procs)
 
     def test_closed_loop_runs_under_a_profile_hook(self, small_cfg, tmp_path):
@@ -1055,7 +1131,7 @@ class TestOneClosedLoop:
         assert short is not loop
         assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
         assert short.n_steps == 2 * 128
-        # the closed loop's worker gets the head that holds both windows
+        # the closed loop's job gets the head that holds both windows
         head = p.closed_loop_head()
         assert head.head == 3 * 128 and np.shares_memory(head.Q_packed, p.law.Q_packed)
 

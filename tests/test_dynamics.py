@@ -496,8 +496,9 @@ class TestTwoMatrixModel:
 class TestRegularityDiagnostics:
     def test_zero_data(self, small_space, rng):
         ref = zero_reference(small_space, horizon=2.0)
-        prop_report = regularity_diagnostics(ref, 0.0, runs=2,
-                                             rng=np.random.default_rng(1), dt=1.0 / 32)
+        prop = build_propagator(small_space, ref, 0.0, 1.0 / 32)
+        prop_report = regularity_diagnostics(small_space, prop, runs=2,
+                                             rng=np.random.default_rng(1))
         assert prop_report["all_finite"]
 
     def test_single_mode_matches_scalar_calculus(self, small_space):
@@ -524,7 +525,8 @@ class TestRegularityDiagnostics:
     def test_ratios_stable_under_refinement(self, small_space):
         s = small_space
         ref = taylor_green_reference(s, a0=0.4, horizon=2.0)
-        r1 = regularity_diagnostics(ref, 0.0, 3, np.random.default_rng(7), dt=1.0 / 32)
-        r2 = regularity_diagnostics(ref, 0.0, 3, np.random.default_rng(7), dt=1.0 / 64)
+        r1, r2 = (regularity_diagnostics(s, build_propagator(s, ref, 0.0, dt), 3,
+                                         np.random.default_rng(7))
+                  for dt in (1.0 / 32, 1.0 / 64))
         for key in ("l1", "l2", "l3"):
             assert r2[key] < 4.0 * r1[key] + 1.0

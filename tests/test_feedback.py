@@ -13,7 +13,8 @@ from nsstab.dynamics import taylor_green_reference, zero_reference
 from nsstab.errors import ConfigError, RiccatiBlowupError
 from nsstab.feedback import (
     closed_loop_linear,
-    doubled_horizon_value,
+    doubled_horizon_increment,
+    doubled_tail_value,
     dp_check,
     horizon_gate,
     lyapunov_check,
@@ -156,10 +157,12 @@ class TestRiccatiSolve:
         act0 = build_actuator(space, zero_mask(space), M=4)
         with pytest.raises(RiccatiBlowupError):
             riccati_solve(ref, lam=2.0, actuator=act0, T_h=18.0, dt=1.0 / 64)
-        # the doubled horizon crosses the cap where the law's does not
-        riccati_solve(ref, lam=2.0, actuator=act0, T_h=9.0, dt=1.0 / 64)
+        # the doubled horizon crosses the cap where the law's and its tail's
+        # do not: the gate refuses its Q_2T(0)
+        law = riccati_solve(ref, lam=2.0, actuator=act0, T_h=9.0, dt=1.0 / 64)
+        D = doubled_tail_value(ref, 2.0, act0, 9.0, 1.0 / 64)
         with pytest.raises(RiccatiBlowupError, match="cap"):
-            doubled_horizon_value(ref, 2.0, act0, 9.0, 1.0 / 64)
+            horizon_gate(law, D)
 
     def test_non_finite_operator_reports_its_time(self, monkeypatch):
         # np.linalg.solve returns NaN for a NaN step rather than raising, so
@@ -180,7 +183,7 @@ class TestRiccatiSolve:
     def test_horizon_gate_recorded_and_shrinking(self, scalar_law):
         space, ref, act, _ = scalar_law
         law = riccati_solve(ref, lam=0.5, actuator=act, T_h=6.0, dt=1.0 / 64)
-        gate = horizon_gate(law, doubled_horizon_value(ref, 0.5, act, 6.0, 1.0 / 64))
+        gate = horizon_gate(law, doubled_tail_value(ref, 0.5, act, 6.0, 1.0 / 64))
         assert gate["T_h"] == 6.0
         assert gate["rel_change"] <= 1e-6
 
@@ -197,11 +200,12 @@ class TestRiccatiSolve:
         with pytest.raises(ValueError):
             riccati_solve(ref, lam=0.5, actuator=act, T_h=100.0, dt=DT)
         with pytest.raises(ValueError, match="horizon"):
-            doubled_horizon_value(ref, 0.5, act, 13.0, DT)
+            doubled_tail_value(ref, 0.5, act, 13.0, DT)
 
     def test_horizon_gate_equals_explicit_doubled_solve(self):
-        # the gate's value is the sweep of a synthesis on [0, 2 T_h] that
-        # stores nothing, so it must agree exactly with that synthesis
+        # the gate's tail value is the sweep of the synthesis on [0, 2 T_h]
+        # over [T_h, 2 T_h], so it agrees exactly with that synthesis at
+        # T_h; the identity continues it to 0, which agrees to round-off
         space = build_space(nu=0.6, K=12, n=16)
         ref = taylor_green_reference(space, a0=1.2, a1=0.6, omega=0.5, horizon=8.0)
         chi = ChiMask.bump(space, center=(np.pi, np.pi), radius=2.8, rho=0.1)
@@ -209,27 +213,61 @@ class TestRiccatiSolve:
         law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0, dt=1.0 / 64)
         double = riccati_solve(ref, lam=1.0, actuator=act, T_h=6.0,
                                dt=1.0 / 64)
-        double_Q0 = doubled_horizon_value(ref, 1.0, act, 3.0, 1.0 / 64)
-        assert np.array_equal(double_Q0, double.Q(0))
-        num = np.linalg.norm(double.Q(0) - law.Q(0))
+        D = doubled_tail_value(ref, 1.0, act, 3.0, 1.0 / 64)
+        assert np.array_equal(D, double.Q(law.n_steps))
+        double_Q0 = law.Q(0) + doubled_horizon_increment(law, D)
         den = max(np.linalg.norm(double.Q(0)), 1e-300)
-        assert horizon_gate(law, double_Q0)["rel_change"] == float(num / den)
+        assert np.linalg.norm(double_Q0 - double.Q(0)) <= 1e-13 * den
+        num = np.linalg.norm(double.Q(0) - law.Q(0))
+        assert abs(horizon_gate(law, D)["rel_change"] - float(num / den)) <= 1e-13
 
     def test_one_loop_law_equals_two_sweep_oracle(self):
-        # law and gate each advance through steps built in their one loop;
-        # the stored-stack path of one solve per step and per gain system
-        # agrees to round-off (the loops refine both inverses from the
-        # neighbouring step's instead)
+        # law and gate tail each advance through steps built in their one
+        # loop; the stored-stack path of one solve per step and per gain
+        # system, which sweeps the law's stack a second time from the
+        # tail's value, agrees to round-off (the loops refine both inverses
+        # from the neighbouring step's instead, and the gate continues the
+        # tail's value to 0 through the law's carry)
         space, ref, act = gate_instance(K=12, M=16, T_h=3.0)
         law = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0, dt=1.0 / 64)
-        got_Q0 = doubled_horizon_value(ref, 1.0, act, 3.0, 1.0 / 64)
-        Qt, gains, double_Q0 = riccati_two_sweep(space, ref, 1.0, act, 3.0, 1.0 / 64)
+        got_D = doubled_tail_value(ref, 1.0, act, 3.0, 1.0 / 64)
+        got_Q0 = law.Q(0) + doubled_horizon_increment(law, got_D)
+        Qt, gains, D, double_Q0 = riccati_two_sweep(space, ref, 1.0, act, 3.0,
+                                                    1.0 / 64)
         for got, want in ((unpack_symmetric(law.Q_packed), Qt),
-                          rollout_controls(law, gains), (got_Q0, double_Q0)):
+                          rollout_controls(law, gains), (got_D, D),
+                          (got_Q0, double_Q0)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         num = np.linalg.norm(double_Q0 - Qt[0])
-        assert horizon_gate(law, got_Q0)["rel_change"] == pytest.approx(
+        assert horizon_gate(law, got_D)["rel_change"] == pytest.approx(
             float(num / np.linalg.norm(double_Q0)), rel=1e-12)
+
+    @pytest.mark.parametrize("T_h", [0.5, 2.0, 7.0])
+    def test_gate_identity_fails_on_wrong_inputs(self, T_h):
+        # Q_2T(0) from the law's carry and the tail value D agrees with the
+        # explicit doubled solve to round-off; a carry without its Gramian,
+        # or a doubled D, moves it far beyond that, and a non-finite D is
+        # refused as a blow-up
+        space, ref, act = gate_instance(T_h=T_h)
+        law = riccati_solve(ref, lam=1.0, actuator=act, T_h=T_h, dt=DT)
+        D = doubled_tail_value(ref, 1.0, act, T_h, DT)
+        want = riccati_solve(ref, lam=1.0, actuator=act, T_h=2 * T_h, dt=DT).Q(0)
+
+        def gap(law, D):
+            got = law.Q(0) + doubled_horizon_increment(law, D)
+            return np.linalg.norm(got - want) / np.linalg.norm(want)
+        assert gap(law, D) <= 1e-13
+        no_gramian = dataclasses.replace(law, gramian=np.zeros_like(law.gramian))
+        assert gap(no_gramian, D) > 1e-4
+        assert gap(law, 2.0 * D) > 1e-4
+        gate = horizon_gate(law, D)
+        assert np.linalg.norm(doubled_horizon_increment(law, D), 2) <= (
+            gate["transition_norm"] ** 2 * gate["tail_value_norm"])
+        for bad in (np.nan, np.inf):
+            poisoned = D.copy()
+            poisoned[0, 1] = bad
+            with pytest.raises(RiccatiBlowupError, match="cost operator exceeded cap"):
+                horizon_gate(law, poisoned)
 
     def test_solves_only_the_first_step_of_a_gated_synthesis(self, monkeypatch):
         # every later step refines the neighbouring step's inverse; the gain
@@ -248,7 +286,7 @@ class TestRiccatiSolve:
             n_T = law.n_steps
             assert solved == [((12, 12), n_T - 1), ((16, 16), n_T - 1)]
             solved.clear()
-            doubled_horizon_value(ref, 1.0, act, 1.0, DT)
+            doubled_tail_value(ref, 1.0, act, 1.0, DT)
             assert solved == [((12, 12), 2 * n_T - 1), ((16, 16), 2 * n_T - 1)]
 
     def test_builds_each_step_once_per_sweep_and_stores_none(self, monkeypatch):
@@ -275,25 +313,25 @@ class TestRiccatiSolve:
         assert built == list(range(n_T - 1, -1, -1))
         assert len(packed) == n_T
         built.clear(), packed.clear()
-        doubled_horizon_value(ref, 1.0, act, 2.0, 1.0 / 32)
-        assert built == list(range(2 * n_T - 1, -1, -1))
+        doubled_tail_value(ref, 1.0, act, 2.0, 1.0 / 32)
+        assert built == list(range(2 * n_T - 1, n_T - 1, -1))
         assert stacks == packed == []
 
     @pytest.mark.parametrize("dt", [DT, 1.0 / 32])
     def test_sweeps_take_one_update_past_their_first_steps(self, inverse_paths, dt):
         # counts, not timings, guard the gain: at dt = 1/128 each step of
-        # the law's and the gate's sweeps past their first three takes one
+        # the law's and the gate tail's sweeps past their first three takes one
         # Newton-Schulz update; at dt = 1/32 the gain systems move faster,
         # and only the terminal layer's first three of a sweep are solved
         space, ref, act = gate_instance(K=12, M=16, T_h=1.0)
         paths = inverse_paths(feedback)
         law = riccati_solve(ref, lam=1.0, actuator=act, T_h=1.0, dt=dt)
-        doubled_horizon_value(ref, 1.0, act, 1.0, dt)
+        doubled_tail_value(ref, 1.0, act, 1.0, dt)
         n_T = law.n_steps
         (law_steps, law_gains), (gate_steps, gate_gains) = paths[:2], paths[2:]
         assert law.step_inverses == law_steps.counts
         for path, n in ((law_steps, n_T), (law_gains, n_T),
-                        (gate_steps, 2 * n_T), (gate_gains, 2 * n_T)):
+                        (gate_steps, n_T), (gate_gains, n_T)):
             assert len(path.kinds) == n and path.kinds[0] == "solved"
             if dt == DT:
                 assert path.kinds[3:] == ["one"] * (n - 3)
@@ -301,14 +339,16 @@ class TestRiccatiSolve:
 
     def test_law_holds_cost_operators_only(self, tg_law):
         # beside its cost operators and times the law holds only the three
-        # (K, K) fixed parts of its step models, and no copy of alpha
+        # (K, K) fixed parts of its step models and the two (K, K) parts of
+        # the horizon gate's carry, and no copy of alpha
         *_, law = tg_law
         assert not hasattr(law, "phi") and not hasattr(law, "gains")
         assert law.alphas is law.reference.space.alphas
         arrays = [v for v in vars(law).values() if isinstance(v, np.ndarray)]
         assert sum(v.nbytes for v in arrays) == (
             law.Q_packed.nbytes + law.times.nbytes + law._shift.nbytes
-            + law._diag_alpha.nbytes + law._gram.nbytes)
+            + law._diag_alpha.nbytes + law._gram.nbytes
+            + law.transition.nbytes + law.gramian.nbytes)
         assert all(v.size != law.n_steps * law.M * len(law.alphas) for v in arrays)
         assert law.n_steps == law.Q_packed.shape[0] - 1 == len(law.times) - 1
 
@@ -337,8 +377,8 @@ class TestRiccatiSolve:
     def test_gated_synthesis_peaks_near_the_law(self):
         # neither a step stack nor a gain stack is ever allocated, so the
         # law's traced peak stays within 10% of its packed cost operators,
-        # and that of the gate's doubled sweep, which stores none, below a
-        # tenth of them (a twentieth of its own packed operators)
+        # and that of the gate's tail sweep, which stores none, below a
+        # tenth of them
         space, ref, act = gate_instance()
 
         def traced(synthesis):
@@ -349,7 +389,7 @@ class TestRiccatiSolve:
             finally:
                 tracemalloc.stop()
         law, law_peak = traced(riccati_solve)
-        _, gate_peak = traced(doubled_horizon_value)
+        _, gate_peak = traced(doubled_tail_value)
         assert law_peak <= 1.1 * law.Q_packed.nbytes
         assert gate_peak <= 0.1 * law.Q_packed.nbytes
 
@@ -463,7 +503,7 @@ class TestRestriction:
     @pytest.fixture()
     def law(self):
         # the law on its head [0, 1] alone, a view of its first cost
-        # operators, as the closed-loop worker gets it
+        # operators, as the worker's closed-loop job gets it
         _, ref, act = gate_instance(K=12, M=16, T_h=3.0)
         full = riccati_solve(ref, lam=1.0, actuator=act, T_h=3.0, dt=1.0 / 64)
         return dataclasses.replace(full, Q_packed=full.Q_packed[:65])

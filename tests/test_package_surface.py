@@ -16,10 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).parent.parent / "src" / "nsstab"
 
 # public definitions no run uses yet, each with the reason it stays
-ALLOWED_UNUSED = {
-    "regularity_diagnostics": "ROADMAP item 2: the smoothing constants of the "
-                              "linearized flow, to be reported by the runs",
-}
+ALLOWED_UNUSED = {}
 
 
 def parse(path):
