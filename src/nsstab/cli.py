@@ -6,9 +6,11 @@ Subcommands: reference, observability, null-control, stabilize, feedback,
 closed-loop, basin, all.  A run that reads the feedback law starts one
 worker process (Worker), which runs the run's jobs in turn: the horizon
 gate's sweep of [T_h, 2 T_h] beside this process's law sweep, then the
-closed loop.  Every run writes a manifest with the config hash, library
-versions, seed, wall time and peak memory (its own and the worker's), plus
-the timings of each job the worker ran.  Exit codes: 0 success, 2 config
+closed loop (closed_loop_job), built once on the law's head and read by
+each closed-loop run as a prefix of its steps.  Every run writes a
+manifest with the config hash, library versions, seed, wall time and
+peak memory (its own and the worker's), plus the timings of each job the
+worker ran.  Exit codes: 0 success, 2 config
 error, 3 numerical failure, 4 assertion failure.
 """
 
@@ -157,9 +159,11 @@ while parts is not None:
 
 class Worker:
     """A Python process, started here at the first job, that runs jobs in
-    turn and imports this process's own nsstab (see WORKER).  submit()
-    sends it a job, fn(*args) with fn a module-level function, under a
-    label that names it in the job's errors.  The job's arrays are written
+    turn and imports this process's own nsstab (see WORKER).  Its BLAS
+    runs one thread, beside this process's own pool, unless the caller's
+    environment sets a thread count.  submit() sends it a job, fn(*args)
+    with fn a module-level function, under a label that names it in the
+    job's errors.  The job's arrays are written
     to the worker straight from their memory, so no pickled copy of them is
     made.
 
@@ -192,9 +196,12 @@ class Worker:
         if self._proc is None:
             root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
             path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+            # one BLAS thread, unless the caller set a count
+            env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1", **os.environ, "PYTHONPATH": path}
             self._proc = subprocess.Popen([sys.executable, "-c", WORKER],
                                           stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                          env=dict(os.environ, PYTHONPATH=path))
+                                          env=env)
         self.label, self._wait_s, self._ended = label, 0.0, False
         buffers = []
         job = pickle.dumps((fn.__globals__["__spec__"].name, fn.__qualname__, args),
@@ -253,12 +260,13 @@ class Worker:
 
 
 class Pipeline:
-    """Lazily built shared state for the subcommands of one run.
+    """Lazily built shared state of this process for the subcommands of
+    one run.
 
-    It owns the run's one worker, which starts at its first job
-    (start_gate, start_closed_loop); close() ends it.  commands names the run's
-    subcommands: the closed-loop ones among them run in the worker's
-    closed-loop job.
+    It owns the run's one worker, which starts at its first job (the
+    horizon gate's in cmd_feedback, or the closed loop's); close() ends
+    it.  commands names the run's subcommands: the closed-loop ones among
+    them run in the worker's closed-loop job (closed_loop_job).
     """
 
     def __init__(self, cfg: ExperimentConfig, rng, commands=()):
@@ -337,15 +345,6 @@ class Pipeline:
             self.reference, c.control.lam, self.actuator, c.time.T_h, c.time.dt,
             cap=c.tolerances.riccati_cap))
 
-    def start_gate(self):
-        """Submit the horizon gate's job, the sweep of [T_h, 2 T_h]
-        (feedback.doubled_tail_value), which runs beside this process's law
-        sweep; its one result is D."""
-        c = self.cfg
-        self.worker.submit("horizon-gate", doubled_tail_value, self.reference,
-                           c.control.lam, self.actuator, c.time.T_h, c.time.dt,
-                           c.tolerances.riccati_cap)
-
     def start_closed_loop(self, out, v0=None):
         """Submit the closed-loop half of the run (closed_loop_job) on the
         law's head: feedback's decay run from v0 where v0 is given, then
@@ -353,7 +352,8 @@ class Pipeline:
         from its state now; closed_loop_turn takes its results."""
         self._turns = (v0 is not None) + len(self.closed_loop_commands)
         self.worker.submit("closed-loop", closed_loop_job, self.cfg, self.rng,
-                           self.closed_loop_head(), v0, out, self.closed_loop_commands)
+                           self.closed_loop_head(v0 is not None), v0, out,
+                           self.closed_loop_commands)
 
     def closed_loop_turn(self, out):
         """The closed-loop job's next result, the job submitted here if it
@@ -372,44 +372,45 @@ class Pipeline:
     def close(self):
         self.worker.close()
 
-    def closed_loop_spans(self) -> dict:
-        """The closed-loop windows [0, span] the commands read, spans in
-        units, one unit clear of the law's terminal layer: "linear", the
-        decay run of feedback (time.n_max units), and "nonlinear", the runs
-        of closed-loop and basin (nonlinear.sim_units)."""
+    def closed_loop_head(self, decay: bool):
+        """The law on the head that holds every window the closed-loop job
+        reads (window_steps): the decay run's, time.n_max units, where
+        decay is true, and the nonlinear runs', nonlinear.sim_units, where
+        the run has a closed-loop command.  A view of the law's cost
+        operators, so nothing is copied; it keeps the law's horizon, and a
+        read past its head raises ValueError."""
         c = self.cfg
-        return {window: min(units, c.time.T_h - 1.0) for window, units in
-                (("linear", c.time.n_max), ("nonlinear", c.nonlinear.sim_units))}
-
-    def closed_loop_head(self):
-        """The law on the head that holds every closed-loop window
-        (closed_loop_spans), all a closed loop reads: a view of the law's
-        cost operators, so nothing is copied.  It keeps the law's horizon,
-        and a read past its head raises ValueError."""
-        k = int(round(max(self.closed_loop_spans().values()) / self.cfg.time.dt))
+        units = [c.time.n_max] * decay
+        if self.closed_loop_commands:
+            units.append(c.nonlinear.sim_units)
+        k = window_steps(c, max(units))
         return dataclasses.replace(self.law, Q_packed=self.law.Q_packed[:k + 1])
 
-    def closed_loop(self, window: str):
-        """The law's closed loop over the named window (closed_loop_spans),
-        built once per span and shared by the linear decay run, the
-        nonlinear run, the probe and the basin sweep."""
-        span = self.closed_loop_spans()[window]
-        return self._get(("closed_loop", round(span, 12)),
-                         lambda: closed_loop_steps(self.law, 0.0, span))
+
+def window_steps(cfg, units) -> int:
+    """The steps of the closed-loop window [0, units], held one unit clear
+    of the law's terminal layer: [0, min(units, T_h - 1)]."""
+    return int(round(min(units, cfg.time.T_h - 1.0) / cfg.time.dt))
 
 
-def closed_loop_job(cfg, rng, law, v0, out, commands):
-    """The closed-loop half of a run, the worker's closed-loop job: on the
-    law's head, feedback's decay run from v0 where v0 is given, then the
-    body of each named command in order, each writing its own artifacts.
-    Yields each one's result as it ends, and returns the state rng is left
-    in."""
-    p = Pipeline(cfg, rng)
-    p._cache.update(law=law, reference=law.reference, space=law.reference.space)
+def closed_loop_job(cfg, rng, head, v0, out, commands):
+    """The closed-loop half of a run, the worker's closed-loop job: the
+    law's closed loop on the whole head it was sent, built once, and on
+    the first steps of it, feedback's decay run from v0 (time.n_max units)
+    where v0 is given, then the body of each named command in order
+    (nonlinear.sim_units), each writing its own artifacts.  Yields each
+    one's result as it ends, and returns the state rng is left in."""
+    loop = closed_loop_steps(head, 0.0, head.head * head.dt)
+
+    def window(units):
+        # the loop's first steps: one causal path, so they are the steps a
+        # loop on the window alone would build, bit for bit; a view
+        return dataclasses.replace(loop, phi=loop.phi[:window_steps(cfg, units)])
+
     if v0 is not None:
-        yield feedback_decay(p, out, v0)
+        yield feedback_decay(window(cfg.time.n_max), out, v0)
     for name in commands:
-        yield CLOSED_LOOP_BODIES[name](p, out)
+        yield CLOSED_LOOP_BODIES[name](window(cfg.nonlinear.sim_units), cfg, rng, out)
     return rng.bit_generator.state
 
 
@@ -491,10 +492,14 @@ def cmd_stabilize(p: Pipeline, out):
 
 
 def cmd_feedback(p: Pipeline, out):
-    p.start_gate()          # [T_h, 2 T_h] sweeps in the worker while the law is built
+    # the horizon gate's job, the sweep of [T_h, 2 T_h] (doubled_tail_value),
+    # runs in the worker while the law is built; its one result is D
+    c = p.cfg
+    p.worker.submit("horizon-gate", doubled_tail_value, p.reference, c.control.lam,
+                    p.actuator, c.time.T_h, c.time.dt, c.tolerances.riccati_cap)
     law = p.law
     v0 = p.rng.standard_normal(p.space.K)
-    gate = horizon_gate(law, p.worker.take(), p.cfg.tolerances.riccati_cap)
+    gate = horizon_gate(law, p.worker.take(), c.tolerances.riccati_cap)
     # the decay run, and the run's closed-loop commands after it, run on the
     # law's head in the worker beside the readers of the whole law
     p.start_closed_loop(out, v0)
@@ -531,33 +536,24 @@ def cmd_feedback(p: Pipeline, out):
     return ["feedback_law.npz", "feedback.json"] + artifacts
 
 
-def feedback_decay(p: Pipeline, out, v0):
+def feedback_decay(loop, out, v0):
     """feedback's decay run from v0 on the law's closed loop: its reports
     for feedback.json, and the artifacts it writes."""
-    sim, cl_rep = closed_loop_linear(p.closed_loop("linear"), v0)
-    artifacts = write_decay(out, "feedback_decay", sim, p.space,
-                            max(cl_rep["kappa_h"], 1.0), p.law.lam,
+    sim, cl_rep = closed_loop_linear(loop, v0)
+    artifacts = write_decay(out, "feedback_decay", sim, loop.space,
+                            max(cl_rep["kappa_h"], 1.0), loop.lam,
                             "feedback closed-loop decay")
     return {"lyapunov": lyapunov_check(sim), "closed_loop": cl_rep}, artifacts
 
 
-def cmd_closed_loop(p: Pipeline, out):
-    return p.closed_loop_turn(out)
-
-
-def cmd_basin(p: Pipeline, out):
-    return p.closed_loop_turn(out)
-
-
-def closed_loop_body(p: Pipeline, out):
-    c = p.cfg
-    d = p.rng.standard_normal(p.space.K)
-    d /= np.sqrt(p.space.alphas @ d**2)
-    v0 = c.nonlinear.eps_star * d
-    stepper = p.closed_loop("nonlinear")
-    trajectory, rep = simulate_closed_loop(stepper, v0, eps_gate=c.nonlinear.eps_star,
-                                           theta_cap=c.nonlinear.theta_star)
-    probe = contraction_probe(stepper, v0, p.rng, pairs=2)
+def closed_loop_body(loop, cfg, rng, out):
+    space = loop.space
+    d = rng.standard_normal(space.K)
+    d /= np.sqrt(space.alphas @ d**2)
+    v0 = cfg.nonlinear.eps_star * d
+    trajectory, rep = simulate_closed_loop(loop, v0, eps_gate=cfg.nonlinear.eps_star,
+                                           theta_cap=cfg.nonlinear.theta_star)
+    probe = contraction_probe(loop, v0, rng, pairs=2)
     rep["contraction"] = {k: probe[k] for k in
                           ("gamma_hat", "iterations", "converged",
                            "pair_ratios", "pairs_within_headroom")}
@@ -566,7 +562,7 @@ def closed_loop_body(p: Pipeline, out):
         raise VerificationError("nonlinear decay violated inside the gate")
     if trajectory is not None:
         header = ["t", "v_h", "v_v", "v_dl"]
-        table = trajectory.norm_table(p.space)
+        table = trajectory.norm_table(space)
         write_csv(os.path.join(out, "closed_loop.csv"), header, table)
         emit_plot("decay", (header, table.T), os.path.join(out, "closed_loop.svg"),
                   "nonlinear closed loop")
@@ -574,12 +570,11 @@ def closed_loop_body(p: Pipeline, out):
     return ["closed_loop.json"]
 
 
-def basin_body(p: Pipeline, out):
-    c = p.cfg
-    rep = basin_sweep(p.closed_loop("nonlinear"), c.nonlinear.basin_scales,
-                      c.nonlinear.basin_directions, p.rng,
-                      theta_cap=c.nonlinear.theta_star * 10.0)
-    rep["directions"] = c.nonlinear.basin_directions
+def basin_body(loop, cfg, rng, out):
+    c = cfg.nonlinear
+    rep = basin_sweep(loop, c.basin_scales, c.basin_directions, rng,
+                      theta_cap=c.theta_star * 10.0)
+    rep["directions"] = c.basin_directions
     write_json(os.path.join(out, "basin.json"), rep)
     emit_plot("heatmap", rep, os.path.join(out, "basin.svg"),
               "basin of attraction sweep")
@@ -592,8 +587,9 @@ COMMANDS = {
     "null-control": cmd_null_control,
     "stabilize": cmd_stabilize,
     "feedback": cmd_feedback,
-    "closed-loop": cmd_closed_loop,
-    "basin": cmd_basin,
+    # run in the worker's closed-loop job: each takes its result at its turn
+    "closed-loop": Pipeline.closed_loop_turn,
+    "basin": Pipeline.closed_loop_turn,
 }
 
 # The bodies of the closed-loop commands, run by the worker's closed-loop

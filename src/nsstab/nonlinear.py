@@ -51,9 +51,10 @@ class ClosedLoopStepper(Propagator):
     """Step matrices of the feedback loop on [s, s + n_units], with the
     model and decay rate its reports are measured in.
 
-    Built once per window by closed_loop_steps and handed to every consumer
-    (linear decay run, nonlinear runs, Picard iterates, forced solves, basin
-    sweep), so all of them live on the identical discrete flow.
+    Built once per run by closed_loop_steps and handed, whole or as a
+    prefix view of its steps, to every consumer (linear decay run,
+    nonlinear runs, Picard iterates, forced solves, basin sweep), so all of
+    them live on the identical discrete flow.
     """
 
     space: SpectralSpace

@@ -22,6 +22,7 @@ from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
 from nsstab.errors import ConfigError, RiccatiBlowupError, VerificationError
 from nsstab.feedback import (
+    closed_loop_linear,
     doubled_tail_value,
     horizon_gate,
     optimal_cost_check,
@@ -30,7 +31,7 @@ from nsstab.feedback import (
     riccati_solve,
     unpack_symmetric,
 )
-from nsstab.nonlinear import closed_loop_steps
+from nsstab.nonlinear import closed_loop_steps, simulate_closed_loop
 from nsstab.plots import emit_plot
 from nsstab.null_control import build_reachability
 from nsstab.quadmin import pinv_psd
@@ -394,9 +395,17 @@ class TestRun:
         assert f"{need / 1e6:.1f} MB" in err
         assert all(field in err for field in
                    ("nonlinear.sim_units", "time.n_max", "space.K"))
+        # at exactly the stack's size the run builds it, once, and the decay
+        # run reads it in place
+        loops, decays = [], record_calls(monkeypatch, closed_loop_linear)
+        monkeypatch.setattr(cli, "closed_loop_steps",
+                            lambda *args: loops.append(closed_loop_steps(*args))
+                            or loops[-1])
         monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need))
-        loop = Pipeline(cfg, np.random.default_rng(cfg.seed)).closed_loop("linear")
+        assert run("feedback", str(path), str(tmp_path / "o")) == 0
+        (loop,) = loops
         assert loop.phi.nbytes == need and len(stacks) == 1 and loop.phi is stacks[0]
+        assert np.shares_memory(decays[0][0][0].phi, stacks[0])
 
     @pytest.mark.parametrize("refine_tol", [dynamics.REFINE_TOL, 0.0])
     def test_feedback_report_counts_step_inverses(self, small_cfg, tmp_path,
@@ -802,6 +811,36 @@ class TestHorizonGateWorker:
         assert set(worker.timings) == {"second"}
         assert_no_child_left(procs)
 
+    @pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
+    def test_worker_blas_runs_one_thread_unless_the_caller_sets_it(self, monkeypatch,
+                                                                   caller):
+        # the worker's pool is pinned to one thread where the caller's
+        # environment names no count, and a count the caller sets wins
+        pins = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        for name in pins:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in caller.items():
+            monkeypatch.setenv(name, value)
+        procs, envs = [], []
+
+        class Spied(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                envs.append(kwargs["env"])
+                super().__init__(*args, **kwargs)
+                procs.append(self)
+        monkeypatch.setattr(subprocess, "Popen", Spied)
+        worker = cli.Worker()
+        try:
+            worker.submit("env", os.getenv, "OPENBLAS_NUM_THREADS")
+            seen = worker.take()
+        finally:
+            worker.close()
+        (env,) = envs
+        assert {name: env[name] for name in pins} == {name: caller.get(name, "1")
+                                                      for name in pins}
+        assert seen == caller.get("OPENBLAS_NUM_THREADS", "1")
+        assert_no_child_left(procs)
+
     def test_closed_loop_runs_under_a_profile_hook(self, small_cfg, tmp_path):
         # a profiler's hook holds references to the frames it sees
         _, path = small_cfg
@@ -839,7 +878,9 @@ class TestHorizonGateWorker:
         assert run("closed-loop", str(path), str(out)) == 0
         here.mkdir()
         p = Pipeline(cfg, np.random.default_rng(cfg.seed))
-        artifacts = cli.closed_loop_body(p, str(here))
+        loop = closed_loop_steps(p.law, 0.0, min(cfg.nonlinear.sim_units,
+                                                 cfg.time.T_h - 1.0))
+        artifacts = cli.closed_loop_body(loop, cfg, p.rng, str(here))
         state = pipelines[0].rng.bit_generator.state
         assert state == p.rng.bit_generator.state
         assert state != np.random.default_rng(cfg.seed).bit_generator.state
@@ -1120,20 +1161,92 @@ class TestOneClosedLoop:
         assert run("all", str(path), str(tmp_path / "o")) == 0
         assert [(args[1], args[2]) for args, _ in builds] == [(0.0, cfg.time.n_max)]
 
-    def test_pipeline_holds_one_loop_per_window(self, small_cfg):
+    def test_one_stack_holds_every_window(self, small_cfg):
+        # the loop on the longer window starts with the shorter one's steps,
+        # bit for bit, and the closed loop's job gets the head of the
+        # windows it reads
         cfg, _ = small_cfg
         cfg.nonlinear.sim_units = 2.0
-        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
-        assert p.closed_loop_spans() == {"linear": 3.0, "nonlinear": 2.0}
-        loop = p.closed_loop("linear")
-        assert p.closed_loop("linear") is loop
-        short = p.closed_loop("nonlinear")
-        assert short is not loop
-        assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
-        assert short.n_steps == 2 * 128
-        # the closed loop's job gets the head that holds both windows
-        head = p.closed_loop_head()
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed), ["closed-loop"])
+        assert [cli.window_steps(cfg, units) for units in
+                (cfg.time.n_max, cfg.nonlinear.sim_units)] == [3 * 128, 2 * 128]
+        head = p.closed_loop_head(decay=True)
         assert head.head == 3 * 128 and np.shares_memory(head.Q_packed, p.law.Q_packed)
+        assert p.closed_loop_head(decay=False).head == 2 * 128
+        loop = closed_loop_steps(head, 0.0, head.head * head.dt)
+        assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
+        short = closed_loop_steps(p.law, 0.0, 2.0)
+        assert short is not loop and short.n_steps == 2 * 128
+        assert np.array_equal(loop.phi[:short.n_steps], short.phi)
+
+    @pytest.mark.parametrize("sim_units", [2.0, 4.0])
+    def test_all_reads_one_stack_for_unequal_windows(self, small_cfg, tmp_path,
+                                                     monkeypatch, in_process_workers,
+                                                     sim_units):
+        # with sim_units below or above n_max, all builds one stack on the
+        # longer window; the decay run reads the first n_max units of it, the
+        # nonlinear run, the probe and the basin sweep the first sim_units,
+        # each in place, and the artifacts are those of a stack built for
+        # each window on its own
+        cfg, _ = small_cfg
+        cfg.nonlinear.sim_units = sim_units
+        path = tmp_path / "windows.json"
+        save_config(cfg, path)
+        loops = []
+
+        def spy(*args):
+            loops.append(closed_loop_steps(*args))
+            return loops[-1]
+        monkeypatch.setattr(cli, "closed_loop_steps", spy)
+        readers = {name: record_calls(monkeypatch, func) for name, func in
+                   (("decay", closed_loop_linear), ("nonlinear", simulate_closed_loop),
+                    ("probe", nonlinear.contraction_probe),
+                    ("basin", nonlinear.basin_sweep))}
+        out = tmp_path / "one"
+        assert run("all", str(path), str(out)) == 0
+        (loop,) = loops
+        steps = {"decay": 3 * 128, "nonlinear": int(sim_units) * 128}
+        assert loop.n_steps == max(steps.values())
+        for name, calls in readers.items():
+            (((reader, *_), _),) = calls
+            assert reader.n_steps == steps.get(name, steps["nonlinear"]), name
+            assert np.shares_memory(reader.phi, loop.phi), name
+
+        def per_window(cfg, rng, head, v0, out, commands):
+            # one stack built on each window alone
+            def built(units):
+                return cli.closed_loop_steps(head, 0.0, min(units, cfg.time.T_h - 1.0))
+            yield cli.feedback_decay(built(cfg.time.n_max), out, v0)
+            for name in commands:
+                yield cli.CLOSED_LOOP_BODIES[name](built(cfg.nonlinear.sim_units),
+                                                   cfg, rng, out)
+            return rng.bit_generator.state
+        monkeypatch.setattr(cli, "closed_loop_job", per_window)
+        loops.clear()
+        apart = tmp_path / "apart"
+        assert run("all", str(path), str(apart)) == 0
+        assert [stack.n_steps for stack in loops] == [3 * 128] + [
+            int(sim_units) * 128] * 2
+        for name in ("feedback_decay.csv", "closed_loop.csv", "closed_loop.json",
+                     "basin.json"):
+            assert (out / name).read_bytes() == (apart / name).read_bytes(), name
+
+    def test_feedback_alone_sends_the_decay_window(self, small_cfg, tmp_path,
+                                                   monkeypatch, in_process_workers):
+        # feedback reads no nonlinear window, so a longer sim_units does not
+        # lengthen the head its closed-loop job gets
+        cfg, _ = small_cfg
+        cfg.nonlinear.sim_units = 4.0
+        path = tmp_path / "longer.json"
+        save_config(cfg, path)
+        rows = []
+
+        def spy(law, s, n_units):
+            rows.append(law.Q_packed.shape[0])
+            return closed_loop_steps(law, s, n_units)
+        monkeypatch.setattr(cli, "closed_loop_steps", spy)
+        assert run("feedback", str(path), str(tmp_path / "o")) == 0
+        assert rows == [round(cfg.time.n_max / cfg.time.dt) + 1]
 
     def test_optimal_cost_check_stores_no_step_stack(self, small_cfg):
         # the check stays far below one (n_steps, K, K) step stack, and the
@@ -1160,7 +1273,8 @@ class TestOneClosedLoop:
                                                     monkeypatch, subcommand,
                                                     in_process_workers):
         # no closed-loop step is built from the law's full horizon: the
-        # closed loop's job holds [0, min(max(n_max, sim_units), T_h - 1)]
+        # closed loop's job holds [0, min(units, T_h - 1)], units the longest
+        # window it reads (here n_max = sim_units)
         cfg, path = small_cfg
         rows = []
 
