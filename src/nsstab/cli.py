@@ -4,14 +4,15 @@
 
 Subcommands: reference, observability, null-control, stabilize, feedback,
 closed-loop, basin, all.  A run that reads the feedback law starts one
-worker process (Worker), which runs the run's jobs in turn: the horizon
-gate's sweep of [T_h, 2 T_h] beside this process's law sweep, then the
-closed loop (closed_loop_job), built once on the law's head and read by
-each closed-loop run as a prefix of its steps.  Every run writes a
-manifest with the config hash, library versions, seed, wall time and
-peak memory (its own and the worker's), plus the timings of each job the
-worker ran.  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 assertion failure.
+worker process (Worker) with the run, which imports this module while the
+run's first stages go on, then runs the run's jobs in turn, one pickle
+each: the horizon gate's sweep of [T_h, 2 T_h] beside this process's law
+sweep, then the closed loop (closed_loop_job), built once on the law's
+head and read by each closed-loop run as a prefix of its steps.  Every
+run writes a manifest with the config hash, library versions, seed, wall
+time and peak memory (its own and the worker's), plus the timings of each
+job the worker ran.  Exit codes: 0 success, 2 config error, 3 numerical
+failure, 4 assertion failure.
 """
 
 import argparse
@@ -90,82 +91,68 @@ def write_decay(out, name, trajectory, space, kappa, lam, title):
     return [f"{name}.csv", f"{name}.svg"]
 
 
-# A worker runs jobs in turn until its stdin ends.  A job is a module-level
-# function, named by the __spec__ of its defining module and its qualified
-# name, and the function's arguments.  It comes on stdin as a count of parts,
-# their sizes and the parts: the job's label, a pickle (protocol 5) and the
-# array buffers it holds out of band.  The worker reads all of its first job
-# before it imports anything, so the parent's write never waits on an import,
-# and unpickles the arrays in place over the buffers it read.  It writes back
-# one pickle per result: ("part", item) for each item the function yields, if
-# it returns a generator, then ("value", the value or the generator's return
-# value, seconds of the job, its own peak resident set in MB), or ("error",
-# the exception raised, the worker-side traceback attached as a note naming
-# the job's label).  It reads the next job only after it has sent every
-# result of the one before, and the parent submits a job only after it has
-# taken every result of the one before, so neither ever writes into a full
-# pipe that the other is not reading.
-WORKER = f"""\
-import sys
-stdin = sys.stdin.buffer
-def read(n, between_jobs=False):
-    buf = bytearray(n)
-    view, got = memoryview(buf), 0
-    while got < n:
-        k = stdin.readinto(view[got:])
-        if not k:
-            if between_jobs and not got:
-                return None
-            sys.exit("the job ended early")
-        got += k
-    return buf
-def next_job():
-    head = read(8, between_jobs=True)
-    if head is None:
-        return None
-    count = memoryview(head).cast("Q")[0]
-    return [read(n) for n in memoryview(read(8 * count)).cast("Q")]
-parts = next_job()
-import importlib
-import pickle
-import time
-import traceback
-import types
-def send(*message):
-    sys.stdout.buffer.write(pickle.dumps(message, protocol=5))
-    sys.stdout.buffer.flush()
-while parts is not None:
-    label = parts[0].decode()
-    try:
-        module, name, args = pickle.loads(parts[1], buffers=parts[2:])
-        from {peak_rss_mb.__module__} import {peak_rss_mb.__name__} as peak
-        job = getattr(importlib.import_module(module), name)
-        start = time.perf_counter()
-        value = job(*args)
-        while isinstance(value, types.GeneratorType):
-            try:
-                send("part", next(value))
-            except StopIteration as stop:
-                value = stop.value
-        send("value", value, time.perf_counter() - start, peak())
-    except Exception as exc:
-        exc.add_note(f"in the {{label}} worker:\\n" + traceback.format_exc())
-        send("error", exc)
-    # the job's arguments and results go before the next job is read
-    parts = args = value = None
-    parts = next_job()
-"""
+# A worker runs jobs in turn until its stdin ends.  Its program (WORKER)
+# imports this module, and with it the module of every job, before it reads
+# anything, then runs _serve.  A job is one pickle (protocol 5, its arrays
+# in band): a module-level function, named by the __spec__ of its defining
+# module and its qualified name, and the function's arguments.  The worker
+# writes back one pickle per result: ("part", item) for each item the
+# function yields, if it returns a generator, then ("value", the value or
+# the generator's return value, seconds of the job, its own peak resident
+# set in MB), or ("error", the exception raised, the worker-side
+# traceback).  It reads the next job only after it has sent every result of
+# the one before, and the parent submits a job only after it has taken
+# every result of the one before, so neither ever writes into a full pipe
+# that the other is not reading.
+WORKER = f"from {__spec__.name} import _serve\n_serve()\n"
+
+
+def _serve():
+    """The worker's loop (see WORKER): run each job read from stdin and
+    send its results to stdout, until stdin ends.  A job that cannot be
+    unpickled ends the worker, since the stream cannot resync after it."""
+    import importlib
+    import pickle
+    import traceback
+    import types
+
+    stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+
+    def send(*message):
+        # pickled whole before a byte is written, so a result that does not
+        # pickle leaves the stream at a result boundary
+        stdout.write(pickle.dumps(message, protocol=5))
+        stdout.flush()
+
+    while True:
+        try:
+            module, name, args = pickle.load(stdin)
+        except EOFError:
+            return
+        try:
+            job = getattr(importlib.import_module(module), name)
+            start = time.perf_counter()
+            value = job(*args)
+            while isinstance(value, types.GeneratorType):
+                try:
+                    send("part", next(value))
+                except StopIteration as stop:
+                    value = stop.value
+            send("value", value, time.perf_counter() - start, peak_rss_mb())
+        except Exception as exc:
+            send("error", exc, traceback.format_exc())
+        # the job's arguments and results go before the next job is read
+        args = value = None
 
 
 class Worker:
-    """A Python process, started here at the first job, that runs jobs in
-    turn and imports this process's own nsstab (see WORKER).  Its BLAS
-    runs one thread, beside this process's own pool, unless the caller's
-    environment sets a thread count.  submit() sends it a job, fn(*args)
-    with fn a module-level function, under a label that names it in the
-    job's errors.  The job's arrays are written
-    to the worker straight from their memory, so no pickled copy of them is
-    made.
+    """A Python process, started here, that runs jobs in turn and imports
+    this process's own nsstab (see WORKER).  Its BLAS runs one thread,
+    beside this process's own pool, unless the caller's environment sets a
+    thread count.  submit() sends it a job, fn(*args) with fn a
+    module-level function, under a label that names it in the job's
+    errors.  The job's arrays are written to the worker straight from
+    their memory, so no pickled copy of them is made.
 
     take() reads the current job's results in order: each item of a
     generator job, then its return value (a plain function's value alone).
@@ -176,53 +163,42 @@ class Worker:
     """
 
     def __init__(self):
+        import subprocess
+
         self.label = None       # the job submitted last
         self.timings = {}       # {label: {"worker_s", "wait_s"}}, once its value is read
         self.peak_mb = 0.0      # the worker's own, as its last value reported it
         self._wait_s = 0.0
         self._ended = True      # every submitted job's value or error was read
-        self._proc = None
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
+        # one BLAS thread, unless the caller set a count
+        env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "MKL_NUM_THREADS": "1", **os.environ, "PYTHONPATH": path}
+        self._proc = subprocess.Popen([sys.executable, "-c", WORKER],
+                                      stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                      env=env)
 
     def submit(self, label: str, fn, *args):
-        """Send the job fn(*args) under label, starting the process at the
-        first job.  Raises RuntimeError while a result of the job before is
-        still to be taken."""
+        """Send the job fn(*args) under label.  Raises RuntimeError while a
+        result of the job before is still to be taken."""
         import pickle
-        import struct
-        import subprocess
 
         if not self._ended:
             raise RuntimeError(f"the {self.label} job has results still to be taken")
-        if self._proc is None:
-            root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-            path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
-            # one BLAS thread, unless the caller set a count
-            env = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-                   "MKL_NUM_THREADS": "1", **os.environ, "PYTHONPATH": path}
-            self._proc = subprocess.Popen([sys.executable, "-c", WORKER],
-                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                          env=env)
         self.label, self._wait_s, self._ended = label, 0.0, False
-        buffers = []
-        job = pickle.dumps((fn.__globals__["__spec__"].name, fn.__qualname__, args),
-                           protocol=5, buffer_callback=buffers.append)
-        parts = ([memoryview(label.encode()), memoryview(job)]
-                 + [b.raw() for b in buffers])
         try:
-            pipe = self._proc.stdin
-            pipe.write(struct.pack(f"{len(parts) + 1}Q", len(parts),
-                                   *(part.nbytes for part in parts)))
-            for part in parts:
-                pipe.write(part)
-            pipe.flush()
+            pickle.dump((fn.__globals__["__spec__"].name, fn.__qualname__, args),
+                        self._proc.stdin, protocol=5)
+            self._proc.stdin.flush()
         except BrokenPipeError:
             pass                # the worker is gone: take() names its exit code
 
     def take(self):
         """The current job's next result; blocks until it arrives.
-        Re-raises the exception the job raised.  A worker that ends before
-        its next result raises NsstabError naming the job and the exit
-        code."""
+        Re-raises the exception the job raised, with the worker-side
+        traceback as a note naming the job.  A worker that ends before its
+        next result raises NsstabError naming the job and the exit code."""
         import pickle
 
         start = time.perf_counter()
@@ -235,7 +211,9 @@ class Worker:
             self._wait_s += time.perf_counter() - start
         self._ended = kind != "part"
         if kind == "error":
-            raise message[0]
+            exc, trace = message
+            exc.add_note(f"in the {self.label} worker:\n{trace}")
+            raise exc
         if kind == "value":
             value, worker_s, self.peak_mb = message
             self.timings[self.label] = {"worker_s": round(worker_s, 3),
@@ -244,11 +222,9 @@ class Worker:
         return message[0]
 
     def close(self):
-        """End the worker, if it was started: where every submitted job's
-        value or error was read, its stdin is closed and it exits by
-        itself; otherwise it is killed.  Either way it is waited for."""
-        if self._proc is None:
-            return
+        """End the worker: where every submitted job's value or error was
+        read, its stdin is closed and it exits by itself; otherwise it is
+        killed.  Either way it is waited for."""
         if not self._ended:
             self._proc.kill()
         try:
@@ -263,10 +239,11 @@ class Pipeline:
     """Lazily built shared state of this process for the subcommands of
     one run.
 
-    It owns the run's one worker, which starts at its first job (the
-    horizon gate's in cmd_feedback, or the closed loop's); close() ends
-    it.  commands names the run's subcommands: the closed-loop ones among
-    them run in the worker's closed-loop job (closed_loop_job).
+    commands names the run's subcommands: the closed-loop ones among them
+    run in the worker's closed-loop job (closed_loop_job).  A run that
+    reads the law (feedback or a closed-loop command) starts its one
+    worker here, so the worker's imports run beside this process's first
+    stages; other runs have none (worker is None).  close() ends it.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng, commands=()):
@@ -274,8 +251,9 @@ class Pipeline:
         self.rng = rng
         self.closed_loop_commands = [c for c in commands if c in CLOSED_LOOP_BODIES]
         self._cache = {}
-        self.worker = Worker()
         self._turns = 0         # closed-loop results not yet taken
+        self.worker = (Worker() if "feedback" in commands or self.closed_loop_commands
+                       else None)
 
     def _get(self, key, builder):
         if key not in self._cache:
@@ -370,7 +348,8 @@ class Pipeline:
         return result
 
     def close(self):
-        self.worker.close()
+        if self.worker:
+            self.worker.close()
 
     def closed_loop_head(self, decay: bool):
         """The law on the head that holds every window the closed-loop job
@@ -630,10 +609,11 @@ def run(subcommand: str, config_path: str, out_dir: str | None = None,
                          "python": sys.version.split()[0]},
             "wall_time_s": round(time.perf_counter() - started, 3),
             # the worker's own peak, sent with its last value
-            "peak_rss_mb": {"cli": peak_rss_mb(), "children": worker.peak_mb},
+            "peak_rss_mb": {"cli": peak_rss_mb(),
+                            "children": worker.peak_mb if worker else 0.0},
             "artifacts": sorted(artifacts),
         }
-        for label, timings in worker.timings.items():
+        for label, timings in (worker.timings if worker else {}).items():
             manifest[JOB_ENTRIES[label]] = timings
         write_json(os.path.join(out, "manifest.json"), manifest)
         return 0

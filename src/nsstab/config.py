@@ -130,7 +130,11 @@ class TimeConfig:
         _require(self.dt > 0, "time.dt", "must be positive")
         _require(abs(round(1.0 / self.dt) * self.dt - 1.0) < 1e-12, "time.dt",
                  "must divide the unit interval")
-        _require(self.T_h > 0, "time.T_h", "must be positive")
+        _require(0 < self.T_h < np.inf, "time.T_h", "must be positive and finite")
+        # the law's grid ends at round(T_h/dt) dt, which must be T_h itself
+        _require(abs(round(self.T_h / self.dt) * self.dt - self.T_h)
+                 < 1e-12 * max(1.0, self.T_h), "time.T_h",
+                 "must be a whole number of time.dt steps")
         _require(self.n_max >= 1, "time.n_max", "must be at least 1")
 
 

@@ -1,6 +1,7 @@
 """Config round-trip, CLI subcommands, exit codes, artifact schemas."""
 
 import functools
+import importlib
 import json
 import os
 import pickle
@@ -20,7 +21,12 @@ from nsstab import cli, dynamics, feedback, nonlinear, observability, stabilizer
 from nsstab.cli import Pipeline, main, run
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import Propagator, build_propagator
-from nsstab.errors import ConfigError, RiccatiBlowupError, VerificationError
+from nsstab.errors import (
+    ConfigError,
+    NsstabError,
+    RiccatiBlowupError,
+    VerificationError,
+)
 from nsstab.feedback import (
     closed_loop_linear,
     doubled_tail_value,
@@ -482,6 +488,28 @@ class TestRun:
         assert main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "time.T_h" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("T_h, code", [
+        (8.0, 0), (np.nextafter(8.0, 9.0), 0), (8.3, 2), (8.0 + 1.0 / 256, 2),
+        (np.inf, 2)])
+    def test_synthesis_horizon_is_a_whole_number_of_steps(self, small_cfg, tmp_path,
+                                                          capsys, T_h, code):
+        # the law's grid ends at round(T_h/dt) dt: a T_h between two steps
+        # would be rounded, and feedback.json, the gate and the law's file
+        # would name a horizon the law does not have.  Round-off is kept
+        cfg, _ = small_cfg
+        cfg.time.T_h = T_h
+        path = tmp_path / "horizon.json"
+        save_config(cfg, path)
+        out = tmp_path / "o"
+        assert run("feedback", str(path), str(out)) == code
+        if code:
+            assert "time.T_h" in capsys.readouterr().err
+            return
+        rep = json.loads((out / "feedback.json").read_text())
+        with np.load(out / "feedback_law.npz") as law:
+            assert rep["T_h"] == law["T_h"] == T_h
+            assert law["times"][-1] == pytest.approx(T_h, rel=1e-12, abs=0.0)
+
     def test_simulated_units_hold_a_closed_loop_step(self, small_cfg, tmp_path, capsys):
         cfg, _ = small_cfg
         path = tmp_path / "short.json"
@@ -581,6 +609,13 @@ def assert_no_child_left(procs):
         os.waitpid(-1, os.WNOHANG)
 
 
+class Unimportable:
+    """An argument whose unpickling imports a module that does not exist."""
+
+    def __reduce__(self):
+        return importlib.import_module, ("no_such_module",)
+
+
 # a worker that takes its job and then never answers
 SILENT_WORKER = "import sys, time\nsys.stdin.buffer.read()\ntime.sleep(600)\n"
 
@@ -665,7 +700,7 @@ class TestHorizonGateWorker:
         cfg.time.T_h, cfg.tolerances.riccati_cap = 2.0, 1.35
         path = tmp_path / "capped.json"
         save_config(cfg.validate(), path)
-        monkeypatch.setattr(cli, "WORKER", cli.WORKER + "time.sleep(0.5)\n")
+        monkeypatch.setattr(cli, "WORKER", cli.WORKER + "import time\ntime.sleep(0.5)\n")
         procs = spawned(monkeypatch)
         jobs = submitted(monkeypatch)
         out = tmp_path / "o"
@@ -786,6 +821,42 @@ class TestHorizonGateWorker:
             worker.close()
         assert peak < block.nbytes / 8
         assert worker.timings["test"]["worker_s"] >= 0 and worker.peak_mb > 0
+        assert_no_child_left(procs)
+
+    @pytest.mark.parametrize("subcommand, reads_law", [
+        ("reference", False), ("observability", False), ("null-control", False),
+        ("stabilize", False), ("feedback", True), ("closed-loop", True),
+        ("basin", True), ("all", True)])
+    def test_a_run_that_reads_the_law_starts_its_worker_with_it(
+            self, small_cfg, monkeypatch, subcommand, reads_law):
+        # the worker starts when the run's Pipeline is made, before any job
+        # is submitted, so its imports run beside the run's first stages; a
+        # run that does not read the law starts no process
+        cfg, _ = small_cfg
+        procs = spawned(monkeypatch)
+        jobs = submitted(monkeypatch)
+        names = list(cli.COMMANDS) if subcommand == "all" else [subcommand]
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed), names)
+        try:
+            assert len(procs) == reads_law and jobs == []
+        finally:
+            p.close()
+        assert_no_child_left(procs)
+
+    def test_a_job_that_cannot_be_read_ends_the_worker(self, monkeypatch):
+        # a job whose bytes do not unpickle leaves the worker's stdin at no
+        # job boundary, so the worker ends: a numerical failure naming the
+        # job and the exit code, and the worker is reaped
+        procs = spawned(monkeypatch)
+        worker = cli.Worker()
+        try:
+            worker.submit("unreadable", feedback.pack_symmetric, Unimportable())
+            with pytest.raises(NsstabError, match=r"the unreadable worker ended "
+                               r"without a result \(exit code 1\)"):
+                worker.take()
+        finally:
+            worker.close()
+        assert len(procs) == 1 and procs[0].returncode == 1
         assert_no_child_left(procs)
 
     def test_one_worker_runs_its_jobs_in_turn(self, monkeypatch):
@@ -1168,6 +1239,7 @@ class TestOneClosedLoop:
         cfg, _ = small_cfg
         cfg.nonlinear.sim_units = 2.0
         p = Pipeline(cfg, np.random.default_rng(cfg.seed), ["closed-loop"])
+        p.close()               # the run's worker, which no job here uses
         assert [cli.window_steps(cfg, units) for units in
                 (cfg.time.n_max, cfg.nonlinear.sim_units)] == [3 * 128, 2 * 128]
         head = p.closed_loop_head(decay=True)
