@@ -5,11 +5,13 @@
 Subcommands: reference, observability, null-control, stabilize, feedback,
 closed-loop, basin, all.  A run that reads the feedback law starts one
 worker process (Worker) with the run, which imports this module while the
-run's first stages go on, then runs the run's jobs in turn, one pickle
-each: the horizon gate's sweep of [T_h, 2 T_h] beside this process's law
-sweep, then the closed loop (closed_loop_job), built once on the law's
-head and read by each closed-loop run as a prefix of its steps.  Every
-run writes a manifest with the config hash, library versions, seed, wall
+run's first stages go on, then runs the run's jobs in turn, each one
+pickle that returns one value: the horizon gate's sweep of [T_h, 2 T_h]
+beside this process's law sweep, then, where the run has a closed-loop
+command, the closed loop (closed_loop_job), built once on the law's head
+and read by each closed-loop command's body.  feedback's linear decay run
+is walked here, by the cost check's pass over the whole law.  Every run
+writes a manifest with the config hash, library versions, seed, wall
 time and peak memory (its own and the worker's), plus the timings of each
 job the worker ran.  Exit codes: 0 success, 2 config error, 3 numerical
 failure, 4 assertion failure.
@@ -96,14 +98,12 @@ def write_decay(out, name, trajectory, space, kappa, lam, title):
 # anything, then runs _serve.  A job is one pickle (protocol 5, its arrays
 # in band): a module-level function, named by the __spec__ of its defining
 # module and its qualified name, and the function's arguments.  The worker
-# writes back one pickle per result: ("part", item) for each item the
-# function yields, if it returns a generator, then ("value", the value or
-# the generator's return value, seconds of the job, its own peak resident
-# set in MB), or ("error", the exception raised, the worker-side
-# traceback).  It reads the next job only after it has sent every result of
-# the one before, and the parent submits a job only after it has taken
-# every result of the one before, so neither ever writes into a full pipe
-# that the other is not reading.
+# writes back one pickle: ("value", the function's value, seconds of the
+# job, its own peak resident set in MB), or ("error", the exception raised,
+# the worker-side traceback).  It reads the next job only after it has sent
+# the result of the one before, and the parent submits a job only after it
+# has taken the result of the one before, so neither ever writes into a
+# full pipe that the other is not reading.
 WORKER = f"from {__spec__.name} import _serve\n_serve()\n"
 
 
@@ -114,7 +114,6 @@ def _serve():
     import importlib
     import pickle
     import traceback
-    import types
 
     stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
 
@@ -133,15 +132,10 @@ def _serve():
             job = getattr(importlib.import_module(module), name)
             start = time.perf_counter()
             value = job(*args)
-            while isinstance(value, types.GeneratorType):
-                try:
-                    send("part", next(value))
-                except StopIteration as stop:
-                    value = stop.value
             send("value", value, time.perf_counter() - start, peak_rss_mb())
         except Exception as exc:
             send("error", exc, traceback.format_exc())
-        # the job's arguments and results go before the next job is read
+        # the job's arguments and result go before the next job is read
         args = value = None
 
 
@@ -154,12 +148,10 @@ class Worker:
     errors.  The job's arrays are written to the worker straight from
     their memory, so no pickled copy of them is made.
 
-    take() reads the current job's results in order: each item of a
-    generator job, then its return value (a plain function's value alone).
-    Each value brings the job's timings, kept in timings under its label,
-    and the worker's own peak resident set so far.  A job is submitted only
-    once every result of the one before was taken.  close() ends the
-    process.
+    take() reads the current job's one result, its value or its error.  A
+    value brings the job's timings, kept in timings under its label, and
+    the worker's own peak resident set so far.  A job is submitted only
+    once the result of the one before was taken.  close() ends the process.
     """
 
     def __init__(self):
@@ -169,7 +161,7 @@ class Worker:
         self.timings = {}       # {label: {"worker_s", "wait_s"}}, once its value is read
         self.peak_mb = 0.0      # the worker's own, as its last value reported it
         self._wait_s = 0.0
-        self._ended = True      # every submitted job's value or error was read
+        self._ended = True      # every submitted job's result was read
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         path = os.pathsep.join(p for p in (root, os.environ.get("PYTHONPATH")) if p)
         # one BLAS thread, unless the caller set a count
@@ -180,12 +172,12 @@ class Worker:
                                       env=env)
 
     def submit(self, label: str, fn, *args):
-        """Send the job fn(*args) under label.  Raises RuntimeError while a
+        """Send the job fn(*args) under label.  Raises RuntimeError while the
         result of the job before is still to be taken."""
         import pickle
 
         if not self._ended:
-            raise RuntimeError(f"the {self.label} job has results still to be taken")
+            raise RuntimeError(f"the {self.label} job has its result still to be taken")
         self.label, self._wait_s, self._ended = label, 0.0, False
         try:
             pickle.dump((fn.__globals__["__spec__"].name, fn.__qualname__, args),
@@ -195,10 +187,10 @@ class Worker:
             pass                # the worker is gone: take() names its exit code
 
     def take(self):
-        """The current job's next result; blocks until it arrives.
-        Re-raises the exception the job raised, with the worker-side
-        traceback as a note naming the job.  A worker that ends before its
-        next result raises NsstabError naming the job and the exit code."""
+        """The current job's value; blocks until it arrives.  Re-raises the
+        exception the job raised, with the worker-side traceback as a note
+        naming the job.  A worker that ends before its result raises
+        NsstabError naming the job and the exit code."""
         import pickle
 
         start = time.perf_counter()
@@ -209,22 +201,20 @@ class Worker:
                               f"(exit code {self._proc.wait()})") from None
         finally:
             self._wait_s += time.perf_counter() - start
-        self._ended = kind != "part"
+        self._ended = True
         if kind == "error":
             exc, trace = message
             exc.add_note(f"in the {self.label} worker:\n{trace}")
             raise exc
-        if kind == "value":
-            value, worker_s, self.peak_mb = message
-            self.timings[self.label] = {"worker_s": round(worker_s, 3),
-                                        "wait_s": round(self._wait_s, 3)}
-            return value
-        return message[0]
+        value, worker_s, self.peak_mb = message
+        self.timings[self.label] = {"worker_s": round(worker_s, 3),
+                                    "wait_s": round(self._wait_s, 3)}
+        return value
 
     def close(self):
-        """End the worker: where every submitted job's value or error was
-        read, its stdin is closed and it exits by itself; otherwise it is
-        killed.  Either way it is waited for."""
+        """End the worker: where every submitted job's result was read,
+        its stdin is closed and it exits by itself; otherwise it is killed.
+        Either way it is waited for."""
         if not self._ended:
             self._proc.kill()
         try:
@@ -240,10 +230,11 @@ class Pipeline:
     one run.
 
     commands names the run's subcommands: the closed-loop ones among them
-    run in the worker's closed-loop job (closed_loop_job).  A run that
-    reads the law (feedback or a closed-loop command) starts its one
-    worker here, so the worker's imports run beside this process's first
-    stages; other runs have none (worker is None).  close() ends it.
+    run in the worker's closed-loop job (closed_loop_job), whose value the
+    first of them takes (closed_loop_turn).  A run that reads the law
+    (feedback or a closed-loop command) starts its one worker here, so the
+    worker's imports run beside this process's first stages; other runs
+    have none (worker is None).  close() ends it.
     """
 
     def __init__(self, cfg: ExperimentConfig, rng, commands=()):
@@ -251,7 +242,6 @@ class Pipeline:
         self.rng = rng
         self.closed_loop_commands = [c for c in commands if c in CLOSED_LOOP_BODIES]
         self._cache = {}
-        self._turns = 0         # closed-loop results not yet taken
         self.worker = (Worker() if "feedback" in commands or self.closed_loop_commands
                        else None)
 
@@ -323,47 +313,31 @@ class Pipeline:
             self.reference, c.control.lam, self.actuator, c.time.T_h, c.time.dt,
             cap=c.tolerances.riccati_cap))
 
-    def start_closed_loop(self, out, v0=None):
-        """Submit the closed-loop half of the run (closed_loop_job) on the
-        law's head: feedback's decay run from v0 where v0 is given, then
-        each closed-loop command's body.  It continues this run's generator
-        from its state now; closed_loop_turn takes its results."""
-        self._turns = (v0 is not None) + len(self.closed_loop_commands)
-        self.worker.submit("closed-loop", closed_loop_job, self.cfg, self.rng,
-                           self.closed_loop_head(v0 is not None), v0, out,
+    def start_closed_loop(self, out):
+        """Submit the run's closed-loop commands (closed_loop_job) on the
+        law's head, [0, min(nonlinear.sim_units, T_h - 1)]: a view of the
+        law's cost operators, so nothing is copied.  The job continues this
+        run's generator from its state now; no later command draws from
+        it, as the closed-loop commands come last."""
+        c = self.cfg
+        k = window_steps(c, c.nonlinear.sim_units)
+        head = dataclasses.replace(self.law, Q_packed=self.law.Q_packed[:k + 1])
+        self.worker.submit("closed-loop", closed_loop_job, c, self.rng, head, out,
                            self.closed_loop_commands)
 
     def closed_loop_turn(self, out):
-        """The closed-loop job's next result, the job submitted here if it
-        is not yet: the decay run's, then each closed-loop command's in
-        turn; an exception the job raised is raised at its turn.  After the
-        last result the run's generator takes the state the job left it
-        in."""
-        if self.worker.label != "closed-loop":
-            self.start_closed_loop(out)
-        result = self.worker.take()
-        self._turns -= 1
-        if not self._turns:
-            self.rng.bit_generator.state = self.worker.take()
-        return result
+        """The artifacts of the next closed-loop command's body.  The first
+        turn submits the closed-loop job if feedback did not, and takes its
+        value, or raises the exception a body raised."""
+        if "closed-loop" not in self._cache:
+            if self.worker.label != "closed-loop":
+                self.start_closed_loop(out)
+            self._cache["closed-loop"] = self.worker.take()
+        return self._cache["closed-loop"].pop(0)
 
     def close(self):
         if self.worker:
             self.worker.close()
-
-    def closed_loop_head(self, decay: bool):
-        """The law on the head that holds every window the closed-loop job
-        reads (window_steps): the decay run's, time.n_max units, where
-        decay is true, and the nonlinear runs', nonlinear.sim_units, where
-        the run has a closed-loop command.  A view of the law's cost
-        operators, so nothing is copied; it keeps the law's horizon, and a
-        read past its head raises ValueError."""
-        c = self.cfg
-        units = [c.time.n_max] * decay
-        if self.closed_loop_commands:
-            units.append(c.nonlinear.sim_units)
-        k = window_steps(c, max(units))
-        return dataclasses.replace(self.law, Q_packed=self.law.Q_packed[:k + 1])
 
 
 def window_steps(cfg, units) -> int:
@@ -372,25 +346,13 @@ def window_steps(cfg, units) -> int:
     return int(round(min(units, cfg.time.T_h - 1.0) / cfg.time.dt))
 
 
-def closed_loop_job(cfg, rng, head, v0, out, commands):
-    """The closed-loop half of a run, the worker's closed-loop job: the
-    law's closed loop on the whole head it was sent, built once, and on
-    the first steps of it, feedback's decay run from v0 (time.n_max units)
-    where v0 is given, then the body of each named command in order
-    (nonlinear.sim_units), each writing its own artifacts.  Yields each
-    one's result as it ends, and returns the state rng is left in."""
+def closed_loop_job(cfg, rng, head, out, commands):
+    """The worker's closed-loop job: the law's closed loop on the whole head
+    it was sent, built once, and the body of each named command on it in
+    order, each writing its own artifacts.  Returns their artifact lists,
+    in that order."""
     loop = closed_loop_steps(head, 0.0, head.head * head.dt)
-
-    def window(units):
-        # the loop's first steps: one causal path, so they are the steps a
-        # loop on the window alone would build, bit for bit; a view
-        return dataclasses.replace(loop, phi=loop.phi[:window_steps(cfg, units)])
-
-    if v0 is not None:
-        yield feedback_decay(window(cfg.time.n_max), out, v0)
-    for name in commands:
-        yield CLOSED_LOOP_BODIES[name](window(cfg.nonlinear.sim_units), cfg, rng, out)
-    return rng.bit_generator.state
+    return [CLOSED_LOOP_BODIES[name](loop, cfg, rng, out) for name in commands]
 
 
 def cmd_reference(p: Pipeline, out):
@@ -479,11 +441,14 @@ def cmd_feedback(p: Pipeline, out):
     law = p.law
     v0 = p.rng.standard_normal(p.space.K)
     gate = horizon_gate(law, p.worker.take(), c.tolerances.riccati_cap)
-    # the decay run, and the run's closed-loop commands after it, run on the
-    # law's head in the worker beside the readers of the whole law
-    p.start_closed_loop(out, v0)
+    # the run's closed-loop commands run on the law's head in the worker
+    # beside the readers of the whole law
+    if p.closed_loop_commands:
+        p.start_closed_loop(out)
     stride = max(1, law.n_steps // 64)
-    # the sampled nodes, unpacked into one array and written uncompressed
+    # the sampled nodes, unpacked node by node into one array (one gather of
+    # the strided rows would copy them first, lifting the peak) and written
+    # uncompressed
     times = law.times[::stride]
     Qt = np.empty((len(times), p.space.K, p.space.K))
     for i in range(len(times)):
@@ -493,9 +458,11 @@ def cmd_feedback(p: Pipeline, out):
     del Qt                  # before the rollout pass allocates its blocks
     interior = [law.T_h / 8, law.T_h / 4, law.T_h / 2]
     # one rollout pass serves both checks: the DP check's from s = 0 and
-    # the cost check's from s = 1, the same v0
+    # the cost check's from s = 1, the same v0.  The cost check's walk of
+    # the closed loop from node 0 carries the decay run from (0, v0)
     dp_rollout, cost_rollout = optimal_rollouts(law, [(0.0, v0), (1.0, v0)])
-    cost = optimal_cost_check(cost_rollout)
+    cost, decay = optimal_cost_check(cost_rollout, window_steps(c, c.time.n_max))
+    cl_rep = closed_loop_linear(decay, law.lam, p.space.alphas)
     # how the law's sweep, the rollout pass and the cost check obtained
     # their step inverses: one update, two, or a solve
     passes = (law.step_inverses, dp_rollout.step_inverses, cost["step_inverses"])
@@ -508,21 +475,13 @@ def cmd_feedback(p: Pipeline, out):
         "riccati_residual": riccati_residual(law, interior),
         "step_inverses": {k: sum(c[k] for c in passes) for k in passes[0]},
         "horizon_gate": gate,
+        "lyapunov": lyapunov_check(decay),
+        "closed_loop": cl_rep,
     }
-    decay, artifacts = p.closed_loop_turn(out)
-    report.update(decay)
     write_json(os.path.join(out, "feedback.json"), report)
-    return ["feedback_law.npz", "feedback.json"] + artifacts
-
-
-def feedback_decay(loop, out, v0):
-    """feedback's decay run from v0 on the law's closed loop: its reports
-    for feedback.json, and the artifacts it writes."""
-    sim, cl_rep = closed_loop_linear(loop, v0)
-    artifacts = write_decay(out, "feedback_decay", sim, loop.space,
-                            max(cl_rep["kappa_h"], 1.0), loop.lam,
-                            "feedback closed-loop decay")
-    return {"lyapunov": lyapunov_check(sim), "closed_loop": cl_rep}, artifacts
+    return ["feedback_law.npz", "feedback.json"] + write_decay(
+        out, "feedback_decay", decay, p.space, max(cl_rep["kappa_h"], 1.0), law.lam,
+        "feedback closed-loop decay")
 
 
 def closed_loop_body(loop, cfg, rng, out):
@@ -566,13 +525,14 @@ COMMANDS = {
     "null-control": cmd_null_control,
     "stabilize": cmd_stabilize,
     "feedback": cmd_feedback,
-    # run in the worker's closed-loop job: each takes its result at its turn
+    # run in the worker's closed-loop job: each reads its own entry of the
+    # job's value at its turn
     "closed-loop": Pipeline.closed_loop_turn,
     "basin": Pipeline.closed_loop_turn,
 }
 
-# The bodies of the closed-loop commands, run by the worker's closed-loop
-# job: the CLI process takes each one's result at the command's turn.
+# The bodies of the closed-loop commands, run in order by the worker's
+# closed-loop job, whose value holds the artifact list of each.
 CLOSED_LOOP_BODIES = {
     "closed-loop": closed_loop_body,
     "basin": basin_body,

@@ -39,7 +39,10 @@ dynamics.InversePath: it solves the pass's first matrix and predicts every
 later inverse from the ones before it, refined by one Newton-Schulz update
 (two, or a solve, where that does not converge).  The law, the rollouts
 and the cost check's report carry the counts of their step path
-(step_inverses).
+(step_inverses).  The cost check walks the continuous-form closed loop
+from node 0 and carries the linear decay run from (0, w0) on its first
+steps, so one walk serves both, and closed_loop_linear measures the decay
+run it is given.
 """
 
 import functools
@@ -404,20 +407,18 @@ def _sweep(law, cap, Q_packed=None, first=0, carry=False):
     return P, steps.counts, (Lam, 0.5 * (Gram + Gram.T)) if carry else None
 
 
-def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:
-    """Integrate the linear closed loop of a nonlinear.ClosedLoopStepper
-    from v0 and measure the decay bound.
+def closed_loop_linear(trajectory: Trajectory, lam: float, alphas: np.ndarray) -> dict:
+    """Measure the decay bound of a linear closed-loop trajectory from its
+    first state v0 at s = its first time, in the model of the Stokes
+    eigenvalues alphas and the decay rate lam.
 
     Reports the weighted-energy constant: the sup over t of
     e^{lam(t-s)}|v|_H^2 plus the running weighted V-energy and dual-norm
     time-derivative integrals, over |v0|_H^2; and the V-version for smooth
     data.
     """
-    trajectory = stepper.run_linear(v0)
     times, states = trajectory.times, trajectory.states
-
-    dt, lam, s = stepper.dt, stepper.lam, stepper.s
-    al = stepper.space.alphas
+    dt, s, al, v0 = trajectory.dt, float(times[0]), alphas, states[0]
     w = np.exp(lam * (times - s))
     h2 = np.sum(states**2, axis=1)
     mids = 0.5 * (states[1:] + states[:-1])
@@ -429,15 +430,14 @@ def closed_loop_linear(stepper, v0: np.ndarray) -> tuple[Trajectory, dict]:
     v0_h2 = float(v0 @ v0)
     kappa_h = float(np.max(w * h2 + run_v) / v0_h2) if v0_h2 else 0.0
 
-    v0_v2 = float(al @ np.asarray(v0, float) ** 2)
+    v0_v2 = float(al @ v0**2)
     v2 = np.sum(al * states**2, axis=1)
     run_dl = np.concatenate([[0.0], np.cumsum(
         dt * w_mid * (np.sum(al**2 * mids**2, axis=1)
                       + np.sum(vdot**2, axis=1)))])
     kappa_v = float(np.max(w * v2 + run_dl) / v0_v2) if v0_v2 else 0.0
-    report = {"kappa_h": kappa_h, "kappa_v": kappa_v, "s": s,
-              "weighted_h_final": float(w[-1] * h2[-1] / v0_h2) if v0_h2 else 0.0}
-    return trajectory, report
+    return {"kappa_h": kappa_h, "kappa_v": kappa_v, "s": s,
+            "weighted_h_final": float(w[-1] * h2[-1] / v0_h2) if v0_h2 else 0.0}
 
 
 @dataclass
@@ -536,38 +536,57 @@ def dp_check(rollout: OptimalRollout, splits) -> dict:
     return out
 
 
-def optimal_cost_check(rollout: OptimalRollout) -> dict:
+def optimal_cost_check(rollout: OptimalRollout,
+                       decay_steps: int = 0) -> tuple[dict, Trajectory]:
     """Compare (Q(s) w0, w0) with simulated closed-loop costs on [s, T_h]
-    from the start (s, w0) of a rollout of optimal_rollouts.
+    from the start (s, w0) of a rollout of optimal_rollouts, and run the
+    linear closed loop from (0, w0) over its first decay_steps steps.
 
     The discrete rollout reproduces the value exactly; the continuous-form
     loop (midpoint gain, trapezoidal cost quadrature) agrees to O(dt^2)
     with a quadratically small sensitivity to the gain representation.
-    The loop streams: each step advances the one state by phi v = 2 X v - v,
-    X = (I + h/2 F_m)^{-1} from the pass's InversePath, and is priced with
-    its own Q_mid, so no step matrix is stored and none is solved past the
-    first.  The report's step_inverses counts how each X was obtained.
+    The loop streams from node 0: step m's X = (I + h/2 F_m)^{-1} comes
+    from one InversePath along law.closed_loop_system, so no step matrix is
+    stored and none is solved past the first.  From s on, the one state
+    advances by phi v = 2 X v - v and each step is priced with its own
+    Q_mid; the decay run advances by phi = 2 X - I, v = phi v, as cn_steps
+    and Propagator.forward do, so its states are those of
+    nonlinear.closed_loop_steps(law, 0, decay_steps dt).run_linear(w0) bit
+    for bit.  Returns the report, whose step_inverses counts how each X was
+    obtained, and the decay run's Trajectory.
     """
     law, s, s_index, w0 = rollout.law, rollout.s, rollout.s_index, rollout.v0
+    if decay_steps > law.n_steps:
+        raise ValueError(f"a decay run of {decay_steps} steps exceeds the law's "
+                         f"{law.n_steps}")
     value = float(w0 @ (law.Q(s_index) @ w0))
     costs = rollout.costs
     rollout_gap = abs(costs.sum() - value) / (abs(value) + 1e-300)
 
     dt, lam = law.dt, law.lam
     t_mid = s + dt * np.arange(len(costs)) + 0.5 * dt
+    decay = np.empty((decay_steps + 1, len(w0)))
+    decay[0] = w0
+    eye = np.eye(len(w0))
     v, cost, path = w0, 0.0, InversePath()
-    for m, tm in zip(range(s_index, law.n_steps), t_mid):
+    for m in range(law.n_steps):
         F, Q_mid = law.closed_loop_system(m)
-        v_next = 2.0 * (path.step(F, dt, m) @ v) - v
+        X = path.step(F, dt, m)
+        if m < decay_steps:
+            decay[m + 1] = (2.0 * X - eye) @ decay[m]
+        if m < s_index:
+            continue
+        v_next = 2.0 * (X @ v) - v
         vm = 0.5 * (v_next + v)
         eta = law.actuator.adjoint(Q_mid @ vm)
-        cost += dt * np.exp(lam * (tm - s)) * (float(law.alphas @ vm**2)
-                                               + float(eta @ eta))
+        cost += dt * np.exp(lam * (t_mid[m - s_index] - s)) * (
+            float(law.alphas @ vm**2) + float(eta @ eta))
         v = v_next
     sim_gap = abs(cost - value) / (abs(value) + 1e-300)
-    return {"s": s, "value": value, "rollout_rel_gap": float(rollout_gap),
-            "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap),
-            "step_inverses": path.counts}
+    report = {"s": s, "value": value, "rollout_rel_gap": float(rollout_gap),
+              "simulated_cost": float(cost), "simulated_rel_gap": float(sim_gap),
+              "step_inverses": path.counts}
+    return report, Trajectory(times=dt * np.arange(decay_steps + 1), states=decay)
 
 
 def lyapunov_check(sim: Trajectory, samples: int = 64) -> dict:
@@ -596,9 +615,11 @@ def riccati_residual(law: FeedbackLaw, t_samples) -> dict:
 
     evaluated at interior node times with a fourth-order stencil, so the
     reported number reflects the synthesis accuracy, not the differencing.
+    Each sample time is read at its nearest node (index_of), and the report
+    names that node's time.
     """
     dt, lam = law.dt, law.lam
-    out = []
+    nodes, out = [], []
     for t in t_samples:
         m = law.index_of(t)
         if m < 2 or m > law.n_steps - 2:
@@ -610,6 +631,7 @@ def riccati_residual(law: FeedbackLaw, t_samples) -> dict:
         terms = [-lam * Q, Q @ Lmat + Lmat.T @ Q, Q @ law._gram @ Q, -law._diag_alpha]
         res = Qdot - sum(terms)
         scale = sum(np.linalg.norm(x) for x in terms) + 1e-300
+        nodes.append(float(law.times[m]))
         out.append(float(np.linalg.norm(res) / scale))
-    return {"t": list(t_samples), "rel_residual": out,
+    return {"t": nodes, "rel_residual": out,
             "max_rel_residual": float(max(out))}

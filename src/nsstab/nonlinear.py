@@ -51,10 +51,11 @@ class ClosedLoopStepper(Propagator):
     """Step matrices of the feedback loop on [s, s + n_units], with the
     model and decay rate its reports are measured in.
 
-    Built once per run by closed_loop_steps and handed, whole or as a
-    prefix view of its steps, to every consumer (linear decay run,
-    nonlinear runs, Picard iterates, forced solves, basin sweep), so all of
-    them live on the identical discrete flow.
+    Built once per run by closed_loop_steps and handed to every consumer
+    (nonlinear runs, Picard iterates, forced solves, basin sweep), so all
+    of them live on the identical discrete flow.  Its linear run
+    (run_linear) is, bit for bit, the decay run that
+    feedback.optimal_cost_check carries on the same window.
     """
 
     space: SpectralSpace
@@ -158,8 +159,8 @@ def closed_loop_steps(law: FeedbackLaw, s: float, n_units: float) -> ClosedLoopS
         raise ValueError("simulation window exceeds the synthesized horizon "
                          "or the law's head")
     require_memory(8 * n_steps * space.K**2, "the closed loop's step stack",
-                   "lower nonlinear.sim_units or time.n_max (the simulated "
-                   "window) or space.K")
+                   "lower nonlinear.sim_units (the simulated window) or "
+                   "space.K")
     phi = cn_steps(lambda m: law.closed_loop_system(s_index + m)[0],
                    n_steps, dt, space.K)
     return ClosedLoopStepper(tau=s, dt=dt, phi=phi, space=space, lam=law.lam)

@@ -14,7 +14,6 @@ from nsstab.cli import run as cli_run
 from nsstab.config import ExperimentConfig
 from nsstab.dynamics import build_propagator, taylor_green_reference, zero_reference
 from nsstab.feedback import (
-    closed_loop_linear,
     doubled_tail_value,
     dp_check,
     horizon_gate,
@@ -256,7 +255,7 @@ def test_criterion_08_dynamic_programming(fb_instance, rng):
     dp_rollout, cost_rollout = optimal_rollouts(law, [(0.0, v0), (1.0, v0)])
     rep = dp_check(dp_rollout, splits=[law.T_h / 4, law.T_h / 2])
     split_gap = max(s["rel_gap"] for s in rep["splits"])
-    cost = optimal_cost_check(cost_rollout)
+    cost, _ = optimal_cost_check(cost_rollout)
     report(8, split_gap <= 1e-6 and cost["simulated_rel_gap"] <= 1e-4,
            f"cost splitting at T_h/4, T_h/2: gap {split_gap:.2e} <= 1e-6; "
            f"simulated optimal cost gap {cost['simulated_rel_gap']:.2e} <= 1e-4")
@@ -269,7 +268,7 @@ def test_criterion_09_feedback_decay(fb_instance, rng):
         stepper = closed_loop_steps(law, s, 6.0)
         for _ in range(5):
             v0 = rng.standard_normal(space.K)
-            tr, _ = closed_loop_linear(stepper, v0)
+            tr = stepper.run_linear(v0)
             w = np.exp(law.lam * (tr.times - s))
             h2 = np.sum(tr.states**2, axis=1)
             kappas.append(float(np.max(w * h2) / (v0 @ v0)))
@@ -286,8 +285,7 @@ def test_criterion_10_lyapunov_monotonicity(fb_instance, rng):
     worst = 0.0
     stepper = closed_loop_steps(law, 0.0, 6.0)
     for _ in range(5):
-        rep = lyapunov_check(closed_loop_linear(
-            stepper, rng.standard_normal(space.K))[0])
+        rep = lyapunov_check(stepper.run_linear(rng.standard_normal(space.K)))
         assert rep["nonincreasing"]
         worst = max(worst, rep["max_increase_rel"])
     report(10, worst <= 1e-8,

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import types
 import weakref
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from nsstab.errors import (
     ConfigError,
     NsstabError,
     RiccatiBlowupError,
+    StepSolveError,
     VerificationError,
 )
 from nsstab.feedback import (
@@ -52,33 +52,27 @@ DEFAULT_CONFIG = Path(__file__).parent.parent / "configs" / "default.json"
 class InProcessWorker:
     """cli.Worker's contract in this process: each submitted job's
     arguments cross a pickle round trip, and take() runs the job submitted
-    last up to its next result, so its results come in order and its
-    exception is raised at its turn."""
+    last, returning its one value or raising its exception
+    (test_the_in_process_worker_keeps_the_protocol)."""
 
     def __init__(self):
         self.label, self.timings, self.peak_mb = None, {}, 0.0
-        self._results = None
+        self._job = None
 
     def submit(self, label, fn, *args):
         self.label = label
-        self._results = self._run(label, fn,
-                                  pickle.loads(pickle.dumps(args, protocol=5)))
-
-    def _run(self, label, fn, args):
-        start = time.perf_counter()
-        value = fn(*args)
-        if isinstance(value, types.GeneratorType):
-            value = yield from value
-        self.timings[label] = {"worker_s": round(time.perf_counter() - start, 3),
-                               "wait_s": 0.0}
-        yield value
+        self._job = fn, pickle.loads(pickle.dumps(args, protocol=5))
 
     def take(self):
-        return next(self._results)
+        (fn, args), self._job = self._job, None
+        start = time.perf_counter()
+        value = fn(*args)
+        self.timings[self.label] = {"worker_s": round(time.perf_counter() - start, 3),
+                                    "wait_s": 0.0}
+        return value
 
     def close(self):
-        if self._results is not None:
-            self._results.close()
+        pass
 
 
 @pytest.fixture()
@@ -383,9 +377,10 @@ class TestRun:
         # the law fits but the closed loop's (n_steps, K, K) step stack does
         # not: refused before a step is built, naming what sizes the stack.
         # The law's guard reads the probe first (here: nothing readable),
-        # the closed loop's second
+        # the closed loop's second.  time.n_max sizes no stack: feedback's
+        # decay run is walked by the cost check
         cfg, path = small_cfg
-        n_steps = round(min(cfg.time.n_max, cfg.time.T_h - 1) / cfg.time.dt)
+        n_steps = round(min(cfg.nonlinear.sim_units, cfg.time.T_h - 1) / cfg.time.dt)
         need = 8 * n_steps * cfg.space.K**2
         stacks = []             # the closed loops' step stacks
         monkeypatch.setattr(nonlinear, "cn_steps",
@@ -395,41 +390,43 @@ class TestRun:
         def probe(*readings):
             return functools.partial(next, iter(readings))
         monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need - 1))
-        code = main(["feedback", "--config", str(path), "--out", str(tmp_path / "o")])
+        code = main(["closed-loop", "--config", str(path), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 2 and stacks == []
         assert f"{need / 1e6:.1f} MB" in err
-        assert all(field in err for field in
-                   ("nonlinear.sim_units", "time.n_max", "space.K"))
-        # at exactly the stack's size the run builds it, once, and the decay
-        # run reads it in place
-        loops, decays = [], record_calls(monkeypatch, closed_loop_linear)
+        assert all(field in err for field in ("nonlinear.sim_units", "space.K"))
+        assert "time.n_max" not in err
+        # at exactly the stack's size the run builds it, once, and the
+        # nonlinear run reads it in place
+        loops, runs = [], record_calls(monkeypatch, simulate_closed_loop)
         monkeypatch.setattr(cli, "closed_loop_steps",
                             lambda *args: loops.append(closed_loop_steps(*args))
                             or loops[-1])
         monkeypatch.setattr(feedback, "available_memory_bytes", probe(None, need))
-        assert run("feedback", str(path), str(tmp_path / "o")) == 0
+        assert run("closed-loop", str(path), str(tmp_path / "o")) == 0
         (loop,) = loops
         assert loop.phi.nbytes == need and len(stacks) == 1 and loop.phi is stacks[0]
-        assert np.shares_memory(decays[0][0][0].phi, stacks[0])
+        assert runs[0][0][0].phi is stacks[0]
 
     @pytest.mark.parametrize("refine_tol", [dynamics.REFINE_TOL, 0.0])
     def test_feedback_report_counts_step_inverses(self, small_cfg, tmp_path,
                                                   monkeypatch, refine_tol):
         # feedback.json counts how the law's sweep, the rollout pass from 0
-        # and the cost check from 1 obtained each step inverse; each solves
-        # only its first.  Where no residual passes, every one is solved
+        # and the cost check obtained each step inverse; each solves only its
+        # first.  The cost check walks from node 0, as it carries the decay
+        # run, though it prices from 1.  Where no residual passes, every one
+        # is solved
         cfg, path = small_cfg
         monkeypatch.setattr(dynamics, "REFINE_TOL", refine_tol)
         assert run("feedback", str(path), str(tmp_path / "o")) == 0
         rep = json.loads((tmp_path / "o" / "feedback.json").read_text())
         counts = rep["step_inverses"]
-        n_T, n_unit = round(cfg.time.T_h / cfg.time.dt), round(1.0 / cfg.time.dt)
+        n_T = round(cfg.time.T_h / cfg.time.dt)
         assert set(counts) == {"one", "two", "solved"}
-        assert sum(counts.values()) == 3 * n_T - n_unit
-        assert counts["solved"] == (3 if refine_tol else 3 * n_T - n_unit)
+        assert sum(counts.values()) == 3 * n_T
+        assert counts["solved"] == (3 if refine_tol else 3 * n_T)
         assert rep["optimal_cost"]["step_inverses"]["solved"] == (
-            1 if refine_tol else n_T - n_unit)
+            1 if refine_tol else n_T)
 
     def test_broken_decay_chain_exit_code(self, controlled_cfg, tmp_path, monkeypatch,
                                           capsys):
@@ -660,15 +657,16 @@ class TestHorizonGateWorker:
         # the gate's D is the in-process sweep's, bit for bit, so its report
         # is too, and the manifest carries the gate job's timings;
         # closed-loop builds the law but sweeps no doubled horizon.  A run
-        # that reads the law starts one worker: the gate's job first, then
-        # the closed loop's, whose timings the manifest carries too
+        # that reads the law starts one worker: the gate's job first, then,
+        # where the run has a closed-loop command, the closed loop's, whose
+        # timings the manifest carries too.  feedback alone runs only the gate
         cfg, path = small_cfg
         procs = spawned(monkeypatch)
         jobs = submitted(monkeypatch)
         out = tmp_path / "o"
         assert run(subcommand, str(path), str(out)) == 0
-        looped = subcommand != "stabilize"
-        assert len(procs) == looped
+        looped = subcommand in ("closed-loop", "basin", "all")
+        assert len(procs) == (subcommand != "stabilize")
         assert jobs == ["horizon-gate"] * gated + ["closed-loop"] * looped
         assert_no_child_left(procs)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -745,9 +743,8 @@ class TestHorizonGateWorker:
     @pytest.mark.parametrize("code", [0, 2, 3, 4])
     def test_no_child_outlives_the_run(self, small_cfg, tmp_path, monkeypatch, code):
         # each exit after the gate's job was submitted: success, the law
-        # refused for memory, the law's sweep failing (neither submits the
-        # closed loop's job) and a check failing before the closed loop's
-        # results are taken
+        # refused for memory, the law's sweep failing and a check failing
+        # after the gate's D was taken.  feedback alone submits no other job
         _, path = small_cfg
         if code == 2:
             monkeypatch.setattr(feedback, "available_memory_bytes", lambda: 0)
@@ -758,8 +755,7 @@ class TestHorizonGateWorker:
         procs = spawned(monkeypatch)
         jobs = submitted(monkeypatch)
         assert run("feedback", str(path), str(tmp_path / "o")) == code
-        started = ["horizon-gate"] if code in (2, 3) else ["horizon-gate", "closed-loop"]
-        assert len(procs) == 1 and jobs == started
+        assert len(procs) == 1 and jobs == ["horizon-gate"]
         assert_no_child_left(procs)
 
     @pytest.mark.parametrize("code", [0, 2, 3, 4])
@@ -873,7 +869,7 @@ class TestHorizonGateWorker:
                 worker.take()
             assert any("in the first worker" in note for note in info.value.__notes__)
             worker.submit("second", feedback.pack_symmetric, block)
-            with pytest.raises(RuntimeError, match="the second job has results"):
+            with pytest.raises(RuntimeError, match="the second job has its result"):
                 worker.submit("third", feedback.pack_symmetric, block)
             assert np.array_equal(worker.take(), feedback.pack_symmetric(block))
         finally:
@@ -881,6 +877,25 @@ class TestHorizonGateWorker:
         assert len(procs) == 1 and procs[0].returncode == 0
         assert set(worker.timings) == {"second"}
         assert_no_child_left(procs)
+
+    @pytest.mark.parametrize("make", [cli.Worker, InProcessWorker],
+                             ids=["process", "in-process"])
+    def test_the_in_process_worker_keeps_the_protocol(self, make):
+        # the worker and the tests' in-process stand-in answer one job
+        # alike: one value, with its timings under the job's label, or the
+        # exception the job raised, of its own type, with no timings
+        block = np.arange(16, dtype=float).reshape(4, 4)
+        worker = make()
+        try:
+            worker.submit("value", feedback.pack_symmetric, block)
+            assert np.array_equal(worker.take(), feedback.pack_symmetric(block))
+            worker.submit("error", dynamics._cn_solve, np.zeros((2, 2)), np.eye(2), 3)
+            with pytest.raises(StepSolveError, match="implicit step 3 is singular"):
+                worker.take()
+        finally:
+            worker.close()
+        assert list(worker.timings) == ["value"]
+        assert set(worker.timings["value"]) == {"worker_s", "wait_s"}
 
     @pytest.mark.parametrize("caller", [{}, {"OPENBLAS_NUM_THREADS": "2"}])
     def test_worker_blas_runs_one_thread_unless_the_caller_sets_it(self, monkeypatch,
@@ -933,18 +948,11 @@ class TestHorizonGateWorker:
         assert set(json.loads((out / "manifest.json").read_text())) >= {
             "horizon_gate", "closed_loop_worker"}
 
-    def test_closed_loop_leaves_the_generator_as_in_process(self, small_cfg, tmp_path,
-                                                            monkeypatch):
-        # the worker continues the run's generator and hands its state back:
-        # the state and the artifacts are those of the body run in process
+    def test_closed_loop_continues_the_generator_as_in_process(self, small_cfg, tmp_path):
+        # the worker continues the run's generator from its state at the
+        # job's submission: the artifacts are those of the body run in
+        # process
         cfg, path = small_cfg
-        pipelines = []
-
-        class Recorded(Pipeline):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                pipelines.append(self)
-        monkeypatch.setattr(cli, "Pipeline", Recorded)
         out, here = tmp_path / "o", tmp_path / "here"
         assert run("closed-loop", str(path), str(out)) == 0
         here.mkdir()
@@ -952,9 +960,6 @@ class TestHorizonGateWorker:
         loop = closed_loop_steps(p.law, 0.0, min(cfg.nonlinear.sim_units,
                                                  cfg.time.T_h - 1.0))
         artifacts = cli.closed_loop_body(loop, cfg, p.rng, str(here))
-        state = pipelines[0].rng.bit_generator.state
-        assert state == p.rng.bit_generator.state
-        assert state != np.random.default_rng(cfg.seed).bit_generator.state
         assert "closed_loop.csv" in artifacts
         for name in artifacts:
             assert (out / name).read_bytes() == (here / name).read_bytes(), name
@@ -1181,12 +1186,15 @@ class TestSharedIntervalWork:
 
     def test_feedback_integrates_closed_loop_once(self, small_cfg, tmp_path,
                                                   monkeypatch, in_process_workers):
-        # one build for the decay run and its Lyapunov functional; the
-        # optimal-cost simulation streams its steps instead
+        # the cost check's walk is feedback's one pass over the closed loop
+        # and carries the decay run: no step stack is built, and the worker
+        # runs the gate's job alone
         _, path = small_cfg
         builds = record_calls(monkeypatch, closed_loop_steps)
+        checks = record_calls(monkeypatch, optimal_cost_check)
+        jobs = submitted(monkeypatch)
         assert run("feedback", str(path), str(tmp_path / "o")) == 0
-        assert len(builds) == 1
+        assert builds == [] and len(checks) == 1 and jobs == ["horizon-gate"]
 
     def test_rates_share_cutoff_measurements(self, small_cfg, monkeypatch):
         cfg, _ = small_cfg
@@ -1232,34 +1240,37 @@ class TestOneClosedLoop:
         assert run("all", str(path), str(tmp_path / "o")) == 0
         assert [(args[1], args[2]) for args, _ in builds] == [(0.0, cfg.time.n_max)]
 
-    def test_one_stack_holds_every_window(self, small_cfg):
+    def test_one_stack_holds_every_window(self, small_cfg, tmp_path, monkeypatch,
+                                          in_process_workers):
         # the loop on the longer window starts with the shorter one's steps,
-        # bit for bit, and the closed loop's job gets the head of the
-        # windows it reads
+        # bit for bit, and the closed loop's job gets the law's head on the
+        # sim_units window, a view of the law
         cfg, _ = small_cfg
         cfg.nonlinear.sim_units = 2.0
+        sent = []
+        monkeypatch.setattr(InProcessWorker, "submit",
+                            lambda self, label, fn, *args: sent.append(args))
         p = Pipeline(cfg, np.random.default_rng(cfg.seed), ["closed-loop"])
-        p.close()               # the run's worker, which no job here uses
         assert [cli.window_steps(cfg, units) for units in
                 (cfg.time.n_max, cfg.nonlinear.sim_units)] == [3 * 128, 2 * 128]
-        head = p.closed_loop_head(decay=True)
-        assert head.head == 3 * 128 and np.shares_memory(head.Q_packed, p.law.Q_packed)
-        assert p.closed_loop_head(decay=False).head == 2 * 128
-        loop = closed_loop_steps(head, 0.0, head.head * head.dt)
-        assert (loop.s, loop.n_steps, loop.lam) == (0.0, 3 * 128, p.law.lam)
-        short = closed_loop_steps(p.law, 0.0, 2.0)
-        assert short is not loop and short.n_steps == 2 * 128
+        p.start_closed_loop(str(tmp_path))
+        ((_, _, head, _, commands),) = sent
+        assert commands == ["closed-loop"]
+        assert head.head == 2 * 128 and np.shares_memory(head.Q_packed, p.law.Q_packed)
+        loop = closed_loop_steps(p.law, 0.0, 3.0)
+        short = closed_loop_steps(head, 0.0, head.head * head.dt)
+        assert (short.s, short.n_steps, short.lam) == (0.0, 2 * 128, p.law.lam)
         assert np.array_equal(loop.phi[:short.n_steps], short.phi)
 
     @pytest.mark.parametrize("sim_units", [2.0, 4.0])
     def test_all_reads_one_stack_for_unequal_windows(self, small_cfg, tmp_path,
                                                      monkeypatch, in_process_workers,
                                                      sim_units):
-        # with sim_units below or above n_max, all builds one stack on the
-        # longer window; the decay run reads the first n_max units of it, the
-        # nonlinear run, the probe and the basin sweep the first sim_units,
-        # each in place, and the artifacts are those of a stack built for
-        # each window on its own
+        # with sim_units below or above n_max, all builds one stack, on the
+        # sim_units window: the nonlinear run, the probe and the basin sweep
+        # each read it in place, and their artifacts are those of a stack
+        # built for each body on its own.  The decay run's n_max window is
+        # walked by the cost check and needs no stack
         cfg, _ = small_cfg
         cfg.nonlinear.sim_units = sim_units
         path = tmp_path / "windows.json"
@@ -1271,57 +1282,56 @@ class TestOneClosedLoop:
             return loops[-1]
         monkeypatch.setattr(cli, "closed_loop_steps", spy)
         readers = {name: record_calls(monkeypatch, func) for name, func in
-                   (("decay", closed_loop_linear), ("nonlinear", simulate_closed_loop),
+                   (("nonlinear", simulate_closed_loop),
                     ("probe", nonlinear.contraction_probe),
                     ("basin", nonlinear.basin_sweep))}
+        decays = record_calls(monkeypatch, closed_loop_linear)
         out = tmp_path / "one"
         assert run("all", str(path), str(out)) == 0
         (loop,) = loops
-        steps = {"decay": 3 * 128, "nonlinear": int(sim_units) * 128}
-        assert loop.n_steps == max(steps.values())
+        assert loop.n_steps == int(sim_units) * 128
         for name, calls in readers.items():
             (((reader, *_), _),) = calls
-            assert reader.n_steps == steps.get(name, steps["nonlinear"]), name
-            assert np.shares_memory(reader.phi, loop.phi), name
+            assert reader is loop, name
+        (((decay, *_), _),) = decays
+        assert len(decay.states) == 3 * 128 + 1
 
-        def per_window(cfg, rng, head, v0, out, commands):
-            # one stack built on each window alone
-            def built(units):
-                return cli.closed_loop_steps(head, 0.0, min(units, cfg.time.T_h - 1.0))
-            yield cli.feedback_decay(built(cfg.time.n_max), out, v0)
-            for name in commands:
-                yield cli.CLOSED_LOOP_BODIES[name](built(cfg.nonlinear.sim_units),
-                                                   cfg, rng, out)
-            return rng.bit_generator.state
-        monkeypatch.setattr(cli, "closed_loop_job", per_window)
+        def per_body(cfg, rng, head, out, commands):
+            # one stack built for each body alone
+            return [cli.CLOSED_LOOP_BODIES[name](
+                cli.closed_loop_steps(head, 0.0, head.head * head.dt), cfg, rng, out)
+                for name in commands]
+        monkeypatch.setattr(cli, "closed_loop_job", per_body)
         loops.clear()
         apart = tmp_path / "apart"
         assert run("all", str(path), str(apart)) == 0
-        assert [stack.n_steps for stack in loops] == [3 * 128] + [
-            int(sim_units) * 128] * 2
+        assert [stack.n_steps for stack in loops] == [int(sim_units) * 128] * 2
         for name in ("feedback_decay.csv", "closed_loop.csv", "closed_loop.json",
                      "basin.json"):
             assert (out / name).read_bytes() == (apart / name).read_bytes(), name
 
-    def test_feedback_alone_sends_the_decay_window(self, small_cfg, tmp_path,
-                                                   monkeypatch, in_process_workers):
-        # feedback reads no nonlinear window, so a longer sim_units does not
-        # lengthen the head its closed-loop job gets
+    def test_feedback_decay_run_is_the_closed_loop_flow(self, small_cfg, tmp_path,
+                                                        monkeypatch):
+        # feedback's decay run, carried by the cost check's walk in this
+        # process, is bit for bit the linear flow of the closed loop's step
+        # stack on [0, min(n_max, T_h - 1)], whatever sim_units is
         cfg, _ = small_cfg
         cfg.nonlinear.sim_units = 4.0
         path = tmp_path / "longer.json"
         save_config(cfg, path)
-        rows = []
-
-        def spy(law, s, n_units):
-            rows.append(law.Q_packed.shape[0])
-            return closed_loop_steps(law, s, n_units)
-        monkeypatch.setattr(cli, "closed_loop_steps", spy)
+        decays = record_calls(monkeypatch, closed_loop_linear)
         assert run("feedback", str(path), str(tmp_path / "o")) == 0
-        assert rows == [round(cfg.time.n_max / cfg.time.dt) + 1]
+        (((decay, *_), _),) = decays
+        p = Pipeline(cfg, np.random.default_rng(cfg.seed))
+        v0 = p.rng.standard_normal(cfg.space.K)
+        want = closed_loop_steps(p.law, 0.0, min(cfg.time.n_max, cfg.time.T_h - 1.0)
+                                 ).run_linear(v0)
+        assert np.array_equal(decay.times, want.times)
+        assert np.array_equal(decay.states, want.states)
 
     def test_optimal_cost_check_stores_no_step_stack(self, small_cfg):
-        # the check stays far below one (n_steps, K, K) step stack, and the
+        # the check, with a decay run over the whole horizon, stays far
+        # below one (n_steps, K, K) step stack, and the
         # rollout pass it reads, which holds its states and controls, far
         # below one (n_steps, M, K) gain stack
         cfg, _ = small_cfg
@@ -1333,20 +1343,19 @@ class TestOneClosedLoop:
             (rollout,) = optimal_rollouts(law, [(1.0, w0)])
             held, pass_peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            optimal_cost_check(rollout)
+            optimal_cost_check(rollout, law.n_steps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak - held < law.n_steps * space.K**2 * 8 / 4
         assert pass_peak < law.n_steps * law.M * space.K * 8 / 4
 
-    @pytest.mark.parametrize("subcommand", ["feedback", "closed-loop"])
+    @pytest.mark.parametrize("subcommand", ["closed-loop", "all"])
     def test_closed_loop_is_built_from_the_law_head(self, small_cfg, tmp_path,
                                                     monkeypatch, subcommand,
                                                     in_process_workers):
         # no closed-loop step is built from the law's full horizon: the
-        # closed loop's job holds [0, min(units, T_h - 1)], units the longest
-        # window it reads (here n_max = sim_units)
+        # closed loop's job holds [0, min(sim_units, T_h - 1)]
         cfg, path = small_cfg
         rows = []
 
@@ -1355,7 +1364,7 @@ class TestOneClosedLoop:
             return closed_loop_steps(law, s, n_units)
         monkeypatch.setattr(cli, "closed_loop_steps", spy)
         assert run(subcommand, str(path), str(tmp_path / "o")) == 0
-        head = min(max(cfg.time.n_max, cfg.nonlinear.sim_units), cfg.time.T_h - 1.0)
+        head = min(cfg.nonlinear.sim_units, cfg.time.T_h - 1.0)
         assert rows == [round(head / cfg.time.dt) + 1]
         assert rows[0] < round(cfg.time.T_h / cfg.time.dt) + 1
 

@@ -535,8 +535,8 @@ class TestRestriction:
 class TestClosedLoop:
     def test_zero_initial_state(self, tg_law):
         space, ref, _, _, law = tg_law
-        tr, rep = closed_loop_linear(closed_loop_steps(law, 0.0, 2.0),
-                                     np.zeros(space.K))
+        tr = closed_loop_steps(law, 0.0, 2.0).run_linear(np.zeros(space.K))
+        rep = closed_loop_linear(tr, law.lam, space.alphas)
         assert np.allclose(tr.states, 0.0)
         assert rep["kappa_h"] == 0.0
 
@@ -548,7 +548,7 @@ class TestClosedLoop:
         law = riccati_solve(ref, lam=0.5, actuator=act0, T_h=8.0, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
-        tr, _ = closed_loop_linear(closed_loop_steps(law, 0.0, 4.0), v0)
+        tr = closed_loop_steps(law, 0.0, 4.0).run_linear(v0)
         w = np.exp(0.5 * tr.times)
         h2 = np.sum(tr.states**2, axis=1)
         assert np.max(w * h2) <= 1.0 + 1e-10
@@ -557,7 +557,8 @@ class TestClosedLoop:
         space, ref, _, _, law = tg_law
         for s in (0.0, 2.0):
             v0 = rng.standard_normal(space.K)
-            tr, rep = closed_loop_linear(closed_loop_steps(law, s, 6.0), v0)
+            tr = closed_loop_steps(law, s, 6.0).run_linear(v0)
+            rep = closed_loop_linear(tr, law.lam, space.alphas)
             w = np.exp(law.lam * (tr.times - s))
             h2 = np.sum(tr.states**2, axis=1)
             sup = np.max(w * h2) / (v0 @ v0)
@@ -610,7 +611,7 @@ class TestOptimality:
         gaps = []
         for _ in range(3):
             w0 = rng.standard_normal(space.K)
-            rep = optimal_cost_check(rollout(law, 2.0, w0))
+            rep, _ = optimal_cost_check(rollout(law, 2.0, w0))
             assert rep["rollout_rel_gap"] <= 1e-12
             gaps.append(rep["simulated_rel_gap"])
         assert max(gaps) <= 1e-4
@@ -621,11 +622,12 @@ class TestOptimality:
         # vector solves against stored-matrix products: equal to round-off
         space, ref, _, _, law = tg_law
         w0 = rng.standard_normal(space.K)
-        got = optimal_cost_check(rollout(law, s, w0))
+        got, _ = optimal_cost_check(rollout(law, s, w0))
         want = optimal_cost_check_stored(space, ref, law, tg_phi, tg_gains, s, w0)
-        # the streamed check also counts how it obtained each step inverse
+        # the streamed check also counts how it obtained each step inverse,
+        # on its walk from node 0
         assert got.keys() == want.keys() | {"step_inverses"}
-        assert sum(got["step_inverses"].values()) == law.n_steps - law.index_of(s)
+        assert sum(got["step_inverses"].values()) == law.n_steps
         assert got["s"] == want["s"] and got["value"] == want["value"]
         assert got["simulated_cost"] == pytest.approx(want["simulated_cost"], rel=1e-12)
         for key in ("rollout_rel_gap", "simulated_rel_gap"):
@@ -673,18 +675,18 @@ class TestOptimality:
         dp_roll, cost_roll = optimal_rollouts(late, [(0.0, v0), (1.0, v0)])
         dp = dp_check(dp_roll, splits=[late.T_h / 4, late.T_h / 2])
         assert max(split["rel_gap"] for split in dp["splits"]) > 1e-6
-        assert optimal_cost_check(cost_roll)["rollout_rel_gap"] > 1e-6
+        assert optimal_cost_check(cost_roll)[0]["rollout_rel_gap"] > 1e-6
 
     def test_scaled_cost_operators_trip_the_optimal_cost_check(self, tg_law, rng):
         space, ref, _, _, law = tg_law
         wrong = dataclasses.replace(law, Q_packed=law.Q_packed * (1 + 1e-3))
-        rep = optimal_cost_check(rollout(wrong, 2.0, rng.standard_normal(space.K)))
+        rep, _ = optimal_cost_check(rollout(wrong, 2.0, rng.standard_normal(space.K)))
         assert rep["rollout_rel_gap"] > 1e-6
         assert rep["simulated_rel_gap"] > 1e-4
 
     def test_zero_state_cost(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = optimal_cost_check(rollout(law, 0.0, np.zeros(space.K)))
+        rep, _ = optimal_cost_check(rollout(law, 0.0, np.zeros(space.K)))
         assert rep["value"] == 0.0
 
     def test_perturbed_controls_never_beat_optimum(self, tg_law, tg_phi, rng):
@@ -709,8 +711,8 @@ class TestOptimality:
 class TestLyapunov:
     def test_zero_state(self, tg_law):
         space, ref, _, _, law = tg_law
-        rep = lyapunov_check(closed_loop_linear(
-            closed_loop_steps(law, 0.0, 2.0), np.zeros(space.K))[0])
+        rep = lyapunov_check(closed_loop_steps(law, 0.0, 2.0).run_linear(
+            np.zeros(space.K)))
         assert max(rep["phi"]) == 0.0
 
     def test_free_mode_closed_form(self):
@@ -720,8 +722,8 @@ class TestLyapunov:
         law = riccati_solve(ref, lam=0.5, actuator=act0, T_h=14.0, dt=1.0 / 64)
         v0 = np.zeros(space.K)
         v0[0] = 1.0
-        rep = lyapunov_check(closed_loop_linear(
-            closed_loop_steps(law, 0.0, 12.0), v0)[0], samples=16)
+        rep = lyapunov_check(closed_loop_steps(law, 0.0, 12.0).run_linear(v0),
+                             samples=16)
         a = space.alphas[0]
         for t, phi in zip(rep["times"], rep["phi"]):
             want = (np.exp(-2 * a * t) - np.exp(-2 * a * 12.0)) / (2 * a)
@@ -732,8 +734,7 @@ class TestLyapunov:
         space, ref, _, _, law = tg_law
         stepper = closed_loop_steps(law, 0.0, 6.0)
         for _ in range(3):
-            rep = lyapunov_check(closed_loop_linear(
-                stepper, rng.standard_normal(space.K))[0])
+            rep = lyapunov_check(stepper.run_linear(rng.standard_normal(space.K)))
             assert rep["nonincreasing"]
 
 
@@ -756,6 +757,16 @@ class TestRiccatiResidual:
         late = dataclasses.replace(law, reference=LateReference())
         rep = riccati_residual(late, [2.0, 4.0, 6.0, 8.0])
         assert rep["max_rel_residual"] > 1e-5
+
+    def test_reports_the_node_it_evaluates(self, tg_law):
+        # a sample between two nodes is evaluated at the nearest one, and
+        # the report names that node's time, not the time asked for
+        law = tg_law[-1]
+        asked = [2.0 + 0.3 * law.dt, 4.0 - 0.4 * law.dt, 6.0]
+        rep = riccati_residual(law, asked)
+        nodes = [2.0, 4.0, 6.0]
+        assert rep["t"] == nodes
+        assert rep["rel_residual"] == riccati_residual(law, nodes)["rel_residual"]
 
     def test_terminal_layer_large(self, tg_law):
         space, ref, _, _, law = tg_law

@@ -8,7 +8,7 @@ import pytest
 from nsstab import dynamics, nonlinear
 from nsstab.dynamics import Propagator, Trajectory, bilinear_b, taylor_green_reference
 from nsstab.errors import StepSolveError
-from nsstab.feedback import closed_loop_linear, riccati_solve
+from nsstab.feedback import optimal_cost_check, optimal_rollouts, riccati_solve
 from nsstab.nonlinear import (
     basin_sweep,
     closed_loop_steps,
@@ -220,10 +220,17 @@ class TestContractionProbe:
 
 class TestSharedSteps:
     def test_linear_closed_loop_is_the_stepper_flow(self, loop_setup, rng):
+        # the decay run the cost check's walk carries is the stepper's own
+        # linear flow, bit for bit, whatever start the check prices
         space, ref, law, stepper = loop_setup
         v0 = rng.standard_normal(space.K)
-        tr, _ = closed_loop_linear(closed_loop_steps(law, 0.0, 6.0), v0)
-        assert np.array_equal(tr.states, stepper.run_linear(v0).states)
+        want = stepper.run_linear(v0)
+        for rollout in optimal_rollouts(law, [(0.0, v0), (1.0, v0)]):
+            _, tr = optimal_cost_check(rollout, stepper.n_steps)
+            assert np.array_equal(tr.times, want.times)
+            assert np.array_equal(tr.states, want.states)
+        with pytest.raises(ValueError, match="exceeds the law's"):
+            optimal_cost_check(rollout, law.n_steps + 1)
 
     def test_picard_cap_raises(self, loop_setup, rng, monkeypatch):
         space, _, _, stepper = loop_setup
